@@ -35,6 +35,8 @@ RBF = "rbf"
 KKT_TOL = 1e-3
 MAX_KERNEL_EVALS = 10_000_000
 SUPPORT_EPS = 1e-8
+KERNEL_BLOCK = 1024  # vertex rows per kernel_matrix call in predict_pairs
+PAIR_CHUNK = 2048  # pairs per row-wise dot product in predict_pairs
 
 
 class ClassifierError(ValueError):
@@ -64,17 +66,6 @@ class KernelSpec:
         if self.kind == RBF:
             if self.sigma is None or not np.isfinite(self.sigma) or self.sigma <= 0:
                 raise ClassifierError("rbf kernel needs finite sigma > 0")
-
-
-def kernel_eval(spec: KernelSpec, x, z) -> float:
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if x.shape != z.shape:
-        raise DimensionMismatchError(f"shapes {x.shape} and {z.shape} differ")
-    if spec.kind == LINEAR:
-        return float(np.dot(x, z))
-    d2 = float(np.sum((x - z) ** 2))
-    return float(np.exp(-d2 / (2.0 * spec.sigma**2)))
 
 
 def kernel_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -181,12 +172,73 @@ class SvmModel:
         return (1 if value > 0.0 else -1), value
 
     def predict_pairs(self, table, senders, receivers) -> np.ndarray:
-        """Vectorized labels for index pairs into a vertex table."""
+        """Labels for index pairs into a vertex table: +1 where
+        `pair_decision_values` is strictly positive, else -1.
+
+        A transmission model must be deterministic per (sender, receiver)
+        pair: diffusion scores a pair once, when its sender is newly
+        informed, and relies on a later call giving the same label.
+        """
+        values = self.pair_decision_values(table, senders, receivers)
+        return np.where(values > 0.0, 1, -1)
+
+    def pair_decision_values(self, table, senders, receivers) -> np.ndarray:
+        """Decision values of the [sender, receiver] rows of index pairs.
+
+        A pair row is the concatenation of two encoded records and the
+        standardizer is column-wise, so the decision value factors at the
+        record width d.  For RBF, K(x, sv) = k(s, sv[:d]) * k(r, sv[d:]):
+        half-kernel rows are computed once per unique sender (times the
+        coefs) and once per unique receiver, and a pair's value is the dot
+        product of its two rows.  A linear model collapses to the primal
+        weight vector, one scalar per vertex half.  Memory is bounded by
+        (unique senders + unique receivers) x SVs plus one PAIR_CHUNK of
+        gathered rows; no pairs x SVs array is built.
+        """
         if self.schema is not None and table.schema.field_ids != self.schema.field_ids:
             raise SchemaMismatchError("vertex table schema differs from model schema")
+        senders = np.asarray(senders, dtype=int)
+        receivers = np.asarray(receivers, dtype=int)
+        if self.support_vectors.shape[0] == 0:
+            return np.full(len(senders), self.bias)
         enc = table.encoded()
-        X = np.hstack([enc[np.asarray(senders)], enc[np.asarray(receivers)]])
-        return self.predict_labels(X)
+        d = enc.shape[1]
+        if self.support_vectors.shape[1] != 2 * d:
+            raise DimensionMismatchError(
+                f"model dimension {self.support_vectors.shape[1]} is not twice "
+                f"the record width {d}"
+            )
+        send_ids, send_of = np.unique(senders, return_inverse=True)
+        recv_ids, recv_of = np.unique(receivers, return_inverse=True)
+        Zs = self._standardize_half(enc[send_ids], slice(0, d))
+        Zr = self._standardize_half(enc[recv_ids], slice(d, 2 * d))
+        if self.kernel.kind == LINEAR:
+            w = self.coefs @ self.support_vectors
+            values = (Zs @ w[:d])[send_of] + (Zr @ w[d:])[recv_of]
+        else:
+            S = self._half_kernel(Zs, slice(0, d))
+            S *= self.coefs
+            R = self._half_kernel(Zr, slice(d, 2 * d))
+            values = np.empty(len(senders))
+            for start in range(0, len(senders), PAIR_CHUNK):
+                chunk = slice(start, start + PAIR_CHUNK)
+                values[chunk] = np.einsum("ij,ij->i", S[send_of[chunk]], R[recv_of[chunk]])
+        return values + self.bias
+
+    def _standardize_half(self, rows: np.ndarray, cols: slice) -> np.ndarray:
+        if self.standardizer is None:
+            return rows
+        return (rows - self.standardizer.means[cols]) / self.standardizer.stds[cols]
+
+    def _half_kernel(self, Z: np.ndarray, cols: slice) -> np.ndarray:
+        """kernel(Z[i], sv[cols]) for every row, KERNEL_BLOCK rows at a time."""
+        sv = np.ascontiguousarray(self.support_vectors[:, cols])
+        out = np.empty((Z.shape[0], sv.shape[0]))
+        for start in range(0, Z.shape[0], KERNEL_BLOCK):
+            out[start : start + KERNEL_BLOCK] = kernel_matrix(
+                self.kernel, Z[start : start + KERNEL_BLOCK], sv
+            )
+        return out
 
     def save(self, path) -> None:
         doc = {
@@ -240,6 +292,11 @@ class ConstantModel:
         return self.label, float(self.label)
 
     def predict_pairs(self, table, senders, receivers) -> np.ndarray:
+        """The fixed label for every pair.
+
+        Deterministic per (sender, receiver) pair, as every transmission
+        model must be (see `SvmModel.predict_pairs`).
+        """
         return np.full(len(np.asarray(senders)), self.label, dtype=int)
 
 
@@ -396,22 +453,16 @@ def dual_objective(
 
 def balanced_error(predictions, labels) -> float:
     """Mean of the per-class error rates."""
-    predictions = np.asarray(predictions)
-    labels = np.asarray(labels)
-    if predictions.shape != labels.shape:
-        raise DimensionMismatchError("predictions and labels differ in length")
-    pos = labels > 0
-    neg = labels < 0
-    if not (np.any(pos) and np.any(neg)):
-        raise SingleClassError("labels must contain both classes")
-    pos_err = float(np.mean(predictions[pos] != labels[pos]))
-    neg_err = float(np.mean(predictions[neg] != labels[neg]))
+    pos_err, neg_err = per_class_errors(predictions, labels)
     return (pos_err + neg_err) / 2.0
 
 
 def per_class_errors(predictions, labels) -> tuple[float, float]:
+    """(error rate on the positive class, error rate on the negative class)."""
     predictions = np.asarray(predictions)
     labels = np.asarray(labels)
+    if predictions.shape != labels.shape:
+        raise DimensionMismatchError("predictions and labels differ in length")
     pos = labels > 0
     neg = labels < 0
     if not (np.any(pos) and np.any(neg)):

@@ -1,12 +1,16 @@
 """Synchronous information diffusion over a graph of synthetic people.
 
-A random seed set starts informed.  Each iteration scans every edge with
-exactly one informed endpoint (as of the start of the iteration), asks the
-transmission model for a prediction from the informed side to the
-uninformed side, and marks receivers with at least one positive incident
-prediction.  Exactly one transmission is logged per new receiver,
-attributed to its smallest-id positive-predicting informed neighbor, so
-the log forms a forest of transmission trees.
+A random seed set starts informed.  Each iteration asks the transmission
+model for a prediction along every edge from a vertex informed in the
+previous iteration (the seeds, in iteration 1) to a still uninformed
+vertex, and marks receivers with at least one positive prediction.  This
+equals scanning every edge with exactly one informed endpoint: models are
+deterministic per (sender, receiver) pair, and an edge from an earlier
+informed vertex to a still uninformed one was scored when its sender was
+new and came out negative, so scoring it again cannot inform anyone.
+Exactly one transmission is logged per new receiver, attributed to its
+smallest-id positive-predicting informed neighbor, so the log forms a
+forest of transmission trees.
 
 Metrics over the log:
   * avg_hops: transmissions divided by the number of seed vertices that
@@ -97,16 +101,19 @@ def diffusion_step(
     informed: set[int],
     model,
     iteration: int,
+    frontier: set[int] | None = None,
 ) -> tuple[set[int], list[LogEntry]]:
     """One synchronous step: predictions use `informed` frozen at entry.
 
+    Senders are the vertices of `frontier` (by default all of `informed`);
+    `run_diffusion` passes the vertices informed in the previous step.
     Returns the set of vertices informed during this step and their log
     entries (sorted by receiver id).  Edges with both endpoints informed
     are skipped; vertices informed within the step do not transmit.
     """
     senders: list[int] = []
     receivers: list[int] = []
-    for u in sorted(informed):
+    for u in sorted(informed if frontier is None else frontier):
         for v in graph.neighbors(u):
             if v not in informed:
                 senders.append(u)
@@ -151,9 +158,13 @@ def run_diffusion(
     wave = {v: 0 for v in seeds}
     coverage = [len(informed) / graph.n]
     log: list[LogEntry] = []
+    frontier = set(seeds)
     for iteration in range(1, config.iterations + 1):
-        new_informed, entries = diffusion_step(graph, table, informed, model, iteration)
+        new_informed, entries = diffusion_step(
+            graph, table, informed, model, iteration, frontier=frontier
+        )
         informed |= new_informed
+        frontier = new_informed
         for v in new_informed:
             wave[v] = iteration
         log.extend(entries)

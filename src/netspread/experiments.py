@@ -58,6 +58,7 @@ from .classifier import (
 )
 from .diffusion import (
     DiffusionConfig,
+    DiffusionError,
     DiffusionResult,
     run_diffusion,
     write_log_csv,
@@ -99,6 +100,15 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def _number(value, path: str, kind=float):
+    """kind(value) for a config number, or a ConfigError naming `path`."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(path, f"must be {noun}, got {value!r}") from None
+
+
 def _as_list(value, path: str) -> list:
     if not isinstance(value, list) or not value:
         raise ConfigError(path, "must be a non-empty list")
@@ -127,7 +137,8 @@ class PlantedRule:
             op = _require(c, "op", where)
             if op not in _RULE_OPS:
                 raise ConfigError(f"{where}.op", f"must be one of {sorted(_RULE_OPS)}")
-            out.append((role, str(_require(c, "field", where)), op, float(_require(c, "value", where))))
+            value = _number(_require(c, "value", where), f"{where}.value")
+            out.append((role, str(_require(c, "field", where)), op, value))
         return cls(conditions=tuple(out))
 
     def label_arrays(self, senders: VertexTable, receivers: VertexTable) -> np.ndarray:
@@ -148,13 +159,12 @@ class PlantedRule:
 def _parse_svm_params(doc: dict, path: str) -> SvmParams:
     kind = _require(doc, "kernel", path)
     sigma = doc.get("sigma")
+    if sigma is not None:
+        sigma = _number(sigma, f"{path}.sigma")
+    C = _number(_require(doc, "C", path), f"{path}.C")
+    weight = _number(_require(doc, "weight", path), f"{path}.weight")
     try:
-        kernel = KernelSpec(kind, float(sigma) if sigma is not None else None)
-        return SvmParams(
-            C=float(_require(doc, "C", path)),
-            weight=float(_require(doc, "weight", path)),
-            kernel=kernel,
-        )
+        return SvmParams(C=C, weight=weight, kernel=KernelSpec(kind, sigma))
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from None
 
@@ -182,7 +192,7 @@ class TrainingConfig:
         mode = doc.get("mode", "synthetic")
         if mode not in ("synthetic", "pairs", "survey"):
             raise ConfigError(f"{path}.mode", "must be synthetic, pairs or survey")
-        sample_size = int(doc.get("sample_size", 20000))
+        sample_size = _number(doc.get("sample_size", 20000), f"{path}.sample_size", int)
         if sample_size < 2:
             raise ConfigError(f"{path}.sample_size", "must be >= 2")
         params = _parse_svm_params(doc["params"], f"{path}.params") if "params" in doc else None
@@ -201,7 +211,7 @@ class TrainingConfig:
             for key in ("egos_file", "alter_pool_file", "criteria", "contact_fields"):
                 if key not in doc:
                     raise ConfigError(f"{path}.{key}", "missing")
-        cv_folds = int(doc.get("cv_folds", 3))
+        cv_folds = _number(doc.get("cv_folds", 3), f"{path}.cv_folds", int)
         if cv_folds < 2:
             raise ConfigError(f"{path}.cv_folds", "must be >= 2")
         return cls(
@@ -218,9 +228,11 @@ class TrainingConfig:
             alter_pool_file=doc.get("alter_pool_file"),
             criteria=tuple(doc.get("criteria", ())),
             contact_fields=tuple(doc.get("contact_fields", ())),
-            homophily=float(doc.get("homophily", 0.7)),
+            homophily=_number(doc.get("homophily", 0.7), f"{path}.homophily"),
             max_kernel_evals=(
-                int(doc["max_kernel_evals"]) if "max_kernel_evals" in doc else None
+                _number(doc["max_kernel_evals"], f"{path}.max_kernel_evals", int)
+                if "max_kernel_evals" in doc
+                else None
             ),
         )
 
@@ -247,7 +259,7 @@ class ExperimentConfig:
         model = _require(graph, "model", "graph")
         if model not in (ERDOS_RENYI, SMALL_WORLD):
             raise ConfigError("graph.model", f"unknown model {model!r}")
-        n = int(graph.get("n", 10000))
+        n = _number(graph.get("n", 10000), "graph.n", int)
         if n < 1:
             raise ConfigError("graph.n", "must be >= 1")
         edge_probs: tuple[float, ...] = ()
@@ -255,26 +267,44 @@ class ExperimentConfig:
         rewire_probs: tuple[float, ...] = ()
         if model == ERDOS_RENYI:
             edge_probs = tuple(
-                float(p) for p in _as_list(_require(graph, "edge_prob", "graph"), "graph.edge_prob")
+                _number(p, f"graph.edge_prob[{i}]")
+                for i, p in enumerate(
+                    _as_list(_require(graph, "edge_prob", "graph"), "graph.edge_prob")
+                )
             )
         else:
             neighbor_counts = tuple(
-                int(k) for k in _as_list(_require(graph, "neighbors", "graph"), "graph.neighbors")
+                _number(k, f"graph.neighbors[{i}]", int)
+                for i, k in enumerate(
+                    _as_list(_require(graph, "neighbors", "graph"), "graph.neighbors")
+                )
             )
             rewire_probs = tuple(
-                float(p)
-                for p in _as_list(_require(graph, "rewire_prob", "graph"), "graph.rewire_prob")
+                _number(p, f"graph.rewire_prob[{i}]")
+                for i, p in enumerate(
+                    _as_list(_require(graph, "rewire_prob", "graph"), "graph.rewire_prob")
+                )
             )
-        fractions = tuple(
-            float(a)
-            for a in _as_list(doc.get("initial_fraction", [0.1, 0.2, 0.5]), "initial_fraction")
-        )
-        iterations = int(doc.get("iterations", 3))
+        iterations = _number(doc.get("iterations", 3), "iterations", int)
         if iterations < 1:
             raise ConfigError("iterations", "must be >= 1")
-        replicates = int(doc.get("replicates", 5))
+        fractions = tuple(
+            _number(a, f"initial_fraction[{i}]")
+            for i, a in enumerate(
+                _as_list(doc.get("initial_fraction", [0.1, 0.2, 0.5]), "initial_fraction")
+            )
+        )
+        for i, a in enumerate(fractions):
+            try:
+                DiffusionConfig(a, iterations)
+            except DiffusionError as exc:
+                raise ConfigError(f"initial_fraction[{i}]", str(exc)) from None
+        replicates = _number(doc.get("replicates", 5), "replicates", int)
         if replicates < 1:
             raise ConfigError("replicates", "must be >= 1")
+        seed = _number(doc.get("seed", 0), "seed", int)
+        if seed < 0:
+            raise ConfigError("seed", "must be >= 0")
         training = (
             TrainingConfig.from_config(doc["training"]) if "training" in doc else None
         )
@@ -298,7 +328,7 @@ class ExperimentConfig:
             initial_fractions=fractions,
             iterations=iterations,
             replicates=replicates,
-            seed=int(doc.get("seed", 0)),
+            seed=seed,
             stats_file=str(doc.get("stats_file", BUILTIN_STATS)),
             output_dir=str(doc.get("output_dir", "out")),
             training=training,

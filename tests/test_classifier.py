@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from netspread import classifier
 from netspread.classifier import (
     ConstantModel,
     CvReport,
@@ -13,7 +14,6 @@ from netspread.classifier import (
     cross_validate,
     dual_objective,
     fit_pair_classifier,
-    kernel_eval,
     kernel_matrix,
     per_class_errors,
     stratified_folds,
@@ -94,38 +94,54 @@ def full_alpha(model: SvmModel, X: np.ndarray) -> np.ndarray:
     return full
 
 
+def one(spec, x, z) -> float:
+    """kernel_matrix on two 1-row inputs, as a scalar."""
+    K = kernel_matrix(spec, np.asarray(x, dtype=float)[None, :], np.asarray(z, dtype=float)[None, :])
+    assert K.shape == (1, 1)
+    return float(K[0, 0])
+
+
 class TestKernels:
     def test_rbf_identical_points(self):
+        # kernel_matrix expands ||x - z||^2 = |x|^2 + |z|^2 - 2 x.z, so a
+        # self-distance is zero only to rounding
         x = np.array([0.3, -1.2])
-        assert kernel_eval(RBF1, x, x) == 1.0
+        assert one(RBF1, x, x) == pytest.approx(1.0, abs=1e-12)
 
     def test_rbf_at_two_sigma_squared(self):
         spec = KernelSpec("rbf", 2.0)
         x = np.zeros(2)
         z = np.array([np.sqrt(2.0) * 2.0, 0.0])  # ||x-z||^2 = 2 sigma^2
-        assert kernel_eval(spec, x, z) == pytest.approx(np.exp(-1.0), abs=1e-12)
+        assert one(spec, x, z) == pytest.approx(np.exp(-1.0), abs=1e-12)
 
     def test_linear_dot(self):
-        assert kernel_eval(LIN, [1.0, 2.0], [3.0, 4.0]) == 11.0
+        assert one(LIN, [1.0, 2.0], [3.0, 4.0]) == 11.0
 
     def test_symmetry(self):
         gen = np.random.default_rng(2)
         x, z = gen.normal(size=2), gen.normal(size=2)
         for spec in (LIN, RBF1):
-            assert kernel_eval(spec, x, z) == pytest.approx(kernel_eval(spec, z, x))
+            assert one(spec, x, z) == pytest.approx(one(spec, z, x))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            kernel_eval(LIN, [1.0], [1.0, 2.0])
+            one(LIN, [1.0], [1.0, 2.0])
 
     def test_matrix_matches_pointwise(self):
+        # elementwise oracle: the textbook formula per (i, j) entry
         gen = np.random.default_rng(3)
         A, B = gen.normal(size=(4, 3)), gen.normal(size=(5, 3))
         for spec in (LIN, KernelSpec("rbf", 0.7)):
             K = kernel_matrix(spec, A, B)
             for i in range(4):
                 for j in range(5):
-                    assert K[i, j] == pytest.approx(kernel_eval(spec, A[i], B[j]), abs=1e-12)
+                    if spec.kind == "linear":
+                        expected = float(np.dot(A[i], B[j]))
+                    else:
+                        d2 = float(np.sum((A[i] - B[j]) ** 2))
+                        expected = float(np.exp(-d2 / (2.0 * spec.sigma**2)))
+                    assert K[i, j] == pytest.approx(expected, abs=1e-12)
+                    assert one(spec, A[i], B[j]) == pytest.approx(expected, abs=1e-12)
 
     def test_rbf_needs_positive_sigma(self):
         with pytest.raises(ValueError):
@@ -248,6 +264,95 @@ class TestPredict:
         model.schema = None
         with pytest.raises(ValueError):
             model.predict_pair({}, {})
+
+
+def pair_table(n: int = 90, seed: int = 21) -> VertexTable:
+    gen = np.random.default_rng(seed)
+    return VertexTable.from_records(TINY_SCHEMA, [random_record(TINY_SCHEMA, gen) for _ in range(n)])
+
+
+def pair_model(kind: str, standardized: bool) -> SvmModel:
+    """A model trained on pairs of `pair_table` records, rule: receiver older."""
+    table = pair_table()
+    enc = table.encoded()
+    X = np.hstack([enc[:45], enc[45:]])
+    y = np.where(table.columns["age_band"][45:] > table.columns["age_band"][:45], 1.0, -1.0)
+    params = SvmParams(C=10.0, weight=1.0, kernel=KernelSpec(kind, 2.0 if kind == "rbf" else None))
+    if standardized:
+        return fit_pair_classifier(X, y, params, schema=TINY_SCHEMA)
+    return train_svm(X, y, params)
+
+
+def row_values(model: SvmModel, table: VertexTable, senders, receivers) -> np.ndarray:
+    """The unfactored reference: decision values of the hstacked pair rows."""
+    enc = table.encoded()
+    return model.decision_values(np.hstack([enc[senders], enc[receivers]]))
+
+
+class TestFactoredPairScoring:
+    @pytest.mark.parametrize("standardized", [True, False])
+    @pytest.mark.parametrize("kind", ["rbf", "linear"])
+    def test_matches_row_matrix_path(self, kind, standardized):
+        model = pair_model(kind, standardized)
+        assert len(model.coefs) > 0
+        table = pair_table(seed=8)
+        gen = np.random.default_rng(3)
+        # more pairs than one chunk, with every sender and receiver repeated
+        count = 2 * classifier.PAIR_CHUNK + 17
+        senders = gen.integers(0, 30, size=count)
+        receivers = gen.integers(0, len(table), size=count)
+        expected = row_values(model, table, senders, receivers)
+        values = model.pair_decision_values(table, senders, receivers)
+        assert np.max(np.abs(values - expected)) <= 1e-9
+        labels = model.predict_pairs(table, senders, receivers)
+        assert np.array_equal(labels, np.where(expected > 0.0, 1, -1))  # 0 label flips
+
+    def test_empty_pair_list(self):
+        model = pair_model("rbf", True)
+        labels = model.predict_pairs(pair_table(), [], [])
+        assert labels.shape == (0,)
+
+    @pytest.mark.parametrize("bias,label", [(0.5, 1), (0.0, -1), (-0.5, -1)])
+    def test_no_support_vectors_is_the_bias_sign(self, bias, label):
+        model = SvmModel(kernel=RBF1, support_vectors=np.zeros((0, 0)), coefs=np.zeros(0),
+                         bias=bias)
+        assert model.predict_pairs(pair_table(), [0, 1, 1], [2, 3, 4]).tolist() == [label] * 3
+
+    def test_repeated_pair_same_value(self):
+        model = pair_model("rbf", True)
+        table = pair_table()
+        values = model.pair_decision_values(table, [5, 5, 7, 5], [9, 9, 9, 9])
+        assert values[0] == values[1] == values[3]
+        assert values[2] == pytest.approx(row_values(model, table, [7], [9])[0], abs=1e-9)
+
+    def test_wrong_model_width_rejected(self):
+        model = SvmModel(kernel=RBF1, support_vectors=np.zeros((2, 3)), coefs=np.ones(2),
+                         bias=0.0)
+        with pytest.raises(DimensionMismatchError):
+            model.predict_pairs(pair_table(), [0], [1])
+
+    def test_kernel_rows_once_per_unique_vertex_in_blocks(self, monkeypatch):
+        model = pair_model("rbf", True)
+        table = pair_table(n=600, seed=4)
+        monkeypatch.setattr(classifier, "KERNEL_BLOCK", 64)
+        shapes = []
+        real = classifier.kernel_matrix
+
+        def recording(spec, A, B):
+            K = real(spec, A, B)
+            shapes.append(K.shape)
+            return K
+
+        monkeypatch.setattr(classifier, "kernel_matrix", recording)
+        gen = np.random.default_rng(9)
+        senders = gen.integers(0, 200, size=5000)
+        receivers = gen.integers(0, 600, size=5000)
+        model.pair_decision_values(table, senders, receivers)
+        svs = len(model.coefs)
+        assert all(rows <= 64 and cols == svs for rows, cols in shapes)
+        assert sum(rows for rows, _ in shapes) == (
+            len(np.unique(senders)) + len(np.unique(receivers))
+        )
 
 
 class TestBalancedError:

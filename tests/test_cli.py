@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from netspread.cli import main
 
 RULE = {
@@ -50,6 +52,25 @@ class TestExitCodes:
         # stats_file existence is validated lazily: a ConfigError -> 2
         code = main(["simulate", "--config", str(config)])
         assert code == 2
+
+    @pytest.mark.parametrize("overrides,path", [
+        ({"initial_fraction": [1.5]}, "initial_fraction[0]"),
+        ({"initial_fraction": [0.1, "half"]}, "initial_fraction[1]"),
+        ({"iterations": "three"}, "iterations"),
+        ({"replicates": [2]}, "replicates"),
+        ({"seed": "abc"}, "seed"),
+        ({"seed": -1}, "seed"),
+        ({"graph": {"model": "small_world", "n": "abc", "neighbors": [4],
+                    "rewire_prob": [0.1]}}, "graph.n"),
+        ({"graph": {"model": "erdos_renyi", "n": 200, "edge_prob": [0.01, "x"]}},
+         "graph.edge_prob[1]"),
+    ])
+    def test_malformed_value_exits_2_at_parse_time(self, tmp_path, capsys, overrides, path):
+        config = write_config(tmp_path, **overrides)
+        assert main(["simulate", "--config", str(config)]) == 2
+        assert f"config error: {path}:" in capsys.readouterr().err
+        # rejected while parsing: nothing was trained or written
+        assert not (tmp_path / "out").exists()
 
     def test_broken_stats_file_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "stats.json"

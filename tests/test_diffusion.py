@@ -3,7 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from netspread.classifier import ConstantModel
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from netspread.classifier import ConstantModel, KernelSpec, SvmParams, fit_pair_classifier
 from netspread.diffusion import (
     DiffusionConfig,
     DiffusionError,
@@ -42,6 +45,137 @@ class RuleModel:
     def predict_pairs(self, table, senders, receivers):
         gender = table.columns["gender"][np.asarray(receivers)]
         return np.where(gender == 1, 1, -1)
+
+
+class HashModel:
+    """Random but deterministic labels: a hash of the pair's field values."""
+
+    def __init__(self, salt: int, share: float):
+        self.salt = salt
+        self.share = share
+
+    def predict_pairs(self, table, senders, receivers):
+        cols = [table.columns[f] for f in ("gender", "age_band", "education", "profession")]
+        return np.array([
+            1 if (hash((self.salt, tuple(int(c[s]) for c in cols),
+                        tuple(int(c[r]) for c in cols))) % 1000) < 1000 * self.share
+            else -1
+            for s, r in zip(senders, receivers)
+        ], dtype=int)
+
+
+class SenderLog:
+    """Wraps a model and records the senders of every predict_pairs call."""
+
+    def __init__(self, model):
+        self.model = model
+        self.calls: list[list[int]] = []
+
+    def predict_pairs(self, table, senders, receivers):
+        self.calls.append(sorted(set(int(s) for s in senders)))
+        return self.model.predict_pairs(table, senders, receivers)
+
+
+def full_scan(graph, table, model, config, rng):
+    """run_diffusion's loop with every informed vertex as a sender each step."""
+    seeds = seed_information(graph, config.initial_fraction, rng)
+    informed = set(seeds)
+    wave = {v: 0 for v in seeds}
+    coverage = [len(informed) / graph.n]
+    log = []
+    for iteration in range(1, config.iterations + 1):
+        new, entries = diffusion_step(graph, table, informed, model, iteration, frontier=None)
+        informed |= new
+        wave.update((v, iteration) for v in new)
+        log.extend(entries)
+        coverage.append(len(informed) / graph.n)
+    return tuple(log), wave, tuple(coverage)
+
+
+def trained_svm(seed: int = 5):
+    """RBF SVM fitted on random record pairs with a planted receiver/sender rule."""
+    gen = np.random.default_rng(seed)
+    table = VertexTable.from_records(
+        TINY_SCHEMA, [random_record(TINY_SCHEMA, gen) for _ in range(240)]
+    )
+    enc = table.encoded()
+    X = np.hstack([enc[:120], enc[120:]])
+    y = np.where(
+        (table.columns["age_band"][120:] >= 3) & (table.columns["contact_friends"][:120] >= 2),
+        1.0, -1.0,
+    )
+    return fit_pair_classifier(
+        X, y, SvmParams(C=10.0, weight=2.0, kernel=KernelSpec("rbf", 2.0)), schema=TINY_SCHEMA
+    )
+
+
+class TestFrontierEquivalence:
+    """run_diffusion scores only new senders; a full scan must give the same run."""
+
+    MODELS = {
+        "svm": trained_svm,
+        "positive": lambda: ConstantModel(1),
+        "negative": lambda: ConstantModel(-1),
+        "rule": RuleModel,
+    }
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_log_wave_coverage_equal_full_scan(self, name):
+        model = self.MODELS[name]()
+        gen = np.random.default_rng(31)
+        for trial in range(12):
+            n = int(gen.integers(5, 51))
+            g = random_graph(n, float(gen.uniform(0.03, 0.25)), int(gen.integers(1 << 30)))
+            table = table_for(g, trial)
+            config = DiffusionConfig(float(gen.choice([0.05, 0.1, 0.3])), int(gen.integers(1, 6)))
+            result = run_diffusion(g, table, model, config, np.random.default_rng(trial))
+            log, wave, coverage = full_scan(g, table, model, config, np.random.default_rng(trial))
+            assert (result.log, result.wave, result.coverage) == (log, wave, coverage)
+
+    def test_svm_fixture_spreads_partially(self):
+        # the equivalence above is only informative if the model says both
+        # yes and no along edges that a full scan would score again
+        g = random_graph(50, 0.12, 4)
+        result = run_diffusion(
+            g, table_for(g, 4), trained_svm(), DiffusionConfig(0.1, 4), np.random.default_rng(4)
+        )
+        assert 0 < len(result.log) < g.n - len(result.seeds)
+
+    def test_senders_are_the_previous_step_receivers(self):
+        g = random_graph(50, 0.12, 4)
+        model = SenderLog(trained_svm())
+        result = run_diffusion(
+            g, table_for(g, 4), model, DiffusionConfig(0.1, 4), np.random.default_rng(4)
+        )
+        # one call per step that has an edge to score, each from the last wave
+        for wave_index, senders in enumerate(model.calls):
+            expected = sorted(v for v, w in result.wave.items() if w == wave_index)
+            assert set(senders) <= set(expected)
+            assert senders
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 30),
+    edge_prob=st.floats(0.0, 0.5),
+    graph_seed=st.integers(0, 2**31),
+    run_seed=st.integers(0, 2**31),
+    salt=st.integers(0, 2**31),
+    share=st.floats(0.0, 1.0),
+    fraction=st.sampled_from([0.05, 0.1, 0.3, 1.0]),
+    iterations=st.integers(1, 5),
+)
+def test_random_deterministic_models_frontier_equals_full_scan(
+    n, edge_prob, graph_seed, run_seed, salt, share, fraction, iterations
+):
+    g = random_graph(n, edge_prob, graph_seed)
+    table = table_for(g, graph_seed)
+    model = HashModel(salt, share)
+    config = DiffusionConfig(fraction, iterations)
+    result = run_diffusion(g, table, model, config, np.random.default_rng(run_seed))
+    validate_log(result.log, result.seeds, result.wave)
+    log, wave, coverage = full_scan(g, table, model, config, np.random.default_rng(run_seed))
+    assert (result.log, result.wave, result.coverage) == (log, wave, coverage)
 
 
 class TestConfig:
