@@ -13,7 +13,7 @@ returning the best iterate with ``converged=False``.
 
 Input vectors are expected standardized; ``fit_pair_classifier`` wraps the
 encode -> standardize -> train chain for record pairs and attaches the
-fitted Standardizer so the model can score raw records.
+fitted Standardizer so the model can score unstandardized pairs.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .population import FeatureSchema, Standardizer, encode
+from .population import FeatureSchema, Standardizer
 
 logger = logging.getLogger(__name__)
 
@@ -131,7 +131,8 @@ class SvmModel:
 
     support_vectors live in the standardized training space; coef_i is
     alpha_i * y_i.  When a Standardizer (and schema) is attached, raw
-    encoded pair vectors and record pairs can be scored directly.
+    encoded pair rows and index pairs into a vertex table can be scored
+    directly.
     """
 
     kernel: KernelSpec
@@ -162,23 +163,9 @@ class SvmModel:
         values = self.decision_values(X)
         return np.where(values > 0.0, 1, -1)
 
-    def _pair_row(self, sender: dict, receiver: dict) -> np.ndarray:
-        if self.schema is None:
-            raise SchemaMismatchError("model has no attached schema for records")
-        return np.concatenate([encode(sender, self.schema), encode(receiver, self.schema)])
-
-    def predict_pair(self, sender: dict, receiver: dict) -> tuple[int, float]:
-        value = float(self.decision_values(self._pair_row(sender, receiver)[None, :])[0])
-        return (1 if value > 0.0 else -1), value
-
     def predict_pairs(self, table, senders, receivers) -> np.ndarray:
-        """Labels for index pairs into a vertex table: +1 where
-        `pair_decision_values` is strictly positive, else -1.
-
-        A transmission model must be deterministic per (sender, receiver)
-        pair: diffusion scores a pair once, when its sender is newly
-        informed, and relies on a later call giving the same label.
-        """
+        """`diffusion.TransmissionModel`: +1 where `pair_decision_values` is
+        strictly positive, else -1."""
         values = self.pair_decision_values(table, senders, receivers)
         return np.where(values > 0.0, 1, -1)
 
@@ -210,8 +197,10 @@ class SvmModel:
             )
         send_ids, send_of = np.unique(senders, return_inverse=True)
         recv_ids, recv_of = np.unique(receivers, return_inverse=True)
-        Zs = self._standardize_half(enc[send_ids], slice(0, d))
-        Zr = self._standardize_half(enc[recv_ids], slice(d, 2 * d))
+        Zs, Zr = enc[send_ids], enc[recv_ids]
+        if self.standardizer is not None:
+            Zs = self.standardizer.columns(slice(0, d)).transform(Zs)
+            Zr = self.standardizer.columns(slice(d, 2 * d)).transform(Zr)
         if self.kernel.kind == LINEAR:
             w = self.coefs @ self.support_vectors
             values = (Zs @ w[:d])[send_of] + (Zr @ w[d:])[recv_of]
@@ -224,11 +213,6 @@ class SvmModel:
                 chunk = slice(start, start + PAIR_CHUNK)
                 values[chunk] = np.einsum("ij,ij->i", S[send_of[chunk]], R[recv_of[chunk]])
         return values + self.bias
-
-    def _standardize_half(self, rows: np.ndarray, cols: slice) -> np.ndarray:
-        if self.standardizer is None:
-            return rows
-        return (rows - self.standardizer.means[cols]) / self.standardizer.stds[cols]
 
     def _half_kernel(self, Z: np.ndarray, cols: slice) -> np.ndarray:
         """kernel(Z[i], sv[cols]) for every row, KERNEL_BLOCK rows at a time."""
@@ -285,18 +269,8 @@ class ConstantModel:
             raise ClassifierError("constant label must be +1 or -1")
         self.label = label
 
-    def predict_labels(self, X) -> np.ndarray:
-        return np.full(np.atleast_2d(X).shape[0], self.label, dtype=int)
-
-    def predict_pair(self, sender, receiver):
-        return self.label, float(self.label)
-
     def predict_pairs(self, table, senders, receivers) -> np.ndarray:
-        """The fixed label for every pair.
-
-        Deterministic per (sender, receiver) pair, as every transmission
-        model must be (see `SvmModel.predict_pairs`).
-        """
+        """`diffusion.TransmissionModel`: the fixed label for every pair."""
         return np.full(len(np.asarray(senders)), self.label, dtype=int)
 
 
@@ -306,8 +280,6 @@ def train_svm(
     params: SvmParams,
     tol: float = KKT_TOL,
     max_kernel_evals: int = MAX_KERNEL_EVALS,
-    cache_rows: int | None = None,
-    max_iter: int | None = None,
 ) -> SvmModel:
     """Solve the weighted soft-margin dual on standardized vectors via SMO.
 
@@ -325,13 +297,9 @@ def train_svm(
         raise SingleClassError("training data must contain both classes")
 
     C = np.where(y > 0, params.C * params.weight, params.C)
-    if cache_rows is None:
-        # keep the cache near 256 MB worth of rows, at least 64 rows
-        cache_rows = max(64, min(n, int(256e6 / (8 * max(n, 1)))))
-    cache = _RowCache(params.kernel, X, cache_rows)
-
-    if max_iter is None:
-        max_iter = max(100_000, 30 * n)
+    # keep the cache near 256 MB worth of rows, at least 64 rows
+    cache = _RowCache(params.kernel, X, max(64, min(n, int(256e6 / (8 * max(n, 1))))))
+    max_iter = max(100_000, 30 * n)
 
     alpha = np.zeros(n)
     grad = -np.ones(n)  # gradient of the dual objective at alpha = 0
@@ -519,7 +487,6 @@ def cross_validate(
     grid,
     k: int,
     rng: np.random.Generator,
-    tol: float = KKT_TOL,
     max_kernel_evals: int = MAX_KERNEL_EVALS,
 ) -> CvReport:
     """Mean balanced error of each parameter set over k stratified folds.
@@ -547,7 +514,6 @@ def cross_validate(
                 std.transform(X[train_idx]),
                 y[train_idx],
                 params,
-                tol=tol,
                 max_kernel_evals=max_kernel_evals,
             )
             preds = model.predict_labels(std.transform(X[fold]))
@@ -572,14 +538,11 @@ def fit_pair_classifier(
     y: np.ndarray,
     params: SvmParams,
     schema: FeatureSchema | None = None,
-    tol: float = KKT_TOL,
     max_kernel_evals: int = MAX_KERNEL_EVALS,
 ) -> SvmModel:
     """Standardize raw encoded pair rows, train, and attach the pieces."""
     std = Standardizer.fit(X_raw)
-    model = train_svm(
-        std.transform(X_raw), y, params, tol=tol, max_kernel_evals=max_kernel_evals
-    )
+    model = train_svm(std.transform(X_raw), y, params, max_kernel_evals=max_kernel_evals)
     model.standardizer = std
     model.schema = schema
     return model

@@ -17,7 +17,7 @@ import sys
 from .experiments import (
     ConfigError,
     ExperimentConfig,
-    load_stats,
+    load_config_stats,
     report_distributions,
     run_experiment,
     train_pipeline,
@@ -60,11 +60,10 @@ def _run(args) -> int:
         )
         print(f"wrote {len(output.rows)} sweep rows to {os.path.join(out_dir, 'sweep.csv')}")
     elif args.command == "train":
+        stats = load_config_stats(config)
         os.makedirs(out_dir, exist_ok=True)
         model_path = os.path.join(out_dir, "model.json")
-        model = train_pipeline(
-            config, stats=load_stats(config.stats_file), model_path=model_path
-        )
+        model = train_pipeline(config, stats=stats, model_path=model_path)
         status = "converged" if model.converged else "NOT converged"
         print(f"wrote {model_path} ({len(model.coefs)} support vectors, {status})")
     else:

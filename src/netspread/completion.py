@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import csv
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .population import FeatureSchema, encode
+from .population import FeatureSchema, encode, round_half_up
 
 logger = logging.getLogger(__name__)
 
@@ -51,10 +50,6 @@ class LabeledPair:
             raise CompletionError(f"label must be +1 or -1, got {self.label}")
 
 
-def round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
-
-
 def homophile_split(person: dict, pool, criteria) -> tuple[list[dict], list[dict]]:
     """Split pool (minus the person itself) into homophiles and the rest.
 
@@ -74,10 +69,6 @@ def homophile_split(person: dict, pool, criteria) -> tuple[list[dict], list[dict
         else:
             others.append(member)
     return matches, others
-
-
-def homophile_set(person: dict, pool, criteria) -> list[dict]:
-    return homophile_split(person, pool, criteria)[0]
 
 
 def _draw(source: list[dict], count: int, rng: np.random.Generator, kind: str):

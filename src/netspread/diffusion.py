@@ -23,19 +23,31 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass
+from typing import Protocol
 
 import numpy as np
 
 from .graph import Graph
-from .population import VertexTable
+from .population import VertexTable, round_half_up
 
 LogEntry = tuple[int, int, int]  # (iteration, sender, receiver)
 
 
 class DiffusionError(ValueError):
     pass
+
+
+class TransmissionModel(Protocol):
+    """The one method diffusion asks of a transmission model."""
+
+    def predict_pairs(self, table: VertexTable, senders, receivers) -> np.ndarray:
+        """+1 / -1 for each (senders[i], receivers[i]) pair of table rows.
+
+        Must be deterministic per (sender, receiver) pair: a pair is scored
+        once, when its sender is newly informed, and a later call is assumed
+        to give the same label.
+        """
 
 
 @dataclass(frozen=True)
@@ -89,8 +101,7 @@ def seed_information(graph: Graph, fraction: float, rng: np.random.Generator) ->
         raise DiffusionError("fraction must lie in (0, 1]")
     if graph.n == 0:
         raise DiffusionError("graph has no vertices")
-    count = max(1, int(math.floor(fraction * graph.n + 0.5)))
-    count = min(count, graph.n)
+    count = max(1, round_half_up(fraction * graph.n))
     chosen = rng.choice(graph.n, size=count, replace=False)
     return sorted(int(v) for v in chosen)
 
@@ -99,7 +110,7 @@ def diffusion_step(
     graph: Graph,
     table: VertexTable,
     informed: set[int],
-    model,
+    model: TransmissionModel,
     iteration: int,
     frontier: set[int] | None = None,
 ) -> tuple[set[int], list[LogEntry]]:
@@ -145,7 +156,7 @@ def compute_metrics(log, seeds) -> tuple[float, float]:
 def run_diffusion(
     graph: Graph,
     table: VertexTable,
-    model,
+    model: TransmissionModel,
     config: DiffusionConfig,
     rng: np.random.Generator,
 ) -> DiffusionResult:

@@ -34,6 +34,17 @@ Config layout (defaults in parentheses)::
         "criteria": [...], "contact_fields": [...], "homophily": 0.7  # mode "survey"
       }
     }
+
+The document and each section in it must be a JSON object, and every list
+a JSON list.  Integer settings (graph.n, neighbors, iterations, replicates,
+seed, sample_size, cv_folds, max_kernel_evals) take whole numbers only,
+never booleans or fractions.  report_fields, criteria and contact_fields
+are lists of strings.  Graph values are checked by GraphParams and
+initial fractions by DiffusionConfig while parsing; the field names in
+report_fields, criteria, contact_fields and the rule conditions are
+checked against the stats schema as soon as the stats are loaded, before
+anything is trained or written.  Every violation is a ConfigError naming
+the field path, which the CLI turns into exit code 2.
 """
 
 from __future__ import annotations
@@ -42,6 +53,7 @@ import csv
 import json
 import logging
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import resources
 
@@ -49,6 +61,7 @@ import numpy as np
 
 from . import analysis, completion
 from .classifier import (
+    MAX_KERNEL_EVALS,
     ConstantModel,
     KernelSpec,
     SvmModel,
@@ -58,7 +71,6 @@ from .classifier import (
 )
 from .diffusion import (
     DiffusionConfig,
-    DiffusionError,
     DiffusionResult,
     run_diffusion,
     write_log_csv,
@@ -100,19 +112,52 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
-def _number(value, path: str, kind=float):
-    """kind(value) for a config number, or a ConfigError naming `path`."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        noun = "an integer" if kind is int else "a number"
-        raise ConfigError(path, f"must be {noun}, got {value!r}") from None
-
-
-def _as_list(value, path: str) -> list:
-    if not isinstance(value, list) or not value:
-        raise ConfigError(path, "must be a non-empty list")
+def _object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(path, "must be an object")
     return value
+
+
+@contextmanager
+def _at(path: str):
+    """Report a ValueError from a model-side check as a ConfigError at `path`."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from None
+
+
+def _number(value, path: str, kind=float):
+    """kind(value) for a config number, or a ConfigError naming `path`.
+
+    An int setting takes a whole number only: no bool, no fraction.
+    """
+    if kind is int:
+        whole = isinstance(value, int) and not isinstance(value, bool)
+        if whole or (isinstance(value, float) and value.is_integer()):
+            return int(value)
+        raise ConfigError(path, f"must be an integer, got {value!r}")
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(path, f"must be a number, got {value!r}") from None
+
+
+def _as_list(value, path: str, empty_ok: bool = False) -> list:
+    if not isinstance(value, list) or not (value or empty_ok):
+        raise ConfigError(path, "must be a list" if empty_ok else "must be a non-empty list")
+    return value
+
+
+def _numbers(value, path: str, kind=float) -> tuple:
+    return tuple(_number(x, f"{path}[{i}]", kind) for i, x in enumerate(_as_list(value, path)))
+
+
+def _names(value, path: str) -> tuple[str, ...]:
+    for i, name in enumerate(_as_list(value, path, empty_ok=True)):
+        if not isinstance(name, str):
+            raise ConfigError(f"{path}[{i}]", f"must be a string, got {name!r}")
+    return tuple(value)
 
 
 @dataclass(frozen=True)
@@ -127,46 +172,38 @@ class PlantedRule:
 
     @classmethod
     def from_config(cls, doc: dict, path: str) -> "PlantedRule":
-        conds = _as_list(_require(doc, "conditions", path), f"{path}.conditions")
+        conds = _as_list(_require(_object(doc, path), "conditions", path), f"{path}.conditions")
         out = []
         for i, c in enumerate(conds):
             where = f"{path}.conditions[{i}]"
-            role = _require(c, "role", where)
+            role = _require(_object(c, where), "role", where)
             if role not in ("sender", "receiver"):
                 raise ConfigError(f"{where}.role", "must be 'sender' or 'receiver'")
             op = _require(c, "op", where)
-            if op not in _RULE_OPS:
+            if not isinstance(op, str) or op not in _RULE_OPS:
                 raise ConfigError(f"{where}.op", f"must be one of {sorted(_RULE_OPS)}")
             value = _number(_require(c, "value", where), f"{where}.value")
             out.append((role, str(_require(c, "field", where)), op, value))
         return cls(conditions=tuple(out))
 
     def label_arrays(self, senders: VertexTable, receivers: VertexTable) -> np.ndarray:
+        """Labels of the pairs (senders row i, receivers row i)."""
         ok = np.ones(len(senders), dtype=bool)
         for role, fid, op, value in self.conditions:
             table = senders if role == "sender" else receivers
             ok &= _RULE_OPS[op](table.columns[fid], value)
         return np.where(ok, 1, -1)
 
-    def label_pair(self, sender: dict, receiver: dict) -> int:
-        for role, fid, op, value in self.conditions:
-            rec = sender if role == "sender" else receiver
-            if not _RULE_OPS[op](rec[fid], value):
-                return -1
-        return 1
-
 
 def _parse_svm_params(doc: dict, path: str) -> SvmParams:
-    kind = _require(doc, "kernel", path)
+    kind = _require(_object(doc, path), "kernel", path)
     sigma = doc.get("sigma")
     if sigma is not None:
         sigma = _number(sigma, f"{path}.sigma")
     C = _number(_require(doc, "C", path), f"{path}.C")
     weight = _number(_require(doc, "weight", path), f"{path}.weight")
-    try:
+    with _at(path):
         return SvmParams(C=C, weight=weight, kernel=KernelSpec(kind, sigma))
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -189,7 +226,7 @@ class TrainingConfig:
 
     @classmethod
     def from_config(cls, doc: dict, path: str = "training") -> "TrainingConfig":
-        mode = doc.get("mode", "synthetic")
+        mode = _object(doc, path).get("mode", "synthetic")
         if mode not in ("synthetic", "pairs", "survey"):
             raise ConfigError(f"{path}.mode", "must be synthetic, pairs or survey")
         sample_size = _number(doc.get("sample_size", 20000), f"{path}.sample_size", int)
@@ -198,7 +235,7 @@ class TrainingConfig:
         params = _parse_svm_params(doc["params"], f"{path}.params") if "params" in doc else None
         grid = tuple(
             _parse_svm_params(g, f"{path}.grid[{i}]")
-            for i, g in enumerate(doc.get("grid", []))
+            for i, g in enumerate(_as_list(doc.get("grid", []), f"{path}.grid", empty_ok=True))
         )
         if params is None and not grid:
             raise ConfigError(f"{path}.params", "need params or a grid")
@@ -226,8 +263,8 @@ class TrainingConfig:
             egos_file=doc.get("egos_file"),
             alters_file=doc.get("alters_file"),
             alter_pool_file=doc.get("alter_pool_file"),
-            criteria=tuple(doc.get("criteria", ())),
-            contact_fields=tuple(doc.get("contact_fields", ())),
+            criteria=_names(doc.get("criteria", []), f"{path}.criteria"),
+            contact_fields=_names(doc.get("contact_fields", []), f"{path}.contact_fields"),
             homophily=_number(doc.get("homophily", 0.7), f"{path}.homophily"),
             max_kernel_evals=(
                 _number(doc["max_kernel_evals"], f"{path}.max_kernel_evals", int)
@@ -255,7 +292,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        graph = _require(doc, "graph", "")
+        graph = _object(_require(_object(doc, "<config>"), "graph", ""), "graph")
         model = _require(graph, "model", "graph")
         if model not in (ERDOS_RENYI, SMALL_WORLD):
             raise ConfigError("graph.model", f"unknown model {model!r}")
@@ -266,39 +303,28 @@ class ExperimentConfig:
         neighbor_counts: tuple[int, ...] = ()
         rewire_probs: tuple[float, ...] = ()
         if model == ERDOS_RENYI:
-            edge_probs = tuple(
-                _number(p, f"graph.edge_prob[{i}]")
-                for i, p in enumerate(
-                    _as_list(_require(graph, "edge_prob", "graph"), "graph.edge_prob")
-                )
-            )
+            edge_probs = _numbers(_require(graph, "edge_prob", "graph"), "graph.edge_prob")
+            for i, p in enumerate(edge_probs):
+                with _at(f"graph.edge_prob[{i}]"):
+                    GraphParams(model, n, edge_prob=p)
         else:
-            neighbor_counts = tuple(
-                _number(k, f"graph.neighbors[{i}]", int)
-                for i, k in enumerate(
-                    _as_list(_require(graph, "neighbors", "graph"), "graph.neighbors")
-                )
+            neighbor_counts = _numbers(
+                _require(graph, "neighbors", "graph"), "graph.neighbors", int
             )
-            rewire_probs = tuple(
-                _number(p, f"graph.rewire_prob[{i}]")
-                for i, p in enumerate(
-                    _as_list(_require(graph, "rewire_prob", "graph"), "graph.rewire_prob")
-                )
-            )
+            rewire_probs = _numbers(_require(graph, "rewire_prob", "graph"), "graph.rewire_prob")
+            for i, k in enumerate(neighbor_counts):
+                with _at(f"graph.neighbors[{i}]"):
+                    GraphParams(model, n, neighbors=k)
+            for i, p in enumerate(rewire_probs):
+                with _at(f"graph.rewire_prob[{i}]"):
+                    GraphParams(model, n, neighbors=neighbor_counts[0], rewire_prob=p)
         iterations = _number(doc.get("iterations", 3), "iterations", int)
         if iterations < 1:
             raise ConfigError("iterations", "must be >= 1")
-        fractions = tuple(
-            _number(a, f"initial_fraction[{i}]")
-            for i, a in enumerate(
-                _as_list(doc.get("initial_fraction", [0.1, 0.2, 0.5]), "initial_fraction")
-            )
-        )
+        fractions = _numbers(doc.get("initial_fraction", [0.1, 0.2, 0.5]), "initial_fraction")
         for i, a in enumerate(fractions):
-            try:
+            with _at(f"initial_fraction[{i}]"):
                 DiffusionConfig(a, iterations)
-            except DiffusionError as exc:
-                raise ConfigError(f"initial_fraction[{i}]", str(exc)) from None
         replicates = _number(doc.get("replicates", 5), "replicates", int)
         if replicates < 1:
             raise ConfigError("replicates", "must be >= 1")
@@ -308,17 +334,6 @@ class ExperimentConfig:
         training = (
             TrainingConfig.from_config(doc["training"]) if "training" in doc else None
         )
-        try:
-            params_check = [
-                GraphParams(model, n, edge_prob=p) for p in edge_probs
-            ] + [
-                GraphParams(model, n, neighbors=k, rewire_prob=p)
-                for k in neighbor_counts
-                for p in rewire_probs
-            ]
-        except ValueError as exc:
-            raise ConfigError("graph", str(exc)) from None
-        del params_check
         return cls(
             graph_model=model,
             n=n,
@@ -332,7 +347,7 @@ class ExperimentConfig:
             stats_file=str(doc.get("stats_file", BUILTIN_STATS)),
             output_dir=str(doc.get("output_dir", "out")),
             training=training,
-            report_fields=tuple(doc.get("report_fields", ())),
+            report_fields=_names(doc.get("report_fields", []), "report_fields"),
         )
 
     @classmethod
@@ -340,7 +355,7 @@ class ExperimentConfig:
         try:
             with open(path, encoding="utf-8") as fh:
                 doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
             raise ConfigError("<file>", f"not valid JSON: {exc}") from None
         return cls.from_dict(doc)
 
@@ -396,6 +411,24 @@ def load_stats(stats_file: str) -> PopulationStats:
     return PopulationStats.from_json(stats_file)
 
 
+def load_config_stats(config: ExperimentConfig) -> PopulationStats:
+    """The config's stats, with every field name the config holds in their schema."""
+    stats = load_stats(config.stats_file)
+    named = [(f"report_fields[{i}]", fid) for i, fid in enumerate(config.report_fields)]
+    tc = config.training
+    if tc is not None:
+        if tc.rule is not None:
+            named += [(f"training.rule.conditions[{i}].field", c[1])
+                      for i, c in enumerate(tc.rule.conditions)]
+        named += [(f"training.criteria[{i}]", fid) for i, fid in enumerate(tc.criteria)]
+        named += [(f"training.contact_fields[{i}]", fid)
+                  for i, fid in enumerate(tc.contact_fields)]
+    for path, fid in named:
+        if fid not in stats.schema.field_ids:
+            raise ConfigError(path, f"no field {fid!r} in the stats schema")
+    return stats
+
+
 def synthetic_pairs(
     stats: PopulationStats, size: int, rule: PlantedRule, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -440,8 +473,6 @@ def training_budget(n_examples: int) -> int:
     gradient steps; 5 n^2 evaluations allow roughly 2.5 n row computations,
     which is comfortably past convergence for the planted-rule tasks.
     """
-    from .classifier import MAX_KERNEL_EVALS
-
     return max(MAX_KERNEL_EVALS, 5 * n_examples * n_examples)
 
 
@@ -460,7 +491,7 @@ def train_pipeline(
     if tc is None:
         raise ConfigError("training", "missing section")
     if stats is None:
-        stats = load_stats(config.stats_file)
+        stats = load_config_stats(config)
     rng = stream(config.seed, 1, stream_index)
     if tc.mode == "synthetic":
         X, y = synthetic_pairs(stats, tc.sample_size, tc.rule, rng)
@@ -492,18 +523,6 @@ def train_pipeline(
     return model
 
 
-def sweep_columns(config: ExperimentConfig) -> list[str]:
-    if config.graph_model == ERDOS_RENYI:
-        cols = ["edge_prob", "initial_fraction"]
-    else:
-        cols = ["rewire_prob", "neighbors", "initial_fraction"]
-    cols += ["mu_h_mean", "mu_h_std", "xi_mean", "xi_std"]
-    for i in range(min(config.iterations, 3)):
-        cols += [f"dnu_{i + 1}_mean", f"dnu_{i + 1}_std"]
-    cols.append("replicates")
-    return cols
-
-
 def _sample_std(values: np.ndarray) -> float:
     if len(values) < 2:
         return 0.0
@@ -530,16 +549,15 @@ def run_experiment(
 ) -> ExperimentOutput:
     """Run the full sweep and write per-run plus aggregated artifacts.
 
-    Returns the aggregated sweep rows (also written to sweep.csv in
-    Table-style column order) plus the per-run results.  `stub_model`
-    replaces the trained SVM with an always-positive/always-negative
-    predictor for oracle testing.
+    Returns the aggregated sweep rows (also written to sweep.csv, whose
+    columns follow the key order of a row) plus the per-run results.
+    `stub_model` replaces the trained SVM with an always-positive/
+    always-negative predictor for oracle testing.
     """
     out_dir = out_dir or config.output_dir
-    os.makedirs(out_dir, exist_ok=True)
+    stats = load_config_stats(config)
     runs_dir = os.path.join(out_dir, "runs")
     os.makedirs(runs_dir, exist_ok=True)
-    stats = load_stats(config.stats_file)
 
     model = None
     models_by_rep: dict[int, SvmModel] = {}
@@ -554,7 +572,6 @@ def run_experiment(
     elif config.training is None:
         raise ConfigError("training", "missing section and no stub model requested")
 
-    diff_config_cache: dict[float, DiffusionConfig] = {}
     rows = []
     all_results: list[RunArtifacts] = []
     for grid_index, point in enumerate(config.grid()):
@@ -570,10 +587,7 @@ def run_experiment(
                 rep_model = models_by_rep[rep]
             graph = generate_graph(point["params"], rng)
             table = sample_population(stats, config.n, rng)
-            dconf = diff_config_cache.setdefault(
-                point["initial_fraction"],
-                DiffusionConfig(point["initial_fraction"], config.iterations),
-            )
+            dconf = DiffusionConfig(point["initial_fraction"], config.iterations)
             result = run_diffusion(graph, table, rep_model, dconf, rng)
             run_dir = os.path.join(runs_dir, f"{point['tag']}_r{rep}")
             os.makedirs(run_dir, exist_ok=True)
@@ -589,7 +603,7 @@ def run_experiment(
             deltas.append(np.diff(result.coverage))
             all_results.append(RunArtifacts(point["tag"], rep, result))
         deltas_arr = np.array(deltas)
-        row = dict(point["columns"])
+        row = dict(point["columns"])  # sweep.csv columns: the key order of this dict
         row["mu_h_mean"] = float(np.mean(hops))
         row["mu_h_std"] = _sample_std(np.array(hops))
         row["xi_mean"] = float(np.mean(fans))
@@ -599,16 +613,16 @@ def run_experiment(
             row[f"dnu_{i + 1}_std"] = _sample_std(deltas_arr[:, i])
         row["replicates"] = config.replicates
         rows.append(row)
-    _write_sweep_csv(rows, sweep_columns(config), os.path.join(out_dir, "sweep.csv"))
+    _write_sweep_csv(rows, os.path.join(out_dir, "sweep.csv"))
     return ExperimentOutput(rows=rows, runs=all_results)
 
 
-def _write_sweep_csv(rows, columns, path) -> None:
+def _write_sweep_csv(rows, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(columns)
+        writer.writerow(list(rows[0]))
         for row in rows:
-            writer.writerow([repr(row[c]) if isinstance(row[c], float) else row[c] for c in columns])
+            writer.writerow([repr(v) if isinstance(v, float) else v for v in row.values()])
 
 
 def report_distributions(
@@ -623,15 +637,11 @@ def report_distributions(
     """
     if not config.report_fields:
         raise ConfigError("report_fields", "must name at least one field")
-    if config.replicates < 1:
-        raise ConfigError("replicates", "must be >= 1")
-    out_dir = out_dir or config.output_dir
-    os.makedirs(out_dir, exist_ok=True)
-    stats = load_stats(config.stats_file)
-    for fid in config.report_fields:
-        stats.schema.field(fid)  # raises UnknownFieldError early
     if config.training is None:
         raise ConfigError("training", "missing section")
+    stats = load_config_stats(config)
+    out_dir = out_dir or config.output_dir
+    os.makedirs(out_dir, exist_ok=True)
     model = train_pipeline(config, stats=stats)
     point = config.grid()[0]
     per_field: dict[str, list] = {fid: [] for fid in config.report_fields}

@@ -47,7 +47,11 @@ class DegenerateGraphError(GraphError):
 
 
 class Graph:
-    """Undirected simple graph: no self edges, no duplicate edges."""
+    """Undirected simple graph: no self edges, no duplicate edges.
+
+    add_edge and remove_edge are the only mutators and enforce both, so a
+    generator's output needs no re-check.
+    """
 
     __slots__ = ("n", "_adj", "_edge_count")
 
@@ -107,7 +111,7 @@ class Graph:
                     yield u, v
 
     def check_simple(self) -> None:
-        """Assert structural invariants; cheap enough to run after generation."""
+        """Re-verify the invariants that add_edge and remove_edge enforce."""
         count = 0
         for u in range(self.n):
             if u in self._adj[u]:
@@ -122,10 +126,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self._edge_count})"
-
-
-def empty_graph(n: int) -> Graph:
-    return Graph(n)
 
 
 def connected_components(g: Graph) -> list[list[int]]:
@@ -239,14 +239,12 @@ class GraphParams:
 
 def gen_erdos_renyi(n: int, edge_prob: float, rng: np.random.Generator) -> Graph:
     """G(n, p): every unordered pair gets an edge independently with edge_prob."""
-    if not 0.0 <= edge_prob <= 1.0:
-        raise GraphError("edge_prob must lie in [0, 1]")
+    GraphParams(ERDOS_RENYI, n, edge_prob=edge_prob)
     g = Graph(n)
     for u in range(n - 1):
         hits = np.nonzero(rng.random(n - 1 - u) < edge_prob)[0]
         for off in hits:
             g.add_edge(u, u + 1 + int(off))
-    g.check_simple()
     return g
 
 
@@ -263,13 +261,8 @@ def gen_small_world(
     REWIRE_RETRIES times, after which the edge is kept as-is (logged).  The
     edge count is therefore exactly neighbors*n for any rewire_prob.
     """
+    GraphParams(SMALL_WORLD, n, neighbors=neighbors, rewire_prob=rewire_prob)
     k = neighbors
-    if k < 1:
-        raise GraphError("neighbors must be >= 1")
-    if 2 * k >= n:
-        raise GraphError("ring lattice needs 2 * neighbors < n")
-    if not 0.0 <= rewire_prob <= 1.0:
-        raise GraphError("rewire_prob must lie in [0, 1]")
     g = Graph(n)
     lattice = [(u, (u + j) % n) for u in range(n) for j in range(1, k + 1)]
     for u, v in lattice:
@@ -288,7 +281,6 @@ def gen_small_world(
             kept += 1
     if kept:
         logger.debug("small-world rewiring kept %d edges after retry exhaustion", kept)
-    g.check_simple()
     assert g.edge_count == k * n
     return g
 

@@ -12,6 +12,8 @@ Conventions fixed here and relied on elsewhere:
     ridge of RIDGE, because one-hot blocks make the raw covariance singular;
   * Standardizer uses the population standard deviation (divisor n) and
     passes zero-variance columns through with scale 1;
+  * round_half_up is the one rounding rule of the package (decoded and
+    sampled ordinals, diffusion seed counts, generated contact counts);
   * decoding rounds ordinals half-up and clamps them to their declared
     range, thresholds binaries at 0.5, and takes argmax over each one-hot
     block.
@@ -22,7 +24,6 @@ from __future__ import annotations
 import csv
 import json
 import logging
-import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -152,8 +153,14 @@ def encode(record: dict, schema: FeatureSchema) -> np.ndarray:
     return vec
 
 
-def _round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
+def round_half_up(x):
+    """Nearest integer with halves rounded up, elementwise on arrays.
+
+    A scalar gives an int; an array gives integral floats, so callers clamp
+    before casting.
+    """
+    rounded = np.floor(np.asarray(x, dtype=float) + 0.5)
+    return int(rounded) if rounded.ndim == 0 else rounded
 
 
 def decode(vector: np.ndarray, schema: FeatureSchema) -> dict:
@@ -171,7 +178,7 @@ def decode(vector: np.ndarray, schema: FeatureSchema) -> dict:
             record[f.id] = int(vector[pos] >= 0.5)
         else:
             lo, hi = f.value_range
-            record[f.id] = min(hi, max(lo, _round_half_up(float(vector[pos]))))
+            record[f.id] = min(hi, max(lo, round_half_up(vector[pos])))
     return record
 
 
@@ -238,7 +245,7 @@ class VertexTable:
                 writer.writerow([int(self.columns[fid][i]) for fid in self.schema.field_ids])
 
     @classmethod
-    def from_csv(cls, path, schema: FeatureSchema, impute_missing: bool = True) -> "VertexTable":
+    def from_csv(cls, path, schema: FeatureSchema) -> "VertexTable":
         """Read a vertex CSV; empty cells are imputed with the column mode."""
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
@@ -251,8 +258,6 @@ class VertexTable:
             values = [row[j].strip() for row in raw]
             missing = [v == "" for v in values]
             if any(missing):
-                if not impute_missing:
-                    raise PopulationError(f"missing values in column {fid!r}")
                 present = [int(v) for v in values if v != ""]
                 if not present:
                     raise PopulationError(f"column {fid!r} entirely missing")
@@ -352,7 +357,7 @@ def _field_from_json(doc: dict) -> Field:
     )
 
 
-def fit_stats(table: VertexTable, ridge: float = RIDGE) -> PopulationStats:
+def fit_stats(table: VertexTable) -> PopulationStats:
     """Sample mean/covariance of the encoded rows, ridge added to the diagonal."""
     if table.n < 2:
         raise TooFewRowsError("need at least two rows to fit statistics")
@@ -361,7 +366,7 @@ def fit_stats(table: VertexTable, ridge: float = RIDGE) -> PopulationStats:
     centered = enc - mean
     cov = centered.T @ centered / (table.n - 1)
     cov = (cov + cov.T) / 2.0
-    cov += ridge * np.eye(table.schema.encoded_dim)
+    cov += RIDGE * np.eye(table.schema.encoded_dim)
     return PopulationStats(schema=table.schema, mean=mean, covariance=cov)
 
 
@@ -395,7 +400,7 @@ def sample_population(
             columns[f.id] = (block[:, 0] >= 0.5).astype(int)
         else:
             lo, hi = f.value_range
-            columns[f.id] = np.clip(np.floor(block[:, 0] + 0.5), lo, hi).astype(int)
+            columns[f.id] = np.clip(round_half_up(block[:, 0]), lo, hi).astype(int)
     return VertexTable(stats.schema, columns)
 
 
@@ -422,6 +427,10 @@ class Standardizer:
         X = np.asarray(X, dtype=float)
         return (X - self.means) / self.stds
 
+    def columns(self, cols: slice) -> "Standardizer":
+        """The same map restricted to a slice of columns."""
+        return Standardizer(means=self.means[cols], stds=self.stds[cols])
+
     def to_dict(self) -> dict:
         return {"means": self.means.tolist(), "stds": self.stds.tolist()}
 
@@ -431,11 +440,3 @@ class Standardizer:
             means=np.asarray(doc["means"], dtype=float),
             stds=np.asarray(doc["stds"], dtype=float),
         )
-
-
-def fit_standardizer(X: np.ndarray) -> Standardizer:
-    return Standardizer.fit(X)
-
-
-def apply_standardizer(standardizer: Standardizer, X: np.ndarray) -> np.ndarray:
-    return standardizer.transform(X)

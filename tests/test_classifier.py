@@ -7,6 +7,7 @@ from netspread.classifier import (
     CvReport,
     DimensionMismatchError,
     KernelSpec,
+    SchemaMismatchError,
     SingleClassError,
     SvmModel,
     SvmParams,
@@ -19,7 +20,7 @@ from netspread.classifier import (
     stratified_folds,
     train_svm,
 )
-from netspread.population import VertexTable
+from netspread.population import FeatureSchema, VertexTable, encode
 
 from conftest import TINY_SCHEMA, random_record
 from oracles import svm_dual_reference
@@ -254,16 +255,21 @@ class TestPredict:
         receivers = np.arange(20, 40)
         batch = model.predict_pairs(table, senders, receivers)
         singles = [
-            model.predict_pair(records[s], records[r])[0]
+            model.predict_labels(
+                np.concatenate([encode(records[s], TINY_SCHEMA), encode(records[r], TINY_SCHEMA)])
+            )[0]
             for s, r in zip(senders, receivers)
         ]
         assert batch.tolist() == singles
 
     def test_schema_mismatch(self, rng):
         model, _ = self._record_model(rng)
-        model.schema = None
-        with pytest.raises(ValueError):
-            model.predict_pair({}, {})
+        reordered = FeatureSchema(TINY_SCHEMA.fields[::-1])
+        table = VertexTable.from_records(
+            reordered, [random_record(reordered, rng) for _ in range(4)]
+        )
+        with pytest.raises(SchemaMismatchError):
+            model.predict_pairs(table, [0, 1], [2, 3])
 
 
 def pair_table(n: int = 90, seed: int = 21) -> VertexTable:
@@ -472,9 +478,11 @@ class TestSerialization:
 
 
 class TestConstantModel:
-    def test_labels(self):
+    def test_labels(self, tiny_schema):
+        records = [random_record(tiny_schema, np.random.default_rng(1)) for _ in range(6)]
+        table = VertexTable.from_records(tiny_schema, records)
         stub = ConstantModel(-1)
-        assert stub.predict_labels(np.zeros((4, 2))).tolist() == [-1] * 4
+        assert stub.predict_pairs(table, [0, 1, 2, 3], [4, 5, 4, 5]).tolist() == [-1] * 4
 
     def test_pairs(self, tiny_schema, rng):
         records = [random_record(tiny_schema, np.random.default_rng(1)) for _ in range(6)]

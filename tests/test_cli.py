@@ -11,6 +11,12 @@ RULE = {
         {"role": "sender", "field": "risk_perception", "op": ">=", "value": 4},
     ]
 }
+TRAINING = {
+    "mode": "synthetic",
+    "sample_size": 300,
+    "rule": RULE,
+    "params": {"kernel": "rbf", "sigma": 12.0, "C": 4.0, "weight": 8.0},
+}
 
 
 def write_config(tmp_path, name="cfg.json", **overrides) -> Path:
@@ -23,12 +29,7 @@ def write_config(tmp_path, name="cfg.json", **overrides) -> Path:
         "stats_file": "builtin",
         "output_dir": str(tmp_path / "out"),
         "report_fields": ["gender"],
-        "training": {
-            "mode": "synthetic",
-            "sample_size": 300,
-            "rule": RULE,
-            "params": {"kernel": "rbf", "sigma": 12.0, "C": 4.0, "weight": 8.0},
-        },
+        "training": TRAINING,
     }
     doc.update(overrides)
     path = tmp_path / name
@@ -64,12 +65,55 @@ class TestExitCodes:
                     "rewire_prob": [0.1]}}, "graph.n"),
         ({"graph": {"model": "erdos_renyi", "n": 200, "edge_prob": [0.01, "x"]}},
          "graph.edge_prob[1]"),
+        ({"graph": {"model": "small_world", "n": 10.7, "neighbors": [4],
+                    "rewire_prob": [0.1]}}, "graph.n"),
+        ({"iterations": 2.9}, "iterations"),
+        ({"replicates": True}, "replicates"),
+        ({"graph": {"model": "erdos_renyi", "n": 200, "edge_prob": [1.5]}},
+         "graph.edge_prob[0]"),
+        ({"graph": {"model": "small_world", "n": 10, "neighbors": [5],
+                    "rewire_prob": [0.1]}}, "graph.neighbors[0]"),
+        ({"graph": {"model": "small_world", "n": 200, "neighbors": [4],
+                    "rewire_prob": [0.1, 1.5]}}, "graph.rewire_prob[1]"),
+        ({"graph": 5}, "graph"),
+        ({"graph": ["model"]}, "graph"),
+        ({"training": []}, "training"),
+        ({"training": {"grid": 5}}, "training.grid"),
+        ({"report_fields": "gender"}, "report_fields"),
+        ({"report_fields": ["gender", 3]}, "report_fields[1]"),
     ])
     def test_malformed_value_exits_2_at_parse_time(self, tmp_path, capsys, overrides, path):
         config = write_config(tmp_path, **overrides)
         assert main(["simulate", "--config", str(config)]) == 2
         assert f"config error: {path}:" in capsys.readouterr().err
         # rejected while parsing: nothing was trained or written
+        assert not (tmp_path / "out").exists()
+
+    def test_non_object_document_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text('"graph"')
+        assert main(["simulate", "--config", str(config)]) == 2
+        assert "config error: <config>:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "train", "report"])
+    @pytest.mark.parametrize("overrides,path", [
+        ({"training": dict(TRAINING, rule={"conditions": [
+            RULE["conditions"][0], dict(RULE["conditions"][1], field="nope")]})},
+         "training.rule.conditions[1].field"),
+        ({"report_fields": ["gender", "nope"]}, "report_fields[1]"),
+        ({"training": dict(TRAINING, mode="survey", egos_file="e.csv", alter_pool_file="p.csv",
+                           criteria=["nope"], contact_fields=["contact_friends"])},
+         "training.criteria[0]"),
+        ({"training": dict(TRAINING, mode="survey", egos_file="e.csv", alter_pool_file="p.csv",
+                           criteria=["gender"], contact_fields=["contact_friends", "nope"])},
+         "training.contact_fields[1]"),
+    ])
+    def test_unknown_schema_field_exits_2_before_writing(
+        self, tmp_path, capsys, command, overrides, path
+    ):
+        config = write_config(tmp_path, **overrides)
+        assert main([command, "--config", str(config)]) == 2
+        assert f"config error: {path}: no field 'nope'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_broken_stats_file_exits_1(self, tmp_path, capsys):

@@ -10,14 +10,12 @@ from netspread.completion import (
     build_training_set,
     complete_alter,
     generate_non_receivers,
-    homophile_set,
     homophile_split,
     pairs_to_arrays,
     read_pairs_csv,
-    round_half_up,
     write_pairs_csv,
 )
-from netspread.population import encode
+from netspread.population import encode, round_half_up
 
 from conftest import TINY_SCHEMA, random_record
 
@@ -44,7 +42,7 @@ class TestHomophileSets:
             person(gender=0, age=3),
             person(gender=1, age=2),
         ]
-        matches = homophile_set(me, pool, CRITERIA)
+        matches = homophile_split(me, pool, CRITERIA)[0]
         assert matches == pool[:2]
 
     def test_person_not_in_pool_no_matches(self):

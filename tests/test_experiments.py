@@ -1,9 +1,12 @@
+import copy
 import csv
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import netspread.experiments as experiments
 from netspread.completion import LabeledPair, write_pairs_csv
@@ -47,7 +50,84 @@ def base_config(tmp_path, **overrides):
     return doc
 
 
+# Valid documents covering both graph models, every training mode's keys,
+# a CV grid and report_fields; nothing in them is read from disk while parsing.
+VALID_DOCS = [
+    {
+        "graph": {"model": "erdos_renyi", "n": 300, "edge_prob": [0.01, 0.02]},
+        "initial_fraction": [0.1, 0.5],
+        "iterations": 3,
+        "replicates": 2,
+        "seed": 11,
+        "report_fields": ["gender"],
+        "training": {"mode": "synthetic", "sample_size": 400, "rule": RULE,
+                     "grid": [PARAMS, dict(PARAMS, sigma=8.0)], "cv_folds": 3},
+    },
+    {
+        "graph": {"model": "small_world", "n": 200, "neighbors": [4, 6],
+                  "rewire_prob": [0.0, 0.1]},
+        "training": {"mode": "survey", "egos_file": "egos.csv", "alter_pool_file": "pool.csv",
+                     "criteria": ["gender"], "contact_fields": ["contact_friends"],
+                     "homophily": 0.7, "params": PARAMS, "max_kernel_evals": 1000},
+    },
+]
+
+
+def _paths(doc, prefix=()):
+    """Every key path into a JSON document below the top level."""
+    if prefix:
+        yield prefix
+    if isinstance(doc, dict):
+        children = doc.items()
+    elif isinstance(doc, list):
+        children = enumerate(doc)
+    else:
+        children = ()
+    for key, value in children:
+        yield from _paths(value, prefix + (key,))
+
+
+def _replaced(doc, path, value):
+    out = copy.deepcopy(doc)
+    owner = out
+    for key in path[:-1]:
+        owner = owner[key]
+    owner[path[-1]] = value
+    return out
+
+
+CONFIG_KEYS = sorted({p[-1] for doc in VALID_DOCS for p in _paths(doc) if isinstance(p[-1], str)})
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(CONFIG_KEYS) | st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+DOC_PATHS = [(i, p) for i, doc in enumerate(VALID_DOCS) for p in _paths(doc)]
+
+
 class TestConfigParsing:
+    def test_valid_docs_parse(self):
+        for doc in VALID_DOCS:
+            ExperimentConfig.from_dict(doc)
+
+    @settings(max_examples=100, deadline=None)
+    @given(JSON_VALUES)
+    def test_any_json_document_parses_or_raises_config_error(self, value):
+        try:
+            ExperimentConfig.from_dict(value)
+        except ConfigError:
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(DOC_PATHS), JSON_VALUES)
+    def test_any_json_value_in_a_valid_doc_parses_or_raises_config_error(self, where, value):
+        index, path = where
+        try:
+            ExperimentConfig.from_dict(_replaced(VALID_DOCS[index], path, value))
+        except ConfigError:
+            pass
+
     def test_missing_graph(self):
         with pytest.raises(ConfigError) as err:
             ExperimentConfig.from_dict({})
@@ -106,6 +186,13 @@ class TestConfigParsing:
         assert [g["columns"]["rewire_prob"] for g in grid[:6]] == [0.01] * 6
 
 
+def one_row(**values) -> VertexTable:
+    """A 1-row builtin-schema table with the given field values."""
+    table = experiments.sample_population(load_stats("builtin"), 1, stream(3, 2))
+    columns = dict(table.columns, **{fid: np.array([v]) for fid, v in values.items()})
+    return VertexTable(table.schema, columns)
+
+
 class TestPlantedRule:
     def test_label_arrays_match_scalar(self):
         rule = PlantedRule.from_config(RULE, "rule")
@@ -114,15 +201,18 @@ class TestPlantedRule:
         receivers = experiments.sample_population(stats, 50, stream(3, 1))
         labels = rule.label_arrays(senders, receivers)
         for i in range(50):
-            assert labels[i] == rule.label_pair(senders.row(i), receivers.row(i))
+            # RULE spelled out: receiver food_risk_knowledge >= 6, sender risk_perception >= 4
+            holds = (receivers.row(i)["food_risk_knowledge"] >= 6
+                     and senders.row(i)["risk_perception"] >= 4)
+            assert labels[i] == (1 if holds else -1)
 
     def test_conjunction(self):
         rule = PlantedRule.from_config(RULE, "rule")
-        good_r = {"food_risk_knowledge": 7}
-        good_s = {"risk_perception": 5}
-        assert rule.label_pair(good_s, good_r) == 1
-        assert rule.label_pair({"risk_perception": 1}, good_r) == -1
-        assert rule.label_pair(good_s, {"food_risk_knowledge": 2}) == -1
+        good_r = one_row(food_risk_knowledge=7)
+        good_s = one_row(risk_perception=5)
+        assert rule.label_arrays(good_s, good_r).tolist() == [1]
+        assert rule.label_arrays(one_row(risk_perception=1), good_r).tolist() == [-1]
+        assert rule.label_arrays(good_s, one_row(food_risk_knowledge=2)).tolist() == [-1]
 
 
 class TestStreams:
@@ -193,13 +283,9 @@ class TestTrainPipeline:
         gen = np.random.default_rng(0)
         senders = experiments.sample_population(stats, 120, stream(9, 0))
         receivers = experiments.sample_population(stats, 120, stream(9, 1))
-        rule = PlantedRule.from_config(RULE, "rule")
+        labels = PlantedRule.from_config(RULE, "rule").label_arrays(senders, receivers)
         pairs = [
-            LabeledPair(
-                sender=senders.row(i),
-                receiver=receivers.row(i),
-                label=int(rule.label_pair(senders.row(i), receivers.row(i))),
-            )
+            LabeledPair(sender=senders.row(i), receiver=receivers.row(i), label=int(labels[i]))
             for i in range(120)
         ]
         pairs_path = tmp_path / "pairs.csv"

@@ -11,7 +11,6 @@ from netspread.graph import (
     VertexRangeError,
     clustering_coefficient,
     connected_components,
-    empty_graph,
     gen_erdos_renyi,
     gen_small_world,
     generate_graph,
@@ -27,31 +26,31 @@ from oracles import mean_geodesic_floyd, transitivity_all_triples
 
 class TestGraphBasics:
     def test_empty_graph(self):
-        g = empty_graph(0)
+        g = Graph(0)
         assert g.n == 0 and g.edge_count == 0
-        g = empty_graph(5)
+        g = Graph(5)
         assert g.n == 5 and g.edge_count == 0
-        g = empty_graph(10000)
+        g = Graph(10000)
         assert g.n == 10000 and g.edge_count == 0
 
     def test_add_edge(self):
-        g = empty_graph(4)
+        g = Graph(4)
         g.add_edge(0, 1)
         assert g.edge_count == 1 and g.has_edge(1, 0)
 
     def test_self_edge_rejected(self):
-        g = empty_graph(4)
+        g = Graph(4)
         with pytest.raises(SelfEdgeError):
             g.add_edge(3, 3)
 
     def test_duplicate_edge_rejected_unordered(self):
-        g = empty_graph(4)
+        g = Graph(4)
         g.add_edge(0, 1)
         with pytest.raises(DuplicateEdgeError):
             g.add_edge(1, 0)
 
     def test_out_of_range(self):
-        g = empty_graph(4)
+        g = Graph(4)
         with pytest.raises(VertexRangeError):
             g.add_edge(0, 4)
         with pytest.raises(VertexRangeError):
@@ -59,7 +58,7 @@ class TestGraphBasics:
 
     def test_negative_vertex_count(self):
         with pytest.raises(ValueError):
-            empty_graph(-1)
+            Graph(-1)
 
 
 class TestClusteringCoefficient:
@@ -98,7 +97,7 @@ class TestMeanGeodesic:
 
     def test_degenerate(self):
         with pytest.raises(DegenerateGraphError):
-            mean_geodesic(empty_graph(3))
+            mean_geodesic(Graph(3))
 
     def test_disconnected_uses_largest_component(self):
         g = make_graph(6, [(0, 1), (1, 2), (3, 4)])
@@ -114,7 +113,7 @@ class TestMeanGeodesic:
 
 class TestConnectedComponents:
     def test_isolated(self):
-        assert connected_components(empty_graph(3)) == [[0], [1], [2]]
+        assert connected_components(Graph(3)) == [[0], [1], [2]]
 
     def test_path(self, path3):
         assert connected_components(path3) == [[0, 1, 2]]

@@ -15,7 +15,6 @@ from netspread.population import (
     VertexTable,
     decode,
     encode,
-    fit_standardizer,
     fit_stats,
     mode_impute,
     sample_population,
@@ -271,7 +270,7 @@ class TestStandardizer:
 
     def test_training_statistics_applied_to_held_out(self):
         train = np.array([[0.0], [2.0]])
-        std = fit_standardizer(train)
+        std = Standardizer.fit(train)
         held_out = std.transform(np.array([[4.0]]))
         assert held_out[0, 0] == pytest.approx(3.0)  # (4 - 1) / 1
 
