@@ -39,8 +39,11 @@ The document and each section in it must be a JSON object, and every list
 a JSON list.  Integer settings (graph.n, neighbors, iterations, replicates,
 seed, sample_size, cv_folds, max_kernel_evals) take whole numbers only,
 never booleans or fractions.  report_fields, criteria and contact_fields
-are lists of strings.  Graph values are checked by GraphParams and
-initial fractions by DiffusionConfig while parsing; the field names in
+are lists of strings, and a survey-mode criteria list is not empty.
+pairs_file, egos_file, alters_file and alter_pool_file are strings,
+per_replicate is a JSON boolean and homophily lies in [0, 1].  Graph
+values are checked by GraphParams and initial fractions by
+DiffusionConfig while parsing; the field names in
 report_fields, criteria, contact_fields and the rule conditions are
 checked against the stats schema as soon as the stats are loaded, before
 anything is trained or written.  Every violation is a ConfigError naming
@@ -160,6 +163,15 @@ def _names(value, path: str) -> tuple[str, ...]:
     return tuple(value)
 
 
+def _file_name(doc: dict, key: str, where: str) -> str | None:
+    """doc[key] as a file name when the key is set, else None."""
+    if key not in doc:
+        return None
+    if not isinstance(doc[key], str):
+        raise ConfigError(f"{where}.{key}", f"must be a string, got {doc[key]!r}")
+    return doc[key]
+
+
 @dataclass(frozen=True)
 class PlantedRule:
     """Conjunction of threshold conditions on sender/receiver record fields.
@@ -251,21 +263,32 @@ class TrainingConfig:
         cv_folds = _number(doc.get("cv_folds", 3), f"{path}.cv_folds", int)
         if cv_folds < 2:
             raise ConfigError(f"{path}.cv_folds", "must be >= 2")
+        per_replicate = doc.get("per_replicate", False)
+        if not isinstance(per_replicate, bool):
+            raise ConfigError(
+                f"{path}.per_replicate", f"must be true or false, got {per_replicate!r}"
+            )
+        criteria = _names(doc.get("criteria", []), f"{path}.criteria")
+        if mode == "survey" and not criteria:
+            raise ConfigError(f"{path}.criteria", "must name at least one field")
+        homophily = _number(doc.get("homophily", 0.7), f"{path}.homophily")
+        if not 0.0 <= homophily <= 1.0:
+            raise ConfigError(f"{path}.homophily", "must lie in [0, 1]")
         return cls(
             mode=mode,
             sample_size=sample_size,
             params=params,
             grid=grid,
             cv_folds=cv_folds,
-            per_replicate=bool(doc.get("per_replicate", False)),
+            per_replicate=per_replicate,
             rule=rule,
-            pairs_file=doc.get("pairs_file"),
-            egos_file=doc.get("egos_file"),
-            alters_file=doc.get("alters_file"),
-            alter_pool_file=doc.get("alter_pool_file"),
-            criteria=_names(doc.get("criteria", []), f"{path}.criteria"),
+            pairs_file=_file_name(doc, "pairs_file", path),
+            egos_file=_file_name(doc, "egos_file", path),
+            alters_file=_file_name(doc, "alters_file", path),
+            alter_pool_file=_file_name(doc, "alter_pool_file", path),
+            criteria=criteria,
             contact_fields=_names(doc.get("contact_fields", []), f"{path}.contact_fields"),
-            homophily=_number(doc.get("homophily", 0.7), f"{path}.homophily"),
+            homophily=homophily,
             max_kernel_evals=(
                 _number(doc["max_kernel_evals"], f"{path}.max_kernel_evals", int)
                 if "max_kernel_evals" in doc
@@ -524,7 +547,9 @@ def train_pipeline(
 
 
 def _sample_std(values: np.ndarray) -> float:
-    if len(values) < 2:
+    # equal values have std 0 exactly; np.std can give ~1e-16 for them,
+    # since their rounded mean need not equal the value
+    if len(values) < 2 or np.all(values == values[0]):
         return 0.0
     return float(np.std(values, ddof=1))
 

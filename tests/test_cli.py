@@ -18,6 +18,15 @@ TRAINING = {
     "params": {"kernel": "rbf", "sigma": 12.0, "C": 4.0, "weight": 8.0},
 }
 
+SURVEY = dict(
+    TRAINING,
+    mode="survey",
+    egos_file="e.csv",
+    alter_pool_file="p.csv",
+    criteria=["gender"],
+    contact_fields=["contact_friends"],
+)
+
 
 def write_config(tmp_path, name="cfg.json", **overrides) -> Path:
     doc = {
@@ -81,6 +90,16 @@ class TestExitCodes:
         ({"training": {"grid": 5}}, "training.grid"),
         ({"report_fields": "gender"}, "report_fields"),
         ({"report_fields": ["gender", 3]}, "report_fields[1]"),
+        ({"training": dict(SURVEY, egos_file=["egos.csv"])}, "training.egos_file"),
+        ({"training": dict(SURVEY, alter_pool_file=3)}, "training.alter_pool_file"),
+        ({"training": dict(SURVEY, alters_file={"path": "a.csv"})}, "training.alters_file"),
+        ({"training": dict(SURVEY, egos_file=None)}, "training.egos_file"),
+        ({"training": dict(TRAINING, mode="pairs", pairs_file=0)}, "training.pairs_file"),
+        ({"training": dict(TRAINING, per_replicate="false")}, "training.per_replicate"),
+        ({"training": dict(TRAINING, per_replicate=1)}, "training.per_replicate"),
+        ({"training": dict(SURVEY, homophily=1.5)}, "training.homophily"),
+        ({"training": dict(SURVEY, homophily=-0.1)}, "training.homophily"),
+        ({"training": dict(SURVEY, criteria=[])}, "training.criteria"),
     ])
     def test_malformed_value_exits_2_at_parse_time(self, tmp_path, capsys, overrides, path):
         config = write_config(tmp_path, **overrides)
@@ -101,11 +120,9 @@ class TestExitCodes:
             RULE["conditions"][0], dict(RULE["conditions"][1], field="nope")]})},
          "training.rule.conditions[1].field"),
         ({"report_fields": ["gender", "nope"]}, "report_fields[1]"),
-        ({"training": dict(TRAINING, mode="survey", egos_file="e.csv", alter_pool_file="p.csv",
-                           criteria=["nope"], contact_fields=["contact_friends"])},
+        ({"training": dict(SURVEY, criteria=["nope"])},
          "training.criteria[0]"),
-        ({"training": dict(TRAINING, mode="survey", egos_file="e.csv", alter_pool_file="p.csv",
-                           criteria=["gender"], contact_fields=["contact_friends", "nope"])},
+        ({"training": dict(SURVEY, contact_fields=["contact_friends", "nope"])},
          "training.contact_fields[1]"),
     ])
     def test_unknown_schema_field_exits_2_before_writing(

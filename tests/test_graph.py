@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
+from netspread import graph as graph_module
 from netspread.graph import (
     DegenerateGraphError,
     DuplicateEdgeError,
     Graph,
+    GraphError,
     GraphParams,
     NoTriplesError,
     SelfEdgeError,
@@ -55,6 +59,14 @@ class TestGraphBasics:
             g.add_edge(0, 4)
         with pytest.raises(VertexRangeError):
             g.add_edge(-1, 2)
+
+    @pytest.mark.parametrize("method", ["add_edge", "remove_edge", "has_edge"])
+    def test_out_of_range_names_the_bad_endpoint(self, method):
+        g = make_graph(4, [(0, 1)])
+        for u, v, bad in ((0, 4, 4), (4, 0, 4), (-1, 2, -1), (2, -1, -1), (5, 7, 5)):
+            with pytest.raises(VertexRangeError, match=rf"^vertex {bad} outside \[0, 4\)$"):
+                getattr(g, method)(u, v)
+        assert g.edge_count == 1 and g.has_edge(0, 1)
 
     def test_negative_vertex_count(self):
         with pytest.raises(ValueError):
@@ -135,7 +147,11 @@ class TestErdosRenyi:
         assert gen_erdos_renyi(50, 0.0, rng).edge_count == 0
 
     def test_full_prob(self, rng):
-        assert gen_erdos_renyi(50, 1.0, rng).edge_count == 1225
+        n = 50
+        g = gen_erdos_renyi(n, 1.0, rng)
+        g.check_simple()
+        assert g.edge_count == 1225
+        assert list(g.edges()) == [(u, v) for u in range(n) for v in range(u + 1, n)]
 
     def test_mean_degree_matches_binomial_moments(self):
         n, p, seeds = 2000, 0.003, 30
@@ -158,6 +174,100 @@ class TestErdosRenyi:
     def test_simplicity(self):
         g = gen_erdos_renyi(200, 0.02, np.random.default_rng(3))
         g.check_simple()
+
+
+class _CountingRng:
+    """Counts geometric draws; they come from a seeded generator, or are
+    all `gaps` when that is given."""
+
+    def __init__(self, seed, gaps=None):
+        self._gen = np.random.default_rng(seed)
+        self._gaps = gaps
+        self.drawn = 0
+
+    def geometric(self, p, size):
+        self.drawn += size
+        if self._gaps is not None:
+            return np.full(size, self._gaps, dtype=np.int64)
+        return self._gen.geometric(p, size=size)
+
+
+class TestErdosRenyiSkipping:
+    """Geometric edge skipping: exact G(n, p) law, block-independent output."""
+
+    def test_per_pair_inclusion_is_uniform(self):
+        # an off-by-one in the triangle decode would starve or double a pair
+        n, p, seeds = 8, 0.3, 2000
+        counts = {(u, v): 0 for u in range(n) for v in range(u + 1, n)}
+        for seed in range(seeds):
+            g = gen_erdos_renyi(n, p, np.random.default_rng(seed))
+            g.check_simple()
+            for e in g.edges():
+                counts[e] += 1
+        assert len(counts) == 28
+        sd = math.sqrt(seeds * p * (1 - p))
+        for pair, count in counts.items():
+            assert abs(count - seeds * p) < 5 * sd, pair
+
+    def test_degrees_follow_binomial(self):
+        n, p = 2000, 0.005
+        degrees = []
+        for seed in range(5):
+            g = gen_erdos_renyi(n, p, np.random.default_rng(seed))
+            g.check_simple()
+            degrees += [g.degree(v) for v in range(n)]
+        degrees = np.array(degrees)
+        pmf = np.array([math.comb(n - 1, k) * p**k * (1 - p) ** (n - 1 - k) for k in range(31)])
+        observed = np.bincount(degrees, minlength=31)[:31] / len(degrees)
+        # each bin within 5 standard errors of its Binomial(n-1, p) share
+        se = np.sqrt(pmf * (1 - pmf) / len(degrees))
+        assert np.all(np.abs(observed - pmf) < 5 * se + 1e-12)
+        assert degrees.mean() == pytest.approx((n - 1) * p, rel=0.02)
+        assert degrees.var() == pytest.approx((n - 1) * p * (1 - p), rel=0.05)
+
+    @pytest.mark.parametrize("n,p", [(50, 1.0), (300, 0.05), (1000, 0.002), (40, 0.5)])
+    def test_block_size_does_not_change_the_graph(self, monkeypatch, n, p):
+        default = gen_erdos_renyi(n, p, np.random.default_rng(17))
+        monkeypatch.setattr(graph_module, "ER_BLOCK", 16)
+        small = gen_erdos_renyi(n, p, np.random.default_rng(17))
+        small.check_simple()
+        assert default.edge_count > 16
+        assert list(small.edges()) == list(default.edges())
+
+    @pytest.mark.parametrize("p", [1e-18, 1e-300])
+    @pytest.mark.parametrize("n", [2, 100, 5000])
+    def test_tiny_prob_gives_no_edges(self, n, p):
+        g = gen_erdos_renyi(n, p, np.random.default_rng(0))
+        g.check_simple()
+        assert g.edge_count == 0
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+    def test_tiny_vertex_counts(self, n, p):
+        g = gen_erdos_renyi(n, p, np.random.default_rng(3))
+        g.check_simple()
+        assert g.n == n
+        if p in (0.0, 1.0):
+            assert g.edge_count == p * n * (n - 1) // 2
+        assert g.edge_count <= n * (n - 1) // 2
+
+    def test_draws_are_linear_in_edges(self):
+        # O(m) draws, not one per vertex pair (about 12.5 M here)
+        n, p = 5000, 0.0004
+        counting = _CountingRng(9)
+        g = gen_erdos_renyi(n, p, counting)
+        assert list(g.edges()) == list(gen_erdos_renyi(n, p, np.random.default_rng(9)).edges())
+        assert g.edge_count > 0
+        assert counting.drawn <= g.edge_count + 1 + graph_module.ER_BLOCK
+
+    @pytest.mark.parametrize("gap", [0, -3])
+    def test_non_positive_gap_rejected(self, gap):
+        with pytest.raises(GraphError, match="gap"):
+            gen_erdos_renyi(50, 0.1, _CountingRng(0, gaps=gap))
+
+    def test_huge_gaps_are_clipped_not_wrapped(self):
+        g = gen_erdos_renyi(100, 0.1, _CountingRng(0, gaps=np.iinfo(np.int64).max))
+        assert g.edge_count == 0
 
 
 class TestSmallWorld:
