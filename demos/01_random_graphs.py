@@ -5,6 +5,8 @@ rewiring while its mean geodesic distance collapses; the matched
 Erdos-Renyi graph has short paths but almost no triangles.
 """
 
+import os
+
 import numpy as np
 
 from netspread.graph import (
@@ -16,6 +18,9 @@ from netspread.graph import (
     to_dot,
     write_edge_list,
 )
+
+OUT = "demo_out"  # every file a demo writes goes here
+os.makedirs(OUT, exist_ok=True)
 
 rng = np.random.default_rng(7)
 
@@ -34,8 +39,8 @@ print(f"  edges={g.edge_count}  clustering={clustering_coefficient(g):.4f}"
       f"  mean_geodesic={mean_geodesic(g):.3f}")
 print(f"  components: {len(connected_components(g))}")
 
-write_edge_list(g, "er_graph.tsv")
+write_edge_list(g, os.path.join(OUT, "er_graph.tsv"))
 small = gen_small_world(30, 3, 0.1, rng)
-with open("small_world.dot", "w") as fh:
+with open(os.path.join(OUT, "small_world.dot"), "w") as fh:
     fh.write(to_dot(small))
-print("\nwrote er_graph.tsv and small_world.dot")
+print(f"\nwrote {OUT}/er_graph.tsv and {OUT}/small_world.dot")

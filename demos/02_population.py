@@ -5,10 +5,15 @@ covariance matrix of the encoded records; sampling draws multivariate
 normals and decodes them back into valid person records.
 """
 
+import os
+
 import numpy as np
 
 from netspread.experiments import load_stats
 from netspread.population import fit_stats, sample_population
+
+OUT = "demo_out"  # every file a demo writes goes here
+os.makedirs(OUT, exist_ok=True)
 
 stats = load_stats("builtin")
 schema = stats.schema
@@ -29,5 +34,5 @@ refit = fit_stats(table)
 drift = np.max(np.abs(refit.mean - stats.mean))
 print(f"\nmax |refit mean - source mean| = {drift:.4f} (decoding rounds/clamps values)")
 
-table.to_csv("population.csv")
-print("wrote population.csv")
+table.to_csv(os.path.join(OUT, "population.csv"))
+print(f"wrote {OUT}/population.csv")

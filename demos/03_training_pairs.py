@@ -6,11 +6,16 @@ pool; non-receivers are generated from the ego pool with a 70% homophile
 share and counted from the weekly-contact fields.
 """
 
+import os
+
 import numpy as np
 
 from netspread.completion import build_training_set, homophile_split, write_pairs_csv
 from netspread.experiments import load_stats
 from netspread.population import sample_population
+
+OUT = "demo_out"  # every file a demo writes goes here
+os.makedirs(OUT, exist_ok=True)
 
 stats = load_stats("builtin")
 rng = np.random.default_rng(3)
@@ -43,5 +48,5 @@ n_pos = sum(1 for p in pairs if p.label == 1)
 print(f"built {len(pairs)} pairs: {n_pos} positive, {len(pairs) - n_pos} negative")
 print(f"positive fraction: {n_pos / len(pairs):.3f}")
 
-write_pairs_csv(pairs, stats.schema, "pairs.csv")
-print("wrote pairs.csv")
+write_pairs_csv(pairs, stats.schema, os.path.join(OUT, "pairs.csv"))
+print(f"wrote {OUT}/pairs.csv")

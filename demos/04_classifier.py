@@ -6,6 +6,8 @@ kernel SVM.  The balanced error treats both classes equally, so the
 all-negative baseline sits at exactly 0.5.
 """
 
+import os
+
 import numpy as np
 
 from netspread.classifier import (
@@ -17,6 +19,9 @@ from netspread.classifier import (
     fit_pair_classifier,
 )
 from netspread.experiments import PlantedRule, load_stats, stream, synthetic_pairs
+
+OUT = "demo_out"  # every file a demo writes goes here
+os.makedirs(OUT, exist_ok=True)
 
 stats = load_stats("builtin")
 rule = PlantedRule.from_config(
@@ -50,7 +55,7 @@ baseline = balanced_error(-np.ones_like(y_test), y_test)
 print(f"\nheld-out balanced error: {err:.4f} (all-negative baseline: {baseline})")
 print(f"support vectors: {len(model.coefs)} of {len(y_train)}")
 
-model.save("model.json")
-reloaded = SvmModel.load("model.json", schema=stats.schema)
+model.save(os.path.join(OUT, "model.json"))
+reloaded = SvmModel.load(os.path.join(OUT, "model.json"), schema=stats.schema)
 assert np.allclose(reloaded.decision_values(X_test[:10]), model.decision_values(X_test[:10]))
-print("wrote model.json (round-trips exactly)")
+print(f"wrote {OUT}/model.json (round-trips exactly)")

@@ -6,6 +6,8 @@ receive the information.  avg_hops counts transmissions per seeding
 vertex that actually transmitted; fanout is receivers per sender.
 """
 
+import os
+
 import numpy as np
 
 from netspread.classifier import KernelSpec, SvmParams, fit_pair_classifier
@@ -13,6 +15,9 @@ from netspread.diffusion import DiffusionConfig, run_diffusion, write_log_csv, w
 from netspread.experiments import PlantedRule, load_stats, stream, synthetic_pairs
 from netspread.graph import gen_small_world
 from netspread.population import sample_population
+
+OUT = "demo_out"  # every file a demo writes goes here
+os.makedirs(OUT, exist_ok=True)
 
 stats = load_stats("builtin")
 rule = PlantedRule.from_config(
@@ -40,6 +45,6 @@ print(f"coverage by iteration: {[round(c, 4) for c in result.coverage]}")
 print(f"newly informed per iteration: {result.new_by_iteration()}")
 print(f"avg_hops={result.avg_hops:.3f}  fanout={result.fanout:.3f}")
 
-write_log_csv(result.log, "transmissions.csv")
-write_summary_json(result, graph.n, "run_summary.json")
-print("wrote transmissions.csv and run_summary.json")
+write_log_csv(result.log, os.path.join(OUT, "transmissions.csv"))
+write_summary_json(result, graph.n, os.path.join(OUT, "run_summary.json"))
+print(f"wrote {OUT}/transmissions.csv and {OUT}/run_summary.json")

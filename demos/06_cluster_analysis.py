@@ -9,6 +9,8 @@ aggregated cluster graph instead of the raw one.  Also tabulates how the
 receiver population shifts wave by wave.
 """
 
+import os
+
 import numpy as np
 
 from netspread.analysis import (
@@ -25,6 +27,9 @@ from netspread.diffusion import DiffusionConfig, run_diffusion
 from netspread.experiments import PlantedRule, load_stats, stream, synthetic_pairs
 from netspread.graph import gen_small_world
 from netspread.population import sample_population
+
+OUT = "demo_out"  # every file a demo writes goes here
+os.makedirs(OUT, exist_ok=True)
 
 stats = load_stats("builtin")
 rule = PlantedRule.from_config(
@@ -61,14 +66,14 @@ members = set(clustering.members(largest))
 extended = extend_cluster(members, sub_log)
 print(f"largest cluster: {len(members)} people, {len(extended)} after extension")
 
-with open("clusters.dot", "w") as fh:
+with open(os.path.join(OUT, "clusters.dot"), "w") as fh:
     fh.write(aggregated.to_dot())
-print("wrote clusters.dot")
+print(f"wrote {OUT}/clusters.dot")
 
 print("\ngender shares by wave (category 1 = female):")
 dist = wave_distribution(result, people, "gender")
 for label, row, empty in zip(dist.row_labels, dist.proportions, dist.empty_rows):
     if not empty:
         print(f"  {label:<9} female={row[1]:.3f}")
-dist.to_csv("gender_by_wave.csv")
-print("wrote gender_by_wave.csv")
+dist.to_csv(os.path.join(OUT, "gender_by_wave.csv"))
+print(f"wrote {OUT}/gender_by_wave.csv")

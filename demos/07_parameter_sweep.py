@@ -17,7 +17,7 @@ config = ExperimentConfig.from_dict(
         "replicates": 5,
         "seed": 42,
         "stats_file": "builtin",
-        "output_dir": "sweep_out",
+        "output_dir": "demo_out/sweep",
         "training": {
             "mode": "synthetic",
             "sample_size": 2500,
@@ -35,7 +35,7 @@ config = ExperimentConfig.from_dict(
 )
 
 output = run_experiment(config)
-print(f"{len(output.runs)} runs -> sweep_out/sweep.csv\n")
+print(f"{len(output.runs)} runs -> demo_out/sweep/sweep.csv\n")
 print(f"{'edge_prob':>9} {'a':>4} {'avg_hops':>14} {'fanout':>14}")
 for row in output.rows:
     print(

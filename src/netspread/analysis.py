@@ -69,13 +69,11 @@ def modularity(graph: Graph, clustering: Clustering) -> float:
     if m == 0:
         raise GraphError("modularity undefined on a graph with no edges")
     c = clustering.n_clusters
-    intra = np.zeros(c)
-    degree = np.zeros(c)
-    for v in range(graph.n):
-        degree[clustering.cluster_of(v)] += graph.degree(v)
-    for u, v in graph.edges():
-        if clustering.cluster_of(u) == clustering.cluster_of(v):
-            intra[clustering.cluster_of(u)] += 1
+    cluster = np.asarray(clustering.assignment)
+    rows, cols = graph.out_edges(np.arange(graph.n))  # each edge in both directions
+    cu, cv = cluster[rows], cluster[cols]
+    degree = np.bincount(cu, minlength=c)
+    intra = np.bincount(cu[cu == cv], minlength=c) / 2
     return float(np.sum(intra / m - (degree / (2.0 * m)) ** 2))
 
 
@@ -220,14 +218,7 @@ def cluster_by_modularity(graph: Graph) -> Clustering:
 
 def propagation_graph(log, n: int) -> Graph:
     """Undirected graph over the log's transmissions (orientation dropped)."""
-    g = Graph(n)
-    seen: set[tuple[int, int]] = set()
-    for _, sender, receiver in log:
-        edge = (min(sender, receiver), max(sender, receiver))
-        if edge not in seen:
-            seen.add(edge)
-            g.add_edge(*edge)
-    return g
+    return Graph(n, list({(min(s, r), max(s, r)) for _, s, r in log}))
 
 
 def restrict_log(log, vertices) -> list:
@@ -249,10 +240,7 @@ def main_component_clustering(log, n: int) -> tuple[Clustering, list[int], list]
         raise AnalysisError("propagation graph has no component with an edge")
     component = max(comps, key=len)
     index = {v: i for i, v in enumerate(component)}
-    sub = Graph(len(component))
-    for u, v in pg.edges():
-        if u in index and v in index:
-            sub.add_edge(index[u], index[v])
+    sub = Graph(len(component), [(index[u], index[v]) for u, v in pg.edges() if u in index])
     clustering = cluster_by_modularity(sub)
     sub_log = [
         (it, index[s], index[r]) for it, s, r in restrict_log(log, component)

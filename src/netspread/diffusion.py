@@ -122,22 +122,18 @@ def diffusion_step(
     entries (sorted by receiver id).  Edges with both endpoints informed
     are skipped; vertices informed within the step do not transmit.
     """
-    senders: list[int] = []
-    receivers: list[int] = []
-    for u in sorted(informed if frontier is None else frontier):
-        for v in graph.neighbors(u):
-            if v not in informed:
-                senders.append(u)
-                receivers.append(v)
-    if not senders:
+    senders, receivers = graph.out_edges(sorted(informed if frontier is None else frontier))
+    known = np.zeros(graph.n, dtype=bool)
+    known[list(informed)] = True
+    fresh = ~known[receivers]
+    senders, receivers = senders[fresh], receivers[fresh]
+    if not len(senders):
         return set(), []
-    preds = model.predict_pairs(table, senders, receivers)
-    attributed: dict[int, int] = {}
-    for s, r, p in zip(senders, receivers, preds):
-        if p > 0 and (r not in attributed or s < attributed[r]):
-            attributed[r] = s
-    entries = [(iteration, attributed[r], r) for r in sorted(attributed)]
-    return set(attributed), entries
+    positive = np.asarray(model.predict_pairs(table, senders, receivers)) > 0
+    # senders ascend, so a receiver's first positive pair has its smallest sender
+    informed_now, first = np.unique(receivers[positive], return_index=True)
+    informed_now, sources = informed_now.tolist(), senders[positive][first].tolist()
+    return set(informed_now), [(iteration, s, r) for s, r in zip(sources, informed_now)]
 
 
 def compute_metrics(log, seeds) -> tuple[float, float]:

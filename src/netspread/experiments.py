@@ -40,10 +40,10 @@ a JSON list.  Integer settings (graph.n, neighbors, iterations, replicates,
 seed, sample_size, cv_folds, max_kernel_evals) take whole numbers only,
 never booleans or fractions.  report_fields, criteria and contact_fields
 are lists of strings, and a survey-mode criteria list is not empty.
-pairs_file, egos_file, alters_file and alter_pool_file are strings,
-per_replicate is a JSON boolean and homophily lies in [0, 1].  Graph
-values are checked by GraphParams and initial fractions by
-DiffusionConfig while parsing; the field names in
+stats_file, output_dir, pairs_file, egos_file, alters_file and
+alter_pool_file are strings, per_replicate is a JSON boolean and
+homophily lies in [0, 1].  Graph values are checked by GraphParams and
+initial fractions by DiffusionConfig while parsing; the field names in
 report_fields, criteria, contact_fields and the rule conditions are
 checked against the stats schema as soon as the stats are loaded, before
 anything is trained or written.  Every violation is a ConfigError naming
@@ -163,12 +163,12 @@ def _names(value, path: str) -> tuple[str, ...]:
     return tuple(value)
 
 
-def _file_name(doc: dict, key: str, where: str) -> str | None:
-    """doc[key] as a file name when the key is set, else None."""
+def _file_name(doc: dict, key: str, where: str, default: str | None = None) -> str | None:
+    """doc[key] as a file name when the key is set, else `default`."""
     if key not in doc:
-        return None
+        return default
     if not isinstance(doc[key], str):
-        raise ConfigError(f"{where}.{key}", f"must be a string, got {doc[key]!r}")
+        raise ConfigError(f"{where}.{key}".lstrip("."), f"must be a string, got {doc[key]!r}")
     return doc[key]
 
 
@@ -367,8 +367,8 @@ class ExperimentConfig:
             iterations=iterations,
             replicates=replicates,
             seed=seed,
-            stats_file=str(doc.get("stats_file", BUILTIN_STATS)),
-            output_dir=str(doc.get("output_dir", "out")),
+            stats_file=_file_name(doc, "stats_file", "", BUILTIN_STATS),
+            output_dir=_file_name(doc, "output_dir", "", "out"),
             training=training,
             report_fields=_names(doc.get("report_fields", []), "report_fields"),
         )
@@ -567,6 +567,27 @@ class ExperimentOutput:
     runs: list[RunArtifacts]
 
 
+def _run_replicate(
+    config: ExperimentConfig, stats: PopulationStats, grid_index: int, rep: int,
+    model, rep_models: dict[int, SvmModel],
+) -> tuple[VertexTable, DiffusionResult]:
+    """One replicate of one grid point: stream -> graph -> population -> diffusion.
+
+    With no shared `model`, the replicate's own model is trained on stream
+    index rep + 1 on first use and kept in `rep_models`.
+    """
+    point = config.grid()[grid_index]
+    rng = stream(config.seed, 0, grid_index * config.replicates + rep)
+    if model is None:
+        if rep not in rep_models:
+            rep_models[rep] = train_pipeline(config, stats=stats, stream_index=rep + 1)
+        model = rep_models[rep]
+    graph = generate_graph(point["params"], rng)
+    table = sample_population(stats, config.n, rng)
+    dconf = DiffusionConfig(point["initial_fraction"], config.iterations)
+    return table, run_diffusion(graph, table, model, dconf, rng)
+
+
 def run_experiment(
     config: ExperimentConfig,
     stub_model: str | None = None,
@@ -585,7 +606,7 @@ def run_experiment(
     os.makedirs(runs_dir, exist_ok=True)
 
     model = None
-    models_by_rep: dict[int, SvmModel] = {}
+    rep_models: dict[int, SvmModel] = {}
     if stub_model is not None:
         if stub_model not in ("always-positive", "always-negative"):
             raise ConfigError("stub_model", f"unknown stub {stub_model!r}")
@@ -602,18 +623,7 @@ def run_experiment(
     for grid_index, point in enumerate(config.grid()):
         hops, fans, deltas = [], [], []
         for rep in range(config.replicates):
-            rng = stream(config.seed, 0, grid_index * config.replicates + rep)
-            rep_model = model
-            if rep_model is None:
-                if rep not in models_by_rep:
-                    models_by_rep[rep] = train_pipeline(
-                        config, stats=stats, stream_index=rep + 1
-                    )
-                rep_model = models_by_rep[rep]
-            graph = generate_graph(point["params"], rng)
-            table = sample_population(stats, config.n, rng)
-            dconf = DiffusionConfig(point["initial_fraction"], config.iterations)
-            result = run_diffusion(graph, table, rep_model, dconf, rng)
+            _, result = _run_replicate(config, stats, grid_index, rep, model, rep_models)
             run_dir = os.path.join(runs_dir, f"{point['tag']}_r{rep}")
             os.makedirs(run_dir, exist_ok=True)
             write_log_csv(result.log, os.path.join(run_dir, "log.csv"))
@@ -655,7 +665,8 @@ def report_distributions(
 ) -> dict[str, np.ndarray]:
     """Per-field wave-distribution CSVs averaged over replicate runs.
 
-    Each CSV mirrors the sweep's first grid point: rows All, Egos and one
+    Each CSV mirrors the sweep's first grid point, run as `run_experiment`
+    runs it (the same streams and models): rows All, Egos and one
     per iteration wave; proportions are means over replicates (waves empty
     in a replicate are excluded from its average; rows empty in every
     replicate keep the empty placeholder).
@@ -667,20 +678,11 @@ def report_distributions(
     stats = load_config_stats(config)
     out_dir = out_dir or config.output_dir
     os.makedirs(out_dir, exist_ok=True)
-    model = train_pipeline(config, stats=stats)
-    point = config.grid()[0]
+    model = None if config.training.per_replicate else train_pipeline(config, stats=stats)
+    rep_models: dict[int, SvmModel] = {}
     per_field: dict[str, list] = {fid: [] for fid in config.report_fields}
     for rep in range(config.replicates):
-        rng = stream(config.seed, 0, rep)
-        graph = generate_graph(point["params"], rng)
-        table = sample_population(stats, config.n, rng)
-        result = run_diffusion(
-            graph,
-            table,
-            model,
-            DiffusionConfig(point["initial_fraction"], config.iterations),
-            rng,
-        )
+        table, result = _run_replicate(config, stats, 0, rep, model, rep_models)
         for fid in config.report_fields:
             per_field[fid].append(analysis.wave_distribution(result, table, fid))
     averaged: dict[str, np.ndarray] = {}

@@ -1,21 +1,22 @@
 """Undirected simple graphs, random generators and structural metrics.
 
-Vertices are dense integers 0..n-1 and adjacency is kept as one set per
-vertex, so neighbor iteration is O(degree).  Graphs are treated as
-immutable once a generator has returned them; replicated experiments may
-share them freely across threads.
+Vertices are dense integers 0..n-1.  A Graph is immutable: its
+constructor takes the vertex count and the whole edge list, checks the
+simple-graph rules (endpoints in range, no self edge, no duplicate edge)
+in that one place, and stores the adjacency in compressed sparse rows,
+each row sorted.  Replicated experiments may share graphs freely across
+threads.
 
-Erdős–Rényi graphs are built by geometric edge skipping in O(n + m) and
-filled straight into the adjacency sets; the generator checks the
-simple-graph invariants with numpy once per block of edges instead of
-once per edge.  Small-world graphs are built and rewired through
-add_edge / remove_edge.
+Generators build an edge list and hand it to the constructor.
+Erdős–Rényi graphs are drawn by geometric edge skipping in O(n + m);
+small-world graphs rewire the ring lattice's edge arrays against a set of
+edge keys.
 """
 
 from __future__ import annotations
 
 import logging
-from collections import deque
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,8 @@ SMALL_WORLD = "small_world"
 
 REWIRE_RETRIES = 100
 ER_BLOCK = 16384  # geometric gaps drawn per batch by gen_erdos_renyi
+PATH_BLOCK = 4096  # edges whose 2-paths clustering_coefficient checks per batch
+GEODESIC_SOURCES = 64  # BFS sources per bit-parallel sweep of mean_geodesic
 
 
 class GraphError(ValueError):
@@ -54,120 +57,132 @@ class DegenerateGraphError(GraphError):
 
 
 class Graph:
-    """Undirected simple graph: no self edges, no duplicate edges.
+    """Immutable undirected simple graph in compressed sparse rows.
 
-    add_edge and remove_edge are the public mutators and enforce both;
-    gen_erdos_renyi fills the sets directly after checking each block of
-    edges for both.  So a generator's output needs no re-check.
+    `edges` holds each edge once, as a (u, v) pair in either orientation
+    (a sequence of pairs or an (m, 2) integer array).  The constructor is
+    the only place the simple-graph rules are checked; there is no
+    mutator.
     """
 
-    __slots__ = ("n", "_adj", "_edge_count")
+    __slots__ = ("n", "_indptr", "_indices", "_ptr", "_idx")
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, edges=()):
         if n < 0:
             raise GraphError(f"vertex count must be non-negative, got {n}")
+        e = np.asarray(edges, dtype=np.int64)
+        if e.size == 0:
+            e = e.reshape(0, 2)
+        if e.ndim != 2 or e.shape[1] != 2:
+            raise GraphError("edges must be (u, v) pairs")
+        bad = (e < 0) | (e >= n)
+        if bad.any():  # name the first bad endpoint, u before v
+            raise VertexRangeError(f"vertex {e.flat[np.argmax(bad)]} outside [0, {n})")
+        loops = e[:, 0] == e[:, 1]
+        if loops.any():
+            u = e[np.argmax(loops), 0]
+            raise SelfEdgeError(f"self edge ({u}, {u}) not allowed")
+        lo, hi = e.min(axis=1), e.max(axis=1)
+        # both orientations as row * n + column, sorted: the CSR entries in order
+        entries = np.sort(np.concatenate([lo * n + hi, hi * n + lo]))
+        if np.any(entries[1:] == entries[:-1]):  # name the first repeat, as given
+            _, first = np.unique(lo * n + hi, return_index=True)
+            u, v = e[np.setdiff1d(np.arange(len(e)), first)[0]]
+            raise DuplicateEdgeError(f"edge ({u}, {v}) already present")
+        rows, self._indices = np.divmod(entries, max(n, 1))
+        self._indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+        self._indptr.flags.writeable = self._indices.flags.writeable = False
+        # Python-int views of the same buffers, for fast scalar lookups
+        self._ptr, self._idx = memoryview(self._indptr), memoryview(self._indices)
         self.n = n
-        self._adj: list[set[int]] = [set() for _ in range(n)]
-        self._edge_count = 0
 
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
             raise VertexRangeError(f"vertex {v} outside [0, {self.n})")
 
-    def _range_error(self, u: int, v: int) -> None:
-        """Raise the VertexRangeError for whichever of u, v is out of range."""
-        self._check_vertex(u)
-        self._check_vertex(v)
-
-    def add_edge(self, u: int, v: int) -> None:
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            self._range_error(u, v)
-        if u == v:
-            raise SelfEdgeError(f"self edge ({u}, {v}) not allowed")
-        if v in self._adj[u]:
-            raise DuplicateEdgeError(f"edge ({u}, {v}) already present")
-        self._adj[u].add(v)
-        self._adj[v].add(u)
-        self._edge_count += 1
-
-    def remove_edge(self, u: int, v: int) -> None:
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            self._range_error(u, v)
-        if v not in self._adj[u]:
-            raise GraphError(f"edge ({u}, {v}) not present")
-        self._adj[u].discard(v)
-        self._adj[v].discard(u)
-        self._edge_count -= 1
-
     def has_edge(self, u: int, v: int) -> bool:
         if not (0 <= u < self.n and 0 <= v < self.n):
-            self._range_error(u, v)
-        return v in self._adj[u]
+            self._check_vertex(u)
+            self._check_vertex(v)
+        end = self._ptr[u + 1]
+        i = bisect_left(self._idx, v, self._ptr[u], end)
+        return i < end and self._idx[i] == v
 
-    def neighbors(self, v: int) -> set[int]:
+    def neighbors(self, v: int) -> list[int]:
+        """v's neighbours in ascending order."""
         self._check_vertex(v)
-        return self._adj[v]
+        return self._idx[self._ptr[v] : self._ptr[v + 1]].tolist()
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
-        return len(self._adj[v])
+        return self._ptr[v + 1] - self._ptr[v]
 
     @property
     def edge_count(self) -> int:
-        return self._edge_count
+        return len(self._idx) // 2
+
+    def out_edges(self, vertices) -> tuple[np.ndarray, np.ndarray]:
+        """(sources, targets) of every edge out of `vertices`, as int64 arrays.
+
+        Each vertex's edges come in the order the vertices are given, and
+        within a vertex in ascending target order.
+        """
+        vs = np.asarray(vertices, dtype=np.int64).reshape(-1)
+        if len(vs) and (vs.min() < 0 or vs.max() >= self.n):
+            self._check_vertex(int(vs[(vs < 0) | (vs >= self.n)][0]))
+        starts = self._indptr[vs]
+        counts = self._indptr[vs + 1] - starts
+        offsets = np.cumsum(counts) - counts  # where each vertex's run begins
+        positions = np.repeat(starts - offsets, counts) + np.arange(counts.sum())
+        return np.repeat(vs, counts), self._indices[positions]
 
     def edges(self):
         """Yield each edge once as (u, v) with u < v, in sorted order."""
+        ptr, idx = self._ptr, self._idx
         for u in range(self.n):
-            for v in sorted(self._adj[u]):
+            for v in idx[ptr[u] : ptr[u + 1]]:
                 if u < v:
                     yield u, v
 
     def check_simple(self) -> None:
-        """Re-verify the invariants that add_edge and remove_edge enforce."""
-        count = 0
-        for u in range(self.n):
-            if u in self._adj[u]:
-                raise SelfEdgeError(f"self edge at {u}")
-            for v in self._adj[u]:
-                self._check_vertex(v)
-                if u not in self._adj[v]:
-                    raise GraphError(f"asymmetric adjacency ({u}, {v})")
-            count += len(self._adj[u])
-        if count != 2 * self._edge_count:
-            raise GraphError("edge count does not match adjacency")
+        """Re-verify, from the stored arrays, the rules the constructor checks."""
+        n, ptr, idx = self.n, self._indptr, self._indices
+        counts = np.diff(ptr)
+        if len(ptr) != n + 1 or ptr[0] != 0 or ptr[-1] != len(idx) or np.any(counts < 0):
+            raise GraphError("row offsets do not match adjacency")
+        if len(idx) and (idx.min() < 0 or idx.max() >= n):
+            raise VertexRangeError(f"neighbour outside [0, {n})")
+        rows = np.repeat(np.arange(n), counts)
+        if np.any(rows == idx):
+            raise SelfEdgeError(f"self edge at {rows[np.argmax(rows == idx)]}")
+        entries = rows * n + idx
+        if np.any(entries[1:] <= entries[:-1]):
+            raise DuplicateEdgeError("adjacency rows must strictly increase")
+        if not np.array_equal(np.sort(idx * n + rows), entries):
+            raise GraphError("asymmetric adjacency")
 
     def __repr__(self) -> str:
-        return f"Graph(n={self.n}, edges={self._edge_count})"
+        return f"Graph(n={self.n}, edges={self.edge_count})"
 
 
 def connected_components(g: Graph) -> list[list[int]]:
     """Partition vertices into connected components (sorted, by smallest member)."""
+    ptr, idx = g._ptr, g._idx
     seen = [False] * g.n
     components = []
     for start in range(g.n):
         if seen[start]:
             continue
         seen[start] = True
-        queue = deque([start])
         comp = [start]
-        while queue:
-            u = queue.popleft()
-            for v in g.neighbors(u):
+        for u in comp:  # comp grows while it is scanned, as a BFS queue
+            for v in idx[ptr[u] : ptr[u + 1]]:
                 if not seen[v]:
                     seen[v] = True
                     comp.append(v)
-                    queue.append(v)
         comp.sort()
         components.append(comp)
     return components
-
-
-def largest_component(g: Graph) -> list[int]:
-    comps = connected_components(g)
-    if not comps:
-        return []
-    return max(comps, key=len)
 
 
 def clustering_coefficient(g: Graph) -> float:
@@ -177,45 +192,54 @@ def clustering_coefficient(g: Graph) -> float:
     triangle.  Raises NoTriplesError when the graph has no path of length
     two, where the ratio is undefined.
     """
-    triples = sum(len(adj) * (len(adj) - 1) // 2 for adj in g._adj)
+    degrees = np.diff(g._indptr)
+    triples = int(np.sum(degrees * (degrees - 1))) // 2
     if triples == 0:
         raise NoTriplesError("graph has no connected triples")
-    # each triangle is counted once per incident edge, i.e. three times
-    closed = 0
-    for u, v in g.edges():
-        closed += len(g.neighbors(u) & g.neighbors(v))
-    return closed / triples
-
-
-def _bfs_distances(g: Graph, source: int) -> dict[int, int]:
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for v in g.neighbors(u):
-            if v not in dist:
-                dist[v] = du + 1
-                queue.append(v)
-    return dist
+    rows, cols = g.out_edges(np.arange(g.n))
+    entries = rows * g.n + cols  # sorted, so membership is a binary search
+    # a path c - a - b with b adjacent to c closes the triangle {c, a, b};
+    # each triangle is found six times, once per ordered pair (c, b)
+    found = 0
+    for s in range(0, len(entries), PATH_BLOCK):
+        a = cols[s : s + PATH_BLOCK]
+        _, b = g.out_edges(a)
+        paths = np.repeat(rows[s : s + PATH_BLOCK], degrees[a]) * g.n + b
+        at = np.minimum(np.searchsorted(entries, paths), len(entries) - 1)
+        found += int(np.count_nonzero(entries[at] == paths))
+    return found // 2 / triples  # closed triples: three per triangle
 
 
 def mean_geodesic(g: Graph) -> float:
     """Mean shortest-path length over unordered pairs of the largest component.
 
     Disconnected graphs are handled by restricting to the largest
-    component, which keeps the average finite.
+    component, which keeps the average finite.  Breadth-first search runs
+    level by level for GEODESIC_SOURCES sources at once, one bit per
+    source in a uint64 per vertex.
     """
     if g.n < 2:
         raise DegenerateGraphError("need at least two vertices")
-    comp = largest_component(g)
-    if len(comp) < 2:
+    comp = np.asarray(max(connected_components(g), key=len), dtype=np.int64)
+    c = len(comp)
+    if c < 2:
         raise DegenerateGraphError("largest component has fewer than two vertices")
+    sources, targets = g.out_edges(comp)
+    targets = np.searchsorted(comp, targets)  # component-local ids
+    # every component vertex has an edge, so no row is empty, as reduceat needs
+    starts = np.flatnonzero(np.r_[True, sources[1:] != sources[:-1]])
     total = 0
-    for u in comp:
-        total += sum(_bfs_distances(g, u).values())
-    pairs = len(comp) * (len(comp) - 1)
-    return total / pairs
+    for first in range(0, c, GEODESIC_SOURCES):
+        block = np.arange(first, min(first + GEODESIC_SOURCES, c))
+        seen = np.zeros(c, dtype=np.uint64)
+        seen[block] = np.left_shift(np.uint64(1), (block - first).astype(np.uint64))
+        frontier, level = seen.copy(), 0
+        while frontier.any():
+            level += 1
+            frontier = np.bitwise_or.reduceat(frontier[targets], starts) & ~seen
+            seen |= frontier
+            total += level * int(np.unpackbits(frontier.view(np.uint8)).sum())
+    return total / (c * (c - 1))
 
 
 @dataclass(frozen=True)
@@ -259,41 +283,28 @@ def gen_erdos_renyi(n: int, edge_prob: float, rng: np.random.Generator) -> Graph
     skipped pairs are never looked at.  O(n + m) time and O(m) draws.  Gaps
     are drawn ER_BLOCK at a time; the graph does not depend on ER_BLOCK,
     but the generator's state afterwards does, since the last block draws
-    past the final pair.  Each block is checked with numpy before its
-    edges go into the adjacency sets without add_edge: the numbers
-    strictly increase (no duplicate edge) and decode to in-range u < v
-    (no self edge).  A failure raises GraphError.
+    past the final pair.
     """
     GraphParams(ERDOS_RENYI, n, edge_prob=edge_prob)
-    g = Graph(n)
     pairs = n * (n - 1) // 2
     if pairs == 0 or edge_prob == 0.0:
-        return g
-    rows = np.arange(n, dtype=np.int64)
-    row_start = rows * (2 * n - rows - 1) // 2  # number of pair (u, u + 1)
-    ids = list(range(n))  # one int object per vertex, shared by all sets
-    adj = g._adj
+        return Graph(n)
+    blocks = []
     last = -1
     while last < pairs:
         # a gap past the last pair ends the graph; clipping it keeps the
         # running sum from wrapping when a tiny edge_prob draws INT64_MAX
         gaps = np.minimum(rng.geometric(edge_prob, size=ER_BLOCK), pairs + 1)
-        if gaps.min() < 1:
+        if gaps.min() < 1:  # a zero gap would never pass the last pair
             raise GraphError("edge skip gap must be positive")
         idx = last + np.cumsum(gaps)
-        if idx[0] <= last or not np.all(idx[1:] > idx[:-1]):
-            raise GraphError("edge numbers must strictly increase")
         last = int(idx[-1])
-        idx = idx[: np.searchsorted(idx, pairs)]
-        us = np.searchsorted(row_start, idx, side="right") - 1
-        vs = idx - row_start[us] + us + 1
-        if len(idx) and not (np.all(us < vs) and us[0] >= 0 and vs.max() < n):
-            raise GraphError("edge numbers must decode to vertices u < v < n")
-        for u, v in zip(us.tolist(), vs.tolist()):
-            adj[u].add(ids[v])
-            adj[v].add(ids[u])
-        g._edge_count += len(idx)
-    return g
+        blocks.append(idx[: np.searchsorted(idx, pairs)])
+    idx = np.concatenate(blocks)
+    rows = np.arange(n, dtype=np.int64)
+    row_start = rows * (2 * n - rows - 1) // 2  # number of pair (u, u + 1)
+    us = np.searchsorted(row_start, idx, side="right") - 1
+    return Graph(n, np.column_stack([us, idx - row_start[us] + us + 1]))
 
 
 def gen_small_world(
@@ -311,26 +322,27 @@ def gen_small_world(
     """
     GraphParams(SMALL_WORLD, n, neighbors=neighbors, rewire_prob=rewire_prob)
     k = neighbors
-    g = Graph(n)
-    lattice = [(u, (u + j) % n) for u in range(n) for j in range(1, k + 1)]
-    for u, v in lattice:
-        g.add_edge(u, v)
+    near = np.repeat(np.arange(n, dtype=np.int64), k)
+    far = (near + np.tile(np.arange(1, k + 1), n)) % n  # rewired in place
+    present = set((np.minimum(near, far) * n + np.maximum(near, far)).tolist())
     kept = 0
-    for u, v in lattice:
+    for i in range(k * n):
         if rng.random() >= rewire_prob:
             continue
+        u, v = int(near[i]), int(far[i])  # edge i is still the lattice edge
         for _ in range(REWIRE_RETRIES):
             w = int(rng.integers(n))
-            if w != u and not g.has_edge(u, w):
-                g.remove_edge(u, v)
-                g.add_edge(u, w)
+            key = min(u, w) * n + max(u, w)
+            if w != u and key not in present:
+                present.remove(min(u, v) * n + max(u, v))
+                present.add(key)
+                far[i] = w
                 break
         else:
             kept += 1
     if kept:
         logger.debug("small-world rewiring kept %d edges after retry exhaustion", kept)
-    assert g.edge_count == k * n
-    return g
+    return Graph(n, np.column_stack([near, far]))
 
 
 def generate_graph(params: GraphParams, rng: np.random.Generator) -> Graph:
@@ -352,14 +364,15 @@ def read_edge_list(path) -> Graph:
         header = fh.readline().strip()
         if not header.startswith("# vertices="):
             raise GraphError(f"missing '# vertices=<n>' header in {path}")
-        g = Graph(int(header.split("=", 1)[1]))
+        n = int(header.split("=", 1)[1])
+        edges = []
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             u, v = line.split("\t")
-            g.add_edge(int(u), int(v))
-    return g
+            edges.append((int(u), int(v)))
+    return Graph(n, edges)
 
 
 def to_dot(g: Graph, name: str = "G") -> str:

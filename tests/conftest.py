@@ -11,10 +11,7 @@ from netspread.population import Field, FeatureSchema
 
 
 def make_graph(n, edges) -> Graph:
-    g = Graph(n)
-    for u, v in edges:
-        g.add_edge(u, v)
-    return g
+    return Graph(n, edges)
 
 
 @pytest.fixture
@@ -46,12 +43,8 @@ def rng():
 
 def random_graph(n: int, edge_prob: float, seed: int) -> Graph:
     gen = np.random.default_rng(seed)
-    g = Graph(n)
-    for u in range(n):
-        for v in range(u + 1, n):
-            if gen.random() < edge_prob:
-                g.add_edge(u, v)
-    return g
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return Graph(n, [e for e in pairs if gen.random() < edge_prob])
 
 
 TINY_SCHEMA = FeatureSchema(

@@ -100,6 +100,8 @@ class TestExitCodes:
         ({"training": dict(SURVEY, homophily=1.5)}, "training.homophily"),
         ({"training": dict(SURVEY, homophily=-0.1)}, "training.homophily"),
         ({"training": dict(SURVEY, criteria=[])}, "training.criteria"),
+        ({"output_dir": ["out"]}, "output_dir"),
+        ({"stats_file": 7}, "stats_file"),
     ])
     def test_malformed_value_exits_2_at_parse_time(self, tmp_path, capsys, overrides, path):
         config = write_config(tmp_path, **overrides)

@@ -484,6 +484,34 @@ class TestReportDistributions:
             if not np.all(row == -1.0):
                 assert row.sum() == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("per_replicate,stream_indices", [(False, [0]), (True, [1, 2])])
+    def test_reports_the_runs_simulate_makes(
+        self, tmp_path, monkeypatch, per_replicate, stream_indices
+    ):
+        doc = base_config(tmp_path, report_fields=["gender"], replicates=2)
+        doc["training"]["per_replicate"] = per_replicate
+        doc["training"]["sample_size"] = 200
+        config = ExperimentConfig.from_dict(doc)
+        simulated = [run.result.log for run in run_experiment(config).runs]
+        trained, reported = [], []
+        real_train, real_run = experiments.train_pipeline, experiments.run_diffusion
+
+        def train(config, stats=None, stream_index=0, model_path=None):
+            trained.append(stream_index)
+            return real_train(config, stats, stream_index, model_path)
+
+        def run(*args):
+            result = real_run(*args)
+            reported.append(result.log)
+            return result
+
+        monkeypatch.setattr(experiments, "train_pipeline", train)
+        monkeypatch.setattr(experiments, "run_diffusion", run)
+        report_distributions(config)
+        # per-replicate models are trained on stream index rep + 1, as simulate does
+        assert trained == stream_indices
+        assert reported == simulated and any(simulated)
+
     def test_unknown_report_field(self, tmp_path):
         doc = base_config(tmp_path, report_fields=["no_such_field"])
         config = ExperimentConfig.from_dict(doc)

@@ -38,35 +38,56 @@ class TestGraphBasics:
         assert g.n == 10000 and g.edge_count == 0
 
     def test_add_edge(self):
-        g = Graph(4)
-        g.add_edge(0, 1)
+        g = Graph(4, [(0, 1)])
         assert g.edge_count == 1 and g.has_edge(1, 0)
 
     def test_self_edge_rejected(self):
-        g = Graph(4)
-        with pytest.raises(SelfEdgeError):
-            g.add_edge(3, 3)
+        with pytest.raises(SelfEdgeError, match=r"^self edge \(3, 3\) not allowed$"):
+            Graph(4, [(0, 1), (3, 3)])
 
     def test_duplicate_edge_rejected_unordered(self):
-        g = Graph(4)
-        g.add_edge(0, 1)
-        with pytest.raises(DuplicateEdgeError):
-            g.add_edge(1, 0)
+        with pytest.raises(DuplicateEdgeError, match=r"^edge \(1, 0\) already present$"):
+            Graph(4, [(0, 1), (2, 3), (1, 0)])
 
     def test_out_of_range(self):
-        g = Graph(4)
         with pytest.raises(VertexRangeError):
-            g.add_edge(0, 4)
+            Graph(4, [(0, 4)])
         with pytest.raises(VertexRangeError):
-            g.add_edge(-1, 2)
+            Graph(4, [(-1, 2)])
 
-    @pytest.mark.parametrize("method", ["add_edge", "remove_edge", "has_edge"])
+    @pytest.mark.parametrize("method", ["constructor", "has_edge", "out_edges"])
     def test_out_of_range_names_the_bad_endpoint(self, method):
         g = make_graph(4, [(0, 1)])
+        call = {
+            "constructor": lambda u, v: Graph(4, [(0, 1), (u, v)]),
+            "has_edge": g.has_edge,
+            "out_edges": lambda u, v: g.out_edges([1, u, v]),
+        }[method]
         for u, v, bad in ((0, 4, 4), (4, 0, 4), (-1, 2, -1), (2, -1, -1), (5, 7, 5)):
             with pytest.raises(VertexRangeError, match=rf"^vertex {bad} outside \[0, 4\)$"):
-                getattr(g, method)(u, v)
+                call(u, v)
         assert g.edge_count == 1 and g.has_edge(0, 1)
+
+    def test_rows_are_sorted_and_orientation_free(self):
+        g = Graph(5, np.array([(3, 0), (0, 1), (4, 0)]))
+        assert g.neighbors(0) == [1, 3, 4] and g.degree(0) == 3 and g.degree(2) == 0
+        assert list(g.edges()) == [(0, 1), (0, 3), (0, 4)]
+        sources, targets = g.out_edges([4, 0, 2])
+        assert sources.tolist() == [4, 0, 0, 0] and targets.tolist() == [0, 1, 3, 4]
+        with pytest.raises(GraphError):
+            Graph(5, [(0, 1, 2)])
+
+    @pytest.mark.parametrize("indices,error", [
+        ([1, 0, 2, 0], GraphError),  # 2 -> 0 without 0 -> 2
+        ([1, 1, 2, 1], SelfEdgeError),
+        ([1, 0, 0, 1], DuplicateEdgeError),
+        ([1, 0, 3, 1], VertexRangeError),
+    ])
+    def test_check_simple_catches_corrupt_rows(self, path3, indices, error):
+        path3.check_simple()
+        path3._indices = np.array(indices)
+        with pytest.raises(error):
+            path3.check_simple()
 
     def test_negative_vertex_count(self):
         with pytest.raises(ValueError):
