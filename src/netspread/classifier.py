@@ -18,6 +18,7 @@ fitted Standardizer so the model can score unstandardized pairs.
 
 from __future__ import annotations
 
+import bisect
 import json
 import logging
 from collections import OrderedDict
@@ -35,8 +36,16 @@ RBF = "rbf"
 KKT_TOL = 1e-3
 MAX_KERNEL_EVALS = 10_000_000
 SUPPORT_EPS = 1e-8
-KERNEL_BLOCK = 1024  # vertex rows per kernel_matrix call in predict_pairs
-PAIR_CHUNK = 2048  # pairs per row-wise dot product in predict_pairs
+# Vertex rows per kernel_matrix call in predict_pairs.  It fixes the GEMM row
+# blocking, so changing it changes the last bits of decision values.
+KERNEL_BLOCK = 1024
+# Gathered sender + receiver row bytes per row-wise dot product in
+# predict_pairs, sized to stay in L2.  Each pair is reduced on its own, so any
+# value gives the same bits.
+PAIR_CHUNK_BYTES = 1 << 19
+# Kernel-row bytes held at once: the SMO row cache, and the sender plus
+# receiver half-kernel rows of one predict_pairs block.
+KERNEL_ROWS_BYTES = 256_000_000
 
 
 class ClassifierError(ValueError):
@@ -68,21 +77,32 @@ class KernelSpec:
                 raise ClassifierError("rbf kernel needs finite sigma > 0")
 
 
-def kernel_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """K[i, j] = kernel(A[i], B[j]), vectorized over both arguments."""
+def kernel_matrix(
+    spec: KernelSpec, A: np.ndarray, B: np.ndarray, b_sq: np.ndarray | None = None
+) -> np.ndarray:
+    """K[i, j] = kernel(A[i], B[j]), vectorized over both arguments.
+
+    `b_sq` is sum(B**2, axis=1) when the caller already has it.  The RBF
+    block is built in place from |a|^2 + |b|^2 - 2 a.b with the same
+    floating-point operations in the same order as the textbook expression,
+    so it is bit-identical to it.
+    """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if A.shape[1] != B.shape[1]:
         raise DimensionMismatchError(f"dimensions {A.shape[1]} and {B.shape[1]} differ")
     if spec.kind == LINEAR:
         return A @ B.T
-    sq = (
-        np.sum(A**2, axis=1)[:, None]
-        + np.sum(B**2, axis=1)[None, :]
-        - 2.0 * (A @ B.T)
-    )
-    np.clip(sq, 0.0, None, out=sq)
-    return np.exp(-sq / (2.0 * spec.sigma**2))
+    if b_sq is None:
+        b_sq = np.sum(B**2, axis=1)
+    G = A @ B.T
+    G *= 2.0
+    K = np.sum(A**2, axis=1)[:, None] + b_sq[None, :]
+    K -= G
+    np.clip(K, 0.0, None, out=K)
+    K /= -(2.0 * spec.sigma**2)
+    np.exp(K, out=K)
+    return K
 
 
 @dataclass(frozen=True)
@@ -103,22 +123,34 @@ class SvmParams:
 
 
 class _RowCache:
-    """LRU cache of kernel rows against the training matrix."""
+    """LRU cache of kernel rows against the training matrix.
+
+    The squared row norms of X are summed once; a miss is one 1 x n
+    kernel_matrix block.
+    """
 
     def __init__(self, spec: KernelSpec, X: np.ndarray, capacity: int):
         self.spec = spec
         self.X = X
+        self.sq = np.sum(X**2, axis=1)
         self.capacity = max(2, capacity)
         self.rows: OrderedDict[int, np.ndarray] = OrderedDict()
-        self.evals = 0
+        self.hits = 0
+        self.misses = 0
+
+    @property
+    def evals(self) -> int:
+        """Kernel entries computed so far."""
+        return self.misses * self.X.shape[0]
 
     def row(self, i: int) -> np.ndarray:
         cached = self.rows.get(i)
         if cached is not None:
             self.rows.move_to_end(i)
+            self.hits += 1
             return cached
-        row = kernel_matrix(self.spec, self.X[i : i + 1], self.X)[0]
-        self.evals += self.X.shape[0]
+        self.misses += 1
+        row = kernel_matrix(self.spec, self.X[i : i + 1], self.X, b_sq=self.sq)[0]
         self.rows[i] = row
         if len(self.rows) > self.capacity:
             self.rows.popitem(last=False)
@@ -132,7 +164,8 @@ class SvmModel:
     support_vectors live in the standardized training space; coef_i is
     alpha_i * y_i.  When a Standardizer (and schema) is attached, raw
     encoded pair rows and index pairs into a vertex table can be scored
-    directly.
+    directly.  converged, kkt_violation, iterations, cache_hits and
+    cache_misses describe the fit and are not saved.
     """
 
     kernel: KernelSpec
@@ -145,6 +178,9 @@ class SvmModel:
     support_labels: np.ndarray | None = None
     converged: bool = True
     kkt_violation: float = 0.0
+    iterations: int = 0
+    cache_hits: int = 0
+    cache_misses: int = 0
     params: SvmParams | None = None
     training_size: int | None = None
 
@@ -175,12 +211,14 @@ class SvmModel:
         A pair row is the concatenation of two encoded records and the
         standardizer is column-wise, so the decision value factors at the
         record width d.  For RBF, K(x, sv) = k(s, sv[:d]) * k(r, sv[d:]):
-        half-kernel rows are computed once per unique sender (times the
-        coefs) and once per unique receiver, and a pair's value is the dot
-        product of its two rows.  A linear model collapses to the primal
-        weight vector, one scalar per vertex half.  Memory is bounded by
-        (unique senders + unique receivers) x SVs plus one PAIR_CHUNK of
-        gathered rows; no pairs x SVs array is built.
+        half-kernel rows S (times the coefs) and R are computed once per
+        unique sender and receiver, and a pair's value is the dot product of
+        its two rows, taken PAIR_CHUNK_BYTES of gathered rows at a time.  A
+        linear model collapses to the primal weight vector, one scalar per
+        vertex half.  Memory is bounded: when the unique senders plus
+        receivers need more than KERNEL_ROWS_BYTES of rows, the pairs,
+        ordered by sender, are scored in blocks whose S + R fit in it.  No
+        pairs x SVs array is built.
         """
         if self.schema is not None and table.schema.field_ids != self.schema.field_ids:
             raise SchemaMismatchError("vertex table schema differs from model schema")
@@ -203,16 +241,31 @@ class SvmModel:
             Zr = self.standardizer.columns(slice(d, 2 * d)).transform(Zr)
         if self.kernel.kind == LINEAR:
             w = self.coefs @ self.support_vectors
-            values = (Zs @ w[:d])[send_of] + (Zr @ w[d:])[recv_of]
-        else:
-            S = self._half_kernel(Zs, slice(0, d))
-            S *= self.coefs
-            R = self._half_kernel(Zr, slice(d, 2 * d))
-            values = np.empty(len(senders))
-            for start in range(0, len(senders), PAIR_CHUNK):
-                chunk = slice(start, start + PAIR_CHUNK)
-                values[chunk] = np.einsum("ij,ij->i", S[send_of[chunk]], R[recv_of[chunk]])
+            return (Zs @ w[:d])[send_of] + (Zr @ w[d:])[recv_of] + self.bias
+        max_rows = max(2, KERNEL_ROWS_BYTES // (8 * len(self.coefs)))
+        if len(send_ids) + len(recv_ids) <= max_rows:
+            return self._rbf_pair_values(Zs, Zr, send_of, recv_of) + self.bias
+        order = np.argsort(send_of, kind="stable")
+        values = np.empty(len(senders))
+        for block in _sender_blocks(send_of[order], recv_of[order], max_rows):
+            pairs = order[block]
+            s_ids, s_of = np.unique(send_of[pairs], return_inverse=True)
+            r_ids, r_of = np.unique(recv_of[pairs], return_inverse=True)
+            values[pairs] = self._rbf_pair_values(Zs[s_ids], Zr[r_ids], s_of, r_of)
         return values + self.bias
+
+    def _rbf_pair_values(self, Zs, Zr, send_of, recv_of) -> np.ndarray:
+        """sum_k coef_k k(Zs[send_of], sv_k[:d]) k(Zr[recv_of], sv_k[d:]), no bias."""
+        d = Zs.shape[1]
+        S = self._half_kernel(Zs, slice(0, d))
+        S *= self.coefs
+        R = self._half_kernel(Zr, slice(d, 2 * d))
+        values = np.empty(len(send_of))
+        step = max(1, PAIR_CHUNK_BYTES // (16 * S.shape[1]))
+        for start in range(0, len(send_of), step):
+            chunk = slice(start, start + step)
+            values[chunk] = np.einsum("ij,ij->i", S[send_of[chunk]], R[recv_of[chunk]])
+        return values
 
     def _half_kernel(self, Z: np.ndarray, cols: slice) -> np.ndarray:
         """kernel(Z[i], sv[cols]) for every row, KERNEL_BLOCK rows at a time."""
@@ -274,6 +327,35 @@ class ConstantModel:
         return np.full(len(np.asarray(senders)), self.label, dtype=int)
 
 
+def _sender_blocks(send_of: np.ndarray, recv_of: np.ndarray, max_rows: int):
+    """Slices of pairs sorted by sender, each with at most max_rows unique
+    senders plus unique receivers.
+
+    Blocks are taken greedily and end at a sender boundary, unless one
+    sender's pairs alone need more rows; then that sender's run is cut too.
+    max_rows must be at least 2.
+    """
+    ends = np.append(np.flatnonzero(np.diff(send_of)) + 1, len(send_of))
+    start = 0
+
+    def rows(stop) -> int:
+        return len(np.unique(send_of[start:stop])) + len(np.unique(recv_of[start:stop]))
+
+    while start < len(send_of):
+        # a block holds at most max_rows senders, so at most max_rows runs
+        first = np.searchsorted(ends, start, side="right")
+        run_ends = ends[first : first + max_rows]
+        fit = bisect.bisect_right(run_ends, max_rows, key=rows)
+        if fit:
+            stop = int(run_ends[fit - 1])
+        else:
+            stop = start + bisect.bisect_right(
+                range(start + 1, int(run_ends[0])), max_rows, key=rows
+            )
+        yield slice(start, stop)
+        start = stop
+
+
 def train_svm(
     X: np.ndarray,
     y: np.ndarray,
@@ -297,8 +379,10 @@ def train_svm(
         raise SingleClassError("training data must contain both classes")
 
     C = np.where(y > 0, params.C * params.weight, params.C)
-    # keep the cache near 256 MB worth of rows, at least 64 rows
-    cache = _RowCache(params.kernel, X, max(64, min(n, int(256e6 / (8 * max(n, 1))))))
+    # keep the cache near KERNEL_ROWS_BYTES worth of rows, at least 64 rows
+    cache = _RowCache(
+        params.kernel, X, max(64, min(n, int(KERNEL_ROWS_BYTES / (8 * max(n, 1)))))
+    )
     max_iter = max(100_000, 30 * n)
 
     alpha = np.zeros(n)
@@ -403,6 +487,9 @@ def train_svm(
         support_labels=y[keep].astype(int),
         converged=converged,
         kkt_violation=violation,
+        iterations=iterations,
+        cache_hits=cache.hits,
+        cache_misses=cache.misses,
         params=params,
     )
     if not converged:

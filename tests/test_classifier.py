@@ -102,6 +102,15 @@ def one(spec, x, z) -> float:
     return float(K[0, 0])
 
 
+def textbook_kernel(spec, A, B) -> np.ndarray:
+    """The kernel block written out with full-size temporaries and no norm reuse."""
+    if spec.kind == "linear":
+        return A @ B.T
+    sq = np.sum(A**2, axis=1)[:, None] + np.sum(B**2, axis=1)[None, :] - 2.0 * (A @ B.T)
+    np.clip(sq, 0.0, None, out=sq)
+    return np.exp(-sq / (2.0 * spec.sigma**2))
+
+
 class TestKernels:
     def test_rbf_identical_points(self):
         # kernel_matrix expands ||x - z||^2 = |x|^2 + |z|^2 - 2 x.z, so a
@@ -143,6 +152,17 @@ class TestKernels:
                         expected = float(np.exp(-d2 / (2.0 * spec.sigma**2)))
                     assert K[i, j] == pytest.approx(expected, abs=1e-12)
                     assert one(spec, A[i], B[j]) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("given_b_sq", [False, True])
+    @pytest.mark.parametrize("rows", [1, 64, 1024])
+    def test_in_place_block_is_bitwise_the_textbook_expression(self, rows, given_b_sq):
+        gen = np.random.default_rng(rows)
+        A, B = gen.normal(size=(rows, 27)), gen.normal(size=(277, 27))
+        A[0] = B[0]  # a zero distance, where rounding can go negative and is clipped
+        b_sq = np.sum(B**2, axis=1) if given_b_sq else None
+        for spec in (LIN, KernelSpec("rbf", 4.0)):
+            K = kernel_matrix(spec, A, B, b_sq=b_sq)
+            assert K.tobytes() == textbook_kernel(spec, A, B).tobytes()
 
     def test_rbf_needs_positive_sigma(self):
         with pytest.raises(ValueError):
@@ -213,6 +233,59 @@ class TestTrainSvm:
             X, y, SvmParams(C=100.0, weight=1.0, kernel=RBF1), max_kernel_evals=120
         )
         assert not model.converged
+
+
+def xor_set(n: int = 400, seed: int = 17):
+    """A non-linear, overlapping training set with hundreds of SMO steps."""
+    gen = np.random.default_rng(seed)
+    X = gen.normal(size=(n, 6))
+    y = np.where(X[:, 0] * X[:, 1] + 0.3 * gen.normal(size=n) > 0, 1.0, -1.0)
+    return X, y, SvmParams(C=4.0, weight=2.0, kernel=KernelSpec("rbf", 1.5))
+
+
+class TestRowCache:
+    @pytest.mark.parametrize("spec", [LIN, KernelSpec("rbf", 2.0)])
+    def test_row_is_bitwise_the_kernel_matrix_row(self, spec):
+        X = np.random.default_rng(7).normal(size=(300, 54))
+        cache = classifier._RowCache(spec, X, capacity=2)
+        for i in (0, 5, 299, 5, 0):
+            assert cache.row(i).tobytes() == kernel_matrix(spec, X[i : i + 1], X)[0].tobytes()
+        assert (cache.hits, cache.misses) == (1, 4)
+
+    def test_fit_is_bitwise_the_fit_on_textbook_rows(self, monkeypatch):
+        X, y, params = xor_set()
+        model = train_svm(X, y, params)
+        monkeypatch.setattr(
+            classifier._RowCache,
+            "row",
+            lambda self, i: textbook_kernel(self.spec, self.X[i : i + 1], self.X)[0],
+        )
+        plain = train_svm(X, y, params)
+        assert model.alphas.tobytes() == plain.alphas.tobytes()
+        assert model.bias == plain.bias
+        assert model.support_vectors.tobytes() == plain.support_vectors.tobytes()
+
+    @pytest.mark.parametrize("budget", [classifier.KERNEL_ROWS_BYTES, 1])
+    def test_fit_counts_iterations_and_cache_traffic(self, monkeypatch, budget):
+        # budget 1 leaves the 64-row minimum cache, so rows are evicted and recomputed
+        monkeypatch.setattr(classifier, "KERNEL_ROWS_BYTES", budget)
+        X, y, params = xor_set()
+        entries = []
+        real = classifier.kernel_matrix
+
+        def counting(*args, **kwargs):
+            K = real(*args, **kwargs)
+            entries.append(K.size)
+            return K
+
+        monkeypatch.setattr(classifier, "kernel_matrix", counting)
+        model = train_svm(X, y, params)
+        assert model.converged
+        assert model.iterations > 100 and model.cache_hits > 0
+        assert sum(entries) == model.cache_misses * len(y)
+        assert model.cache_hits + model.cache_misses == 2 * model.iterations
+        if budget == 1:
+            assert model.cache_misses > 64
 
 
 class TestPredict:
@@ -303,8 +376,9 @@ class TestFactoredPairScoring:
         assert len(model.coefs) > 0
         table = pair_table(seed=8)
         gen = np.random.default_rng(3)
-        # more pairs than one chunk, with every sender and receiver repeated
-        count = 2 * classifier.PAIR_CHUNK + 17
+        # more pairs than two chunks, with every sender and receiver repeated
+        chunk = max(1, classifier.PAIR_CHUNK_BYTES // (16 * len(model.coefs)))
+        count = 2 * chunk + 17
         senders = gen.integers(0, 30, size=count)
         receivers = gen.integers(0, len(table), size=count)
         expected = row_values(model, table, senders, receivers)
@@ -359,6 +433,61 @@ class TestFactoredPairScoring:
         assert sum(rows for rows, _ in shapes) == (
             len(np.unique(senders)) + len(np.unique(receivers))
         )
+
+    @pytest.mark.parametrize("ascending", [True, False])
+    def test_blocks_fit_the_row_budget(self, monkeypatch, ascending):
+        model = pair_model("rbf", True)
+        table = pair_table(n=600, seed=4)
+        svs = len(model.coefs)
+        monkeypatch.setattr(classifier, "KERNEL_ROWS_BYTES", 40 * 8 * svs)
+        gen = np.random.default_rng(12)
+        senders = gen.integers(0, 200, size=3000)
+        senders[:150] = 7  # a sender whose receivers alone exceed the budget
+        receivers = gen.integers(0, 600, size=3000)
+        if ascending:  # as diffusion_step passes them
+            order = np.argsort(senders, kind="stable")
+            senders, receivers = senders[order], receivers[order]
+        rows = []
+        real = SvmModel._half_kernel
+
+        def recording(self, Z, cols):
+            rows.append(Z.shape[0])
+            return real(self, Z, cols)
+
+        monkeypatch.setattr(SvmModel, "_half_kernel", recording)
+        values = model.pair_decision_values(table, senders, receivers)
+        blocks = list(zip(rows[::2], rows[1::2]))  # (S rows, R rows) per block
+        assert len(blocks) > 2
+        assert all((s + r) * 8 * svs <= classifier.KERNEL_ROWS_BYTES for s, r in blocks)
+        expected = row_values(model, table, senders, receivers)
+        assert np.max(np.abs(values - expected)) <= 1e-9
+        labels = model.predict_pairs(table, senders, receivers)
+        assert np.array_equal(labels, np.where(expected > 0.0, 1, -1))  # 0 label flips
+
+
+def test_sender_blocks_are_greedy_and_cut_at_sender_boundaries():
+    gen = np.random.default_rng(13)
+    runs = gen.integers(1, 30, size=50)
+    runs[10] = 200  # one sender needing more rows than a block holds
+    send_of = np.repeat(np.arange(50), runs)
+    recv_of = gen.integers(0, 300, size=len(send_of))
+    ends = np.append(np.flatnonzero(np.diff(send_of)) + 1, len(send_of))
+
+    def rows(start, stop):
+        return len(np.unique(send_of[start:stop])) + len(np.unique(recv_of[start:stop]))
+
+    blocks = list(classifier._sender_blocks(send_of, recv_of, 40))
+    assert blocks[0].start == 0 and blocks[-1].stop == len(send_of)
+    assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+    assert all(rows(b.start, b.stop) <= 40 for b in blocks)
+    for block in blocks[:-1]:
+        if send_of[block.stop - 1] == send_of[block.stop]:  # cut inside a run
+            assert len(np.unique(send_of[block])) == 1
+            grown = block.stop + 1
+        else:
+            grown = ends[ends > block.stop][0]
+        assert rows(block.start, grown) > 40  # the next cut would not have fit
+    assert sum(send_of[b.stop - 1] == send_of[b.stop] for b in blocks[:-1]) >= 4
 
 
 class TestBalancedError:
