@@ -115,27 +115,29 @@ class _LevelGraph:
         return out
 
 
-def _local_moves(
-    lg: _LevelGraph, initial: list[int] | None = None, consider_all: bool = False
-) -> list[int]:
+def _local_moves(lg: _LevelGraph, initial: list[int] | None = None) -> list[int]:
     """Move vertices greedily until no single move improves modularity.
 
-    Candidate targets are the clusters of the vertex's neighbors; with
-    consider_all, the globally lightest other cluster (the best target a
-    vertex shares no edge with) and a fresh singleton are candidates too,
-    which makes the fixpoint a true local maximum under single-vertex
-    moves.  Ties break toward the smallest cluster id.
+    Candidate targets are the clusters of the vertex's neighbors.  On the
+    flat graph no other target can win, so the fixpoint is a true local
+    maximum under single-vertex moves.  Write a move's gain as
+    h(c) - h(c_v) with h(c) = w_c / m - s_v * S_c / (2 m^2), where w_c is
+    v's weight into c and S_c is c's strength without v.  A fresh
+    singleton has h = 0 and a cluster v shares no edge with has h <= 0.
+    Summed over the clusters of v's neighbors, 2 m^2 * h is at least
+    2 m s_v - s_v (2 m - s_v) = s_v^2, because v has no self loop and
+    those clusters hold at most 2 m - s_v of strength besides v.  So one
+    of them, or v's own cluster, beats every target v shares no edge
+    with; an isolated vertex gains 0 anywhere.  Ties break toward the
+    smallest cluster id.
     """
     if initial is None:
         assignment = list(range(lg.n))
     else:
         assignment, _ = _densify(list(initial))
     cluster_strength = [0.0] * lg.n
-    cluster_size = [0] * lg.n
     for v in range(lg.n):
         cluster_strength[assignment[v]] += lg.strength[v]
-        cluster_size[assignment[v]] += 1
-    free_slots = [c for c in range(lg.n - 1, -1, -1) if cluster_size[c] == 0]
     min_gain = 1e-12
     improved = True
     while improved:
@@ -147,23 +149,10 @@ def _local_moves(
             to_cluster: dict[int, float] = {}
             for u, w in lg.adj[v].items():
                 to_cluster[assignment[u]] = to_cluster.get(assignment[u], 0.0) + w
-            w_own = to_cluster.get(cv, 0.0)
+            w_own = to_cluster.pop(cv, 0.0)
             base_strength = cluster_strength[cv] - sv
-            candidates = dict(to_cluster)
-            candidates.pop(cv, None)
-            if consider_all:
-                lightest, lightest_strength = -1, np.inf
-                for c in range(lg.n):
-                    if c == cv or cluster_size[c] == 0:
-                        continue
-                    if cluster_strength[c] < lightest_strength:
-                        lightest, lightest_strength = c, cluster_strength[c]
-                if lightest >= 0:
-                    candidates.setdefault(lightest, to_cluster.get(lightest, 0.0))
-                if cluster_size[cv] > 1 and free_slots:
-                    candidates.setdefault(free_slots[-1], 0.0)
             best_gain, best_c = min_gain, -1
-            for c, w_c in sorted(candidates.items()):
+            for c, w_c in sorted(to_cluster.items()):
                 gain = (w_c - w_own) / lg.total_weight - sv * (
                     cluster_strength[c] - base_strength
                 ) / (2.0 * lg.total_weight**2)
@@ -171,13 +160,7 @@ def _local_moves(
                     best_gain, best_c = gain, c
             if best_c >= 0:
                 cluster_strength[cv] -= sv
-                cluster_size[cv] -= 1
-                if cluster_size[cv] == 0:
-                    free_slots.append(cv)
-                if cluster_size[best_c] == 0 and free_slots and free_slots[-1] == best_c:
-                    free_slots.pop()
                 cluster_strength[best_c] += sv
-                cluster_size[best_c] += 1
                 assignment[v] = best_c
                 improved = True
     return assignment
@@ -201,7 +184,7 @@ def cluster_by_modularity(graph: Graph) -> Clustering:
         return Clustering(tuple(range(graph.n)))
     # multi-level phase: local moves, aggregate, repeat
     mapping = list(range(graph.n))  # original vertex -> current-level node
-    lg = _LevelGraph.from_graph(graph)
+    flat = lg = _LevelGraph.from_graph(graph)
     while True:
         assignment = _local_moves(lg)
         assignment, n_clusters = _densify(assignment)
@@ -210,8 +193,7 @@ def cluster_by_modularity(graph: Graph) -> Clustering:
         mapping = [assignment[node] for node in mapping]
         lg = lg.aggregate(assignment, n_clusters)
     # flat refinement on the original graph until locally maximal
-    flat = _LevelGraph.from_graph(graph)
-    final = _local_moves(flat, initial=mapping, consider_all=True)
+    final = _local_moves(flat, initial=mapping)
     final, _ = _densify(final)
     return Clustering(tuple(final))
 

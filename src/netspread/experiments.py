@@ -36,9 +36,11 @@ Config layout (defaults in parentheses)::
     }
 
 The document and each section in it must be a JSON object, and every list
-a JSON list.  Integer settings (graph.n, neighbors, iterations, replicates,
-seed, sample_size, cv_folds, max_kernel_evals) take whole numbers only,
-never booleans or fractions.  report_fields, criteria and contact_fields
+a JSON list.  Every numeric setting takes a finite JSON number only, never
+a boolean, a string, Infinity or NaN.  Integer settings (graph.n,
+neighbors, iterations, replicates, seed, sample_size, cv_folds,
+max_kernel_evals) take whole numbers only, never fractions, and
+max_kernel_evals is at least 1.  report_fields, criteria and contact_fields
 are lists of strings, and a survey-mode criteria list is not empty.
 stats_file, output_dir, pairs_file, egos_file, alters_file and
 alter_pool_file are strings, per_replicate is a JSON boolean and
@@ -56,6 +58,7 @@ import csv
 import json
 import logging
 import os
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import resources
@@ -133,17 +136,17 @@ def _at(path: str):
 def _number(value, path: str, kind=float):
     """kind(value) for a config number, or a ConfigError naming `path`.
 
-    An int setting takes a whole number only: no bool, no fraction.
+    A setting takes a finite JSON number only: no bool, no string, no
+    Infinity or NaN; an int setting also takes no fraction.
     """
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if kind is int:
-        whole = isinstance(value, int) and not isinstance(value, bool)
-        if whole or (isinstance(value, float) and value.is_integer()):
+        if number and (isinstance(value, int) or value.is_integer()):
             return int(value)
         raise ConfigError(path, f"must be an integer, got {value!r}")
-    try:
+    if number and abs(value) <= sys.float_info.max:  # False for NaN
         return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(path, f"must be a number, got {value!r}") from None
+    raise ConfigError(path, f"must be a finite number, got {value!r}")
 
 
 def _as_list(value, path: str, empty_ok: bool = False) -> list:
@@ -274,6 +277,12 @@ class TrainingConfig:
         homophily = _number(doc.get("homophily", 0.7), f"{path}.homophily")
         if not 0.0 <= homophily <= 1.0:
             raise ConfigError(f"{path}.homophily", "must lie in [0, 1]")
+        max_kernel_evals = None
+        if "max_kernel_evals" in doc:
+            where = f"{path}.max_kernel_evals"
+            max_kernel_evals = _number(doc["max_kernel_evals"], where, int)
+            if max_kernel_evals < 1:
+                raise ConfigError(where, "must be >= 1")
         return cls(
             mode=mode,
             sample_size=sample_size,
@@ -289,11 +298,7 @@ class TrainingConfig:
             criteria=criteria,
             contact_fields=_names(doc.get("contact_fields", []), f"{path}.contact_fields"),
             homophily=homophily,
-            max_kernel_evals=(
-                _number(doc["max_kernel_evals"], f"{path}.max_kernel_evals", int)
-                if "max_kernel_evals" in doc
-                else None
-            ),
+            max_kernel_evals=max_kernel_evals,
         )
 
 

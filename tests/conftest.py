@@ -47,6 +47,12 @@ def random_graph(n: int, edge_prob: float, seed: int) -> Graph:
     return Graph(n, [e for e in pairs if gen.random() < edge_prob])
 
 
+def random_tree(n: int, seed: int) -> Graph:
+    """Random recursive tree: vertex v hangs off a uniform earlier vertex."""
+    parents = np.random.default_rng(seed).integers(np.arange(1, n))
+    return Graph(n, [(int(p), v) for v, p in enumerate(parents, start=1)])
+
+
 TINY_SCHEMA = FeatureSchema(
     (
         Field("gender", "binary", label="Gender"),

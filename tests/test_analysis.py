@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from netspread.diffusion import DiffusionConfig, run_diffusion
 from netspread.graph import Graph, GraphError, gen_small_world
 from netspread.population import Field, FeatureSchema, VertexTable
 
-from conftest import TINY_SCHEMA, make_graph, random_graph, random_record
+from conftest import TINY_SCHEMA, make_graph, random_graph, random_record, random_tree
 from oracles import all_partitions, modularity_pairwise
 
 
@@ -94,8 +96,12 @@ class TestClusterByModularity:
         assert modularity(g, clustering) >= 0.0
 
     def test_local_maximum_under_single_vertex_moves(self):
-        for seed in range(6):
-            g = random_graph(30, 0.12, seed)
+        graphs = [random_graph(30, 0.12, seed) for seed in range(6)]
+        graphs.append(random_tree(200, 0))
+        # isolated vertices 0, 5, 11 and 12 around two components
+        graphs.append(make_graph(13, [(1, 2), (2, 3), (3, 4), (1, 3), (6, 7), (7, 8),
+                                      (8, 9), (9, 10), (10, 6), (6, 8)]))
+        for g in graphs:
             if g.edge_count == 0:
                 continue
             clustering = cluster_by_modularity(g)
@@ -112,6 +118,14 @@ class TestClusterByModularity:
                         dense.append(ids.setdefault(x, len(ids)))
                     q = modularity(g, Clustering(tuple(dense)))
                     assert q <= base + 1e-9
+
+    def test_large_tree_clusters_in_linear_time(self):
+        # a pass quadratic in the vertex count takes over a minute on this tree
+        g = random_tree(40_000, 40)
+        start = time.perf_counter()
+        clustering = cluster_by_modularity(g)
+        assert time.perf_counter() - start < 10.0
+        assert modularity(g, clustering) > 0.9
 
     def test_deterministic(self):
         g = random_graph(40, 0.1, 9)

@@ -102,6 +102,19 @@ class TestExitCodes:
         ({"training": dict(SURVEY, criteria=[])}, "training.criteria"),
         ({"output_dir": ["out"]}, "output_dir"),
         ({"stats_file": 7}, "stats_file"),
+        ({"training": dict(TRAINING, max_kernel_evals=-5)}, "training.max_kernel_evals"),
+        ({"training": dict(TRAINING, max_kernel_evals=0)}, "training.max_kernel_evals"),
+        ({"graph": {"model": "erdos_renyi", "n": 200, "edge_prob": [True]}},
+         "graph.edge_prob[0]"),
+        ({"graph": {"model": "erdos_renyi", "n": 200, "edge_prob": ["0.02"]}},
+         "graph.edge_prob[0]"),
+        ({"training": dict(TRAINING, params=dict(TRAINING["params"], C="inf"))},
+         "training.params.C"),
+        ({"training": dict(TRAINING, params=dict(TRAINING["params"], C=float("inf")))},
+         "training.params.C"),
+        ({"training": dict(TRAINING, rule={"conditions": [
+            RULE["conditions"][0], dict(RULE["conditions"][1], value="nan")]})},
+         "training.rule.conditions[1].value"),
     ])
     def test_malformed_value_exits_2_at_parse_time(self, tmp_path, capsys, overrides, path):
         config = write_config(tmp_path, **overrides)
