@@ -10,7 +10,7 @@ import os
 
 import numpy as np
 
-from netspread.completion import build_training_set, homophile_split, write_pairs_csv
+from netspread.completion import build_training_set, homophile_split
 from netspread.experiments import load_stats
 from netspread.population import sample_population
 
@@ -20,18 +20,18 @@ os.makedirs(OUT, exist_ok=True)
 stats = load_stats("builtin")
 rng = np.random.default_rng(3)
 
-egos = list(sample_population(stats, 200, rng).rows())
-responders = list(sample_population(stats, 80, rng).rows())
+egos = sample_population(stats, 200, rng)
+responders = sample_population(stats, 80, rng)
 
 criteria = ("gender", "age_band", "education", "income_band")
-similar, other = homophile_split(egos[0], egos, criteria)
-print(f"ego 0 homophiles on {criteria}: {len(similar)} of {len(egos) - 1}")
+similar, other = homophile_split(0, egos, criteria)
+print(f"ego 0 homophiles on {criteria}: {len(similar)} of {egos.n - 1}")
 
 # each of the first 50 egos reported one receiver (observed demographics only)
 observed = ("gender", "age_band", "education", "profession")
-listed = [[] for _ in egos]
+listed = [[] for _ in range(egos.n)]
 for i in range(50):
-    donor = responders[int(rng.integers(len(responders)))]
+    donor = responders.row(int(rng.integers(responders.n)))
     listed[i] = [{k: donor[k] for k in observed}]
 
 pairs = build_training_set(
@@ -44,9 +44,9 @@ pairs = build_training_set(
     h=0.7,
     rng=rng,
 )
-n_pos = sum(1 for p in pairs if p.label == 1)
+n_pos = int((pairs.labels == 1).sum())
 print(f"built {len(pairs)} pairs: {n_pos} positive, {len(pairs) - n_pos} negative")
 print(f"positive fraction: {n_pos / len(pairs):.3f}")
 
-write_pairs_csv(pairs, stats.schema, os.path.join(OUT, "pairs.csv"))
+pairs.to_csv(os.path.join(OUT, "pairs.csv"))
 print(f"wrote {OUT}/pairs.csv")

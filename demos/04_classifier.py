@@ -33,8 +33,10 @@ rule = PlantedRule.from_config(
     },
     "rule",
 )
-X_train, y_train = synthetic_pairs(stats, 2500, rule, stream(1, 0))
-X_test, y_test = synthetic_pairs(stats, 5000, rule, stream(1, 1))
+train = synthetic_pairs(stats, 2500, rule, stream(1, 0))
+test = synthetic_pairs(stats, 5000, rule, stream(1, 1))
+X_train, y_train = train.matrix(), train.labels
+X_test, y_test = test.matrix(), test.labels
 print(f"{len(y_train)} training pairs, positive rate {np.mean(y_train > 0):.3f}")
 
 grid = [

@@ -29,11 +29,14 @@ rule = PlantedRule.from_config(
     },
     "rule",
 )
-X, y = synthetic_pairs(stats, 2500, rule, stream(0, 0))
+pairs = synthetic_pairs(stats, 2500, rule, stream(0, 0))
 model = fit_pair_classifier(
-    X, y, SvmParams(C=4.0, weight=8.0, kernel=KernelSpec("rbf", 12.0)), schema=stats.schema
+    pairs.matrix(),
+    pairs.labels,
+    SvmParams(C=4.0, weight=8.0, kernel=KernelSpec("rbf", 12.0)),
+    schema=stats.schema,
 )
-print(f"trained on {len(y)} pairs ({len(model.coefs)} support vectors)")
+print(f"trained on {len(pairs)} pairs ({len(model.coefs)} support vectors)")
 
 rng = np.random.default_rng(42)
 graph = gen_small_world(10000, 15, 0.1, rng)

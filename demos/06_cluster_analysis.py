@@ -41,9 +41,12 @@ rule = PlantedRule.from_config(
     },
     "rule",
 )
-X, y = synthetic_pairs(stats, 2500, rule, stream(0, 0))
+pairs = synthetic_pairs(stats, 2500, rule, stream(0, 0))
 model = fit_pair_classifier(
-    X, y, SvmParams(C=4.0, weight=8.0, kernel=KernelSpec("rbf", 12.0)), schema=stats.schema
+    pairs.matrix(),
+    pairs.labels,
+    SvmParams(C=4.0, weight=8.0, kernel=KernelSpec("rbf", 12.0)),
+    schema=stats.schema,
 )
 
 rng = np.random.default_rng(11)

@@ -1,19 +1,22 @@
 """Building the labeled pair dataset: homophile sets, generated non-receivers
 and completion of partially observed contacts.
 
-Pools are plain lists of record dicts.  Every sampling operation takes an
-explicit numpy Generator so whole builds replay exactly under a fixed seed.
+Every training mode yields a PairSet: pair i is row i of a senders and a
+receivers VertexTable, with label +1 (transmission) or -1.  Pools are
+VertexTables and a person is a row index into its pool; sampling draws pool
+rows by index, in pool order, from an explicit numpy Generator, so whole
+builds replay exactly under a fixed seed.  A reported receiver is a partial
+record dict (the fields the ego observed), completed from a pool donor.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
-from .population import FeatureSchema, encode, round_half_up
+from .population import FeatureSchema, VertexTable, round_half_up
 
 logger = logging.getLogger(__name__)
 
@@ -37,62 +40,146 @@ class NoMatchError(CompletionError):
     pass
 
 
-@dataclass(frozen=True)
-class LabeledPair:
-    """A (sender, receiver) record pair with transmission label +1 / -1."""
-
-    sender: dict
-    receiver: dict
-    label: int
-
-    def __post_init__(self):
-        if self.label not in (POSITIVE, NEGATIVE):
-            raise CompletionError(f"label must be +1 or -1, got {self.label}")
+def _pair_header(schema: FeatureSchema) -> list[str]:
+    ids = schema.field_ids
+    return [f"sender_{f}" for f in ids] + [f"receiver_{f}" for f in ids] + ["label"]
 
 
-def homophile_split(person: dict, pool, criteria) -> tuple[list[dict], list[dict]]:
-    """Split pool (minus the person itself) into homophiles and the rest.
+class PairSet:
+    """Labeled (sender, receiver) pairs: pair i is row i of both tables."""
 
-    A pool member is a homophile when it equals `person` on every criteria
-    field.  The person is excluded by identity, so a distinct member with
-    identical fields still counts.
+    def __init__(self, senders: VertexTable, receivers: VertexTable, labels):
+        self.senders, self.receivers = senders, receivers
+        self.labels = np.asarray(labels, dtype=int)
+        if not len(senders) == len(receivers) == len(self.labels):
+            raise CompletionError("senders, receivers and labels differ in length")
+        bad = self.labels[np.abs(self.labels) != 1]
+        if len(bad):
+            raise CompletionError(f"label must be +1 or -1, got {bad[0]}")
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def take(self, index) -> "PairSet":
+        """The pairs at `index`, in that order."""
+        return PairSet(self.senders.take(index), self.receivers.take(index), self.labels[index])
+
+    def matrix(self) -> np.ndarray:
+        """Pair rows: sender encoding ++ receiver encoding."""
+        return np.hstack([self.senders.encoded(), self.receivers.encoded()])
+
+    def to_csv(self, path) -> None:
+        """Pair dataset CSV: sender columns, receiver columns, label."""
+        ids = self.senders.schema.field_ids
+        cells = [t.columns[f] for t in (self.senders, self.receivers) for f in ids]
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(_pair_header(self.senders.schema))
+            writer.writerows(np.column_stack(cells + [self.labels]).tolist())
+
+    @classmethod
+    def from_csv(cls, path, schema: FeatureSchema) -> "PairSet":
+        width = 2 * len(schema.field_ids) + 1
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            if next(reader, None) != _pair_header(schema):
+                raise CompletionError(f"pair CSV header does not match schema in {path}")
+            rows = []
+            for row in reader:
+                where = f"{path}, line {reader.line_num}"
+                if len(row) != width:
+                    raise CompletionError(f"{where}: {len(row)} cells, expected {width}")
+                try:
+                    rows.append([int(v) for v in row])
+                except ValueError as exc:
+                    raise CompletionError(f"{where}: {exc}") from None
+        cells = np.array(rows, dtype=int).reshape(-1, width)
+        tables = [
+            VertexTable(schema, dict(zip(schema.field_ids, block.T)))
+            for block in np.split(cells[:, :-1], 2, axis=1)
+        ]
+        for table in tables:
+            table.validate()
+        return cls(*tables, cells[:, -1])
+
+
+def read_alters_csv(path, schema: FeatureSchema, n_egos: int) -> list[list[dict]]:
+    """Reported receivers per ego, as partial records, from an alters CSV.
+
+    The header holds `ego`, a row index into the egos table, and any of the
+    schema fields; an empty cell is a field the ego did not observe.  An ego
+    outside [0, n_egos), an unknown column or an invalid value is a
+    CompletionError naming the file, line and column.
+    """
+    listed: list[list[dict]] = [[] for _ in range(n_egos)]
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        for col, name in enumerate(header, start=1):
+            if name != "ego" and name not in schema.field_ids:
+                raise CompletionError(f"{path}, line 1, column {col}: {name!r} is "
+                                      "neither 'ego' nor a schema field")
+        if "ego" not in header:
+            raise CompletionError(f"{path}, line 1: no 'ego' column")
+        for row in filter(None, reader):  # blank lines carry no alter
+            if len(row) != len(header):
+                raise CompletionError(f"{path}, line {reader.line_num}: {len(row)} "
+                                      f"cells, expected {len(header)}")
+            partial = {}
+            for col, (name, cell) in enumerate(zip(header, row), start=1):
+                try:
+                    if name == "ego":
+                        ego = int(cell)
+                        if not 0 <= ego < n_egos:
+                            raise CompletionError(f"ego {ego} outside [0, {n_egos})")
+                    elif cell.strip():
+                        partial[name] = int(cell)
+                        schema.field(name).validate(partial[name])
+                except ValueError as exc:  # also CompletionError, InvalidCategoryError
+                    raise CompletionError(f"{path}, line {reader.line_num}, "
+                                          f"column {col} ({name}): {exc}") from None
+            listed[ego].append(partial)
+    return listed
+
+
+def homophile_split(i: int, pool: VertexTable, criteria) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of pool (minus row i itself) that are homophiles of row i, and the rest.
+
+    A row is a homophile when it equals row i on every criteria field, so a
+    distinct row with identical fields still counts.
     """
     criteria = list(criteria)
     if not criteria:
         raise CompletionError("criteria must name at least one field")
-    matches, others = [], []
-    for member in pool:
-        if member is person:
-            continue
-        if all(member[f] == person[f] for f in criteria):
-            matches.append(member)
-        else:
-            others.append(member)
-    return matches, others
+    similar = np.ones(pool.n, dtype=bool)
+    for f in criteria:
+        similar &= pool.columns[f] == pool.columns[f][i]
+    others = np.flatnonzero(~similar)
+    similar[i] = False
+    return np.flatnonzero(similar), others
 
 
-def _draw(source: list[dict], count: int, rng: np.random.Generator, kind: str):
-    """Draw `count` members, without replacement when the source allows it."""
+def _draw(source: np.ndarray, count: int, rng: np.random.Generator, kind: str) -> np.ndarray:
+    """Draw `count` rows, without replacement when the source allows it."""
     if count == 0:
-        return []
+        return source[:0]
     replace = len(source) < count
     if replace:
         logger.info(
             "drawing %d from %d %s members with replacement", count, len(source), kind
         )
-    idx = rng.choice(len(source), size=count, replace=replace)
-    return [source[int(i)] for i in idx]
+    return source[rng.choice(len(source), size=count, replace=replace)]
 
 
 def generate_non_receivers(
-    person: dict,
-    pool,
+    i: int,
+    pool: VertexTable,
     criteria,
     h: float,
     count: int,
     rng: np.random.Generator,
-) -> list[dict]:
-    """Sample `count` contacts, a fraction h of them homophiles of `person`.
+) -> np.ndarray:
+    """Rows of `count` contacts of pool row i, a fraction h of them homophiles.
 
     round_half_up(h * count) come from the homophile set and the remainder
     from its complement.  If one side is empty its share is drawn from the
@@ -103,31 +190,31 @@ def generate_non_receivers(
     if count < 0:
         raise CompletionError("count must be non-negative")
     if count == 0:
-        return []
-    similar, dissimilar = homophile_split(person, pool, criteria)
-    if not similar and not dissimilar:
+        return np.zeros(0, dtype=int)
+    similar, dissimilar = homophile_split(i, pool, criteria)
+    if not len(similar) and not len(dissimilar):
         raise EmptyPoolError("both homophile and non-homophile sets are empty")
     n_similar = round_half_up(h * count)
     n_dissimilar = count - n_similar
-    if not similar and n_similar:
+    if not len(similar) and n_similar:
         logger.info("homophile set empty; drawing all %d from the complement", count)
         n_similar, n_dissimilar = 0, count
-    elif not dissimilar and n_dissimilar:
+    elif not len(dissimilar) and n_dissimilar:
         logger.info("non-homophile set empty; drawing all %d from homophiles", count)
         n_similar, n_dissimilar = count, 0
-    out = _draw(similar, n_similar, rng, "homophile")
-    out += _draw(dissimilar, n_dissimilar, rng, "non-homophile")
-    return out
+    return np.concatenate([
+        _draw(similar, n_similar, rng, "homophile"),
+        _draw(dissimilar, n_dissimilar, rng, "non-homophile"),
+    ])
 
 
 def complete_alter(
     partial: dict,
-    alter_pool,
+    pool: VertexTable,
     rng: np.random.Generator,
     match_fields=DEFAULT_MATCH_FIELDS,
-    schema: FeatureSchema | None = None,
 ) -> dict:
-    """Fill a partially observed record from a matching pool member.
+    """Fill a partially observed record from a matching pool row.
 
     Candidates must equal the partial record on every match field; when
     none do, the criteria are relaxed one field at a time from the right
@@ -135,26 +222,23 @@ def complete_alter(
     unobserved fields, so observed values are never overwritten and a fully
     observed record is returned unchanged.
     """
-    if schema is not None:
-        all_fields = schema.field_ids
-    elif alter_pool:
-        all_fields = list(alter_pool[0].keys())
-    else:
-        all_fields = list(partial.keys())
-    if all(f in partial for f in all_fields):
+    if all(f in partial for f in pool.schema.field_ids):
         return dict(partial)
     missing = [f for f in match_fields if f not in partial]
     if missing:
         raise CompletionError(f"partial record lacks match fields {missing}")
     for level in range(len(match_fields), 0, -1):
         crit = match_fields[:level]
-        candidates = [d for d in alter_pool if all(d[f] == partial[f] for f in crit)]
-        if candidates:
+        match = np.ones(pool.n, dtype=bool)
+        for f in crit:
+            match &= pool.columns[f] == partial[f]
+        candidates = np.flatnonzero(match)
+        if len(candidates):
             if level < len(match_fields):
                 logger.info(
                     "completion relaxed match to %s for partial %s", crit, sorted(partial)
                 )
-            donor = candidates[int(rng.integers(len(candidates)))]
+            donor = pool.row(int(candidates[rng.integers(len(candidates))]))
             return {**donor, **partial}
     raise NoMatchError(
         f"no pool member matches even {match_fields[:1]} for the partial record"
@@ -162,91 +246,45 @@ def complete_alter(
 
 
 def build_training_set(
-    egos,
+    egos: VertexTable,
     listed_alters,
-    alter_pool,
+    alter_pool: VertexTable,
     criteria,
     contact_fields,
     h: float,
     rng: np.random.Generator,
     match_fields=DEFAULT_MATCH_FIELDS,
-    schema: FeatureSchema | None = None,
-) -> list[LabeledPair]:
+) -> PairSet:
     """Assemble labeled pairs: reported receivers +1, generated contacts -1.
 
     `listed_alters[i]` holds the (possibly partial) records of the people
     ego i reported transmitting to; each is completed against alter_pool.
     The number of generated non-receivers per ego is the rounded sum of its
-    weekly contact-count fields, drawn from the ego pool itself.
+    weekly contact-count fields, drawn from the egos table itself.  Each
+    ego's pairs follow its row, positives first.
     """
-    egos = list(egos)
-    if len(listed_alters) != len(egos):
+    if len(listed_alters) != egos.n:
         raise CompletionError("listed_alters must align with egos")
-    pairs: list[LabeledPair] = []
-    n_pos = n_neg = 0
-    for ego, reported in zip(egos, listed_alters):
+    senders: list[int] = []
+    receivers: list[int] = []  # rows of egos, then rows of the completed alters
+    completed: list[dict] = []
+    for i, reported in enumerate(listed_alters):
         for partial in reported:
-            receiver = complete_alter(
-                partial, alter_pool, rng, match_fields=match_fields, schema=schema
-            )
-            pairs.append(LabeledPair(sender=dict(ego), receiver=receiver, label=POSITIVE))
-            n_pos += 1
-        count = round_half_up(sum(float(ego[f]) for f in contact_fields))
-        for contact in generate_non_receivers(ego, egos, criteria, h, count, rng):
-            pairs.append(
-                LabeledPair(sender=dict(ego), receiver=dict(contact), label=NEGATIVE)
-            )
-            n_neg += 1
+            completed.append(complete_alter(partial, alter_pool, rng, match_fields))
+            senders.append(i)
+            receivers.append(egos.n + len(completed) - 1)
+        count = round_half_up(sum(float(egos.columns[f][i]) for f in contact_fields))
+        drawn = generate_non_receivers(i, egos, criteria, h, count, rng)
+        senders += [i] * len(drawn)
+        receivers += drawn.tolist()
+    alters = VertexTable.from_records(egos.schema, completed)
+    stacked = VertexTable(egos.schema, {
+        fid: np.concatenate([col, alters.columns[fid]]) for fid, col in egos.columns.items()
+    })
+    labels = np.where(np.array(receivers, dtype=int) >= egos.n, POSITIVE, NEGATIVE)
+    n_pos = int(np.sum(labels == POSITIVE))
     logger.info(
-        "training set: %d pairs (%d positive, %d negative)", len(pairs), n_pos, n_neg
+        "training set: %d pairs (%d positive, %d negative)",
+        len(labels), n_pos, len(labels) - n_pos,
     )
-    return pairs
-
-
-def pairs_to_arrays(pairs, schema: FeatureSchema) -> tuple[np.ndarray, np.ndarray]:
-    """Encode pairs into (X, y): each row is sender-encoding ++ receiver-encoding."""
-    pairs = list(pairs)
-    X = np.zeros((len(pairs), 2 * schema.encoded_dim))
-    y = np.zeros(len(pairs), dtype=int)
-    for i, pair in enumerate(pairs):
-        X[i, : schema.encoded_dim] = encode(pair.sender, schema)
-        X[i, schema.encoded_dim :] = encode(pair.receiver, schema)
-        y[i] = pair.label
-    return X, y
-
-
-def write_pairs_csv(pairs, schema: FeatureSchema, path) -> None:
-    """Pair dataset CSV: sender columns, receiver columns, label."""
-    header = (
-        [f"sender_{fid}" for fid in schema.field_ids]
-        + [f"receiver_{fid}" for fid in schema.field_ids]
-        + ["label"]
-    )
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for pair in pairs:
-            row = [int(pair.sender[fid]) for fid in schema.field_ids]
-            row += [int(pair.receiver[fid]) for fid in schema.field_ids]
-            row.append(pair.label)
-            writer.writerow(row)
-
-
-def read_pairs_csv(path, schema: FeatureSchema) -> list[LabeledPair]:
-    expected = (
-        [f"sender_{fid}" for fid in schema.field_ids]
-        + [f"receiver_{fid}" for fid in schema.field_ids]
-        + ["label"]
-    )
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != expected:
-            raise CompletionError(f"pair CSV header does not match schema in {path}")
-        d = len(schema.field_ids)
-        pairs = []
-        for row in reader:
-            sender = {fid: int(v) for fid, v in zip(schema.field_ids, row[:d])}
-            receiver = {fid: int(v) for fid, v in zip(schema.field_ids, row[d : 2 * d])}
-            pairs.append(LabeledPair(sender=sender, receiver=receiver, label=int(row[2 * d])))
-    return pairs
+    return PairSet(egos.take(senders), stacked.take(receivers), labels)

@@ -459,29 +459,21 @@ def load_config_stats(config: ExperimentConfig) -> PopulationStats:
 
 def synthetic_pairs(
     stats: PopulationStats, size: int, rule: PlantedRule, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
+) -> completion.PairSet:
     """Random (sender, receiver) record pairs labeled by the planted rule."""
     senders = sample_population(stats, size, rng)
     receivers = sample_population(stats, size, rng)
-    X = np.hstack([senders.encoded(), receivers.encoded()])
-    y = rule.label_arrays(senders, receivers)
-    return X, y
+    return completion.PairSet(senders, receivers, rule.label_arrays(senders, receivers))
 
 
-def _survey_pairs(tc: TrainingConfig, schema: FeatureSchema, rng) -> tuple[np.ndarray, np.ndarray]:
-    egos_table = VertexTable.from_csv(tc.egos_file, schema)
-    egos = list(egos_table.rows())
-    pool_table = VertexTable.from_csv(tc.alter_pool_file, schema)
-    pool = list(pool_table.rows())
-    listed: list[list[dict]] = [[] for _ in egos]
+def _survey_pairs(tc: TrainingConfig, schema: FeatureSchema, rng) -> completion.PairSet:
+    egos = VertexTable.from_csv(tc.egos_file, schema)
+    pool = VertexTable.from_csv(tc.alter_pool_file, schema)
     if tc.alters_file:
-        with open(tc.alters_file, encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            for row in reader:
-                ego_index = int(row.pop("ego"))
-                partial = {k: int(v) for k, v in row.items() if v != ""}
-                listed[ego_index].append(partial)
-    pairs = completion.build_training_set(
+        listed = completion.read_alters_csv(tc.alters_file, schema, egos.n)
+    else:
+        listed = [[] for _ in range(egos.n)]
+    return completion.build_training_set(
         egos,
         listed,
         pool,
@@ -489,9 +481,7 @@ def _survey_pairs(tc: TrainingConfig, schema: FeatureSchema, rng) -> tuple[np.nd
         contact_fields=tc.contact_fields,
         h=tc.homophily,
         rng=rng,
-        schema=schema,
     )
-    return completion.pairs_to_arrays(pairs, schema)
 
 
 def training_budget(n_examples: int) -> int:
@@ -522,15 +512,14 @@ def train_pipeline(
         stats = load_config_stats(config)
     rng = stream(config.seed, 1, stream_index)
     if tc.mode == "synthetic":
-        X, y = synthetic_pairs(stats, tc.sample_size, tc.rule, rng)
+        pairs = synthetic_pairs(stats, tc.sample_size, tc.rule, rng)
     elif tc.mode == "pairs":
-        pairs = completion.read_pairs_csv(tc.pairs_file, stats.schema)
-        X, y = completion.pairs_to_arrays(pairs, stats.schema)
+        pairs = completion.PairSet.from_csv(tc.pairs_file, stats.schema)
     else:
-        X, y = _survey_pairs(tc, stats.schema, rng)
-    if len(y) > tc.sample_size:
-        picked = np.sort(rng.choice(len(y), size=tc.sample_size, replace=False))
-        X, y = X[picked], y[picked]
+        pairs = _survey_pairs(tc, stats.schema, rng)
+    if len(pairs) > tc.sample_size:
+        pairs = pairs.take(np.sort(rng.choice(len(pairs), size=tc.sample_size, replace=False)))
+    X, y = pairs.matrix(), pairs.labels
     budget = tc.max_kernel_evals or training_budget(len(y))
     params = tc.params
     if tc.grid:

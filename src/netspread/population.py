@@ -1,11 +1,13 @@
 """Synthetic populations: feature schema, encoding, Gaussian statistics, sampling.
 
-A person record is a mapping from field id to an integer value.  Records
-are encoded to real vectors by passing ordinal and binary fields through
-unchanged and expanding each categorical field into a one-hot indicator
-block.  Population statistics (mean vector + covariance matrix over the
-encoded space) drive multivariate-normal sampling of whole vertex tables,
-and sampled vectors are decoded back into valid records.
+People live in a VertexTable: one integer column per schema field, one row
+per person (`row(i)` gives a record dict, a mapping from field id to value).
+VertexTable.encoded is the one encoder: it passes ordinal and binary fields
+through unchanged and expands each categorical field into a one-hot
+indicator block.  decode is the one decoder, from a matrix of encoded-space
+rows back to a table of valid records.  Population statistics (mean vector
++ covariance matrix over the encoded space) drive multivariate-normal
+sampling of whole vertex tables through decode.
 
 Conventions fixed here and relied on elsewhere:
   * fit_stats uses the sample covariance (divisor n-1) plus a diagonal
@@ -140,19 +142,6 @@ class FeatureSchema:
         return out
 
 
-def encode(record: dict, schema: FeatureSchema) -> np.ndarray:
-    """One-hot expand categoricals, pass ordinals and binaries through."""
-    vec = np.zeros(schema.encoded_dim)
-    for f, pos in schema.offsets():
-        value = record[f.id]
-        f.validate(value)
-        if f.kind == CATEGORICAL:
-            vec[pos + int(value)] = 1.0
-        else:
-            vec[pos] = float(value)
-    return vec
-
-
 def round_half_up(x):
     """Nearest integer with halves rounded up, elementwise on arrays.
 
@@ -161,25 +150,6 @@ def round_half_up(x):
     """
     rounded = np.floor(np.asarray(x, dtype=float) + 0.5)
     return int(rounded) if rounded.ndim == 0 else rounded
-
-
-def decode(vector: np.ndarray, schema: FeatureSchema) -> dict:
-    """Map an arbitrary real vector to the nearest valid record."""
-    vector = np.asarray(vector, dtype=float)
-    if vector.shape != (schema.encoded_dim,):
-        raise SchemaError(
-            f"vector has dimension {vector.shape}, expected ({schema.encoded_dim},)"
-        )
-    record = {}
-    for f, pos in schema.offsets():
-        if f.kind == CATEGORICAL:
-            record[f.id] = int(np.argmax(vector[pos : pos + f.width]))
-        elif f.kind == BINARY:
-            record[f.id] = int(vector[pos] >= 0.5)
-        else:
-            lo, hi = f.value_range
-            record[f.id] = min(hi, max(lo, round_half_up(vector[pos])))
-    return record
 
 
 class VertexTable:
@@ -205,9 +175,9 @@ class VertexTable:
     def row(self, i: int) -> dict:
         return {fid: int(col[i]) for fid, col in self.columns.items()}
 
-    def rows(self):
-        for i in range(self.n):
-            yield self.row(i)
+    def take(self, index) -> "VertexTable":
+        """The rows at `index`, in that order (repeats allowed)."""
+        return VertexTable(self.schema, {fid: col[index] for fid, col in self.columns.items()})
 
     @classmethod
     def from_records(cls, schema: FeatureSchema, records) -> "VertexTable":
@@ -276,25 +246,31 @@ class VertexTable:
         return table
 
 
+def decode(samples: np.ndarray, schema: FeatureSchema) -> VertexTable:
+    """Map each row of a real matrix to the nearest valid record."""
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 2 or samples.shape[1] != schema.encoded_dim:
+        raise SchemaError(
+            f"samples have shape {samples.shape}, expected (n, {schema.encoded_dim})"
+        )
+    columns: dict[str, np.ndarray] = {}
+    for f, pos in schema.offsets():
+        block = samples[:, pos : pos + f.width]
+        if f.kind == CATEGORICAL:
+            columns[f.id] = np.argmax(block, axis=1).astype(int)
+        elif f.kind == BINARY:
+            columns[f.id] = (block[:, 0] >= 0.5).astype(int)
+        else:
+            lo, hi = f.value_range
+            columns[f.id] = np.clip(round_half_up(block[:, 0]), lo, hi).astype(int)
+    return VertexTable(schema, columns)
+
+
 def _column_mode(values) -> int:
     """Most frequent value; ties broken toward the smallest value."""
     counts = Counter(values)
     best = max(counts.items(), key=lambda kv: (kv[1], -kv[0]))
     return best[0]
-
-
-def mode_impute(records: list[dict], schema: FeatureSchema) -> list[dict]:
-    """Replace None values with the per-field mode over observed entries."""
-    out = [dict(r) for r in records]
-    for f in schema.fields:
-        observed = [r[f.id] for r in records if r.get(f.id) is not None]
-        if not observed:
-            raise PopulationError(f"field {f.id!r} has no observed values")
-        mode = _column_mode(observed)
-        for r in out:
-            if r.get(f.id) is None:
-                r[f.id] = mode
-    return out
 
 
 @dataclass(frozen=True)
@@ -390,18 +366,7 @@ def sample_population(
     """Draw n records from N(mean, covariance) and decode them to valid rows."""
     L = _factor(stats.covariance)
     z = rng.standard_normal((n, stats.schema.encoded_dim))
-    samples = stats.mean + z @ L.T
-    columns: dict[str, np.ndarray] = {}
-    for f, pos in stats.schema.offsets():
-        block = samples[:, pos : pos + f.width]
-        if f.kind == CATEGORICAL:
-            columns[f.id] = np.argmax(block, axis=1).astype(int)
-        elif f.kind == BINARY:
-            columns[f.id] = (block[:, 0] >= 0.5).astype(int)
-        else:
-            lo, hi = f.value_range
-            columns[f.id] = np.clip(round_half_up(block[:, 0]), lo, hi).astype(int)
-    return VertexTable(stats.schema, columns)
+    return decode(stats.mean + z @ L.T, stats.schema)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the library's own algorithms: metrics
 are recomputed by exhaustive enumeration, diffusion by plain BFS layers,
-and the SVM dual by projected gradient descent with Dykstra's alternating
-projection onto the feasible set.
+the SVM dual by projected gradient descent with Dykstra's alternating
+projection onto the feasible set, record encoding one record at a time, and
+training-set completion over lists of record dicts.
 """
 
 from __future__ import annotations
@@ -183,3 +184,69 @@ def modularity_pairwise(g, assignment) -> float:
             a_ij = 1.0 if (i != j and g.has_edge(i, j)) else 0.0
             total += a_ij - g.degree(i) * g.degree(j) / two_m
     return total / two_m
+
+
+def encode(record: dict, schema) -> np.ndarray:
+    """One record: one-hot expand categoricals, pass ordinals and binaries through."""
+    vec = np.zeros(schema.encoded_dim)
+    for f, pos in schema.offsets():
+        value = record[f.id]
+        f.validate(value)
+        if f.kind == "categorical":
+            vec[pos + int(value)] = 1.0
+        else:
+            vec[pos] = float(value)
+    return vec
+
+
+def _round_half_up(x: float) -> int:
+    return int(np.floor(x + 0.5))
+
+
+def _draw_records(source: list, count: int, rng):
+    if count == 0:
+        return []
+    idx = rng.choice(len(source), size=count, replace=len(source) < count)
+    return [source[int(i)] for i in idx]
+
+
+def training_pairs_dicts(egos, listed_alters, pool, criteria, contact_fields, h, rng,
+                         match_fields, schema):
+    """(X, y) of the labeled training pairs, built record dict by record dict.
+
+    Egos and pool are lists of record dicts.  A person's homophiles are the
+    other egos equal to it on every criteria field (excluded by identity);
+    a reported receiver takes its unobserved fields from a pool donor that
+    matches it on the match fields, relaxed from the right until one does.
+    """
+    pairs = []
+    for ego, reported in zip(egos, listed_alters):
+        for partial in reported:
+            receiver = dict(partial)
+            if not all(f in partial for f in schema.field_ids):
+                for level in range(len(match_fields), 0, -1):
+                    candidates = [d for d in pool
+                                  if all(d[f] == partial[f] for f in match_fields[:level])]
+                    if candidates:
+                        donor = candidates[int(rng.integers(len(candidates)))]
+                        receiver = {**donor, **partial}
+                        break
+                else:
+                    raise ValueError("no pool member matches the partial record")
+            pairs.append((ego, receiver, 1))
+        count = _round_half_up(sum(float(ego[f]) for f in contact_fields))
+        if count == 0:
+            continue
+        similar = [m for m in egos if m is not ego and all(m[f] == ego[f] for f in criteria)]
+        others = [m for m in egos if m is not ego and not all(m[f] == ego[f] for f in criteria)]
+        n_similar = _round_half_up(h * count)
+        if not similar:
+            n_similar = 0
+        elif not others:
+            n_similar = count
+        drawn = _draw_records(similar, n_similar, rng)
+        drawn += _draw_records(others, count - n_similar, rng)
+        pairs += [(ego, contact, -1) for contact in drawn]
+    X = np.array([np.concatenate([encode(s, schema), encode(r, schema)]) for s, r, _ in pairs])
+    y = np.array([label for _, _, label in pairs], dtype=int)
+    return X.reshape(len(pairs), 2 * schema.encoded_dim), y

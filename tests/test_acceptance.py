@@ -200,12 +200,13 @@ def test_criterion_09_completion_split():
           "contact_friends": 3, "contact_family": 2}
     pool = [dict(me, education=i % 4 + 1) for i in range(15)]
     pool += [dict(me, gender=1, age_band=4, education=i % 4 + 1) for i in range(15)]
+    people = VertexTable.from_records(TINY_SCHEMA, [me] + pool)  # the person is row 0
     criteria = ("age_band", "gender")
-    drawn = generate_non_receivers(me, pool, criteria, h=0.7, count=10,
-                                   rng=np.random.default_rng(0))
-    similar = [r for r in drawn if r["gender"] == 0 and r["age_band"] == 2]
-    ok = len(drawn) == 10 and len(similar) == 7
-    halves = homophile_split(me, pool, criteria)
+    drawn = people.take(generate_non_receivers(0, people, criteria, h=0.7, count=10,
+                                               rng=np.random.default_rng(0)))
+    similar = (drawn.columns["gender"] == 0) & (drawn.columns["age_band"] == 2)
+    ok = len(drawn) == 10 and similar.sum() == 7
+    halves = homophile_split(0, people, criteria)
     ok = ok and len(halves[0]) + len(halves[1]) == len(pool)
     ok = ok and len(halves[0]) == 15 and len(halves[1]) == 15
     report(9, "h=0.7, N=10 yields exactly 7 homophile + 3 other draws; sets partition pool", ok)

@@ -90,6 +90,14 @@ class TestClusterByModularity:
             achieved = modularity(g, cluster_by_modularity(g))
             assert achieved == pytest.approx(best, abs=1e-9)
 
+    def test_equal_gain_moves_go_to_the_smallest_cluster_id(self):
+        # on a 4-cycle and a 5-vertex path some vertices gain equally from two
+        # neighbouring clusters; the smaller cluster id must win the tie
+        cycle = make_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        assert cluster_by_modularity(cycle).assignment == (0, 0, 1, 1)
+        path = make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        assert cluster_by_modularity(path).assignment == (0, 0, 0, 1, 1)
+
     def test_ring_lattice_beats_trivial_partition(self):
         g = gen_small_world(20, 3, 0.0, np.random.default_rng(0))
         clustering = cluster_by_modularity(g)

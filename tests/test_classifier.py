@@ -20,10 +20,10 @@ from netspread.classifier import (
     stratified_folds,
     train_svm,
 )
-from netspread.population import FeatureSchema, VertexTable, encode
+from netspread.population import FeatureSchema, VertexTable
 
 from conftest import TINY_SCHEMA, random_record
-from oracles import svm_dual_reference
+from oracles import encode, svm_dual_reference
 
 LIN = KernelSpec("linear")
 RBF1 = KernelSpec("rbf", 1.0)

@@ -1,9 +1,13 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from netspread.cli import main
+from netspread.completion import PairSet
+from netspread.experiments import load_stats
+from netspread.population import sample_population
 
 RULE = {
     "conditions": [
@@ -197,6 +201,56 @@ class TestTrain:
         assert (tmp_path / "t1" / "model.json").read_bytes() == (
             tmp_path / "t2" / "model.json"
         ).read_bytes()
+
+
+def write_survey(tmp_path, alters_rows) -> dict:
+    """Egos, pool and alters CSVs of a small survey; alters_rows follow the header."""
+    stats = load_stats("builtin")
+    paths = {}
+    for key, n, seed in (("egos_file", 30, 0), ("alter_pool_file", 20, 1)):
+        paths[key] = str(tmp_path / f"{key}.csv")
+        sample_population(stats, n, np.random.default_rng(seed)).to_csv(paths[key])
+    paths["alters_file"] = str(tmp_path / "alters.csv")
+    lines = ["ego,gender,age_band,education", "0,1,3,2"] + alters_rows
+    Path(paths["alters_file"]).write_text("\n".join(lines) + "\n")
+    return dict(SURVEY, **paths)
+
+
+class TestSurveyInputs:
+    def test_valid_survey_trains(self, tmp_path):
+        config = write_config(tmp_path, training=write_survey(tmp_path, ["29,0,2,1"]))
+        assert main(["train", "--config", str(config)]) == 0
+
+    @pytest.mark.parametrize("row,where,message", [
+        ("-1,0,2,1", "line 3, column 1 (ego)", "ego -1 outside [0, 30)"),
+        ("400,0,2,1", "line 3, column 1 (ego)", "ego 400 outside [0, 30)"),
+        ("5,7,2,1", "line 3, column 2 (gender)", "binary value 7"),
+    ])
+    def test_bad_alters_row_exits_1(self, tmp_path, capsys, row, where, message):
+        config = write_config(tmp_path, training=write_survey(tmp_path, [row]))
+        assert main(["train", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert f"alters.csv, {where}: " in err and message in err
+
+    def test_unknown_alters_column_exits_1(self, tmp_path, capsys):
+        training = write_survey(tmp_path, [])
+        path = Path(training["alters_file"])
+        path.write_text(path.read_text().replace("age_band", "age"))
+        config = write_config(tmp_path, training=training)
+        assert main(["train", "--config", str(config)]) == 1
+        assert "alters.csv, line 1, column 3: 'age' is neither" in capsys.readouterr().err
+
+    def test_short_pairs_row_exits_1(self, tmp_path, capsys):
+        stats = load_stats("builtin")
+        people = sample_population(stats, 4, np.random.default_rng(2))
+        pairs_path = tmp_path / "pairs.csv"
+        PairSet(people, people, [1, -1, 1, -1]).to_csv(pairs_path)
+        lines = pairs_path.read_text().splitlines()
+        pairs_path.write_text("\n".join(lines[:3] + [lines[3][:-4]] + lines[4:]) + "\n")
+        training = dict(TRAINING, mode="pairs", pairs_file=str(pairs_path))
+        config = write_config(tmp_path, training=training)
+        assert main(["train", "--config", str(config)]) == 1
+        assert "pairs.csv, line 4: " in capsys.readouterr().err
 
 
 class TestReport:

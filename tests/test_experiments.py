@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import netspread.experiments as experiments
-from netspread.completion import LabeledPair, write_pairs_csv
+from netspread.completion import PairSet
 from netspread.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -206,6 +206,16 @@ class TestPlantedRule:
                      and senders.row(i)["risk_perception"] >= 4)
             assert labels[i] == (1 if holds else -1)
 
+    def test_synthetic_pairs_carry_the_rule_labels(self):
+        rule = PlantedRule.from_config(RULE, "rule")
+        stats = load_stats("builtin")
+        pairs = synthetic_pairs(stats, 40, rule, stream(3, 3))
+        again = synthetic_pairs(stats, 40, rule, stream(3, 3))
+        assert len(pairs) == 40
+        assert np.array_equal(pairs.labels, rule.label_arrays(pairs.senders, pairs.receivers))
+        assert pairs.matrix().shape == (40, 2 * stats.schema.encoded_dim)
+        assert pairs.matrix().tobytes() == again.matrix().tobytes()
+
     def test_conjunction(self):
         rule = PlantedRule.from_config(RULE, "rule")
         good_r = one_row(food_risk_knowledge=7)
@@ -284,12 +294,8 @@ class TestTrainPipeline:
         senders = experiments.sample_population(stats, 120, stream(9, 0))
         receivers = experiments.sample_population(stats, 120, stream(9, 1))
         labels = PlantedRule.from_config(RULE, "rule").label_arrays(senders, receivers)
-        pairs = [
-            LabeledPair(sender=senders.row(i), receiver=receivers.row(i), label=int(labels[i]))
-            for i in range(120)
-        ]
         pairs_path = tmp_path / "pairs.csv"
-        write_pairs_csv(pairs, stats.schema, pairs_path)
+        PairSet(senders, receivers, labels).to_csv(pairs_path)
         doc = base_config(tmp_path)
         doc["training"] = {
             "mode": "pairs",

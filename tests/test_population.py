@@ -14,14 +14,12 @@ from netspread.population import (
     TooFewRowsError,
     VertexTable,
     decode,
-    encode,
     fit_stats,
-    mode_impute,
     sample_population,
 )
 
 from conftest import TINY_SCHEMA, random_record
-from oracles import covariance_two_pass
+from oracles import covariance_two_pass, encode
 
 
 def record_strategy(schema):
@@ -51,12 +49,16 @@ class TestSchema:
             Field("p", "categorical", categories=("only",))
 
 
+def encoded_row(record: dict, schema: FeatureSchema) -> np.ndarray:
+    return VertexTable.from_records(schema, [record]).encoded()[0]
+
+
 class TestEncode:
     def test_one_hot_block(self):
         schema = FeatureSchema(
             (Field("profession", "categorical", categories=tuple("abcdefgh")),)
         )
-        vec = encode({"profession": 3}, schema)
+        vec = encoded_row({"profession": 3}, schema)
         assert vec.tolist() == [0, 0, 0, 1, 0, 0, 0, 0]
 
     def test_all_ordinal_identity(self):
@@ -66,7 +68,7 @@ class TestEncode:
                 Field("v", "ordinal", value_range=(0, 9)),
             )
         )
-        assert encode({"u": 4, "v": 7}, schema).tolist() == [4.0, 7.0]
+        assert encoded_row({"u": 4, "v": 7}, schema).tolist() == [4.0, 7.0]
 
     def test_invalid_category(self, tiny_schema):
         bad = {f.id: 0 for f in tiny_schema.fields}
@@ -74,17 +76,20 @@ class TestEncode:
         bad["education"] = 1
         bad["profession"] = 3
         with pytest.raises(InvalidCategoryError):
-            encode(bad, tiny_schema)
+            encoded_row(bad, tiny_schema)
 
     @settings(max_examples=60, deadline=None)
     @given(record_strategy(TINY_SCHEMA))
     def test_round_trip(self, record):
-        assert decode(encode(record, TINY_SCHEMA), TINY_SCHEMA) == record
+        assert decode(encoded_row(record, TINY_SCHEMA)[None, :], TINY_SCHEMA).row(0) == record
 
     def test_decode_clamps_ordinals(self):
         schema = FeatureSchema((Field("z", "ordinal", value_range=(1, 5)),))
-        assert decode(np.array([99.0]), schema) == {"z": 5}
-        assert decode(np.array([-3.0]), schema) == {"z": 1}
+        assert decode(np.array([[99.0], [-3.0]]), schema).columns["z"].tolist() == [5, 1]
+
+    def test_decode_rejects_wrong_width(self):
+        with pytest.raises(SchemaError):
+            decode(np.zeros((2, TINY_SCHEMA.encoded_dim + 1)), TINY_SCHEMA)
 
 
 class TestVertexTable:
@@ -92,7 +97,7 @@ class TestVertexTable:
         records = [random_record(tiny_schema, rng) for _ in range(10)]
         table = VertexTable.from_records(tiny_schema, records)
         assert table.n == 10
-        assert list(table.rows()) == records
+        assert [table.row(i) for i in range(table.n)] == records
 
     def test_encoded_matches_per_record_encode(self, tiny_schema, rng):
         records = [random_record(tiny_schema, rng) for _ in range(20)]
@@ -106,33 +111,22 @@ class TestVertexTable:
         path = tmp_path / "people.csv"
         table.to_csv(path)
         again = VertexTable.from_csv(path, tiny_schema)
-        assert list(again.rows()) == records
+        assert [again.row(i) for i in range(again.n)] == records
 
     def test_csv_mode_imputation(self, tiny_schema, tmp_path):
         path = tmp_path / "holes.csv"
         header = ",".join(tiny_schema.field_ids)
         rows = [
-            "0,1,1,0,2,3",
-            "1,2,1,1,2,3",
-            "1,3,1,1,2,3",
-            ",2,1,1,2,3",  # missing gender -> mode over {0,1,1} is 1
+            "0,1,3,0,2,3",
+            "1,2,,1,2,3",
+            "1,3,2,1,2,3",
+            ",2,,1,2,3",  # missing gender -> mode over {0,1,1} is 1
         ]
         path.write_text(header + "\n" + "\n".join(rows) + "\n")
         table = VertexTable.from_csv(path, tiny_schema)
         assert table.columns["gender"].tolist() == [0, 1, 1, 1]
-
-    def test_mode_impute_records(self, tiny_schema):
-        records = [
-            {"gender": 0, "age_band": 2, "education": 1, "profession": 0,
-             "contact_friends": 1, "contact_family": 1},
-            {"gender": 0, "age_band": None, "education": 1, "profession": 0,
-             "contact_friends": 1, "contact_family": 1},
-            {"gender": 1, "age_band": 3, "education": 1, "profession": 0,
-             "contact_friends": 1, "contact_family": 1},
-        ]
-        fixed = mode_impute(records, tiny_schema)
-        # tie between 2 and 3 resolves to the smaller value
-        assert fixed[1]["age_band"] == 2
+        # education ties between 3 (seen first) and 2: the smaller value wins
+        assert table.columns["education"].tolist() == [3, 2, 2, 2]
 
 
 class TestFitStats:
@@ -176,7 +170,7 @@ class TestSamplePopulation:
         table = VertexTable.from_records(tiny_schema, [record] * 4)
         stats = fit_stats(table)
         sampled = sample_population(stats, 50, rng)
-        assert all(row == record for row in sampled.rows())
+        assert all(sampled.row(i) == record for i in range(sampled.n))
 
     def test_sample_mean_clt_bound(self):
         schema = FeatureSchema((Field("x", "ordinal", value_range=(-1000, 1000)),))
