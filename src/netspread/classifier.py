@@ -11,9 +11,10 @@ errors on positives cost more.  Kernel rows are memoized in a bounded LRU
 cache and training stops early if the kernel-evaluation budget runs out,
 returning the best iterate with ``converged=False``.
 
-Input vectors are expected standardized; ``fit_pair_classifier`` wraps the
-encode -> standardize -> train chain for record pairs and attaches the
-fitted Standardizer so the model can score unstandardized pairs.
+Input vectors are expected standardized; ``fit_pair_classifier`` takes
+pair rows that are already encoded (``completion.PairSet.matrix``),
+standardizes and trains on them, and attaches the fitted Standardizer so
+the model can score unstandardized pairs.
 """
 
 from __future__ import annotations
@@ -356,6 +357,24 @@ def _sender_blocks(send_of: np.ndarray, recv_of: np.ndarray, max_rows: int):
         start = stop
 
 
+def _violating_sets(y: np.ndarray, alpha: np.ndarray, C: np.ndarray):
+    """Masks of the SMO "up" set (alpha_i y_i can grow) and "down" set (can shrink)."""
+    up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
+    down = ((y < 0) & (alpha < C)) | ((y > 0) & (alpha > 0))
+    return up, down
+
+
+def _snap(value: float, limit: float) -> float:
+    """value, set to the bound 0 or limit when within float dust of it, so
+    up/down set membership is not decided by rounding noise."""
+    eps = 1e-10 * (1.0 + limit)
+    if value < eps:
+        return 0.0
+    if value > limit - eps:
+        return limit
+    return value
+
+
 def train_svm(
     X: np.ndarray,
     y: np.ndarray,
@@ -393,8 +412,7 @@ def train_svm(
 
     while True:
         vals = -y * grad
-        up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
-        down = ((y < 0) & (alpha < C)) | ((y > 0) & (alpha > 0))
+        up, down = _violating_sets(y, alpha, C)
         up_idx = np.nonzero(up)[0]
         down_idx = np.nonzero(down)[0]
         if len(up_idx) == 0 or len(down_idx) == 0:
@@ -443,16 +461,6 @@ def train_svm(
             # numerically stuck pair; treat as converged at this violation
             logger.debug("SMO made no progress at violation %.3g", violation)
             break
-        # snap near-bound values to the bound exactly so up/down set
-        # membership is not decided by float dust
-        def _snap(value: float, limit: float) -> float:
-            eps = 1e-10 * (1.0 + limit)
-            if value < eps:
-                return 0.0
-            if value > limit - eps:
-                return limit
-            return value
-
         new_i = _snap(a_i - y[i] * y[j] * delta_j, C[i])
         new_j = _snap(new_j, C[j])
         delta_i = new_i - a_i
@@ -468,8 +476,7 @@ def train_svm(
         bias = float(-F[free].mean())
     else:
         vals = -y * grad
-        up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
-        down = ((y < 0) & (alpha < C)) | ((y > 0) & (alpha > 0))
+        up, down = _violating_sets(y, alpha, C)
         candidates = []
         if np.any(up):
             candidates.append(float(np.max(vals[up])))

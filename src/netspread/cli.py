@@ -15,9 +15,9 @@ import os
 import sys
 
 from .experiments import (
+    STUB_MODELS,
     ConfigError,
     ExperimentConfig,
-    load_config_stats,
     report_distributions,
     run_experiment,
     train_pipeline,
@@ -36,7 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--config", required=True, help="experiment config JSON")
     simulate.add_argument(
         "--stub-model",
-        choices=["always-positive", "always-negative"],
+        choices=list(STUB_MODELS),
         help="replace the trained model with a constant predictor",
     )
     simulate.add_argument("--out", help="override the config output directory")
@@ -60,10 +60,10 @@ def _run(args) -> int:
         )
         print(f"wrote {len(output.rows)} sweep rows to {os.path.join(out_dir, 'sweep.csv')}")
     elif args.command == "train":
-        stats = load_config_stats(config)
+        model = train_pipeline(config)
         os.makedirs(out_dir, exist_ok=True)
         model_path = os.path.join(out_dir, "model.json")
-        model = train_pipeline(config, stats=stats, model_path=model_path)
+        model.save(model_path)
         status = "converged" if model.converged else "NOT converged"
         print(f"wrote {model_path} ({len(model.coefs)} support vectors, {status})")
     else:

@@ -5,6 +5,16 @@ from the master seed through numpy SeedSequence spawn keys, one stream per
 (grid point, replicate) plus a dedicated training stream, so reruns with
 the same config are byte-identical and no two replicates share a stream.
 
+The sweep is parsed once: ExperimentConfig.from_dict builds `points`, one
+GridPoint per sweep.csv row in row order, holding the row's graph, initial
+fraction, leading sweep.csv columns and run tag.  _replicate_models is the
+one rule for the model each replicate runs with (a STUB_MODELS stub, one
+fit on training stream 0 shared by all replicates, or with per_replicate a
+fit per replicate on training stream rep + 1); it trains every model before
+anything is written.  _run_replicate is a pure job (stream -> graph ->
+population -> diffusion); run_experiment and report_distributions write
+every file.
+
 Config layout (defaults in parentheses)::
 
     {
@@ -93,6 +103,8 @@ from .population import (
 logger = logging.getLogger(__name__)
 
 BUILTIN_STATS = "builtin"
+# constant predictors that stand in for the trained model in oracle runs
+STUB_MODELS = {"always-positive": ConstantModel(1), "always-negative": ConstantModel(-1)}
 
 _RULE_OPS = {
     ">=": lambda a, b: a >= b,
@@ -303,13 +315,23 @@ class TrainingConfig:
 
 
 @dataclass(frozen=True)
+class GridPoint:
+    """One sweep.csv row: a graph setting and an initial fraction.
+
+    `columns` are the row's leading (name, value) cells in sweep.csv column
+    order; `tag` names the row's run directories (`<tag>_r<replicate>`).
+    """
+
+    graph: GraphParams
+    initial_fraction: float
+    columns: tuple[tuple[str, float], ...]
+    tag: str
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
-    graph_model: str
     n: int
-    edge_probs: tuple[float, ...]
-    neighbor_counts: tuple[int, ...]
-    rewire_probs: tuple[float, ...]
-    initial_fractions: tuple[float, ...]
+    points: tuple[GridPoint, ...]  # in sweep.csv row order
     iterations: int
     replicates: int
     seed: int
@@ -327,14 +349,16 @@ class ExperimentConfig:
         n = _number(graph.get("n", 10000), "graph.n", int)
         if n < 1:
             raise ConfigError("graph.n", "must be >= 1")
-        edge_probs: tuple[float, ...] = ()
-        neighbor_counts: tuple[int, ...] = ()
-        rewire_probs: tuple[float, ...] = ()
+        # (graph, columns, tag) per graph setting, in sweep.csv row order:
+        # ER by edge_prob; small world by rewire_prob, then neighbors
+        settings = []
         if model == ERDOS_RENYI:
             edge_probs = _numbers(_require(graph, "edge_prob", "graph"), "graph.edge_prob")
             for i, p in enumerate(edge_probs):
                 with _at(f"graph.edge_prob[{i}]"):
-                    GraphParams(model, n, edge_prob=p)
+                    settings.append(
+                        (GraphParams(model, n, edge_prob=p), (("edge_prob", p),), f"pe{p:g}")
+                    )
         else:
             neighbor_counts = _numbers(
                 _require(graph, "neighbors", "graph"), "graph.neighbors", int
@@ -344,8 +368,10 @@ class ExperimentConfig:
                 with _at(f"graph.neighbors[{i}]"):
                     GraphParams(model, n, neighbors=k)
             for i, p in enumerate(rewire_probs):
-                with _at(f"graph.rewire_prob[{i}]"):
-                    GraphParams(model, n, neighbors=neighbor_counts[0], rewire_prob=p)
+                for k in neighbor_counts:
+                    with _at(f"graph.rewire_prob[{i}]"):
+                        settings.append((GraphParams(model, n, neighbors=k, rewire_prob=p),
+                                         (("rewire_prob", p), ("neighbors", k)), f"ps{p:g}_k{k}"))
         iterations = _number(doc.get("iterations", 3), "iterations", int)
         if iterations < 1:
             raise ConfigError("iterations", "must be >= 1")
@@ -363,12 +389,12 @@ class ExperimentConfig:
             TrainingConfig.from_config(doc["training"]) if "training" in doc else None
         )
         return cls(
-            graph_model=model,
             n=n,
-            edge_probs=edge_probs,
-            neighbor_counts=neighbor_counts,
-            rewire_probs=rewire_probs,
-            initial_fractions=fractions,
+            points=tuple(
+                GridPoint(params, a, columns + (("initial_fraction", a),), f"{tag}_a{a:g}")
+                for params, columns, tag in settings
+                for a in fractions
+            ),
             iterations=iterations,
             replicates=replicates,
             seed=seed,
@@ -386,40 +412,6 @@ class ExperimentConfig:
         except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
             raise ConfigError("<file>", f"not valid JSON: {exc}") from None
         return cls.from_dict(doc)
-
-    def grid(self) -> list[dict]:
-        """Grid points in sweep-table row order."""
-        points = []
-        if self.graph_model == ERDOS_RENYI:
-            for p in self.edge_probs:
-                for a in self.initial_fractions:
-                    points.append(
-                        {
-                            "params": GraphParams(ERDOS_RENYI, self.n, edge_prob=p),
-                            "initial_fraction": a,
-                            "columns": {"edge_prob": p, "initial_fraction": a},
-                            "tag": f"pe{p:g}_a{a:g}",
-                        }
-                    )
-        else:
-            for p in self.rewire_probs:
-                for k in self.neighbor_counts:
-                    for a in self.initial_fractions:
-                        points.append(
-                            {
-                                "params": GraphParams(
-                                    SMALL_WORLD, self.n, neighbors=k, rewire_prob=p
-                                ),
-                                "initial_fraction": a,
-                                "columns": {
-                                    "rewire_prob": p,
-                                    "neighbors": k,
-                                    "initial_fraction": a,
-                                },
-                                "tag": f"ps{p:g}_k{k}_a{a:g}",
-                            }
-                        )
-        return points
 
 
 def stream(master_seed: int, *key: int) -> np.random.Generator:
@@ -498,9 +490,8 @@ def train_pipeline(
     config: ExperimentConfig,
     stats: PopulationStats | None = None,
     stream_index: int = 0,
-    model_path=None,
 ) -> SvmModel:
-    """Build training pairs per the configured mode, select params, fit, save.
+    """Build training pairs per the configured mode, select params, fit.
 
     A single-point grid degenerates to a direct fit.  The returned model
     carries the fold-independent standardizer and the schema.
@@ -535,8 +526,6 @@ def train_pipeline(
         X, y, params, schema=stats.schema, max_kernel_evals=budget
     )
     model.training_size = len(y)
-    if model_path is not None:
-        model.save(model_path)
     return model
 
 
@@ -561,24 +550,34 @@ class ExperimentOutput:
     runs: list[RunArtifacts]
 
 
-def _run_replicate(
-    config: ExperimentConfig, stats: PopulationStats, grid_index: int, rep: int,
-    model, rep_models: dict[int, SvmModel],
-) -> tuple[VertexTable, DiffusionResult]:
-    """One replicate of one grid point: stream -> graph -> population -> diffusion.
-
-    With no shared `model`, the replicate's own model is trained on stream
-    index rep + 1 on first use and kept in `rep_models`.
+def _replicate_models(config: ExperimentConfig, stats: PopulationStats, stub_model):
+    """The replicates' model, trained before anything is written: a STUB_MODELS
+    entry or one fit on stream index 0, shared by all replicates, or with
+    per_replicate a tuple holding replicate rep's own fit on stream index rep + 1.
     """
-    point = config.grid()[grid_index]
-    rng = stream(config.seed, 0, grid_index * config.replicates + rep)
-    if model is None:
-        if rep not in rep_models:
-            rep_models[rep] = train_pipeline(config, stats=stats, stream_index=rep + 1)
-        model = rep_models[rep]
-    graph = generate_graph(point["params"], rng)
+    if stub_model is not None:
+        if stub_model not in STUB_MODELS:
+            raise ConfigError("stub_model", f"unknown stub {stub_model!r}")
+        return STUB_MODELS[stub_model]
+    if config.training is None:
+        raise ConfigError("training", "missing section and no stub model requested")
+    if not config.training.per_replicate:
+        return train_pipeline(config, stats=stats)
+    return tuple(
+        train_pipeline(config, stats=stats, stream_index=rep + 1)
+        for rep in range(config.replicates)
+    )
+
+
+def _run_replicate(
+    config: ExperimentConfig, stats: PopulationStats, index: int, rep: int, model
+) -> tuple[VertexTable, DiffusionResult]:
+    """Replicate rep of grid point `index`: stream -> graph -> population -> diffusion."""
+    point = config.points[index]
+    rng = stream(config.seed, 0, index * config.replicates + rep)
+    graph = generate_graph(point.graph, rng)
     table = sample_population(stats, config.n, rng)
-    dconf = DiffusionConfig(point["initial_fraction"], config.iterations)
+    dconf = DiffusionConfig(point.initial_fraction, config.iterations)
     return table, run_diffusion(graph, table, model, dconf, rng)
 
 
@@ -591,48 +590,40 @@ def run_experiment(
 
     Returns the aggregated sweep rows (also written to sweep.csv, whose
     columns follow the key order of a row) plus the per-run results.
-    `stub_model` replaces the trained SVM with an always-positive/
-    always-negative predictor for oracle testing.
+    `stub_model`, a STUB_MODELS name, replaces the trained SVM with a
+    constant predictor for oracle testing.  A shared trained model is
+    saved as model.json.
     """
     out_dir = out_dir or config.output_dir
     stats = load_config_stats(config)
+    models = _replicate_models(config, stats, stub_model)
     runs_dir = os.path.join(out_dir, "runs")
     os.makedirs(runs_dir, exist_ok=True)
-
-    model = None
-    rep_models: dict[int, SvmModel] = {}
-    if stub_model is not None:
-        if stub_model not in ("always-positive", "always-negative"):
-            raise ConfigError("stub_model", f"unknown stub {stub_model!r}")
-        model = ConstantModel(1 if stub_model == "always-positive" else -1)
-    elif config.training is not None and not config.training.per_replicate:
-        model = train_pipeline(
-            config, stats=stats, model_path=os.path.join(out_dir, "model.json")
-        )
-    elif config.training is None:
-        raise ConfigError("training", "missing section and no stub model requested")
+    if isinstance(models, SvmModel):
+        models.save(os.path.join(out_dir, "model.json"))
 
     rows = []
     all_results: list[RunArtifacts] = []
-    for grid_index, point in enumerate(config.grid()):
+    for index, point in enumerate(config.points):
         hops, fans, deltas = [], [], []
         for rep in range(config.replicates):
-            _, result = _run_replicate(config, stats, grid_index, rep, model, rep_models)
-            run_dir = os.path.join(runs_dir, f"{point['tag']}_r{rep}")
+            model = models[rep] if isinstance(models, tuple) else models
+            _, result = _run_replicate(config, stats, index, rep, model)
+            run_dir = os.path.join(runs_dir, f"{point.tag}_r{rep}")
             os.makedirs(run_dir, exist_ok=True)
             write_log_csv(result.log, os.path.join(run_dir, "log.csv"))
             write_summary_json(
                 result,
                 config.n,
                 os.path.join(run_dir, "summary.json"),
-                extra={"tag": point["tag"], "replicate": rep},
+                extra={"tag": point.tag, "replicate": rep},
             )
             hops.append(result.avg_hops)
             fans.append(result.fanout)
             deltas.append(np.diff(result.coverage))
-            all_results.append(RunArtifacts(point["tag"], rep, result))
+            all_results.append(RunArtifacts(point.tag, rep, result))
         deltas_arr = np.array(deltas)
-        row = dict(point["columns"])  # sweep.csv columns: the key order of this dict
+        row = dict(point.columns)  # sweep.csv columns: the key order of this dict
         row["mu_h_mean"] = float(np.mean(hops))
         row["mu_h_std"] = _sample_std(np.array(hops))
         row["xi_mean"] = float(np.mean(fans))
@@ -667,18 +658,16 @@ def report_distributions(
     """
     if not config.report_fields:
         raise ConfigError("report_fields", "must name at least one field")
-    if config.training is None:
-        raise ConfigError("training", "missing section")
     stats = load_config_stats(config)
-    out_dir = out_dir or config.output_dir
-    os.makedirs(out_dir, exist_ok=True)
-    model = None if config.training.per_replicate else train_pipeline(config, stats=stats)
-    rep_models: dict[int, SvmModel] = {}
+    models = _replicate_models(config, stats, None)
     per_field: dict[str, list] = {fid: [] for fid in config.report_fields}
     for rep in range(config.replicates):
-        table, result = _run_replicate(config, stats, 0, rep, model, rep_models)
+        model = models[rep] if isinstance(models, tuple) else models
+        table, result = _run_replicate(config, stats, 0, rep, model)
         for fid in config.report_fields:
             per_field[fid].append(analysis.wave_distribution(result, table, fid))
+    out_dir = out_dir or config.output_dir
+    os.makedirs(out_dir, exist_ok=True)
     averaged: dict[str, np.ndarray] = {}
     for fid, dists in per_field.items():
         first = dists[0]

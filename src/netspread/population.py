@@ -216,34 +216,49 @@ class VertexTable:
 
     @classmethod
     def from_csv(cls, path, schema: FeatureSchema) -> "VertexTable":
-        """Read a vertex CSV; empty cells are imputed with the column mode."""
+        """Read a vertex CSV; empty cells are imputed with the column mode.
+
+        Blank lines are skipped.  A row whose cell count differs from the
+        header's, a cell that is not an integer and a value its field rejects
+        are each a PopulationError naming the file, line and column.
+        """
+        rows = []  # parsed cells, None where empty
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = next(reader, [])
             if header != schema.field_ids:
-                raise SchemaError(f"CSV header {header} does not match schema")
-            raw = list(reader)
+                raise SchemaError(f"{path}: CSV header {header} does not match schema")
+            for row in filter(None, reader):
+                if len(row) != len(header):
+                    raise PopulationError(f"{path}, line {reader.line_num}: {len(row)} "
+                                          f"cells, expected {len(header)}")
+                parsed = []
+                for col, (f, cell) in enumerate(zip(schema.fields, row), start=1):
+                    try:
+                        value = int(cell) if cell.strip() else None
+                        if value is not None:
+                            f.validate(value)
+                    except ValueError as exc:  # also InvalidCategoryError
+                        raise PopulationError(f"{path}, line {reader.line_num}, "
+                                              f"column {col} ({f.id}): {exc}") from None
+                    parsed.append(value)
+                rows.append(parsed)
         columns = {}
         for j, fid in enumerate(header):
-            values = [row[j].strip() for row in raw]
-            missing = [v == "" for v in values]
-            if any(missing):
-                present = [int(v) for v in values if v != ""]
+            present = [row[j] for row in rows if row[j] is not None]
+            mode = None
+            if len(present) < len(rows):
                 if not present:
-                    raise PopulationError(f"column {fid!r} entirely missing")
+                    raise PopulationError(f"{path}: column {fid!r} entirely missing")
                 mode = _column_mode(present)
                 logger.info(
                     "imputed %d missing values in %r with mode %d",
-                    sum(missing), fid, mode,
+                    len(rows) - len(present), fid, mode,
                 )
-                columns[fid] = np.array(
-                    [mode if m else int(v) for v, m in zip(values, missing)], dtype=int
-                )
-            else:
-                columns[fid] = np.array([int(v) for v in values], dtype=int)
-        table = cls(schema, columns)
-        table.validate()
-        return table
+            columns[fid] = np.array(
+                [mode if row[j] is None else row[j] for row in rows], dtype=int
+            )
+        return cls(schema, columns)
 
 
 def decode(samples: np.ndarray, schema: FeatureSchema) -> VertexTable:
@@ -302,8 +317,12 @@ class PopulationStats:
 
     @classmethod
     def from_json(cls, path) -> "PopulationStats":
+        """Read a stats file; a missing top-level key is a PopulationError naming it."""
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
+        for key in ("schema", "mean", "covariance"):
+            if not isinstance(doc, dict) or key not in doc:
+                raise PopulationError(f"{path}: stats file has no {key!r} key")
         schema = FeatureSchema(tuple(_field_from_json(d) for d in doc["schema"]))
         return cls(
             schema=schema,

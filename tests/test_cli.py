@@ -152,11 +152,25 @@ class TestExitCodes:
         assert f"config error: {path}: no field 'nope'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "train", "report"])
+    def test_missing_training_exits_2_before_writing(self, tmp_path, capsys, command):
+        config = write_config(tmp_path)
+        doc = json.loads(config.read_text())
+        del doc["training"]
+        config.write_text(json.dumps(doc))
+        assert main([command, "--config", str(config)]) == 2
+        assert "config error: training: missing section" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_broken_stats_file_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "stats.json"
         bad.write_text("{}")
         config = write_config(tmp_path, stats_file=str(bad))
         assert main(["simulate", "--config", str(config)]) == 1
+        assert f"{bad}: stats file has no 'schema' key" in capsys.readouterr().err
+        bad.write_text('{"schema": [], "mean": []}')
+        assert main(["simulate", "--config", str(config)]) == 1
+        assert f"{bad}: stats file has no 'covariance' key" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -231,6 +245,44 @@ class TestSurveyInputs:
         assert main(["train", "--config", str(config)]) == 1
         err = capsys.readouterr().err
         assert f"alters.csv, {where}: " in err and message in err
+
+    @pytest.mark.parametrize("key", ["egos_file", "alter_pool_file"])
+    @pytest.mark.parametrize("edit,where,message", [
+        pytest.param(lambda cells: cells[:3], "line 4: ", "3 cells, expected 20",
+                     id="short-row"),
+        pytest.param(lambda cells: cells[:2] + ["x"] + cells[3:],
+                     "line 4, column 3 (education): ",
+                     "invalid literal for int() with base 10: 'x'", id="not-an-integer"),
+        pytest.param(lambda cells: cells[:1] + ["13"] + cells[2:],
+                     "line 4, column 2 (age_band): ", "value 13 outside [1, 12]",
+                     id="out-of-range"),
+    ])
+    def test_bad_vertex_row_exits_1(self, tmp_path, capsys, key, edit, where, message):
+        training = write_survey(tmp_path, [])
+        path = Path(training[key])
+        lines = path.read_text().splitlines()
+        lines[3] = ",".join(edit(lines[3].split(",")))
+        path.write_text("\n".join(lines) + "\n")
+        config = write_config(tmp_path, training=training)
+        assert main(["train", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert f"{key}.csv, {where}" in err and message in err
+
+    def test_blank_vertex_lines_are_skipped(self, tmp_path):
+        training = write_survey(tmp_path, [])
+        for key in ("egos_file", "alter_pool_file"):
+            path = Path(training[key])
+            lines = path.read_text().splitlines()
+            path.write_text("\n".join(lines[:3] + [""] + lines[3:]) + "\n\n")
+        blank = write_config(tmp_path, name="blank.json", training=training,
+                             output_dir=str(tmp_path / "blank"))
+        assert main(["train", "--config", str(blank)]) == 0
+        # the same people without blank lines train the same model
+        (tmp_path / "plain").mkdir()
+        plain = write_config(tmp_path, training=write_survey(tmp_path / "plain", []))
+        assert main(["train", "--config", str(plain)]) == 0
+        assert (tmp_path / "blank" / "model.json").read_bytes() == (
+            tmp_path / "out" / "model.json").read_bytes()
 
     def test_unknown_alters_column_exits_1(self, tmp_path, capsys):
         training = write_survey(tmp_path, [])

@@ -21,6 +21,7 @@ from netspread.experiments import (
     synthetic_pairs,
     train_pipeline,
 )
+from netspread.graph import GraphParams
 from netspread.population import VertexTable
 
 from conftest import TINY_SCHEMA, random_record
@@ -178,12 +179,33 @@ class TestConfigParsing:
                 "seed": 0,
             }
         )
-        grid = config.grid()
-        assert len(grid) == 18  # 3 rewire x 2 neighbor x 3 fraction rows
-        first = grid[0]["columns"]
-        assert first == {"rewire_prob": 0.01, "neighbors": 10, "initial_fraction": 0.1}
+        points = config.points
+        assert len(points) == 18  # 3 rewire x 2 neighbor x 3 fraction rows
+        first = points[0].columns
+        assert first == (("rewire_prob", 0.01), ("neighbors", 10), ("initial_fraction", 0.1))
         # rewire probability is the slowest-varying column
-        assert [g["columns"]["rewire_prob"] for g in grid[:6]] == [0.01] * 6
+        assert [dict(g.columns)["rewire_prob"] for g in points[:6]] == [0.01] * 6
+        assert [g.tag for g in points[:4]] == [
+            "ps0.01_k10_a0.1", "ps0.01_k10_a0.2", "ps0.01_k10_a0.5", "ps0.01_k15_a0.1",
+        ]
+        assert points[-1].tag == "ps0.1_k15_a0.5"
+        assert points[3].graph == GraphParams("small_world", 200, neighbors=15, rewire_prob=0.01)
+        assert points[3].initial_fraction == 0.1
+
+    def test_erdos_renyi_grid_order_and_tags(self):
+        config = ExperimentConfig.from_dict(
+            {
+                "graph": {"model": "erdos_renyi", "n": 200, "edge_prob": [0.001, 1.0]},
+                "initial_fraction": [0.1, 1.0],
+                "seed": 0,
+            }
+        )
+        # values are formatted with :g in tags, so 1.0 is tagged 1
+        assert [g.tag for g in config.points] == [
+            "pe0.001_a0.1", "pe0.001_a1", "pe1_a0.1", "pe1_a1",
+        ]
+        assert config.points[1].columns == (("edge_prob", 0.001), ("initial_fraction", 1.0))
+        assert config.points[2].graph == GraphParams("erdos_renyi", 200, edge_prob=1.0)
 
 
 def one_row(**values) -> VertexTable:
@@ -247,8 +269,8 @@ class TestTrainPipeline:
     def test_model_file_byte_identical_across_reruns(self, tmp_path):
         config = ExperimentConfig.from_dict(base_config(tmp_path))
         p1, p2 = tmp_path / "m1.json", tmp_path / "m2.json"
-        train_pipeline(config, model_path=p1)
-        train_pipeline(config, model_path=p2)
+        train_pipeline(config).save(p1)
+        train_pipeline(config).save(p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_sample_size_cap_honored(self, tmp_path):
@@ -352,7 +374,7 @@ class TestRunExperiment:
         result = out.runs[0].result
         # rebuild the run's graph from its stream and compare with BFS layers
         rng = stream(config.seed, 0, 0)
-        graph = experiments.generate_graph(config.grid()[0]["params"], rng)
+        graph = experiments.generate_graph(config.points[0].graph, rng)
         layers = bfs_layers(graph, result.seeds)
         assert result.wave == {v: d for v, d in layers.items() if d <= 3}
         row = out.rows[0]
@@ -418,8 +440,11 @@ class TestRunExperiment:
         doc = base_config(tmp_path)
         del doc["training"]
         config = ExperimentConfig.from_dict(doc)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError) as err:
             run_experiment(config)
+        assert err.value.path == "training"
+        # the config is rejected before anything is written
+        assert not Path(config.output_dir).exists()
 
     def test_per_replicate_training(self, tmp_path):
         doc = base_config(tmp_path, replicates=2)
@@ -438,7 +463,7 @@ class TestRunExperiment:
         assert config.n == 10000
         assert config.iterations == 3
         assert config.replicates == 5
-        assert config.initial_fractions == (0.1, 0.2, 0.5)
+        assert tuple(g.initial_fraction for g in config.points) == (0.1, 0.2, 0.5)
 
     def test_small_world_coverage_increments_shrink(self, tmp_path):
         # statistical trend with a trained model: new-informed counts fall
@@ -498,13 +523,12 @@ class TestReportDistributions:
         doc["training"]["per_replicate"] = per_replicate
         doc["training"]["sample_size"] = 200
         config = ExperimentConfig.from_dict(doc)
-        simulated = [run.result.log for run in run_experiment(config).runs]
         trained, reported = [], []
         real_train, real_run = experiments.train_pipeline, experiments.run_diffusion
 
-        def train(config, stats=None, stream_index=0, model_path=None):
+        def train(config, stats=None, stream_index=0):
             trained.append(stream_index)
-            return real_train(config, stats, stream_index, model_path)
+            return real_train(config, stats, stream_index)
 
         def run(*args):
             result = real_run(*args)
@@ -512,9 +536,14 @@ class TestReportDistributions:
             return result
 
         monkeypatch.setattr(experiments, "train_pipeline", train)
+        simulated = [art.result.log for art in run_experiment(config).runs]
+        # simulate trains one shared model on stream index 0, or per-replicate
+        # models on stream index rep + 1
+        assert trained == stream_indices
+        trained.clear()
         monkeypatch.setattr(experiments, "run_diffusion", run)
         report_distributions(config)
-        # per-replicate models are trained on stream index rep + 1, as simulate does
+        # report trains the same models and replays simulate's runs
         assert trained == stream_indices
         assert reported == simulated and any(simulated)
 
