@@ -11,6 +11,13 @@ errors on positives cost more.  Kernel rows are memoized in a bounded LRU
 cache and training stops early if the kernel-evaluation budget runs out,
 returning the best iterate with ``converged=False``.
 
+Each SMO step does a fixed number of whole-array numpy operations over
+buffers allocated once.  The up and down sets are additive bias arrays (0
+for members, -inf or +inf for the rest) whose entries change only at the
+step's two indices, and the two-variable step runs on Python floats.  The
+iterates are, bit for bit, those of the direct form that rebuilds the set
+masks and gathers their members every step; ``train_svm`` says why.
+
 Input vectors are expected standardized; ``fit_pair_classifier`` takes
 pair rows that are already encoded (``completion.PairSet.matrix``),
 standardizes and trains on them, and attaches the fitted Standardizer so
@@ -79,26 +86,31 @@ class KernelSpec:
 
 
 def kernel_matrix(
-    spec: KernelSpec, A: np.ndarray, B: np.ndarray, b_sq: np.ndarray | None = None
+    spec: KernelSpec,
+    A: np.ndarray,
+    B: np.ndarray,
+    b_sq: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """K[i, j] = kernel(A[i], B[j]), vectorized over both arguments.
 
-    `b_sq` is sum(B**2, axis=1) when the caller already has it.  The RBF
-    block is built in place from |a|^2 + |b|^2 - 2 a.b with the same
+    `b_sq` is sum(B**2, axis=1) when the caller already has it; `out`, an
+    (len(A), len(B)) float array, receives the block and is returned.  The
+    RBF block is built in place from |a|^2 + |b|^2 - 2 a.b with the same
     floating-point operations in the same order as the textbook expression,
-    so it is bit-identical to it.
+    so it is bit-identical to it, with or without `out`.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if A.shape[1] != B.shape[1]:
         raise DimensionMismatchError(f"dimensions {A.shape[1]} and {B.shape[1]} differ")
     if spec.kind == LINEAR:
-        return A @ B.T
+        return np.matmul(A, B.T, out=out)
     if b_sq is None:
         b_sq = np.sum(B**2, axis=1)
     G = A @ B.T
     G *= 2.0
-    K = np.sum(A**2, axis=1)[:, None] + b_sq[None, :]
+    K = np.add(np.sum(A**2, axis=1)[:, None], b_sq[None, :], out=out)
     K -= G
     np.clip(K, 0.0, None, out=K)
     K /= -(2.0 * spec.sigma**2)
@@ -273,9 +285,8 @@ class SvmModel:
         sv = np.ascontiguousarray(self.support_vectors[:, cols])
         out = np.empty((Z.shape[0], sv.shape[0]))
         for start in range(0, Z.shape[0], KERNEL_BLOCK):
-            out[start : start + KERNEL_BLOCK] = kernel_matrix(
-                self.kernel, Z[start : start + KERNEL_BLOCK], sv
-            )
+            block = slice(start, start + KERNEL_BLOCK)
+            kernel_matrix(self.kernel, Z[block], sv, out=out[block])
         return out
 
     def save(self, path) -> None:
@@ -357,8 +368,9 @@ def _sender_blocks(send_of: np.ndarray, recv_of: np.ndarray, max_rows: int):
         start = stop
 
 
-def _violating_sets(y: np.ndarray, alpha: np.ndarray, C: np.ndarray):
-    """Masks of the SMO "up" set (alpha_i y_i can grow) and "down" set (can shrink)."""
+def _violating_sets(y, alpha, C):
+    """Masks of the SMO "up" set (alpha_i y_i can grow) and "down" set (can
+    shrink); on scalars, one index's two memberships as bools."""
     up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
     down = ((y < 0) & (alpha < C)) | ((y > 0) & (alpha > 0))
     return up, down
@@ -388,6 +400,23 @@ def train_svm(
     the largest -y grad, j from the "down" set with the smallest) and
     solves the two-variable subproblem analytically.  Convergence is
     m(alpha) - M(alpha) <= tol.
+
+    Loop invariants, each bit-exact against the direct form it replaces:
+
+    - vals = -y * grad is recomputed into one buffer every step.
+    - up_bias[k] is 0 when k is in the up set, else -inf; down_bias[k] is
+      0 or +inf.  A step changes only alpha_i and alpha_j, so only entries
+      i and j are recomputed.  For finite vals, vals + 0 is vals, so
+      argmax(vals + up_bias) is the first index of the up set's largest
+      value, as up_idx[argmax(vals[up_idx])] is; argmin with down_bias
+      likewise.  A maximum of -inf (minimum of +inf) means an empty set.
+    - F_k = y_k * grad_k is taken as -vals_k: negating a factor negates an
+      IEEE product exactly.
+    - The two-variable step runs on Python floats mirroring y, C and
+      alpha: the same IEEE-754 double operations as on numpy scalars.
+    - The gradient update keeps the order
+      (y * Ki) * (y_i * delta_i) + (y * Kj) * (y_j * delta_j) through two
+      reused buffers.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -404,24 +433,34 @@ def train_svm(
     )
     max_iter = max(100_000, 30 * n)
 
-    alpha = np.zeros(n)
     grad = -np.ones(n)  # gradient of the dual objective at alpha = 0
+    neg_y = -y
+    vals = np.empty(n)  # -y * grad
+    picked = np.empty(n)  # vals plus one set's bias, for its argmax or argmin
+    step_i = np.empty(n)
+    step_j = np.empty(n)
+    up, down = _violating_sets(y, np.zeros(n), C)
+    up_bias = np.where(up, 0.0, -np.inf)
+    down_bias = np.where(down, 0.0, np.inf)
+    ys, Cs = y.tolist(), C.tolist()
+    alpha = [0.0] * n
     violation = np.inf
     converged = False
     iterations = 0
 
     while True:
-        vals = -y * grad
-        up, down = _violating_sets(y, alpha, C)
-        up_idx = np.nonzero(up)[0]
-        down_idx = np.nonzero(down)[0]
-        if len(up_idx) == 0 or len(down_idx) == 0:
+        np.multiply(neg_y, grad, out=vals)
+        np.add(vals, up_bias, out=picked)
+        i = int(picked.argmax())
+        no_up = picked.item(i) == -np.inf
+        np.add(vals, down_bias, out=picked)
+        j = int(picked.argmin())
+        if no_up or picked.item(j) == np.inf:  # an empty up or down set
             converged = True
             violation = 0.0
             break
-        i = int(up_idx[np.argmax(vals[up_idx])])
-        j = int(down_idx[np.argmin(vals[down_idx])])
-        violation = float(vals[i] - vals[j])
+        v_i, v_j = vals.item(i), vals.item(j)
+        violation = v_i - v_j
         if violation <= tol:
             converged = True
             break
@@ -441,33 +480,44 @@ def train_svm(
 
         Ki = cache.row(i)
         Kj = cache.row(j)
-        eta = Ki[i] + Kj[j] - 2.0 * Ki[j]
+        eta = Ki.item(i) + Kj.item(j) - 2.0 * Ki.item(j)
         if eta < 1e-12:
             eta = 1e-12
         # F_k = y_k * grad_k is the decision residual without bias
-        Fi = y[i] * grad[i]
-        Fj = y[j] * grad[j]
+        Fi, Fj = -v_i, -v_j
+        y_i, y_j = ys[i], ys[j]
         a_i, a_j = alpha[i], alpha[j]
-        new_j = a_j + y[j] * (Fi - Fj) / eta
-        if y[i] != y[j]:
+        new_j = a_j + y_j * (Fi - Fj) / eta
+        if y_i != y_j:
             low = max(0.0, a_j - a_i)
-            high = min(C[j], C[i] + a_j - a_i)
+            high = min(Cs[j], Cs[i] + a_j - a_i)
         else:
-            low = max(0.0, a_i + a_j - C[i])
-            high = min(C[j], a_i + a_j)
+            low = max(0.0, a_i + a_j - Cs[i])
+            high = min(Cs[j], a_i + a_j)
         new_j = min(high, max(low, new_j))
         delta_j = new_j - a_j
         if abs(delta_j) < 1e-14:
             # numerically stuck pair; treat as converged at this violation
             logger.debug("SMO made no progress at violation %.3g", violation)
             break
-        new_i = _snap(a_i - y[i] * y[j] * delta_j, C[i])
-        new_j = _snap(new_j, C[j])
+        new_i = _snap(a_i - y_i * y_j * delta_j, Cs[i])
+        new_j = _snap(new_j, Cs[j])
         delta_i = new_i - a_i
         delta_j = new_j - a_j
         alpha[i] = new_i
         alpha[j] = new_j
-        grad += (y * Ki) * (y[i] * delta_i) + (y * Kj) * (y[j] * delta_j)
+        # grad += (y * Ki) * (y_i * delta_i) + (y * Kj) * (y_j * delta_j)
+        np.multiply(y, Ki, out=step_i)
+        step_i *= y_i * delta_i
+        np.multiply(y, Kj, out=step_j)
+        step_j *= y_j * delta_j
+        step_i += step_j
+        grad += step_i
+        for k in (i, j):
+            up, down = _violating_sets(ys[k], alpha[k], Cs[k])
+            up_bias[k] = 0.0 if up else -np.inf
+            down_bias[k] = 0.0 if down else np.inf
+    alpha = np.array(alpha)
 
     # bias from free support vectors, else midpoint of the violating bounds
     F = y * grad

@@ -39,6 +39,7 @@ Config layout (defaults in parentheses)::
         "grid": [ ...same shape as params... ],   # optional CV grid
         "cv_folds": 3,               # (3)
         "per_replicate": false,      # retrain per replicate instead of once
+        "max_kernel_evals": 10000000,  # SMO kernel-eval cap (max(1e7, 5 n^2))
         "pairs_file": "pairs.csv",   # mode "pairs"
         "egos_file": "...", "alters_file": "...", "alter_pool_file": "...",
         "criteria": [...], "contact_fields": [...], "homophily": 0.7  # mode "survey"
@@ -46,8 +47,11 @@ Config layout (defaults in parentheses)::
     }
 
 The document and each section in it must be a JSON object, and every list
-a JSON list.  Every numeric setting takes a finite JSON number only, never
-a boolean, a string, Infinity or NaN.  Integer settings (graph.n,
+a JSON list.  A section takes only the keys shown above (graph those of
+its model, training those of every mode, each grid entry those of
+params), so a misspelt key is an error, not a silent default.  Every
+numeric setting takes a finite JSON number only, never a boolean, a
+string, Infinity or NaN.  Integer settings (graph.n,
 neighbors, iterations, replicates, seed, sample_size, cv_folds,
 max_kernel_evals) take whole numbers only, never fractions, and
 max_kernel_evals is at least 1.  report_fields, criteria and contact_fields
@@ -116,6 +120,22 @@ _RULE_OPS = {
 }
 
 
+# the keys each config section takes
+_KEYS = {
+    "": {"graph", "initial_fraction", "iterations", "replicates", "seed", "stats_file",
+         "output_dir", "report_fields", "training"},
+    ERDOS_RENYI: {"model", "n", "edge_prob"},  # graph, by model
+    SMALL_WORLD: {"model", "n", "neighbors", "rewire_prob"},
+    "training": {"mode", "sample_size", "rule", "params", "grid", "cv_folds",
+                 "per_replicate", "pairs_file", "egos_file", "alters_file",
+                 "alter_pool_file", "criteria", "contact_fields", "homophily",
+                 "max_kernel_evals"},
+    "params": {"kernel", "sigma", "C", "weight"},
+    "rule": {"conditions"},
+    "condition": {"role", "field", "op", "value"},
+}
+
+
 class ConfigError(ValueError):
     """Invalid configuration; carries the offending field path."""
 
@@ -130,9 +150,17 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
-def _object(value, path: str) -> dict:
+def _object(value, path: str, section: str | None = None) -> dict:
+    """value as a config section; with `section`, only its _KEYS are allowed."""
     if not isinstance(value, dict):
         raise ConfigError(path, "must be an object")
+    if section is not None:
+        for key in value:
+            if key not in _KEYS[section]:
+                raise ConfigError(
+                    f"{path}.{key}" if section else str(key),  # "" is the top level
+                    f"unknown key; allowed: {', '.join(sorted(_KEYS[section]))}",
+                )
     return value
 
 
@@ -199,11 +227,13 @@ class PlantedRule:
 
     @classmethod
     def from_config(cls, doc: dict, path: str) -> "PlantedRule":
-        conds = _as_list(_require(_object(doc, path), "conditions", path), f"{path}.conditions")
+        conds = _as_list(
+            _require(_object(doc, path, "rule"), "conditions", path), f"{path}.conditions"
+        )
         out = []
         for i, c in enumerate(conds):
             where = f"{path}.conditions[{i}]"
-            role = _require(_object(c, where), "role", where)
+            role = _require(_object(c, where, "condition"), "role", where)
             if role not in ("sender", "receiver"):
                 raise ConfigError(f"{where}.role", "must be 'sender' or 'receiver'")
             op = _require(c, "op", where)
@@ -223,7 +253,7 @@ class PlantedRule:
 
 
 def _parse_svm_params(doc: dict, path: str) -> SvmParams:
-    kind = _require(_object(doc, path), "kernel", path)
+    kind = _require(_object(doc, path, "params"), "kernel", path)
     sigma = doc.get("sigma")
     if sigma is not None:
         sigma = _number(sigma, f"{path}.sigma")
@@ -253,7 +283,7 @@ class TrainingConfig:
 
     @classmethod
     def from_config(cls, doc: dict, path: str = "training") -> "TrainingConfig":
-        mode = _object(doc, path).get("mode", "synthetic")
+        mode = _object(doc, path, "training").get("mode", "synthetic")
         if mode not in ("synthetic", "pairs", "survey"):
             raise ConfigError(f"{path}.mode", "must be synthetic, pairs or survey")
         sample_size = _number(doc.get("sample_size", 20000), f"{path}.sample_size", int)
@@ -342,10 +372,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        graph = _object(_require(_object(doc, "<config>"), "graph", ""), "graph")
+        graph = _object(_require(_object(doc, "<config>", ""), "graph", ""), "graph")
         model = _require(graph, "model", "graph")
         if model not in (ERDOS_RENYI, SMALL_WORLD):
             raise ConfigError("graph.model", f"unknown model {model!r}")
+        _object(graph, "graph", model)
         n = _number(graph.get("n", 10000), "graph.n", int)
         if n < 1:
             raise ConfigError("graph.n", "must be >= 1")

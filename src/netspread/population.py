@@ -298,8 +298,12 @@ class PopulationStats:
 
     def __post_init__(self):
         d = self.schema.encoded_dim
-        if self.mean.shape != (d,) or self.covariance.shape != (d, d):
-            raise SchemaError("stats dimensions do not match schema")
+        for key, shape in (("mean", (d,)), ("covariance", (d, d))):
+            if getattr(self, key).shape != shape:
+                raise SchemaError(
+                    f"{key}: shape {getattr(self, key).shape} does not fit the schema's "
+                    f"encoded width {d}, which needs {shape}"
+                )
         if not np.allclose(self.covariance, self.covariance.T, atol=1e-9):
             raise PopulationError("covariance not symmetric within 1e-9")
         if np.any(np.diag(self.covariance) < 0):
@@ -317,18 +321,46 @@ class PopulationStats:
 
     @classmethod
     def from_json(cls, path) -> "PopulationStats":
-        """Read a stats file; a missing top-level key is a PopulationError naming it."""
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        """Read a stats file.  Each fault in it is a PopulationError naming the
+        file and, below the top level, the key: invalid JSON, a missing
+        top-level key, a schema entry that is not an object or lacks `id` or
+        `kind`, and a mean or covariance whose shape does not fit the
+        schema's encoded width (`stats.json: schema[0]: missing 'id'`)."""
+        try:
+            with open(path, encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise PopulationError(f"{path}: not valid JSON: {exc}") from None
+        try:
+            return cls._from_doc(doc)
+        except PopulationError as exc:
+            raise type(exc)(f"{path}: {exc}") from None
+
+    @classmethod
+    def _from_doc(cls, doc) -> "PopulationStats":
         for key in ("schema", "mean", "covariance"):
             if not isinstance(doc, dict) or key not in doc:
-                raise PopulationError(f"{path}: stats file has no {key!r} key")
-        schema = FeatureSchema(tuple(_field_from_json(d) for d in doc["schema"]))
-        return cls(
-            schema=schema,
-            mean=np.asarray(doc["mean"], dtype=float),
-            covariance=np.asarray(doc["covariance"], dtype=float),
-        )
+                raise PopulationError(f"stats file has no {key!r} key")
+        if not isinstance(doc["schema"], list):
+            raise SchemaError("schema: must be a list")
+        fields = []
+        for i, entry in enumerate(doc["schema"]):
+            if not isinstance(entry, dict):
+                raise SchemaError(f"schema[{i}]: must be an object")
+            for key in ("id", "kind"):
+                if key not in entry:
+                    raise SchemaError(f"schema[{i}]: missing {key!r}")
+            try:
+                fields.append(_field_from_json(entry))
+            except PopulationError as exc:
+                raise SchemaError(f"schema[{i}]: {exc}") from None
+        arrays = {}
+        for key in ("mean", "covariance"):
+            try:
+                arrays[key] = np.asarray(doc[key], dtype=float)
+            except (TypeError, ValueError):
+                raise PopulationError(f"{key}: not a numeric array") from None
+        return cls(schema=FeatureSchema(tuple(fields)), **arrays)
 
 
 def _field_to_json(f: Field) -> dict:

@@ -250,3 +250,129 @@ def training_pairs_dicts(egos, listed_alters, pool, criteria, contact_fields, h,
     X = np.array([np.concatenate([encode(s, schema), encode(r, schema)]) for s, r, _ in pairs])
     y = np.array([label for _, _, label in pairs], dtype=int)
     return X.reshape(len(pairs), 2 * schema.encoded_dim), y
+
+
+def reference_train_svm(X, y, params, tol=None, max_kernel_evals=None):
+    """The SMO loop as first written: every step rebuilds the up/down masks,
+    gathers their members with np.nonzero and allocates the gradient update.
+
+    train_svm keeps the same iterate sequence with incremental bookkeeping;
+    this copy pins that it does, bit for bit.
+    """
+    from netspread import classifier
+    from netspread.classifier import DimensionMismatchError, SingleClassError, SvmModel, _RowCache
+
+    def _violating_sets(y, alpha, C):
+        up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
+        down = ((y < 0) & (alpha < C)) | ((y > 0) & (alpha > 0))
+        return up, down
+
+    def _snap(value, limit):
+        eps = 1e-10 * (1.0 + limit)
+        if value < eps:
+            return 0.0
+        if value > limit - eps:
+            return limit
+        return value
+
+    tol = classifier.KKT_TOL if tol is None else tol
+    if max_kernel_evals is None:
+        max_kernel_evals = classifier.MAX_KERNEL_EVALS
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = len(y)
+    if X.shape[0] != n:
+        raise DimensionMismatchError("X and y lengths differ")
+    if not (np.any(y > 0) and np.any(y < 0)):
+        raise SingleClassError("training data must contain both classes")
+
+    C = np.where(y > 0, params.C * params.weight, params.C)
+    cache = _RowCache(
+        params.kernel, X,
+        max(64, min(n, int(classifier.KERNEL_ROWS_BYTES / (8 * max(n, 1))))),
+    )
+    max_iter = max(100_000, 30 * n)
+
+    alpha = np.zeros(n)
+    grad = -np.ones(n)
+    violation = np.inf
+    converged = False
+    iterations = 0
+
+    while True:
+        vals = -y * grad
+        up, down = _violating_sets(y, alpha, C)
+        up_idx = np.nonzero(up)[0]
+        down_idx = np.nonzero(down)[0]
+        if len(up_idx) == 0 or len(down_idx) == 0:
+            converged = True
+            violation = 0.0
+            break
+        i = int(up_idx[np.argmax(vals[up_idx])])
+        j = int(down_idx[np.argmin(vals[down_idx])])
+        violation = float(vals[i] - vals[j])
+        if violation <= tol:
+            converged = True
+            break
+        if cache.evals >= max_kernel_evals:
+            break
+        if iterations >= max_iter:
+            break
+        iterations += 1
+
+        Ki = cache.row(i)
+        Kj = cache.row(j)
+        eta = Ki[i] + Kj[j] - 2.0 * Ki[j]
+        if eta < 1e-12:
+            eta = 1e-12
+        Fi = y[i] * grad[i]
+        Fj = y[j] * grad[j]
+        a_i, a_j = alpha[i], alpha[j]
+        new_j = a_j + y[j] * (Fi - Fj) / eta
+        if y[i] != y[j]:
+            low = max(0.0, a_j - a_i)
+            high = min(C[j], C[i] + a_j - a_i)
+        else:
+            low = max(0.0, a_i + a_j - C[i])
+            high = min(C[j], a_i + a_j)
+        new_j = min(high, max(low, new_j))
+        delta_j = new_j - a_j
+        if abs(delta_j) < 1e-14:
+            break
+        new_i = _snap(a_i - y[i] * y[j] * delta_j, C[i])
+        new_j = _snap(new_j, C[j])
+        delta_i = new_i - a_i
+        delta_j = new_j - a_j
+        alpha[i] = new_i
+        alpha[j] = new_j
+        grad += (y * Ki) * (y[i] * delta_i) + (y * Kj) * (y[j] * delta_j)
+
+    F = y * grad
+    free = (alpha > classifier.SUPPORT_EPS) & (alpha < C - classifier.SUPPORT_EPS)
+    if np.any(free):
+        bias = float(-F[free].mean())
+    else:
+        vals = -y * grad
+        up, down = _violating_sets(y, alpha, C)
+        candidates = []
+        if np.any(up):
+            candidates.append(float(np.max(vals[up])))
+        if np.any(down):
+            candidates.append(float(np.min(vals[down])))
+        bias = sum(candidates) / len(candidates) if candidates else 0.0
+
+    keep = alpha > classifier.SUPPORT_EPS
+    return SvmModel(
+        kernel=params.kernel,
+        support_vectors=X[keep],
+        coefs=(alpha * y)[keep],
+        bias=bias,
+        alphas=alpha[keep],
+        support_labels=y[keep].astype(int),
+        converged=converged,
+        kkt_violation=violation,
+        iterations=iterations,
+        cache_hits=cache.hits,
+        cache_misses=cache.misses,
+        params=params,
+    )

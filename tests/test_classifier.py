@@ -23,7 +23,7 @@ from netspread.classifier import (
 from netspread.population import FeatureSchema, VertexTable
 
 from conftest import TINY_SCHEMA, random_record
-from oracles import encode, svm_dual_reference
+from oracles import encode, reference_train_svm, svm_dual_reference
 
 LIN = KernelSpec("linear")
 RBF1 = KernelSpec("rbf", 1.0)
@@ -163,6 +163,12 @@ class TestKernels:
         for spec in (LIN, KernelSpec("rbf", 4.0)):
             K = kernel_matrix(spec, A, B, b_sq=b_sq)
             assert K.tobytes() == textbook_kernel(spec, A, B).tobytes()
+            # out as _half_kernel passes it: a row slice of a larger array
+            whole = np.full((rows + 3, 277), np.nan)
+            out = whole[1 : rows + 1]
+            assert kernel_matrix(spec, A, B, b_sq=b_sq, out=out) is out
+            assert out.tobytes() == K.tobytes()
+            assert np.isnan(whole[0]).all() and np.isnan(whole[rows + 1 :]).all()
 
     def test_rbf_needs_positive_sigma(self):
         with pytest.raises(ValueError):
@@ -286,6 +292,55 @@ class TestRowCache:
         assert model.cache_hits + model.cache_misses == 2 * model.iterations
         if budget == 1:
             assert model.cache_misses > 64
+
+
+def assert_same_fit(model, reference):
+    assert model.alphas.tobytes() == reference.alphas.tobytes()
+    assert model.coefs.tobytes() == reference.coefs.tobytes()
+    assert np.float64(model.bias).tobytes() == np.float64(reference.bias).tobytes()
+    assert model.support_vectors.tobytes() == reference.support_vectors.tobytes()
+    for name in ("iterations", "kkt_violation", "converged", "cache_hits", "cache_misses"):
+        assert getattr(model, name) == getattr(reference, name), name
+
+
+class TestIncrementalSmo:
+    """train_svm keeps the up/down sets incrementally; the fit must be the
+    reference loop's, which rebuilds them every step, bit for bit."""
+
+    @staticmethod
+    def problem():
+        gen = np.random.default_rng(31)
+        X = gen.normal(size=(80, 5))
+        y = np.where(X[:, 0] + 0.3 * gen.normal(size=80) > 0, 1.0, -1.0)
+        return X, y
+
+    @pytest.mark.parametrize("weight", [1.0, 8.0])
+    @pytest.mark.parametrize("C", [0.01, 4.0, 100.0])
+    @pytest.mark.parametrize("spec", [LIN, KernelSpec("rbf", 1.5)])
+    def test_fit_is_bitwise_the_reference(self, spec, C, weight):
+        X, y = self.problem()
+        params = SvmParams(C=C, weight=weight, kernel=spec)
+        model = train_svm(X, y, params)
+        assert_same_fit(model, reference_train_svm(X, y, params))
+        # alphas sit at 0 (not kept) and at the upper bound
+        upper = np.where(model.support_labels > 0, C * weight, C)
+        assert 0 < len(model.alphas) < len(y)
+        assert np.any(model.alphas == upper)
+
+    def test_budget_stop_is_bitwise_the_reference(self):
+        X, y = self.problem()
+        params = SvmParams(C=100.0, weight=8.0, kernel=KernelSpec("rbf", 1.5))
+        model = train_svm(X, y, params, max_kernel_evals=40 * len(y))
+        assert not model.converged
+        assert_same_fit(model, reference_train_svm(X, y, params, max_kernel_evals=40 * len(y)))
+
+    def test_evicting_cache_is_bitwise_the_reference(self, monkeypatch):
+        # budget 1 leaves the 64-row minimum cache, so rows are evicted and recomputed
+        monkeypatch.setattr(classifier, "KERNEL_ROWS_BYTES", 1)
+        X, y, params = xor_set()
+        model = train_svm(X, y, params)
+        assert model.cache_misses > 64
+        assert_same_fit(model, reference_train_svm(X, y, params))
 
 
 class TestPredict:
@@ -418,8 +473,8 @@ class TestFactoredPairScoring:
         shapes = []
         real = classifier.kernel_matrix
 
-        def recording(spec, A, B):
-            K = real(spec, A, B)
+        def recording(spec, A, B, **kwargs):
+            K = real(spec, A, B, **kwargs)
             shapes.append(K.shape)
             return K
 

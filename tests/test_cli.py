@@ -119,6 +119,23 @@ class TestExitCodes:
         ({"training": dict(TRAINING, rule={"conditions": [
             RULE["conditions"][0], dict(RULE["conditions"][1], value="nan")]})},
          "training.rule.conditions[1].value"),
+        # a key the section does not take
+        ({"replicate": 1}, "replicate"),
+        ({"graph": {"model": "small_world", "n": 200, "neighbors": [4], "rewire_prob": [0.1],
+                    "rewire": [0.2]}}, "graph.rewire"),
+        ({"graph": {"model": "small_world", "n": 200, "neighbors": [4], "rewire_prob": [0.1],
+                    "edge_prob": [0.2]}}, "graph.edge_prob"),
+        ({"graph": {"model": "erdos_renyi", "n": 200, "edge_prob": [0.02],
+                    "neighbors": [4]}}, "graph.neighbors"),
+        ({"training": dict(TRAINING, sampel_size=100)}, "training.sampel_size"),
+        ({"training": dict(TRAINING, params=dict(TRAINING["params"], sigmaa=2.0))},
+         "training.params.sigmaa"),
+        ({"training": dict(TRAINING, grid=[dict(TRAINING["params"], c=2.0)])},
+         "training.grid[0].c"),
+        ({"training": dict(TRAINING, rule=dict(RULE, condition=[]))}, "training.rule.condition"),
+        ({"training": dict(TRAINING, rule={"conditions": [
+            RULE["conditions"][0], dict(RULE["conditions"][1], feild="gender")]})},
+         "training.rule.conditions[1].feild"),
     ])
     def test_malformed_value_exits_2_at_parse_time(self, tmp_path, capsys, overrides, path):
         config = write_config(tmp_path, **overrides)
@@ -171,7 +188,23 @@ class TestExitCodes:
         bad.write_text('{"schema": [], "mean": []}')
         assert main(["simulate", "--config", str(config)]) == 1
         assert f"{bad}: stats file has no 'covariance' key" in capsys.readouterr().err
+        bad.write_text('{"schema": [')
+        assert main(["simulate", "--config", str(config)]) == 1
+        assert f"{bad}: not valid JSON: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: doc["schema"][0].pop("id"), "schema[0]: missing 'id'"),
+        (lambda doc: doc.update(mean=doc["mean"][:-1]), "mean: shape"),
+    ])
+    def test_malformed_stats_file_exits_1_naming_it(self, tmp_path, capsys, edit, message):
+        bad = tmp_path / "stats.json"
+        load_stats("builtin").to_json(bad)
+        doc = json.loads(bad.read_text())
+        edit(doc)
+        bad.write_text(json.dumps(doc))
+        config = write_config(tmp_path, stats_file=str(bad))
+        assert main(["simulate", "--config", str(config)]) == 1
+        assert f"error: {bad}: {message}" in capsys.readouterr().err
 
 class TestSimulate:
     def test_stub_model_flag(self, tmp_path):

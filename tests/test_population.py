@@ -247,6 +247,51 @@ class TestStatsJson:
         assert prof["categories"] == ["a", "b", "c"]
 
 
+    @staticmethod
+    def write_doc(tmp_path, tiny_schema, rng, edit):
+        import json
+
+        records = [random_record(tiny_schema, rng) for _ in range(5)]
+        path = tmp_path / "stats.json"
+        fit_stats(VertexTable.from_records(tiny_schema, records)).to_json(path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: doc["schema"][0].pop("id"), "schema[0]: missing 'id'"),
+        (lambda doc: doc["schema"][2].pop("kind"), "schema[2]: missing 'kind'"),
+        (lambda doc: doc["schema"].insert(1, "gender"), "schema[1]: must be an object"),
+        (lambda doc: doc.update(schema={"id": "gender"}), "schema: must be a list"),
+        (lambda doc: doc["schema"][1].update(id=doc["schema"][0]["id"]),
+         "field ids must be unique"),
+        (lambda doc: doc["schema"][1].update(kind="nominal"), "schema[1]: field"),
+    ])
+    def test_malformed_schema_entry_names_file_and_key(
+        self, tiny_schema, rng, tmp_path, edit, message
+    ):
+        path = self.write_doc(tmp_path, tiny_schema, rng, edit)
+        with pytest.raises(SchemaError) as info:
+            PopulationStats.from_json(path)
+        assert str(info.value).startswith(f"{path}: {message}")
+
+    @pytest.mark.parametrize("key,edit,shapes", [
+        ("mean", lambda doc: doc["mean"].pop(), "shape (7,)"),
+        ("covariance", lambda doc: doc.update(covariance=doc["covariance"][:3]), "shape (3, 8)"),
+    ])
+    def test_dimension_mismatch_names_file_and_both_sizes(
+        self, tiny_schema, rng, tmp_path, key, edit, shapes
+    ):
+        d = tiny_schema.encoded_dim
+        assert d == 8
+        path = self.write_doc(tmp_path, tiny_schema, rng, edit)
+        with pytest.raises(SchemaError) as info:
+            PopulationStats.from_json(path)
+        message = str(info.value)
+        assert message.startswith(f"{path}: {key}: {shapes}")
+        assert f"encoded width {d}" in message
+
 class TestStandardizer:
     def test_three_point_column(self):
         std = Standardizer.fit(np.array([[1.0], [2.0], [3.0]]))
