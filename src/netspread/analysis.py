@@ -50,16 +50,6 @@ class Clustering:
     def members(self, cluster: int) -> list[int]:
         return [v for v, c in enumerate(self.assignment) if c == cluster]
 
-    @classmethod
-    def from_groups(cls, n: int, groups) -> "Clustering":
-        assignment = [-1] * n
-        for cid, group in enumerate(groups):
-            for v in group:
-                assignment[v] = cid
-        if any(c < 0 for c in assignment):
-            raise AnalysisError("groups do not cover all vertices")
-        return cls(tuple(assignment))
-
 
 def modularity(graph: Graph, clustering: Clustering) -> float:
     """Q = sum_c (intra_c / m - (degree_c / 2m)^2)."""
@@ -320,9 +310,6 @@ class WaveDistribution:
     row_labels: tuple[str, ...]
     proportions: np.ndarray  # shape (rows, categories)
     empty_rows: tuple[bool, ...]
-
-    def row(self, label: str) -> np.ndarray:
-        return self.proportions[self.row_labels.index(label)]
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -554,15 +554,6 @@ def train_svm(
     return model
 
 
-def dual_objective(
-    X: np.ndarray, y: np.ndarray, alpha: np.ndarray, spec: KernelSpec
-) -> float:
-    """0.5 a'Qa - sum(a) for a full alpha vector (small problems only)."""
-    K = kernel_matrix(spec, X, X)
-    Q = (y[:, None] * y[None, :]) * K
-    return float(0.5 * alpha @ Q @ alpha - alpha.sum())
-
-
 def balanced_error(predictions, labels) -> float:
     """Mean of the per-class error rates."""
     pos_err, neg_err = per_class_errors(predictions, labels)
@@ -617,12 +608,6 @@ class CvEntry:
 class CvReport:
     entries: tuple[CvEntry, ...]
     best: SvmParams
-
-    def entry(self, params: SvmParams) -> CvEntry:
-        for e in self.entries:
-            if e.params == params:
-                return e
-        raise KeyError(params)
 
 
 def cross_validate(

@@ -16,7 +16,7 @@ import logging
 
 import numpy as np
 
-from .population import FeatureSchema, VertexTable, round_half_up
+from .population import FeatureSchema, VertexTable, optional_cell, read_int_csv, round_half_up
 
 logger = logging.getLogger(__name__)
 
@@ -79,66 +79,57 @@ class PairSet:
 
     @classmethod
     def from_csv(cls, path, schema: FeatureSchema) -> "PairSet":
-        width = 2 * len(schema.field_ids) + 1
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            if next(reader, None) != _pair_header(schema):
+        """Read a pair CSV by read_int_csv, as CompletionErrors; labels are +1 or -1."""
+        def parsers(header):
+            if header != _pair_header(schema):
                 raise CompletionError(f"pair CSV header does not match schema in {path}")
-            rows = []
-            for row in reader:
-                where = f"{path}, line {reader.line_num}"
-                if len(row) != width:
-                    raise CompletionError(f"{where}: {len(row)} cells, expected {width}")
-                try:
-                    rows.append([int(v) for v in row])
-                except ValueError as exc:
-                    raise CompletionError(f"{where}: {exc}") from None
-        cells = np.array(rows, dtype=int).reshape(-1, width)
+            return [f.validate for f in schema.fields] * 2 + [_label]
+
+        _, rows = read_int_csv(path, CompletionError, parsers)
+        cells = np.array(rows, dtype=int).reshape(-1, 2 * len(schema.fields) + 1)
         tables = [
             VertexTable(schema, dict(zip(schema.field_ids, block.T)))
             for block in np.split(cells[:, :-1], 2, axis=1)
         ]
-        for table in tables:
-            table.validate()
         return cls(*tables, cells[:, -1])
+
+
+def _label(cell: str) -> int:
+    label = int(cell)
+    if abs(label) != 1:
+        raise CompletionError(f"label must be +1 or -1, got {label}")
+    return label
 
 
 def read_alters_csv(path, schema: FeatureSchema, n_egos: int) -> list[list[dict]]:
     """Reported receivers per ego, as partial records, from an alters CSV.
 
     The header holds `ego`, a row index into the egos table, and any of the
-    schema fields; an empty cell is a field the ego did not observe.  An ego
-    outside [0, n_egos), an unknown column or an invalid value is a
-    CompletionError naming the file, line and column.
+    schema fields; an empty cell is a field the ego did not observe.  Read
+    by read_int_csv, as CompletionErrors; an unknown column and an ego
+    outside [0, n_egos) are errors too.
     """
-    listed: list[list[dict]] = [[] for _ in range(n_egos)]
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
+    def ego(cell: str) -> int:
+        value = int(cell)
+        if not 0 <= value < n_egos:
+            raise CompletionError(f"ego {value} outside [0, {n_egos})")
+        return value
+
+    def parsers(header):
         for col, name in enumerate(header, start=1):
             if name != "ego" and name not in schema.field_ids:
                 raise CompletionError(f"{path}, line 1, column {col}: {name!r} is "
                                       "neither 'ego' nor a schema field")
         if "ego" not in header:
             raise CompletionError(f"{path}, line 1: no 'ego' column")
-        for row in filter(None, reader):  # blank lines carry no alter
-            if len(row) != len(header):
-                raise CompletionError(f"{path}, line {reader.line_num}: {len(row)} "
-                                      f"cells, expected {len(header)}")
-            partial = {}
-            for col, (name, cell) in enumerate(zip(header, row), start=1):
-                try:
-                    if name == "ego":
-                        ego = int(cell)
-                        if not 0 <= ego < n_egos:
-                            raise CompletionError(f"ego {ego} outside [0, {n_egos})")
-                    elif cell.strip():
-                        partial[name] = int(cell)
-                        schema.field(name).validate(partial[name])
-                except ValueError as exc:  # also CompletionError, InvalidCategoryError
-                    raise CompletionError(f"{path}, line {reader.line_num}, "
-                                          f"column {col} ({name}): {exc}") from None
-            listed[ego].append(partial)
+        return [ego if name == "ego" else optional_cell(schema.field(name).validate)
+                for name in header]
+
+    header, rows = read_int_csv(path, CompletionError, parsers)
+    listed: list[list[dict]] = [[] for _ in range(n_egos)]
+    for row in rows:
+        partial = {name: value for name, value in zip(header, row) if value is not None}
+        listed[partial.pop("ego")].append(partial)
     return listed
 
 

@@ -29,7 +29,7 @@ from typing import Protocol
 import numpy as np
 
 from .graph import Graph
-from .population import VertexTable, round_half_up
+from .population import VertexTable, read_int_csv, round_half_up
 
 LogEntry = tuple[int, int, int]  # (iteration, sender, receiver)
 
@@ -196,12 +196,14 @@ def write_log_csv(log, path) -> None:
 
 
 def read_log_csv(path) -> list[LogEntry]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
+    """A log written by write_log_csv, read by read_int_csv as DiffusionErrors."""
+    def parsers(header):
         if header != ["iteration", "sender", "receiver"]:
             raise DiffusionError(f"unexpected log header in {path}")
-        return [(int(i), int(s), int(r)) for i, s, r in reader]
+        return [int] * 3
+
+    _, rows = read_int_csv(path, DiffusionError, parsers)
+    return [tuple(row) for row in rows]
 
 
 def write_summary_json(result: DiffusionResult, n: int, path, extra: dict | None = None) -> None:

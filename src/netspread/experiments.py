@@ -51,16 +51,17 @@ a JSON list.  A section takes only the keys shown above (graph those of
 its model, training those of every mode, each grid entry those of
 params), so a misspelt key is an error, not a silent default.  Every
 numeric setting takes a finite JSON number only, never a boolean, a
-string, Infinity or NaN.  Integer settings (graph.n,
-neighbors, iterations, replicates, seed, sample_size, cv_folds,
-max_kernel_evals) take whole numbers only, never fractions, and
-max_kernel_evals is at least 1.  report_fields, criteria and contact_fields
-are lists of strings, and a survey-mode criteria list is not empty.
-stats_file, output_dir, pairs_file, egos_file, alters_file and
-alter_pool_file are strings, per_replicate is a JSON boolean and
-homophily lies in [0, 1].  Graph values are checked by GraphParams and
-initial fractions by DiffusionConfig while parsing; the field names in
-report_fields, criteria, contact_fields and the rule conditions are
+string, Infinity or NaN.  Integer settings (graph.n, neighbors,
+iterations, replicates, seed, sample_size, cv_folds, max_kernel_evals)
+take whole numbers only, never fractions.  _number holds the one range
+rule: graph.n, iterations, replicates and max_kernel_evals are >= 1,
+sample_size and cv_folds >= 2, seed >= 0 and homophily lies in [0, 1].
+report_fields, criteria and contact_fields are lists of strings, and a
+survey-mode criteria list is not empty.  stats_file, output_dir,
+pairs_file, egos_file, alters_file and alter_pool_file are strings and
+per_replicate is a JSON boolean.  Graph values are checked by GraphParams
+and initial fractions by DiffusionConfig while parsing; the field names
+in report_fields, criteria, contact_fields and the rule conditions are
 checked against the stats schema as soon as the stats are loaded, before
 anything is trained or written.  Every violation is a ConfigError naming
 the field path, which the CLI turns into exit code 2.
@@ -173,20 +174,23 @@ def _at(path: str):
         raise ConfigError(path, str(exc)) from None
 
 
-def _number(value, path: str, kind=float):
+def _number(value, path: str, kind=float, low=None, high=None):
     """kind(value) for a config number, or a ConfigError naming `path`.
 
     A setting takes a finite JSON number only: no bool, no string, no
-    Infinity or NaN; an int setting also takes no fraction.
+    Infinity or NaN; an int setting also takes no fraction.  With `low` the
+    number must be >= low, and with `high` too it must lie in [low, high].
     """
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if kind is int:
-        if number and (isinstance(value, int) or value.is_integer()):
-            return int(value)
+    if kind is int and not (number and (isinstance(value, int) or value.is_integer())):
         raise ConfigError(path, f"must be an integer, got {value!r}")
-    if number and abs(value) <= sys.float_info.max:  # False for NaN
-        return float(value)
-    raise ConfigError(path, f"must be a finite number, got {value!r}")
+    if kind is float and not (number and abs(value) <= sys.float_info.max):  # NaN fails
+        raise ConfigError(path, f"must be a finite number, got {value!r}")
+    value = kind(value)
+    if not (low is None or low <= value) or not (high is None or value <= high):
+        raise ConfigError(
+            path, f"must be >= {low}" if high is None else f"must lie in [{low}, {high}]")
+    return value
 
 
 def _as_list(value, path: str, empty_ok: bool = False) -> list:
@@ -286,9 +290,7 @@ class TrainingConfig:
         mode = _object(doc, path, "training").get("mode", "synthetic")
         if mode not in ("synthetic", "pairs", "survey"):
             raise ConfigError(f"{path}.mode", "must be synthetic, pairs or survey")
-        sample_size = _number(doc.get("sample_size", 20000), f"{path}.sample_size", int)
-        if sample_size < 2:
-            raise ConfigError(f"{path}.sample_size", "must be >= 2")
+        sample_size = _number(doc.get("sample_size", 20000), f"{path}.sample_size", int, 2)
         params = _parse_svm_params(doc["params"], f"{path}.params") if "params" in doc else None
         grid = tuple(
             _parse_svm_params(g, f"{path}.grid[{i}]")
@@ -305,9 +307,7 @@ class TrainingConfig:
             for key in ("egos_file", "alter_pool_file", "criteria", "contact_fields"):
                 if key not in doc:
                     raise ConfigError(f"{path}.{key}", "missing")
-        cv_folds = _number(doc.get("cv_folds", 3), f"{path}.cv_folds", int)
-        if cv_folds < 2:
-            raise ConfigError(f"{path}.cv_folds", "must be >= 2")
+        cv_folds = _number(doc.get("cv_folds", 3), f"{path}.cv_folds", int, 2)
         per_replicate = doc.get("per_replicate", False)
         if not isinstance(per_replicate, bool):
             raise ConfigError(
@@ -316,15 +316,10 @@ class TrainingConfig:
         criteria = _names(doc.get("criteria", []), f"{path}.criteria")
         if mode == "survey" and not criteria:
             raise ConfigError(f"{path}.criteria", "must name at least one field")
-        homophily = _number(doc.get("homophily", 0.7), f"{path}.homophily")
-        if not 0.0 <= homophily <= 1.0:
-            raise ConfigError(f"{path}.homophily", "must lie in [0, 1]")
+        homophily = _number(doc.get("homophily", 0.7), f"{path}.homophily", float, 0, 1)
         max_kernel_evals = None
         if "max_kernel_evals" in doc:
-            where = f"{path}.max_kernel_evals"
-            max_kernel_evals = _number(doc["max_kernel_evals"], where, int)
-            if max_kernel_evals < 1:
-                raise ConfigError(where, "must be >= 1")
+            max_kernel_evals = _number(doc["max_kernel_evals"], f"{path}.max_kernel_evals", int, 1)
         return cls(
             mode=mode,
             sample_size=sample_size,
@@ -377,9 +372,7 @@ class ExperimentConfig:
         if model not in (ERDOS_RENYI, SMALL_WORLD):
             raise ConfigError("graph.model", f"unknown model {model!r}")
         _object(graph, "graph", model)
-        n = _number(graph.get("n", 10000), "graph.n", int)
-        if n < 1:
-            raise ConfigError("graph.n", "must be >= 1")
+        n = _number(graph.get("n", 10000), "graph.n", int, 1)
         # (graph, columns, tag) per graph setting, in sweep.csv row order:
         # ER by edge_prob; small world by rewire_prob, then neighbors
         settings = []
@@ -403,19 +396,13 @@ class ExperimentConfig:
                     with _at(f"graph.rewire_prob[{i}]"):
                         settings.append((GraphParams(model, n, neighbors=k, rewire_prob=p),
                                          (("rewire_prob", p), ("neighbors", k)), f"ps{p:g}_k{k}"))
-        iterations = _number(doc.get("iterations", 3), "iterations", int)
-        if iterations < 1:
-            raise ConfigError("iterations", "must be >= 1")
+        iterations = _number(doc.get("iterations", 3), "iterations", int, 1)
         fractions = _numbers(doc.get("initial_fraction", [0.1, 0.2, 0.5]), "initial_fraction")
         for i, a in enumerate(fractions):
             with _at(f"initial_fraction[{i}]"):
                 DiffusionConfig(a, iterations)
-        replicates = _number(doc.get("replicates", 5), "replicates", int)
-        if replicates < 1:
-            raise ConfigError("replicates", "must be >= 1")
-        seed = _number(doc.get("seed", 0), "seed", int)
-        if seed < 0:
-            raise ConfigError("seed", "must be >= 0")
+        replicates = _number(doc.get("replicates", 5), "replicates", int, 1)
+        seed = _number(doc.get("seed", 0), "seed", int, 0)
         training = (
             TrainingConfig.from_config(doc["training"]) if "training" in doc else None
         )

@@ -144,23 +144,6 @@ class Graph:
                 if u < v:
                     yield u, v
 
-    def check_simple(self) -> None:
-        """Re-verify, from the stored arrays, the rules the constructor checks."""
-        n, ptr, idx = self.n, self._indptr, self._indices
-        counts = np.diff(ptr)
-        if len(ptr) != n + 1 or ptr[0] != 0 or ptr[-1] != len(idx) or np.any(counts < 0):
-            raise GraphError("row offsets do not match adjacency")
-        if len(idx) and (idx.min() < 0 or idx.max() >= n):
-            raise VertexRangeError(f"neighbour outside [0, {n})")
-        rows = np.repeat(np.arange(n), counts)
-        if np.any(rows == idx):
-            raise SelfEdgeError(f"self edge at {rows[np.argmax(rows == idx)]}")
-        entries = rows * n + idx
-        if np.any(entries[1:] <= entries[:-1]):
-            raise DuplicateEdgeError("adjacency rows must strictly increase")
-        if not np.array_equal(np.sort(idx * n + rows), entries):
-            raise GraphError("asymmetric adjacency")
-
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_count})"
 

@@ -92,22 +92,25 @@ class Field:
     def width(self) -> int:
         return len(self.categories) if self.kind == CATEGORICAL else 1
 
-    def validate(self, value: int) -> None:
+    def validate(self, value) -> int:
+        """int(value), of a number or a CSV cell, if the field takes it, else a ValueError."""
+        value = int(value)
         if self.kind == CATEGORICAL:
-            if not 0 <= int(value) < len(self.categories):
+            if not 0 <= value < len(self.categories):
                 raise InvalidCategoryError(
                     f"field {self.id!r}: category index {value} outside "
                     f"[0, {len(self.categories)})"
                 )
         elif self.kind == BINARY:
-            if int(value) not in (0, 1):
+            if value not in (0, 1):
                 raise InvalidCategoryError(f"field {self.id!r}: binary value {value}")
         else:
             lo, hi = self.value_range
-            if not lo <= int(value) <= hi:
+            if not lo <= value <= hi:
                 raise InvalidCategoryError(
                     f"field {self.id!r}: value {value} outside [{lo}, {hi}]"
                 )
+        return value
 
 
 @dataclass(frozen=True)
@@ -192,7 +195,7 @@ class VertexTable:
     def validate(self) -> None:
         for f in self.schema.fields:
             for value in np.unique(self.columns[f.id]):
-                f.validate(int(value))
+                f.validate(value)
 
     def encoded(self) -> np.ndarray:
         """Row-encoded matrix (n, encoded_dim); cached, do not mutate."""
@@ -216,33 +219,14 @@ class VertexTable:
 
     @classmethod
     def from_csv(cls, path, schema: FeatureSchema) -> "VertexTable":
-        """Read a vertex CSV; empty cells are imputed with the column mode.
-
-        Blank lines are skipped.  A row whose cell count differs from the
-        header's, a cell that is not an integer and a value its field rejects
-        are each a PopulationError naming the file, line and column.
-        """
-        rows = []  # parsed cells, None where empty
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
+        """Read a vertex CSV by read_int_csv, as PopulationErrors; each cell
+        must be a value of its field, and empty ones take the column mode."""
+        def parsers(header):
             if header != schema.field_ids:
                 raise SchemaError(f"{path}: CSV header {header} does not match schema")
-            for row in filter(None, reader):
-                if len(row) != len(header):
-                    raise PopulationError(f"{path}, line {reader.line_num}: {len(row)} "
-                                          f"cells, expected {len(header)}")
-                parsed = []
-                for col, (f, cell) in enumerate(zip(schema.fields, row), start=1):
-                    try:
-                        value = int(cell) if cell.strip() else None
-                        if value is not None:
-                            f.validate(value)
-                    except ValueError as exc:  # also InvalidCategoryError
-                        raise PopulationError(f"{path}, line {reader.line_num}, "
-                                              f"column {col} ({f.id}): {exc}") from None
-                    parsed.append(value)
-                rows.append(parsed)
+            return [optional_cell(f.validate) for f in schema.fields]
+
+        header, rows = read_int_csv(path, PopulationError, parsers)
         columns = {}
         for j, fid in enumerate(header):
             present = [row[j] for row in rows if row[j] is not None]
@@ -259,6 +243,38 @@ class VertexTable:
                 [mode if row[j] is None else row[j] for row in rows], dtype=int
             )
         return cls(schema, columns)
+
+
+def read_int_csv(path, error, columns) -> tuple[list[str], list[list]]:
+    """The header and parsed rows of a CSV, skipping blank lines.
+
+    `columns(header)` checks the header and returns one parser per column,
+    raising ValueError on a cell it rejects.  A short or long row is an
+    `error` naming the file and line; a rejected cell's error adds its column.
+    """
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        parsers = columns(header)
+        rows = []
+        for row in filter(None, reader):
+            if len(row) != len(header):
+                raise error(f"{path}, line {reader.line_num}: "
+                            f"{len(row)} cells, expected {len(header)}")
+            parsed = []
+            for col, (name, parse, cell) in enumerate(zip(header, parsers, row), start=1):
+                try:
+                    parsed.append(parse(cell))
+                except ValueError as exc:
+                    raise error(f"{path}, line {reader.line_num}, column {col} "
+                                f"({name}): {exc}") from None
+            rows.append(parsed)
+    return header, rows
+
+
+def optional_cell(parse):
+    """A cell parser that reads an empty cell as None and any other by `parse`."""
+    return lambda cell: parse(cell) if cell.strip() else None
 
 
 def decode(samples: np.ndarray, schema: FeatureSchema) -> VertexTable:
@@ -375,12 +391,15 @@ def _field_to_json(f: Field) -> dict:
 
 
 def _field_from_json(doc: dict) -> Field:
+    value_range = doc.get("range", [0, 1])
+    if not (isinstance(value_range, list) and [type(v) for v in value_range] == [int, int]):
+        raise SchemaError(f"field {doc['id']!r}: range must be two integers, got {value_range!r}")
     return Field(
         id=doc["id"],
         kind=doc["kind"],
         label=doc.get("label", ""),
         categories=tuple(doc.get("categories", ())),
-        value_range=tuple(doc.get("range", (0, 1))),
+        value_range=tuple(value_range),
     )
 
 

@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to pin expected test values.
 
-Everything here deliberately avoids the library's own algorithms: metrics
-are recomputed by exhaustive enumeration, diffusion by plain BFS layers,
+Everything here deliberately avoids the library's own algorithms: graph
+invariants are re-checked from a Graph's stored arrays, metrics are
+recomputed by exhaustive enumeration, diffusion by plain BFS layers,
 the SVM dual by projected gradient descent with Dykstra's alternating
 projection onto the feasible set, record encoding one record at a time, and
 training-set completion over lists of record dicts.
@@ -13,6 +14,27 @@ import itertools
 from collections import deque
 
 import numpy as np
+
+from netspread.analysis import Clustering
+from netspread.graph import DuplicateEdgeError, GraphError, SelfEdgeError, VertexRangeError
+
+
+def check_simple(g) -> None:
+    """Re-verify, from a Graph's stored arrays, the rules its constructor checks."""
+    n, ptr, idx = g.n, g._indptr, g._indices
+    counts = np.diff(ptr)
+    if len(ptr) != n + 1 or ptr[0] != 0 or ptr[-1] != len(idx) or np.any(counts < 0):
+        raise GraphError("row offsets do not match adjacency")
+    if len(idx) and (idx.min() < 0 or idx.max() >= n):
+        raise VertexRangeError(f"neighbour outside [0, {n})")
+    rows = np.repeat(np.arange(n), counts)
+    if np.any(rows == idx):
+        raise SelfEdgeError(f"self edge at {rows[np.argmax(rows == idx)]}")
+    entries = rows * n + idx
+    if np.any(entries[1:] <= entries[:-1]):
+        raise DuplicateEdgeError("adjacency rows must strictly increase")
+    if not np.array_equal(np.sort(idx * n + rows), entries):
+        raise GraphError("asymmetric adjacency")
 
 
 def transitivity_all_triples(g) -> float:
@@ -159,6 +181,13 @@ def svm_dual_reference(
     return alpha, float(objective), bias, margins + bias
 
 
+def dual_objective(X: np.ndarray, y: np.ndarray, alpha: np.ndarray, spec) -> float:
+    """0.5 a'Qa - sum(a) for a full alpha vector under a KernelSpec (small problems)."""
+    K = _kernel(spec.kind, spec.sigma, X, X)
+    Q = (y[:, None] * y[None, :]) * K
+    return float(0.5 * alpha @ Q @ alpha - alpha.sum())
+
+
 def all_partitions(items: list):
     """Every set partition of `items` (Bell-number many; keep them small)."""
     items = list(items)
@@ -170,6 +199,17 @@ def all_partitions(items: list):
         for i in range(len(partition)):
             yield partition[:i] + [partition[i] + [first]] + partition[i + 1 :]
         yield partition + [[first]]
+
+
+def clustering_from_groups(n: int, groups) -> Clustering:
+    """The Clustering that puts the vertices of groups[c] in cluster c."""
+    assignment = [-1] * n
+    for cid, group in enumerate(groups):
+        for v in group:
+            assignment[v] = cid
+    if any(c < 0 for c in assignment):
+        raise ValueError("groups do not cover all vertices")
+    return Clustering(tuple(assignment))
 
 
 def modularity_pairwise(g, assignment) -> float:

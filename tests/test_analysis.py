@@ -21,7 +21,7 @@ from netspread.graph import Graph, GraphError, gen_small_world
 from netspread.population import Field, FeatureSchema, VertexTable
 
 from conftest import TINY_SCHEMA, make_graph, random_graph, random_record, random_tree
-from oracles import all_partitions, modularity_pairwise
+from oracles import all_partitions, clustering_from_groups, modularity_pairwise
 
 
 class TestModularity:
@@ -84,7 +84,7 @@ class TestClusterByModularity:
             if g.edge_count == 0:
                 continue
             best = max(
-                modularity(g, Clustering.from_groups(g.n, groups))
+                modularity(g, clustering_from_groups(g.n, groups))
                 for groups in all_partitions(list(range(g.n)))
             )
             achieved = modularity(g, cluster_by_modularity(g))
@@ -356,9 +356,10 @@ class TestWaveDistribution:
         )
         dist = wave_distribution(result, table, "gender")
         seeds = len(result.seeds)
-        rate = dist.row("All")[1]
+        all_row, egos_row = (dist.proportions[dist.row_labels.index(k)] for k in ("All", "Egos"))
+        rate = all_row[1]
         sigma = np.sqrt(rate * (1 - rate) / seeds)
-        assert abs(dist.row("Egos")[1] - rate) < 4 * sigma
+        assert abs(egos_row[1] - rate) < 4 * sigma
 
     def test_unknown_field(self):
         result, table = run_stub_diffusion()

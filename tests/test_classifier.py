@@ -13,7 +13,6 @@ from netspread.classifier import (
     SvmParams,
     balanced_error,
     cross_validate,
-    dual_objective,
     fit_pair_classifier,
     kernel_matrix,
     per_class_errors,
@@ -23,7 +22,7 @@ from netspread.classifier import (
 from netspread.population import FeatureSchema, VertexTable
 
 from conftest import TINY_SCHEMA, random_record
-from oracles import encode, reference_train_svm, svm_dual_reference
+from oracles import dual_objective, encode, reference_train_svm, svm_dual_reference
 
 LIN = KernelSpec("linear")
 RBF1 = KernelSpec("rbf", 1.0)
@@ -607,7 +606,8 @@ class TestCrossValidation:
             SvmParams(C=c, weight=1.0, kernel=LIN) for c in (0.25, 4.0, 64.0)
         ]
         report = cross_validate(X, y, grid, 3, np.random.default_rng(5))
-        assert report.entry(report.best).balanced_error == 0.0
+        best = next(e for e in report.entries if e.params == report.best)
+        assert best.balanced_error == 0.0
 
     def test_tie_breaks_toward_smaller_parameters(self):
         X, y = self._toy()

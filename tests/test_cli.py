@@ -337,6 +337,24 @@ class TestSurveyInputs:
         assert main(["train", "--config", str(config)]) == 1
         assert "pairs.csv, line 4: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("column,name,cell,message", [
+        (1, "sender_gender", "7", "field 'gender': binary value 7"),
+        (41, "label", "0", "label must be +1 or -1, got 0"),
+    ])
+    def test_bad_pairs_cell_exits_1(self, tmp_path, capsys, column, name, cell, message):
+        stats = load_stats("builtin")
+        people = sample_population(stats, 4, np.random.default_rng(2))
+        pairs_path = tmp_path / "pairs.csv"
+        PairSet(people, people, [1, -1, 1, -1]).to_csv(pairs_path)
+        lines = pairs_path.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[column - 1] = cell
+        pairs_path.write_text("\n".join(lines[:3] + [",".join(cells)] + lines[4:]) + "\n\n")
+        training = dict(TRAINING, mode="pairs", pairs_file=str(pairs_path))
+        config = write_config(tmp_path, training=training)
+        assert main(["train", "--config", str(config)]) == 1
+        assert f"pairs.csv, line 4, column {column} ({name}): {message}" in capsys.readouterr().err
+
 
 class TestReport:
     def test_writes_distribution_tables(self, tmp_path):

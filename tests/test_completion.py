@@ -322,7 +322,9 @@ class TestPairSet:
         path = tmp_path / "pairs.csv"
         self.random_pairs(5, [1, -1]).to_csv(path)
         path.write_text(path.read_text().replace(",-1", ",x"))
-        with pytest.raises(CompletionError, match=r"pairs\.csv, line 3: invalid literal"):
+        with pytest.raises(
+            CompletionError, match=r"pairs\.csv, line 3, column 13 \(label\): invalid literal"
+        ):
             PairSet.from_csv(path, TINY_SCHEMA)
 
 

@@ -25,7 +25,7 @@ from netspread.graph import (
 )
 
 from conftest import make_graph, random_graph
-from oracles import mean_geodesic_floyd, transitivity_all_triples
+from oracles import check_simple, mean_geodesic_floyd, transitivity_all_triples
 
 
 class TestGraphBasics:
@@ -84,10 +84,10 @@ class TestGraphBasics:
         ([1, 0, 3, 1], VertexRangeError),
     ])
     def test_check_simple_catches_corrupt_rows(self, path3, indices, error):
-        path3.check_simple()
+        check_simple(path3)
         path3._indices = np.array(indices)
         with pytest.raises(error):
-            path3.check_simple()
+            check_simple(path3)
 
     def test_negative_vertex_count(self):
         with pytest.raises(ValueError):
@@ -170,7 +170,7 @@ class TestErdosRenyi:
     def test_full_prob(self, rng):
         n = 50
         g = gen_erdos_renyi(n, 1.0, rng)
-        g.check_simple()
+        check_simple(g)
         assert g.edge_count == 1225
         assert list(g.edges()) == [(u, v) for u in range(n) for v in range(u + 1, n)]
 
@@ -194,7 +194,7 @@ class TestErdosRenyi:
 
     def test_simplicity(self):
         g = gen_erdos_renyi(200, 0.02, np.random.default_rng(3))
-        g.check_simple()
+        check_simple(g)
 
 
 class _CountingRng:
@@ -222,7 +222,7 @@ class TestErdosRenyiSkipping:
         counts = {(u, v): 0 for u in range(n) for v in range(u + 1, n)}
         for seed in range(seeds):
             g = gen_erdos_renyi(n, p, np.random.default_rng(seed))
-            g.check_simple()
+            check_simple(g)
             for e in g.edges():
                 counts[e] += 1
         assert len(counts) == 28
@@ -235,7 +235,7 @@ class TestErdosRenyiSkipping:
         degrees = []
         for seed in range(5):
             g = gen_erdos_renyi(n, p, np.random.default_rng(seed))
-            g.check_simple()
+            check_simple(g)
             degrees += [g.degree(v) for v in range(n)]
         degrees = np.array(degrees)
         pmf = np.array([math.comb(n - 1, k) * p**k * (1 - p) ** (n - 1 - k) for k in range(31)])
@@ -251,7 +251,7 @@ class TestErdosRenyiSkipping:
         default = gen_erdos_renyi(n, p, np.random.default_rng(17))
         monkeypatch.setattr(graph_module, "ER_BLOCK", 16)
         small = gen_erdos_renyi(n, p, np.random.default_rng(17))
-        small.check_simple()
+        check_simple(small)
         assert default.edge_count > 16
         assert list(small.edges()) == list(default.edges())
 
@@ -259,14 +259,14 @@ class TestErdosRenyiSkipping:
     @pytest.mark.parametrize("n", [2, 100, 5000])
     def test_tiny_prob_gives_no_edges(self, n, p):
         g = gen_erdos_renyi(n, p, np.random.default_rng(0))
-        g.check_simple()
+        check_simple(g)
         assert g.edge_count == 0
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
     def test_tiny_vertex_counts(self, n, p):
         g = gen_erdos_renyi(n, p, np.random.default_rng(3))
-        g.check_simple()
+        check_simple(g)
         assert g.n == n
         if p in (0.0, 1.0):
             assert g.edge_count == p * n * (n - 1) // 2
@@ -301,7 +301,7 @@ class TestSmallWorld:
         for p in (0.0, 0.01, 0.1, 0.5, 1.0):
             g = gen_small_world(200, 5, p, np.random.default_rng(11))
             assert g.edge_count == 1000
-            g.check_simple()
+            check_simple(g)
 
     def test_lattice_transitivity_matches_all_triples_oracle(self):
         g = gen_small_world(200, 10, 0.0, np.random.default_rng(0))

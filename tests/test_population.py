@@ -1,13 +1,18 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netspread.completion import CompletionError, PairSet, read_alters_csv
+from netspread.diffusion import DiffusionError, read_log_csv, write_log_csv
 from netspread.population import (
     Field,
     FeatureSchema,
     InvalidCategoryError,
     NotPSDError,
+    PopulationError,
     PopulationStats,
     SchemaError,
     Standardizer,
@@ -127,6 +132,65 @@ class TestVertexTable:
         assert table.columns["gender"].tolist() == [0, 1, 1, 1]
         # education ties between 3 (seen first) and 2: the smaller value wins
         assert table.columns["education"].tolist() == [3, 2, 2, 2]
+
+
+def write_people(path):
+    gen = np.random.default_rng(4)
+    records = [random_record(TINY_SCHEMA, gen) for _ in range(4)]
+    VertexTable.from_records(TINY_SCHEMA, records).to_csv(path)
+
+
+def read_people(path):
+    return VertexTable.from_csv(path, TINY_SCHEMA).encoded().tolist()
+
+
+def write_pairs(path):
+    gen = np.random.default_rng(5)
+    records = [random_record(TINY_SCHEMA, gen) for _ in range(4)]
+    people = VertexTable.from_records(TINY_SCHEMA, records)
+    PairSet(people, people, [1, -1, 1, -1]).to_csv(path)
+
+
+def read_pairs(path):
+    pairs = PairSet.from_csv(path, TINY_SCHEMA)
+    return pairs.matrix().tolist(), pairs.labels.tolist()
+
+
+# every reader of an integer CSV: file name, writer, reader, error class
+CSV_READERS = {
+    "vertex": ("people.csv", write_people, read_people, PopulationError),
+    "pairs": ("pairs.csv", write_pairs, read_pairs, CompletionError),
+    "alters": ("alters.csv",
+               lambda path: path.write_text("ego,gender,age_band\n0,1,3\n2,0,\n1,1,1\n"),
+               lambda path: read_alters_csv(path, TINY_SCHEMA, 3), CompletionError),
+    "log": ("log.csv", lambda path: write_log_csv([(1, 0, 1), (1, 0, 2), (2, 1, 3)], path),
+            read_log_csv, DiffusionError),
+}
+
+
+@pytest.mark.parametrize("reader", list(CSV_READERS))
+@pytest.mark.parametrize("case", ["blank-lines", "short-row", "not-an-integer"])
+def test_int_csv_readers_share_one_contract(tmp_path, reader, case):
+    """Each reader skips blank lines and names the file, line and column of a fault."""
+    name, write, read, error = CSV_READERS[reader]
+    path = tmp_path / name
+    write(path)
+    plain = read(path)
+    lines = path.read_text().splitlines()
+    header, cells = lines[0].split(","), lines[2].split(",")
+    if case == "blank-lines":
+        path.write_text("\n".join(lines[:2] + [""] + lines[2:]) + "\n\n")
+        assert read(path) == plain
+        return
+    if case == "short-row":
+        lines[2] = ",".join(cells[:-1])
+        message = f"{name}, line 3: {len(header) - 1} cells, expected {len(header)}"
+    else:
+        lines[2] = ",".join(["x"] + cells[1:])
+        message = f"{name}, line 3, column 1 ({header[0]}): invalid literal"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(error, match=re.escape(message)):
+        read(path)
 
 
 class TestFitStats:
@@ -267,6 +331,10 @@ class TestStatsJson:
         (lambda doc: doc["schema"][1].update(id=doc["schema"][0]["id"]),
          "field ids must be unique"),
         (lambda doc: doc["schema"][1].update(kind="nominal"), "schema[1]: field"),
+        (lambda doc: doc["schema"][1].update(range=[1]),
+         "schema[1]: field 'age_band': range must be two integers, got [1]"),
+        (lambda doc: doc["schema"][1].update(range="ab"),
+         "schema[1]: field 'age_band': range must be two integers, got 'ab'"),
     ])
     def test_malformed_schema_entry_names_file_and_key(
         self, tiny_schema, rng, tmp_path, edit, message

@@ -1,0 +1,80 @@
+"""Print the size of src/netspread and its option tally.
+
+    python3 tools/tally.py [SRC_DIR]
+
+Reads the source files with `ast` and imports nothing.  Prints:
+  * src_lines: `wc -l` over the package's .py files;
+  * defaulted_public_params: parameters with a default value, over every
+    public function and public method (no leading underscore on the
+    function or on an enclosing class);
+  * config_keys: the config keys that experiments._KEYS allows, counting
+    the top level's non-section keys, the union of the graph models' keys
+    and the training keys, where params, grid and rule count once each;
+  * cli_flags: distinct `--flag` names given to add_argument in cli.py;
+  * options: the sum of the last three.
+"""
+
+from __future__ import annotations
+
+import ast
+import sys
+from pathlib import Path
+
+DEFAULT_SRC = Path(__file__).resolve().parent.parent / "src" / "netspread"
+
+
+def defaulted_public_params(tree: ast.Module) -> int:
+    def walk(node, public: bool) -> int:
+        count = 0
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if public and not child.name.startswith("_"):
+                    args = child.args
+                    count += len(args.defaults) + sum(d is not None for d in args.kw_defaults)
+            elif isinstance(child, ast.ClassDef):
+                count += walk(child, public and not child.name.startswith("_"))
+        return count
+
+    return walk(tree, True)
+
+
+def config_keys(tree: ast.Module) -> int:
+    sections, graph = {}, set()
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+                and node.targets[0].id == "_KEYS"):
+            for key, value in zip(node.value.keys, node.value.values):
+                keys = {elt.value for elt in value.elts}
+                if isinstance(key, ast.Name):  # a graph model's constant
+                    graph |= keys
+                else:
+                    sections[key.value] = keys
+    return len(sections[""] - {"graph", "training"}) + len(graph) + len(sections["training"])
+
+
+def cli_flags(tree: ast.Module) -> int:
+    flags = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "add_argument"):
+            flags |= {a.value for a in node.args
+                      if isinstance(a, ast.Constant) and str(a.value).startswith("--")}
+    return len(flags)
+
+
+def main(src: Path) -> None:
+    files = sorted(src.glob("*.py"))
+    trees = {f.name: ast.parse(f.read_text(encoding="utf-8")) for f in files}
+    lines = sum(len(f.read_bytes().splitlines()) for f in files)
+    params = sum(defaulted_public_params(t) for t in trees.values())
+    keys = config_keys(trees["experiments.py"])
+    flags = cli_flags(trees["cli.py"])
+    print(f"src_lines {lines}")
+    print(f"defaulted_public_params {params}")
+    print(f"config_keys {keys}")
+    print(f"cli_flags {flags}")
+    print(f"options {params + keys + flags}")
+
+
+if __name__ == "__main__":
+    main(Path(sys.argv[1]) if len(sys.argv) > 1 else DEFAULT_SRC)
