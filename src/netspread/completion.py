@@ -106,8 +106,8 @@ def read_alters_csv(path, schema: FeatureSchema, n_egos: int) -> list[list[dict]
 
     The header holds `ego`, a row index into the egos table, and any of the
     schema fields; an empty cell is a field the ego did not observe.  Read
-    by read_int_csv, as CompletionErrors; an unknown column and an ego
-    outside [0, n_egos) are errors too.
+    by read_int_csv, as CompletionErrors; an unknown or repeated column and
+    an ego outside [0, n_egos) are errors too.
     """
     def ego(cell: str) -> int:
         value = int(cell)
@@ -120,6 +120,9 @@ def read_alters_csv(path, schema: FeatureSchema, n_egos: int) -> list[list[dict]
             if name != "ego" and name not in schema.field_ids:
                 raise CompletionError(f"{path}, line 1, column {col}: {name!r} is "
                                       "neither 'ego' nor a schema field")
+            if name in header[: col - 1]:
+                raise CompletionError(f"{path}, line 1, column {col}: {name!r} "
+                                      "named twice")
         if "ego" not in header:
             raise CompletionError(f"{path}, line 1: no 'ego' column")
         return [ego if name == "ego" else optional_cell(schema.field(name).validate)

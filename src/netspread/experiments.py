@@ -526,6 +526,9 @@ def train_pipeline(
         pairs = completion.PairSet.from_csv(tc.pairs_file, stats.schema)
     else:
         pairs = _survey_pairs(tc, stats.schema, rng)
+    if len(pairs) == 0:  # a data file that holds only its header
+        source = tc.pairs_file if tc.mode == "pairs" else tc.egos_file
+        raise completion.CompletionError(f"{source}: no training pairs")
     if len(pairs) > tc.sample_size:
         pairs = pairs.take(np.sort(rng.choice(len(pairs), size=tc.sample_size, replace=False)))
     X, y = pairs.matrix(), pairs.labels

@@ -10,12 +10,15 @@ threads.
 Generators build an edge list and hand it to the constructor.
 Erdős–Rényi graphs are drawn by geometric edge skipping in O(n + m);
 small-world graphs rewire the ring lattice's edge arrays against a set of
-edge keys.
+edge keys.  The small-world generator needs a PCG64 generator: it reads
+the per-edge coin flips and replacement draws in bulk, bit-identical to
+drawing them one by one, and leaves the generator in the same state.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -28,6 +31,7 @@ SMALL_WORLD = "small_world"
 
 REWIRE_RETRIES = 100
 ER_BLOCK = 16384  # geometric gaps drawn per batch by gen_erdos_renyi
+SW_BLOCK = 16384  # raw words drawn per batch by gen_small_world
 PATH_BLOCK = 4096  # edges whose 2-paths clustering_coefficient checks per batch
 GEODESIC_SOURCES = 64  # BFS sources per bit-parallel sweep of mean_geodesic
 
@@ -290,6 +294,18 @@ def gen_erdos_renyi(n: int, edge_prob: float, rng: np.random.Generator) -> Graph
     return Graph(n, np.column_stack([us, idx - row_start[us] + us + 1]))
 
 
+def _coin_block(bitgen, size: int, cut: int):
+    """Draw `size` raw words; return them and the offsets of rewiring coins.
+
+    A word w read as a coin is `Generator.random()`'s double (w >> 11) * 2**-53,
+    which lies below rewire_prob exactly when w >> 11 lies below
+    cut = ceil(rewire_prob * 2**53): the product is exact.  Both come back as
+    memoryviews, which index to Python ints.
+    """
+    words = bitgen.random_raw(size)
+    return memoryview(words), memoryview(np.flatnonzero((words >> np.uint64(11)) < cut))
+
+
 def gen_small_world(
     n: int, neighbors: int, rewire_prob: float, rng: np.random.Generator
 ) -> Graph:
@@ -302,27 +318,85 @@ def gen_small_world(
     would create a self or duplicate edge are resampled up to
     REWIRE_RETRIES times, after which the edge is kept as-is (logged).  The
     edge count is therefore exactly neighbors*n for any rewire_prob.
+
+    Stream contract: the graph and the generator's state afterwards are
+    bit-identical to a loop that calls `rng.random()` per lattice edge and
+    `rng.integers(n)` per replacement draw.  The coins are read in bulk
+    from `bit_generator.random_raw`, SW_BLOCK words at a time, and each
+    `integers(n)` is emulated as numpy's scalar 32-bit Lemire rejection on
+    the generator's buffered half words (`has_uint32` / `uinteger`).  Then
+    the start state is advanced past the words used.  This leans on the
+    PCG64 bit generator and numpy's `Generator` internals, so any other bit
+    generator, and n >= 2**32 (a 64-bit draw), raise GraphError.
     """
     GraphParams(SMALL_WORLD, n, neighbors=neighbors, rewire_prob=rewire_prob)
+    bitgen = rng.bit_generator
+    if not isinstance(bitgen, np.random.PCG64):
+        raise GraphError(
+            f"small-world rewiring needs a PCG64 generator, got {type(bitgen).__name__}"
+        )
+    if n >= 2**32:
+        raise GraphError(f"small-world rewiring needs n < 2**32, got {n}")
     k = neighbors
+    total = k * n
     near = np.repeat(np.arange(n, dtype=np.int64), k)
-    far = (near + np.tile(np.arange(1, k + 1), n)) % n  # rewired in place
+    far = (near + np.tile(np.arange(1, k + 1), n)) % n
     present = set((np.minimum(near, far) * n + np.maximum(near, far)).tolist())
+    start = bitgen.state
+    has, half = start["has_uint32"], start["uinteger"]
+    cut = math.ceil(rewire_prob * 2**53)
+    reject = 2**32 % n  # Lemire: a low product word below this is redrawn
+    far_ends = memoryview(far)  # rewired in place
     kept = 0
-    for i in range(k * n):
-        if rng.random() >= rewire_prob:
+    i = pos = 0  # next edge whose coin is due; words used so far
+    base = end = 0  # the current block holds words [base, end)
+    words = hits = memoryview(b"")
+    while i < total:
+        if pos == end:
+            base = pos
+            words, hits = _coin_block(bitgen, min(total - i, SW_BLOCK), cut)
+            end = base + len(words)
+        h = bisect_left(hits, pos - base)  # the next rewiring coin at or after pos
+        # coins before it (or before the block's end) keep their edge
+        skip = min((hits[h] + base if h < len(hits) else end) - pos, total - i)
+        i += skip
+        pos += skip
+        if i == total or pos == end:
             continue
-        u, v = int(near[i]), int(far[i])  # edge i is still the lattice edge
+        e = i  # word `pos` is edge e's rewiring coin
+        i += 1
+        pos += 1
+        u = e // k
+        v = (u + e % k + 1) % n  # edge e is still the lattice edge
         for _ in range(REWIRE_RETRIES):
-            w = int(rng.integers(n))
+            while True:  # one integers(n) draw
+                if has:
+                    x, has = half, 0
+                else:
+                    if pos == end:
+                        base = pos
+                        words, hits = _coin_block(bitgen, min(total - i + 1, SW_BLOCK), cut)
+                        end = base + len(words)
+                    word = words[pos - base]
+                    pos += 1
+                    x, half, has = word & 0xFFFFFFFF, word >> 32, 1
+                m = x * n
+                if m & 0xFFFFFFFF >= reject:
+                    break
+            w = m >> 32
             key = min(u, w) * n + max(u, w)
             if w != u and key not in present:
                 present.remove(min(u, v) * n + max(u, v))
                 present.add(key)
-                far[i] = w
+                far_ends[e] = w
                 break
         else:
             kept += 1
+    bitgen.state = start
+    bitgen.advance(pos)  # also clears the half-word buffer, so put it back
+    state = bitgen.state
+    state["has_uint32"], state["uinteger"] = has, half
+    bitgen.state = state
     if kept:
         logger.debug("small-world rewiring kept %d edges after retry exhaustion", kept)
     return Graph(n, np.column_stack([near, far]))
@@ -343,19 +417,33 @@ def write_edge_list(g: Graph, path) -> None:
 
 
 def read_edge_list(path) -> Graph:
+    """The graph write_edge_list wrote.  A malformed header or line is a
+    GraphError naming the file and the line; a graph the rules reject
+    (a self or duplicate edge, a vertex out of range) names the file."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         if not header.startswith("# vertices="):
             raise GraphError(f"missing '# vertices=<n>' header in {path}")
-        n = int(header.split("=", 1)[1])
+        try:
+            n = int(header.split("=", 1)[1])
+        except ValueError:
+            raise GraphError(f"{path}, line 1: bad vertex count in {header!r}") from None
         edges = []
-        for line in fh:
+        for num, line in enumerate(fh, start=2):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            u, v = line.split("\t")
-            edges.append((int(u), int(v)))
-    return Graph(n, edges)
+            try:
+                u, v = line.split("\t")
+                edges.append((int(u), int(v)))
+            except ValueError:
+                raise GraphError(
+                    f"{path}, line {num}: expected 'u<TAB>v', got {line!r}"
+                ) from None
+    try:
+        return Graph(n, edges)
+    except GraphError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def to_dot(g: Graph, name: str = "G") -> str:

@@ -16,7 +16,14 @@ from collections import deque
 import numpy as np
 
 from netspread.analysis import Clustering
-from netspread.graph import DuplicateEdgeError, GraphError, SelfEdgeError, VertexRangeError
+from netspread.graph import (
+    REWIRE_RETRIES,
+    DuplicateEdgeError,
+    Graph,
+    GraphError,
+    SelfEdgeError,
+    VertexRangeError,
+)
 
 
 def check_simple(g) -> None:
@@ -35,6 +42,32 @@ def check_simple(g) -> None:
         raise DuplicateEdgeError("adjacency rows must strictly increase")
     if not np.array_equal(np.sort(idx * n + rows), entries):
         raise GraphError("asymmetric adjacency")
+
+
+def reference_gen_small_world(n: int, neighbors: int, rewire_prob: float, rng) -> Graph:
+    """Small-world rewiring as first written: one `rng.random()` per lattice
+    edge and one `rng.integers(n)` per replacement draw, from Python.
+
+    gen_small_world reads the same stream in bulk; this loop pins that the
+    graphs and the generator's state afterwards are the same.
+    """
+    k = neighbors
+    near = np.repeat(np.arange(n, dtype=np.int64), k)
+    far = (near + np.tile(np.arange(1, k + 1), n)) % n  # rewired in place
+    present = set((np.minimum(near, far) * n + np.maximum(near, far)).tolist())
+    for i in range(k * n):
+        if rng.random() >= rewire_prob:
+            continue
+        u, v = int(near[i]), int(far[i])  # edge i is still the lattice edge
+        for _ in range(REWIRE_RETRIES):
+            w = int(rng.integers(n))
+            key = min(u, w) * n + max(u, w)
+            if w != u and key not in present:
+                present.remove(min(u, v) * n + max(u, v))
+                present.add(key)
+                far[i] = w
+                break
+    return Graph(n, np.column_stack([near, far]))
 
 
 def transitivity_all_triples(g) -> float:

@@ -337,6 +337,25 @@ class TestSurveyInputs:
         assert main(["train", "--config", str(config)]) == 1
         assert "pairs.csv, line 4: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["egos_file", "pairs_file"])
+    def test_header_only_data_file_exits_1_naming_it(self, tmp_path, capsys, recwarn, key):
+        if key == "egos_file":
+            training = write_survey(tmp_path, [])
+            emptied = ("egos_file", "alters_file")  # an alter needs an ego
+        else:
+            stats = load_stats("builtin")
+            people = sample_population(stats, 4, np.random.default_rng(2))
+            PairSet(people, people, [1, -1, 1, -1]).to_csv(tmp_path / "pairs.csv")
+            training = dict(TRAINING, mode="pairs", pairs_file=str(tmp_path / "pairs.csv"))
+            emptied = ("pairs_file",)
+        for name in emptied:
+            path = Path(training[name])
+            path.write_text(path.read_text().splitlines()[0] + "\n")
+        config = write_config(tmp_path, training=training)
+        assert main(["train", "--config", str(config)]) == 1
+        assert f"error: {training[key]}: no training pairs" in capsys.readouterr().err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     @pytest.mark.parametrize("column,name,cell,message", [
         (1, "sender_gender", "7", "field 'gender': binary value 7"),
         (41, "label", "0", "label must be +1 or -1, got 0"),

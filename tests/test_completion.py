@@ -356,6 +356,13 @@ class TestReadAlters:
         with pytest.raises(CompletionError, match=r"alters\.csv, line 1, column 3: 'age'"):
             self.read(tmp_path, text)
 
+    def test_repeated_column(self, tmp_path):
+        text = "ego,gender,gender\n0,1,\n"
+        with pytest.raises(
+            CompletionError, match=r"alters\.csv, line 1, column 3: 'gender' named twice"
+        ):
+            self.read(tmp_path, text)
+
     def test_invalid_value(self, tmp_path):
         text = self.HEADER + "0,1,3,2,1\n1,7,3,2,1\n"
         with pytest.raises(

@@ -25,7 +25,12 @@ from netspread.graph import (
 )
 
 from conftest import make_graph, random_graph
-from oracles import check_simple, mean_geodesic_floyd, transitivity_all_triples
+from oracles import (
+    check_simple,
+    mean_geodesic_floyd,
+    reference_gen_small_world,
+    transitivity_all_triples,
+)
 
 
 class TestGraphBasics:
@@ -324,6 +329,89 @@ class TestSmallWorld:
         assert list(g.edges()) != list(lattice.edges())
 
 
+class _NumpyWithoutArrays:
+    """Stands in for numpy in the graph module: np.random is there, and any
+    other attribute, such as np.repeat, fails the test."""
+
+    random = np.random
+
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} called")
+
+
+class TestSmallWorldStream:
+    """gen_small_world reads the generator's stream in bulk; the per-edge loop
+    it replaced, reference_gen_small_world, pins its graphs and the state."""
+
+    @staticmethod
+    def assert_same_stream(n, k, p, seed, buffered, half=None):
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        for rng in (fast, slow):
+            if buffered:  # integers(10) keeps the high half word for the next draw
+                rng.integers(10)
+            if half is not None:  # or put a chosen half word there
+                state = rng.bit_generator.state
+                state["has_uint32"], state["uinteger"] = 1, half
+                rng.bit_generator.state = state
+        g = gen_small_world(n, k, p, fast)
+        ref = reference_gen_small_world(n, k, p, slow)
+        assert list(g.edges()) == list(ref.edges()), (n, k, p, seed, buffered)
+        assert fast.bit_generator.state == slow.bit_generator.state, (n, k, p, seed)
+        assert fast.random() == slow.random()
+        assert fast.integers(n) == slow.integers(n)
+        assert fast.integers(7) == slow.integers(7)
+
+    def test_matches_per_edge_loop_over_seeds(self, monkeypatch):
+        sizes = np.random.default_rng(2024)
+        default = graph_module.SW_BLOCK
+        for seed in range(320):
+            # small blocks make coins and integer draws cross block ends often;
+            # at the default size the draws spill past the first block
+            monkeypatch.setattr(graph_module, "SW_BLOCK", (default, 5, 64)[seed % 3])
+            n = int(sizes.integers(3, 120))
+            k = int(sizes.integers(1, min((n - 1) // 2, 8) + 1))
+            p = (0.0, 1e-4, 0.1, 1.0)[seed % 4]
+            self.assert_same_stream(n, k, p, seed, buffered=seed // 4 % 2)
+
+    @pytest.mark.parametrize("n,k", [(5, 2), (7, 3), (9, 4), (11, 5)])
+    def test_retry_exhaustion_matches(self, n, k, caplog):
+        # the lattice is already the complete graph, so no replacement is free
+        caplog.set_level("DEBUG", logger="netspread.graph")
+        for seed in range(10):
+            self.assert_same_stream(n, k, 1.0, seed, buffered=seed % 2)
+        assert "kept" in caplog.text and "retry exhaustion" in caplog.text
+
+    @pytest.mark.parametrize("n", [7, 100, 3000])
+    def test_rejected_draw_matches(self, n):
+        # a half word of 0 falls below Lemire's threshold 2**32 % n, so the
+        # first edge's first replacement draw is rejected and drawn again
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        state["has_uint32"], state["uinteger"] = 1, 0
+        rng.bit_generator.state = state
+        rng.integers(n)
+        assert rng.bit_generator.state["has_uint32"] == 1  # a fresh word was split
+        for seed in range(5):
+            self.assert_same_stream(n, 3, 1.0, seed, buffered=False, half=0)
+
+    def test_draws_past_a_full_block_match(self):
+        # 72,000 lattice edges: the coins alone fill more than one default block
+        self.assert_same_stream(4000, 18, 0.1, 3, buffered=True)
+
+    @pytest.mark.parametrize("n,bitgen", [
+        (100, np.random.MT19937),
+        (100, np.random.Philox),
+        (2**32, np.random.PCG64),
+    ])
+    def test_unsupported_stream_rejected_before_allocating(self, monkeypatch, n, bitgen):
+        rng = np.random.Generator(bitgen(0))
+        with monkeypatch.context() as patched:
+            patched.setattr(graph_module, "np", _NumpyWithoutArrays())
+            with pytest.raises(GraphError, match="PCG64|2\\*\\*32"):
+                gen_small_world(n, 2, 0.1, rng)
+        assert rng.random() == np.random.Generator(bitgen(0)).random()  # nothing drawn
+
+
 class TestGraphParams:
     def test_dispatch(self, rng):
         g = generate_graph(GraphParams("erdos_renyi", 30, edge_prob=0.1), rng)
@@ -356,6 +444,21 @@ class TestSerialization:
         write_edge_list(star5, path)
         first = path.read_text().splitlines()[0]
         assert first == "# vertices=5"
+
+    @pytest.mark.parametrize("text,error,message", [
+        ("# vertices=3\n0\t1\n1 2\n", GraphError, ", line 3: expected 'u<TAB>v', got '1 2'"),
+        ("# vertices=3\n0\t1\t2\n", GraphError, ", line 2: expected 'u<TAB>v', got '0\\t1\\t2'"),
+        ("# vertices=3\n\n0\tx\n", GraphError, ", line 3: expected 'u<TAB>v', got '0\\tx'"),
+        ("# vertices=x\n0\t1\n", GraphError, ", line 1: bad vertex count in '# vertices=x'"),
+        ("# vertices=3\n0\t1\n1\t0\n", DuplicateEdgeError, ": edge (1, 0) already present"),
+        ("# vertices=3\n0\t3\n", VertexRangeError, ": vertex 3 outside [0, 3)"),
+    ])
+    def test_malformed_edge_list_names_the_file(self, tmp_path, text, error, message):
+        path = tmp_path / "bad.tsv"
+        path.write_text(text)
+        with pytest.raises(error) as excinfo:
+            read_edge_list(path)
+        assert str(excinfo.value) == f"{path}{message}"
 
     def test_dot_export(self, path3):
         dot = to_dot(path3)
