@@ -11,12 +11,14 @@ errors on positives cost more.  Kernel rows are memoized in a bounded LRU
 cache and training stops early if the kernel-evaluation budget runs out,
 returning the best iterate with ``converged=False``.
 
-Each SMO step does a fixed number of whole-array numpy operations over
-buffers allocated once.  The up and down sets are additive bias arrays (0
+Each SMO step makes four whole-array numpy passes over buffers allocated
+once, plus the two passes that pick the pair.  It carries -y * gradient
+instead of the gradient, the up and down sets are additive bias arrays (0
 for members, -inf or +inf for the rest) whose entries change only at the
 step's two indices, and the two-variable step runs on Python floats.  The
-iterates are, bit for bit, those of the direct form that rebuilds the set
-masks and gathers their members every step; ``train_svm`` says why.
+iterates are, bit for bit, those of the direct form that keeps the gradient
+and rebuilds the set masks and gathers their members every step;
+``train_svm`` says why.
 
 Input vectors are expected standardized; ``fit_pair_classifier`` takes
 pair rows that are already encoded (``completion.PairSet.matrix``),
@@ -98,7 +100,9 @@ def kernel_matrix(
     (len(A), len(B)) float array, receives the block and is returned.  The
     RBF block is built in place from |a|^2 + |b|^2 - 2 a.b with the same
     floating-point operations in the same order as the textbook expression,
-    so it is bit-identical to it, with or without `out`.
+    so it is bit-identical to it, with or without `out`.  Negative squared
+    distances are raised to 0 with np.maximum rather than np.clip, which is
+    cheaper; the two can differ only on -0.0, and exp(-0.0) is exp(0.0).
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
@@ -112,7 +116,7 @@ def kernel_matrix(
     G *= 2.0
     K = np.add(np.sum(A**2, axis=1)[:, None], b_sq[None, :], out=out)
     K -= G
-    np.clip(K, 0.0, None, out=K)
+    np.maximum(K, 0.0, out=K)
     K /= -(2.0 * spec.sigma**2)
     np.exp(K, out=K)
     return K
@@ -370,7 +374,7 @@ def _sender_blocks(send_of: np.ndarray, recv_of: np.ndarray, max_rows: int):
 
 def _violating_sets(y, alpha, C):
     """Masks of the SMO "up" set (alpha_i y_i can grow) and "down" set (can
-    shrink); on scalars, one index's two memberships as bools."""
+    shrink)."""
     up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
     down = ((y < 0) & (alpha < C)) | ((y > 0) & (alpha > 0))
     return up, down
@@ -399,30 +403,50 @@ def train_svm(
     Each step selects the maximal violating pair (i from the "up" set with
     the largest -y grad, j from the "down" set with the smallest) and
     solves the two-variable subproblem analytically.  Convergence is
-    m(alpha) - M(alpha) <= tol.
+    m(alpha) - M(alpha) <= tol.  Labels other than exactly +1 and -1, and
+    non-finite entries of X, are a ClassifierError before any kernel work.
 
-    Loop invariants, each bit-exact against the direct form it replaces:
+    Loop invariants, each bit-exact against the direct form it replaces,
+    which keeps grad and takes -y * grad every step:
 
-    - vals = -y * grad is recomputed into one buffer every step.
+    - vals = -y * grad is carried instead of grad.  It starts at y, which
+      is -y * (-1) exactly, and each step adds
+      Ki * -(y_i * delta_i) + Kj * -(y_j * delta_j) through two reused
+      buffers: -y times the direct form's update
+      (y * Ki) * (y_i * delta_i) + (y * Kj) * (y_j * delta_j).  y is +-1,
+      and under round-to-nearest negating an operand negates a product or
+      a sum exactly, so vals equals the direct form's -y * grad as a real
+      number at every step.  Only the sign of an exact zero can differ: a
+      sum that cancels is +0, so the zeros of vals are +0 and those of the
+      direct form are -y_k * (+0).
+    - A zero's sign changes no step.  vals + 0 is +0 for either zero, so
+      the biased arrays below are bitwise equal, and within a step
+      Fi - Fj = -violation is not zero (violation > tol >= 0).  Nor does it
+      reach the model: bias is a numpy mean or a Python sum, and both sums
+      start from +0, which absorbs a zero's sign; a converged violation of
+      exactly zero is given the direct form's sign.
     - up_bias[k] is 0 when k is in the up set, else -inf; down_bias[k] is
       0 or +inf.  A step changes only alpha_i and alpha_j, so only entries
       i and j are recomputed.  For finite vals, vals + 0 is vals, so
       argmax(vals + up_bias) is the first index of the up set's largest
       value, as up_idx[argmax(vals[up_idx])] is; argmin with down_bias
       likewise.  A maximum of -inf (minimum of +inf) means an empty set.
-    - F_k = y_k * grad_k is taken as -vals_k: negating a factor negates an
-      IEEE product exactly.
     - The two-variable step runs on Python floats mirroring y, C and
       alpha: the same IEEE-754 double operations as on numpy scalars.
-    - The gradient update keeps the order
-      (y * Ki) * (y_i * delta_i) + (y * Kj) * (y_j * delta_j) through two
-      reused buffers.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n = len(y)
     if X.shape[0] != n:
         raise DimensionMismatchError("X and y lengths differ")
+    bad = y[(y != 1.0) & (y != -1.0)]
+    if len(bad):
+        raise ClassifierError(
+            f"labels must be +1 or -1: {len(bad)} are not, the first is {bad.item(0)!r}"
+        )
+    nonfinite = X.size - int(np.count_nonzero(np.isfinite(X)))
+    if nonfinite:
+        raise ClassifierError(f"training vectors hold {nonfinite} non-finite entries")
     if not (np.any(y > 0) and np.any(y < 0)):
         raise SingleClassError("training data must contain both classes")
 
@@ -433,9 +457,7 @@ def train_svm(
     )
     max_iter = max(100_000, 30 * n)
 
-    grad = -np.ones(n)  # gradient of the dual objective at alpha = 0
-    neg_y = -y
-    vals = np.empty(n)  # -y * grad
+    vals = y.copy()  # -y * grad; the dual gradient at alpha = 0 is -1
     picked = np.empty(n)  # vals plus one set's bias, for its argmax or argmin
     step_i = np.empty(n)
     step_j = np.empty(n)
@@ -444,18 +466,18 @@ def train_svm(
     down_bias = np.where(down, 0.0, np.inf)
     ys, Cs = y.tolist(), C.tolist()
     alpha = [0.0] * n
-    violation = np.inf
+    inf = np.inf
+    violation = inf
     converged = False
     iterations = 0
 
     while True:
-        np.multiply(neg_y, grad, out=vals)
         np.add(vals, up_bias, out=picked)
         i = int(picked.argmax())
-        no_up = picked.item(i) == -np.inf
+        no_up = picked.item(i) == -inf
         np.add(vals, down_bias, out=picked)
         j = int(picked.argmin())
-        if no_up or picked.item(j) == np.inf:  # an empty up or down set
+        if no_up or picked.item(j) == inf:  # an empty up or down set
             converged = True
             violation = 0.0
             break
@@ -463,6 +485,8 @@ def train_svm(
         violation = v_i - v_j
         if violation <= tol:
             converged = True
+            if v_i == 0.0 == v_j:  # the direct form's zeros are -y_k * (+0)
+                violation = -ys[i] * 0.0 + ys[j] * 0.0
             break
         if cache.evals >= max_kernel_evals:
             logger.warning(
@@ -502,30 +526,26 @@ def train_svm(
             break
         new_i = _snap(a_i - y_i * y_j * delta_j, Cs[i])
         new_j = _snap(new_j, Cs[j])
-        delta_i = new_i - a_i
-        delta_j = new_j - a_j
         alpha[i] = new_i
         alpha[j] = new_j
-        # grad += (y * Ki) * (y_i * delta_i) + (y * Kj) * (y_j * delta_j)
-        np.multiply(y, Ki, out=step_i)
-        step_i *= y_i * delta_i
-        np.multiply(y, Kj, out=step_j)
-        step_j *= y_j * delta_j
+        # vals += Ki * -(y_i * delta_i) + Kj * -(y_j * delta_j)
+        np.multiply(Ki, -(y_i * (new_i - a_i)), out=step_i)
+        np.multiply(Kj, -(y_j * (new_j - a_j)), out=step_j)
         step_i += step_j
-        grad += step_i
-        for k in (i, j):
-            up, down = _violating_sets(ys[k], alpha[k], Cs[k])
-            up_bias[k] = 0.0 if up else -np.inf
-            down_bias[k] = 0.0 if down else np.inf
+        vals += step_i
+        # _violating_sets at the two indices, for labels that are exactly +-1
+        for k, y_k, a_k in ((i, y_i, new_i), (j, y_j, new_j)):
+            below, above = a_k < Cs[k], a_k > 0.0
+            up_bias[k] = 0.0 if (below if y_k > 0 else above) else -inf
+            down_bias[k] = 0.0 if (above if y_k > 0 else below) else inf
     alpha = np.array(alpha)
 
     # bias from free support vectors, else midpoint of the violating bounds
-    F = y * grad
     free = (alpha > SUPPORT_EPS) & (alpha < C - SUPPORT_EPS)
     if np.any(free):
+        F = -vals  # y * grad
         bias = float(-F[free].mean())
     else:
-        vals = -y * grad
         up, down = _violating_sets(y, alpha, C)
         candidates = []
         if np.any(up):

@@ -194,7 +194,7 @@ class VertexTable:
 
     def validate(self) -> None:
         for f in self.schema.fields:
-            for value in np.unique(self.columns[f.id]):
+            for value in sorted(set(self.columns[f.id].tolist())):
                 f.validate(value)
 
     def encoded(self) -> np.ndarray:

@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from netspread import classifier
 from netspread.classifier import (
+    ClassifierError,
     ConstantModel,
     CvReport,
     DimensionMismatchError,
@@ -169,6 +172,24 @@ class TestKernels:
             assert out.tobytes() == K.tobytes()
             assert np.isnan(whole[0]).all() and np.isnan(whole[rows + 1 :]).all()
 
+    def test_rbf_block_is_the_textbook_expression_at_zero_distance(self):
+        # duplicate, near-duplicate and zero rows: the squared distance comes
+        # out as an exact zero or a rounding-level negative, raised to 0
+        gen = np.random.default_rng(11)
+        B = gen.normal(size=(40, 27)) * 10.0
+        B[1] = 0.0
+        B[2] = -0.0
+        A = np.vstack([B[:3], np.nextafter(B[3:20], np.inf), B[20:] * (1 + 2**-52)])
+        raw = np.sum(A**2, axis=1)[:, None] + np.sum(B**2, axis=1)[None, :] - 2.0 * (A @ B.T)
+        assert (raw < 0).any() and (raw == 0).any()
+        for sigma in (0.5, 4.0):
+            spec = KernelSpec("rbf", sigma)
+            expected = textbook_kernel(spec, A, B)
+            assert kernel_matrix(spec, A, B).tobytes() == expected.tobytes()
+            for i in range(len(A)):  # the 1-row blocks of the SMO row cache
+                row = textbook_kernel(spec, A[i : i + 1], B)
+                assert kernel_matrix(spec, A[i], B).tobytes() == row.tobytes()
+
     def test_rbf_needs_positive_sigma(self):
         with pytest.raises(ValueError):
             KernelSpec("rbf", 0.0)
@@ -229,6 +250,26 @@ class TestTrainSvm:
     def test_single_class_rejected(self):
         with pytest.raises(SingleClassError):
             train_svm(np.ones((3, 1)), np.ones(3), SvmParams(C=1.0, weight=1.0, kernel=LIN))
+
+    @pytest.mark.parametrize("y,message", [
+        ([-1.0, 0.0, 2.0, 1.0], "2 are not, the first is 0.0"),
+        ([-1.0, 1.0, np.nan, 1.0], "1 are not, the first is nan"),
+        ([-1.0, 1.0, 1.0 + 2**-52, 1.0], "1 are not, the first is 1.0000000000000002"),
+    ])
+    def test_labels_other_than_plus_minus_one_rejected(self, monkeypatch, y, message):
+        monkeypatch.setattr(classifier, "kernel_matrix", None)  # no kernel work
+        X = np.arange(8.0).reshape(4, 2)
+        with pytest.raises(ClassifierError, match=f"labels must be \\+1 or -1: {message}"):
+            train_svm(X, np.array(y), SvmParams(C=1.0, weight=1.0, kernel=RBF1))
+
+    @pytest.mark.parametrize("bad", [[np.nan], [np.inf, -np.inf, np.nan]])
+    def test_non_finite_vectors_rejected(self, monkeypatch, bad):
+        monkeypatch.setattr(classifier, "kernel_matrix", None)  # no kernel work
+        X = np.arange(8.0).reshape(4, 2)
+        X.flat[: len(bad)] = bad
+        y = np.array([-1.0, -1.0, 1.0, 1.0])
+        with pytest.raises(ClassifierError, match=f"hold {len(bad)} non-finite entries"):
+            train_svm(X, y, SvmParams(C=1.0, weight=1.0, kernel=LIN))
 
     def test_budget_exhaustion_flags_model(self):
         gen = np.random.default_rng(4)
@@ -298,13 +339,67 @@ def assert_same_fit(model, reference):
     assert model.coefs.tobytes() == reference.coefs.tobytes()
     assert np.float64(model.bias).tobytes() == np.float64(reference.bias).tobytes()
     assert model.support_vectors.tobytes() == reference.support_vectors.tobytes()
-    for name in ("iterations", "kkt_violation", "converged", "cache_hits", "cache_misses"):
+    assert (
+        np.float64(model.kkt_violation).tobytes() == np.float64(reference.kkt_violation).tobytes()
+    )
+    for name in ("iterations", "converged", "cache_hits", "cache_misses"):
         assert getattr(model, name) == getattr(reference, name), name
 
 
+_GRID = np.array(list(itertools.product([-1.0, 0.0, 1.0], repeat=2)))
+# (name, X, y): small integer sets, with ties, exact zeros and zero biases;
+# at line6's converged pair both -y * grad values are exactly zero
+INTEGER_SETS = [
+    ("grid3x3", _GRID, np.where((_GRID[:, 0] > 0) | ((_GRID[:, 0] == 0) & (_GRID[:, 1] > 0)), 1, -1)),
+    ("line6", np.array([[-2.0], [0.0], [2.0], [2.0], [-2.0], [1.0]]), np.array([-1, -1, 1, 1, -1, 1])),
+    ("grid4x2", np.array(list(itertools.product([0.0, 1.0, 2.0, 3.0], [0.0, 1.0]))),
+     np.repeat([-1, 1], 4)),
+]
+SEEDED_KERNELS = (LIN, KernelSpec("rbf", 0.5), KernelSpec("rbf", 1.5), KernelSpec("rbf", 4.0))
+
+
+def seeded_problem(seed: int):
+    """(X, y, params, max_kernel_evals) of a random fit; the seed picks the
+    kernel, C and weight in turn, rounds X to one decimal every third seed
+    (ties and exact zeros) and stops at a kernel-eval budget every fifth."""
+    gen = np.random.default_rng(seed)
+    n, d = int(gen.integers(10, 121)), int(gen.integers(1, 6))
+    X = gen.normal(size=(n, d))
+    if seed % 3 == 0:
+        X = np.round(X, 1)
+    y = np.where(X @ gen.normal(size=d) + 0.2 * gen.normal(size=n) > 0, 1.0, -1.0)
+    y[:2] = 1.0, -1.0
+    params = SvmParams(
+        C=(0.01, 1.0, 4.0, 100.0)[seed // 4 % 4],
+        weight=(1.0, 8.0)[seed // 16 % 2],
+        kernel=SEEDED_KERNELS[seed % 4],
+    )
+    budget = 40 * n if seed % 5 == 0 else classifier.MAX_KERNEL_EVALS
+    return X, y, params, budget
+
+
 class TestIncrementalSmo:
-    """train_svm keeps the up/down sets incrementally; the fit must be the
-    reference loop's, which rebuilds them every step, bit for bit."""
+    """train_svm carries -y * grad and keeps the up/down sets incrementally;
+    the fit must be the reference loop's, which keeps grad and rebuilds the
+    sets every step, bit for bit."""
+
+    @pytest.mark.parametrize("first", range(0, 320, 32))
+    def test_seeded_fits_are_bitwise_the_reference(self, first):
+        for seed in range(first, first + 32):
+            X, y, params, budget = seeded_problem(seed)
+            model = train_svm(X, y, params, max_kernel_evals=budget)
+            assert_same_fit(model, reference_train_svm(X, y, params, max_kernel_evals=budget))
+
+    @pytest.mark.parametrize(
+        "X,y", [pytest.param(X, y, id=name) for name, X, y, *_ in TOY_SETS + INTEGER_SETS]
+    )
+    def test_small_sets_are_bitwise_the_reference(self, X, y):
+        for spec in (LIN, RBF1, KernelSpec("rbf", 0.5)):
+            for C in (0.01, 0.1, 0.5, 1.0, 10.0, 100.0):
+                for weight in (1.0, 4.0):
+                    params = SvmParams(C=C, weight=weight, kernel=spec)
+                    model = train_svm(X, y.astype(float), params)
+                    assert_same_fit(model, reference_train_svm(X, y.astype(float), params))
 
     @staticmethod
     def problem():

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -267,6 +269,23 @@ class TestSurveyInputs:
     def test_valid_survey_trains(self, tmp_path):
         config = write_config(tmp_path, training=write_survey(tmp_path, ["29,0,2,1"]))
         assert main(["train", "--config", str(config)]) == 0
+
+    def test_survey_train_leaves_numpy_ma_unloaded(self, tmp_path):
+        # VertexTable.validate avoids np.unique, which imports numpy.ma: about
+        # 14 ms and 1.2 MB of start-up that nothing else on this path needs
+        config = write_config(tmp_path, training=write_survey(tmp_path, ["29,0,2,1"]))
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            f"import sys; sys.path.insert(0, {str(src)!r})\n"
+            "from netspread.cli import main\n"
+            f"assert main(['train', '--config', {str(config)!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
     @pytest.mark.parametrize("row,where,message", [
         ("-1,0,2,1", "line 3, column 1 (ego)", "ego -1 outside [0, 30)"),

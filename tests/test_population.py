@@ -104,6 +104,20 @@ class TestVertexTable:
         assert table.n == 10
         assert [table.row(i) for i in range(table.n)] == records
 
+    @pytest.mark.parametrize("field,values,message", [
+        ("gender", [5, 0, 3, 1], "field 'gender': binary value 3"),
+        ("age_band", [9, 2, 0, 7], "field 'age_band': value 0 outside [1, 5]"),
+        ("profession", [4, 3, 0], "field 'profession': category index 3 outside [0, 3)"),
+    ])
+    def test_from_records_names_the_smallest_invalid_value(
+        self, tiny_schema, rng, field, values, message
+    ):
+        records = [random_record(tiny_schema, rng) for _ in values]
+        for record, value in zip(records, values):
+            record[field] = value
+        with pytest.raises(InvalidCategoryError, match=re.escape(message)):
+            VertexTable.from_records(tiny_schema, records)
+
     def test_encoded_matches_per_record_encode(self, tiny_schema, rng):
         records = [random_record(tiny_schema, rng) for _ in range(20)]
         table = VertexTable.from_records(tiny_schema, records)
