@@ -1,9 +1,9 @@
 """Run a seeded parameter sweep through the experiment runner.
 
 Equivalent to `netspread simulate --config demos/configs/erdos_renyi.json`
-but driven through the library API so the aggregated rows can be inspected
-directly.  Reruns with the same master seed reproduce every artifact byte
-for byte.
+but driven through the library API so the aggregated rows it returns can be
+inspected directly; each run's log and summary are under demo_out/sweep/runs/.
+Reruns with the same master seed reproduce every artifact byte for byte.
 """
 
 from netspread.experiments import ExperimentConfig, run_experiment
@@ -34,10 +34,10 @@ config = ExperimentConfig.from_dict(
     }
 )
 
-output = run_experiment(config)
-print(f"{len(output.runs)} runs -> demo_out/sweep/sweep.csv\n")
+rows = run_experiment(config)
+print(f"{len(rows) * config.replicates} runs -> demo_out/sweep/sweep.csv\n")
 print(f"{'edge_prob':>9} {'a':>4} {'avg_hops':>14} {'fanout':>14}")
-for row in output.rows:
+for row in rows:
     print(
         f"{row['edge_prob']:>9} {row['initial_fraction']:>4}"
         f" {row['mu_h_mean']:>7.3f} ({row['mu_h_std']:.3f})"

@@ -248,8 +248,8 @@ class ClusterGraph:
     edges_by_iteration: dict[int, dict[tuple[int, int], int]]
     receivers_by_iteration: dict[int, dict[int, int]]
 
-    def to_dot(self, name: str = "clusters") -> str:
-        lines = [f"digraph {name} {{"]
+    def to_dot(self) -> str:
+        lines = ["digraph clusters {"]
         for cid in sorted(self.sizes):
             lines.append(f'  c{cid} [size={self.sizes[cid]}];')
         for (a, b) in sorted(self.edge_weights):

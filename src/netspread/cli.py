@@ -55,10 +55,8 @@ def _run(args) -> int:
     config = ExperimentConfig.from_file(args.config)
     out_dir = args.out or config.output_dir
     if args.command == "simulate":
-        output = run_experiment(
-            config, stub_model=getattr(args, "stub_model", None), out_dir=out_dir
-        )
-        print(f"wrote {len(output.rows)} sweep rows to {os.path.join(out_dir, 'sweep.csv')}")
+        rows = run_experiment(config, stub_model=args.stub_model, out_dir=out_dir)
+        print(f"wrote {len(rows)} sweep rows to {os.path.join(out_dir, 'sweep.csv')}")
     elif args.command == "train":
         model = train_pipeline(config)
         os.makedirs(out_dir, exist_ok=True)

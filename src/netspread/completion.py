@@ -25,7 +25,7 @@ NEGATIVE = -1
 
 # Completion matches on these fields, relaxed from the right when no
 # candidate matches all of them.
-DEFAULT_MATCH_FIELDS = ("gender", "age_band", "education")
+MATCH_FIELDS = ("gender", "age_band", "education")
 
 
 class CompletionError(ValueError):
@@ -206,7 +206,6 @@ def complete_alter(
     partial: dict,
     pool: VertexTable,
     rng: np.random.Generator,
-    match_fields=DEFAULT_MATCH_FIELDS,
 ) -> dict:
     """Fill a partially observed record from a matching pool row.
 
@@ -218,24 +217,24 @@ def complete_alter(
     """
     if all(f in partial for f in pool.schema.field_ids):
         return dict(partial)
-    missing = [f for f in match_fields if f not in partial]
+    missing = [f for f in MATCH_FIELDS if f not in partial]
     if missing:
         raise CompletionError(f"partial record lacks match fields {missing}")
-    for level in range(len(match_fields), 0, -1):
-        crit = match_fields[:level]
+    for level in range(len(MATCH_FIELDS), 0, -1):
+        crit = MATCH_FIELDS[:level]
         match = np.ones(pool.n, dtype=bool)
         for f in crit:
             match &= pool.columns[f] == partial[f]
         candidates = np.flatnonzero(match)
         if len(candidates):
-            if level < len(match_fields):
+            if level < len(MATCH_FIELDS):
                 logger.info(
                     "completion relaxed match to %s for partial %s", crit, sorted(partial)
                 )
             donor = pool.row(int(candidates[rng.integers(len(candidates))]))
             return {**donor, **partial}
     raise NoMatchError(
-        f"no pool member matches even {match_fields[:1]} for the partial record"
+        f"no pool member matches even {MATCH_FIELDS[:1]} for the partial record"
     )
 
 
@@ -247,7 +246,6 @@ def build_training_set(
     contact_fields,
     h: float,
     rng: np.random.Generator,
-    match_fields=DEFAULT_MATCH_FIELDS,
 ) -> PairSet:
     """Assemble labeled pairs: reported receivers +1, generated contacts -1.
 
@@ -264,7 +262,7 @@ def build_training_set(
     completed: list[dict] = []
     for i, reported in enumerate(listed_alters):
         for partial in reported:
-            completed.append(complete_alter(partial, alter_pool, rng, match_fields))
+            completed.append(complete_alter(partial, alter_pool, rng))
             senders.append(i)
             receivers.append(egos.n + len(completed) - 1)
         count = round_half_up(sum(float(egos.columns[f][i]) for f in contact_fields))

@@ -112,17 +112,18 @@ def diffusion_step(
     informed: set[int],
     model: TransmissionModel,
     iteration: int,
-    frontier: set[int] | None = None,
+    frontier: set[int],
 ) -> tuple[set[int], list[LogEntry]]:
     """One synchronous step: predictions use `informed` frozen at entry.
 
-    Senders are the vertices of `frontier` (by default all of `informed`);
-    `run_diffusion` passes the vertices informed in the previous step.
+    Senders are the vertices of `frontier`, a subset of `informed`;
+    `run_diffusion` passes the vertices informed in the previous step, and
+    passing all of `informed` gives the full scan.
     Returns the set of vertices informed during this step and their log
     entries (sorted by receiver id).  Edges with both endpoints informed
     are skipped; vertices informed within the step do not transmit.
     """
-    senders, receivers = graph.out_edges(sorted(informed if frontier is None else frontier))
+    senders, receivers = graph.out_edges(sorted(frontier))
     known = np.zeros(graph.n, dtype=bool)
     known[list(informed)] = True
     fresh = ~known[receivers]

@@ -13,9 +13,9 @@ fit on training stream 0 shared by all replicates, or with per_replicate a
 fit per replicate on training stream rep + 1); it trains every model before
 anything is written.  _run_replicate is a pure job (stream -> graph ->
 population -> diffusion); run_experiment and report_distributions write
-every file.
+every file, and run_experiment keeps no run once it is written.
 
-Config layout (defaults in parentheses)::
+Config layout::
 
     {
       "graph": {"model": "small_world", "n": 10000,
@@ -23,21 +23,21 @@ Config layout (defaults in parentheses)::
       # or      {"model": "erdos_renyi", "n": 10000,
       #          "edge_prob": [0.001, 0.002, 0.003, 0.004]},
       "initial_fraction": [0.1, 0.2, 0.5],
-      "iterations": 3,               # (3)
-      "replicates": 5,               # (5)
+      "iterations": 3,
+      "replicates": 5,
       "seed": 7,
       "stats_file": "builtin",       # path to a population-stats JSON
       "output_dir": "out",
       "report_fields": ["gender"],   # for the `report` command
       "training": {
         "mode": "synthetic",         # or "pairs" / "survey"
-        "sample_size": 20000,        # (20000)
+        "sample_size": 20000,
         "rule": {"conditions": [
             {"role": "receiver", "field": "food_risk_knowledge", "op": ">=", "value": 6},
             {"role": "sender", "field": "risk_perception", "op": ">=", "value": 4}]},
         "params": {"kernel": "rbf", "sigma": 1.0, "C": 2048.0, "weight": 32.0},
         "grid": [ ...same shape as params... ],   # optional CV grid
-        "cv_folds": 3,               # (3)
+        "cv_folds": 3,
         "per_replicate": false,      # retrain per replicate instead of once
         "max_kernel_evals": 10000000,  # SMO kernel-eval cap (max(1e7, 5 n^2))
         "pairs_file": "pairs.csv",   # mode "pairs"
@@ -49,22 +49,21 @@ Config layout (defaults in parentheses)::
 The document and each section in it must be a JSON object, and every list
 a JSON list.  A section takes only the keys shown above (graph those of
 its model, training those of every mode, each grid entry those of
-params), so a misspelt key is an error, not a silent default.  Every
-numeric setting takes a finite JSON number only, never a boolean, a
-string, Infinity or NaN.  Integer settings (graph.n, neighbors,
-iterations, replicates, seed, sample_size, cv_folds, max_kernel_evals)
-take whole numbers only, never fractions.  _number holds the one range
-rule: graph.n, iterations, replicates and max_kernel_evals are >= 1,
-sample_size and cv_folds >= 2, seed >= 0 and homophily lies in [0, 1].
-report_fields, criteria and contact_fields are lists of strings, and a
-survey-mode criteria list is not empty.  stats_file, output_dir,
-pairs_file, egos_file, alters_file and alter_pool_file are strings and
-per_replicate is a JSON boolean.  Graph values are checked by GraphParams
-and initial fractions by DiffusionConfig while parsing; the field names
-in report_fields, criteria, contact_fields and the rule conditions are
-checked against the stats schema as soon as the stats are loaded, before
-anything is trained or written.  Every violation is a ConfigError naming
-the field path, which the CLI turns into exit code 2.
+params), so a misspelt key is an error, not a silent default.  _SETTINGS
+holds the kind, default and range of every scalar setting of the top level
+and of training; graph.n defaults to 10000 and is >= 1.  _scalar is the
+one check of a set value: a number is a finite JSON number only, never a
+boolean, a string, Infinity or NaN, and an integer (graph.n, neighbors
+too) takes no fraction; a file or directory name is a JSON string and
+per_replicate a JSON boolean.  report_fields, criteria and contact_fields
+are lists of strings, and a survey-mode criteria list is not empty.
+Graph values are checked by GraphParams and initial fractions by
+DiffusionConfig while parsing; the field names in report_fields,
+criteria, contact_fields and the rule conditions are checked against the
+stats schema as soon as the stats are loaded, and the training data files
+are checked to exist, before anything is trained or written.  Every
+violation is a ConfigError naming the field path, which the CLI turns
+into exit code 2.
 """
 
 from __future__ import annotations
@@ -75,7 +74,7 @@ import logging
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 
 import numpy as np
@@ -121,16 +120,37 @@ _RULE_OPS = {
 }
 
 
+# the scalar settings of the top level and of training: key -> (kind, default,
+# low, high).  _settings fills in the default of each unset one and checks each
+# set one with _scalar; str settings are file or directory names.
+_SETTINGS = {
+    "": {
+        "iterations": (int, 3, 1, None),
+        "replicates": (int, 5, 1, None),
+        "seed": (int, 0, 0, None),
+        "stats_file": (str, BUILTIN_STATS, None, None),
+        "output_dir": (str, "out", None, None),
+    },
+    "training": {
+        "sample_size": (int, 20000, 2, None),
+        "cv_folds": (int, 3, 2, None),
+        "per_replicate": (bool, False, None, None),
+        "homophily": (float, 0.7, 0, 1),
+        "max_kernel_evals": (int, None, 1, None),  # None: training_budget
+        "pairs_file": (str, None, None, None),
+        "egos_file": (str, None, None, None),
+        "alters_file": (str, None, None, None),
+        "alter_pool_file": (str, None, None, None),
+    },
+}
+
 # the keys each config section takes
 _KEYS = {
-    "": {"graph", "initial_fraction", "iterations", "replicates", "seed", "stats_file",
-         "output_dir", "report_fields", "training"},
+    "": {"graph", "initial_fraction", "report_fields", "training", *_SETTINGS[""]},
     ERDOS_RENYI: {"model", "n", "edge_prob"},  # graph, by model
     SMALL_WORLD: {"model", "n", "neighbors", "rewire_prob"},
-    "training": {"mode", "sample_size", "rule", "params", "grid", "cv_folds",
-                 "per_replicate", "pairs_file", "egos_file", "alters_file",
-                 "alter_pool_file", "criteria", "contact_fields", "homophily",
-                 "max_kernel_evals"},
+    "training": {"mode", "rule", "params", "grid", "criteria", "contact_fields",
+                 *_SETTINGS["training"]},
     "params": {"kernel", "sigma", "C", "weight"},
     "rule": {"conditions"},
     "condition": {"role", "field", "op", "value"},
@@ -174,13 +194,19 @@ def _at(path: str):
         raise ConfigError(path, str(exc)) from None
 
 
-def _number(value, path: str, kind=float, low=None, high=None):
-    """kind(value) for a config number, or a ConfigError naming `path`.
+def _scalar(value, path: str, kind=float, low=None, high=None):
+    """kind(value) for a config scalar, or a ConfigError naming `path`.
 
-    A setting takes a finite JSON number only: no bool, no string, no
-    Infinity or NaN; an int setting also takes no fraction.  With `low` the
-    number must be >= low, and with `high` too it must lie in [low, high].
+    A str setting takes a JSON string and a bool setting a JSON boolean.  A
+    number takes a finite JSON number only: no bool, no string, no Infinity
+    or NaN; an int setting also takes no fraction.  With `low` the number
+    must be >= low, and with `high` too it must lie in [low, high].
     """
+    if kind in (str, bool):
+        if not isinstance(value, kind):
+            what = "a string" if kind is str else "true or false"
+            raise ConfigError(path, f"must be {what}, got {value!r}")
+        return value
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if kind is int and not (number and (isinstance(value, int) or value.is_integer())):
         raise ConfigError(path, f"must be an integer, got {value!r}")
@@ -193,30 +219,22 @@ def _number(value, path: str, kind=float, low=None, high=None):
     return value
 
 
-def _as_list(value, path: str, empty_ok: bool = False) -> list:
+def _list(value, path: str, kind=None, empty_ok: bool = False) -> tuple:
+    """value as a tuple; with `kind`, each item checked by _scalar."""
     if not isinstance(value, list) or not (value or empty_ok):
         raise ConfigError(path, "must be a list" if empty_ok else "must be a non-empty list")
-    return value
+    if kind is None:
+        return tuple(value)
+    return tuple(_scalar(x, f"{path}[{i}]", kind) for i, x in enumerate(value))
 
 
-def _numbers(value, path: str, kind=float) -> tuple:
-    return tuple(_number(x, f"{path}[{i}]", kind) for i, x in enumerate(_as_list(value, path)))
-
-
-def _names(value, path: str) -> tuple[str, ...]:
-    for i, name in enumerate(_as_list(value, path, empty_ok=True)):
-        if not isinstance(name, str):
-            raise ConfigError(f"{path}[{i}]", f"must be a string, got {name!r}")
-    return tuple(value)
-
-
-def _file_name(doc: dict, key: str, where: str, default: str | None = None) -> str | None:
-    """doc[key] as a file name when the key is set, else `default`."""
-    if key not in doc:
-        return default
-    if not isinstance(doc[key], str):
-        raise ConfigError(f"{where}.{key}".lstrip("."), f"must be a string, got {doc[key]!r}")
-    return doc[key]
+def _settings(doc: dict, section: str) -> dict:
+    """The _SETTINGS scalars of a section: each set one checked, the rest defaulted."""
+    return {
+        key: _scalar(doc[key], f"{section}.{key}".lstrip("."), kind, low, high)
+        if key in doc else default
+        for key, (kind, default, low, high) in _SETTINGS[section].items()
+    }
 
 
 @dataclass(frozen=True)
@@ -231,7 +249,7 @@ class PlantedRule:
 
     @classmethod
     def from_config(cls, doc: dict, path: str) -> "PlantedRule":
-        conds = _as_list(
+        conds = _list(
             _require(_object(doc, path, "rule"), "conditions", path), f"{path}.conditions"
         )
         out = []
@@ -243,7 +261,7 @@ class PlantedRule:
             op = _require(c, "op", where)
             if not isinstance(op, str) or op not in _RULE_OPS:
                 raise ConfigError(f"{where}.op", f"must be one of {sorted(_RULE_OPS)}")
-            value = _number(_require(c, "value", where), f"{where}.value")
+            value = _scalar(_require(c, "value", where), f"{where}.value")
             out.append((role, str(_require(c, "field", where)), op, value))
         return cls(conditions=tuple(out))
 
@@ -258,11 +276,9 @@ class PlantedRule:
 
 def _parse_svm_params(doc: dict, path: str) -> SvmParams:
     kind = _require(_object(doc, path, "params"), "kernel", path)
-    sigma = doc.get("sigma")
-    if sigma is not None:
-        sigma = _number(sigma, f"{path}.sigma")
-    C = _number(_require(doc, "C", path), f"{path}.C")
-    weight = _number(_require(doc, "weight", path), f"{path}.weight")
+    sigma = None if doc.get("sigma") is None else _scalar(doc["sigma"], f"{path}.sigma")
+    C = _scalar(_require(doc, "C", path), f"{path}.C")
+    weight = _scalar(_require(doc, "weight", path), f"{path}.weight")
     with _at(path):
         return SvmParams(C=C, weight=weight, kernel=KernelSpec(kind, sigma))
 
@@ -283,59 +299,42 @@ class TrainingConfig:
     criteria: tuple[str, ...]
     contact_fields: tuple[str, ...]
     homophily: float
-    max_kernel_evals: int | None = None
+    max_kernel_evals: int | None
 
     @classmethod
-    def from_config(cls, doc: dict, path: str = "training") -> "TrainingConfig":
-        mode = _object(doc, path, "training").get("mode", "synthetic")
+    def from_config(cls, doc: dict) -> "TrainingConfig":
+        path = "training"
+        mode = _object(doc, path, path).get("mode", "synthetic")
         if mode not in ("synthetic", "pairs", "survey"):
             raise ConfigError(f"{path}.mode", "must be synthetic, pairs or survey")
-        sample_size = _number(doc.get("sample_size", 20000), f"{path}.sample_size", int, 2)
         params = _parse_svm_params(doc["params"], f"{path}.params") if "params" in doc else None
         grid = tuple(
             _parse_svm_params(g, f"{path}.grid[{i}]")
-            for i, g in enumerate(_as_list(doc.get("grid", []), f"{path}.grid", empty_ok=True))
+            for i, g in enumerate(_list(doc.get("grid", []), f"{path}.grid", empty_ok=True))
         )
         if params is None and not grid:
             raise ConfigError(f"{path}.params", "need params or a grid")
         rule = None
         if mode == "synthetic":
             rule = PlantedRule.from_config(_require(doc, "rule", path), f"{path}.rule")
-        if mode == "pairs" and "pairs_file" not in doc:
-            raise ConfigError(f"{path}.pairs_file", "missing")
+        if mode == "pairs":
+            _require(doc, "pairs_file", path)
         if mode == "survey":
             for key in ("egos_file", "alter_pool_file", "criteria", "contact_fields"):
-                if key not in doc:
-                    raise ConfigError(f"{path}.{key}", "missing")
-        cv_folds = _number(doc.get("cv_folds", 3), f"{path}.cv_folds", int, 2)
-        per_replicate = doc.get("per_replicate", False)
-        if not isinstance(per_replicate, bool):
-            raise ConfigError(
-                f"{path}.per_replicate", f"must be true or false, got {per_replicate!r}"
-            )
-        criteria = _names(doc.get("criteria", []), f"{path}.criteria")
+                _require(doc, key, path)
+        criteria = _list(doc.get("criteria", []), f"{path}.criteria", str, empty_ok=True)
         if mode == "survey" and not criteria:
             raise ConfigError(f"{path}.criteria", "must name at least one field")
-        homophily = _number(doc.get("homophily", 0.7), f"{path}.homophily", float, 0, 1)
-        max_kernel_evals = None
-        if "max_kernel_evals" in doc:
-            max_kernel_evals = _number(doc["max_kernel_evals"], f"{path}.max_kernel_evals", int, 1)
         return cls(
             mode=mode,
-            sample_size=sample_size,
             params=params,
             grid=grid,
-            cv_folds=cv_folds,
-            per_replicate=per_replicate,
             rule=rule,
-            pairs_file=_file_name(doc, "pairs_file", path),
-            egos_file=_file_name(doc, "egos_file", path),
-            alters_file=_file_name(doc, "alters_file", path),
-            alter_pool_file=_file_name(doc, "alter_pool_file", path),
             criteria=criteria,
-            contact_fields=_names(doc.get("contact_fields", []), f"{path}.contact_fields"),
-            homophily=homophily,
-            max_kernel_evals=max_kernel_evals,
+            contact_fields=_list(
+                doc.get("contact_fields", []), f"{path}.contact_fields", str, empty_ok=True
+            ),
+            **_settings(doc, path),
         )
 
 
@@ -372,54 +371,45 @@ class ExperimentConfig:
         if model not in (ERDOS_RENYI, SMALL_WORLD):
             raise ConfigError("graph.model", f"unknown model {model!r}")
         _object(graph, "graph", model)
-        n = _number(graph.get("n", 10000), "graph.n", int, 1)
+        n = _scalar(graph.get("n", 10000), "graph.n", int, 1)
         # (graph, columns, tag) per graph setting, in sweep.csv row order:
         # ER by edge_prob; small world by rewire_prob, then neighbors
-        settings = []
+        graphs = []
         if model == ERDOS_RENYI:
-            edge_probs = _numbers(_require(graph, "edge_prob", "graph"), "graph.edge_prob")
+            edge_probs = _list(_require(graph, "edge_prob", "graph"), "graph.edge_prob", float)
             for i, p in enumerate(edge_probs):
                 with _at(f"graph.edge_prob[{i}]"):
-                    settings.append(
+                    graphs.append(
                         (GraphParams(model, n, edge_prob=p), (("edge_prob", p),), f"pe{p:g}")
                     )
         else:
-            neighbor_counts = _numbers(
-                _require(graph, "neighbors", "graph"), "graph.neighbors", int
+            neighbor_counts = _list(_require(graph, "neighbors", "graph"), "graph.neighbors", int)
+            rewire_probs = _list(
+                _require(graph, "rewire_prob", "graph"), "graph.rewire_prob", float
             )
-            rewire_probs = _numbers(_require(graph, "rewire_prob", "graph"), "graph.rewire_prob")
             for i, k in enumerate(neighbor_counts):
                 with _at(f"graph.neighbors[{i}]"):
                     GraphParams(model, n, neighbors=k)
             for i, p in enumerate(rewire_probs):
                 for k in neighbor_counts:
                     with _at(f"graph.rewire_prob[{i}]"):
-                        settings.append((GraphParams(model, n, neighbors=k, rewire_prob=p),
-                                         (("rewire_prob", p), ("neighbors", k)), f"ps{p:g}_k{k}"))
-        iterations = _number(doc.get("iterations", 3), "iterations", int, 1)
-        fractions = _numbers(doc.get("initial_fraction", [0.1, 0.2, 0.5]), "initial_fraction")
+                        graphs.append((GraphParams(model, n, neighbors=k, rewire_prob=p),
+                                       (("rewire_prob", p), ("neighbors", k)), f"ps{p:g}_k{k}"))
+        settings = _settings(doc, "")
+        fractions = _list(doc.get("initial_fraction", [0.1, 0.2, 0.5]), "initial_fraction", float)
         for i, a in enumerate(fractions):
             with _at(f"initial_fraction[{i}]"):
-                DiffusionConfig(a, iterations)
-        replicates = _number(doc.get("replicates", 5), "replicates", int, 1)
-        seed = _number(doc.get("seed", 0), "seed", int, 0)
-        training = (
-            TrainingConfig.from_config(doc["training"]) if "training" in doc else None
-        )
+                DiffusionConfig(a, settings["iterations"])
         return cls(
             n=n,
             points=tuple(
                 GridPoint(params, a, columns + (("initial_fraction", a),), f"{tag}_a{a:g}")
-                for params, columns, tag in settings
+                for params, columns, tag in graphs
                 for a in fractions
             ),
-            iterations=iterations,
-            replicates=replicates,
-            seed=seed,
-            stats_file=_file_name(doc, "stats_file", "", BUILTIN_STATS),
-            output_dir=_file_name(doc, "output_dir", "", "out"),
-            training=training,
-            report_fields=_names(doc.get("report_fields", []), "report_fields"),
+            training=TrainingConfig.from_config(doc["training"]) if "training" in doc else None,
+            report_fields=_list(doc.get("report_fields", []), "report_fields", str, empty_ok=True),
+            **settings,
         )
 
     @classmethod
@@ -427,6 +417,8 @@ class ExperimentConfig:
         try:
             with open(path, encoding="utf-8") as fh:
                 doc = json.load(fh)
+        except FileNotFoundError:
+            raise ConfigError("<file>", f"no such file: {path}") from None
         except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
             raise ConfigError("<file>", f"not valid JSON: {exc}") from None
         return cls.from_dict(doc)
@@ -450,7 +442,8 @@ def load_stats(stats_file: str) -> PopulationStats:
 
 
 def load_config_stats(config: ExperimentConfig) -> PopulationStats:
-    """The config's stats, with every field name the config holds in their schema."""
+    """The config's stats, with every field name the config holds in their schema
+    and every training data file it names on disk."""
     stats = load_stats(config.stats_file)
     named = [(f"report_fields[{i}]", fid) for i, fid in enumerate(config.report_fields)]
     tc = config.training
@@ -464,6 +457,10 @@ def load_config_stats(config: ExperimentConfig) -> PopulationStats:
     for path, fid in named:
         if fid not in stats.schema.field_ids:
             raise ConfigError(path, f"no field {fid!r} in the stats schema")
+    for key in ("pairs_file", "egos_file", "alter_pool_file", "alters_file"):
+        name = getattr(tc, key, None)  # None without a training section
+        if name is not None and not os.path.exists(name):
+            raise ConfigError(f"training.{key}", f"no such file: {name}")
     return stats
 
 
@@ -479,7 +476,7 @@ def synthetic_pairs(
 def _survey_pairs(tc: TrainingConfig, schema: FeatureSchema, rng) -> completion.PairSet:
     egos = VertexTable.from_csv(tc.egos_file, schema)
     pool = VertexTable.from_csv(tc.alter_pool_file, schema)
-    if tc.alters_file:
+    if tc.alters_file is not None:
         listed = completion.read_alters_csv(tc.alters_file, schema, egos.n)
     else:
         listed = [[] for _ in range(egos.n)]
@@ -538,14 +535,9 @@ def train_pipeline(
         if len(tc.grid) == 1:
             params = tc.grid[0]
         else:
-            report = cross_validate(
-                X, y, tc.grid, tc.cv_folds, rng, max_kernel_evals=budget
-            )
-            params = report.best
+            params = cross_validate(X, y, tc.grid, tc.cv_folds, rng, max_kernel_evals=budget).best
             logger.info("cross-validation selected %s", params)
-    model = fit_pair_classifier(
-        X, y, params, schema=stats.schema, max_kernel_evals=budget
-    )
+    model = fit_pair_classifier(X, y, params, schema=stats.schema, max_kernel_evals=budget)
     model.training_size = len(y)
     return model
 
@@ -558,36 +550,20 @@ def _sample_std(values: np.ndarray) -> float:
     return float(np.std(values, ddof=1))
 
 
-@dataclass
-class RunArtifacts:
-    tag: str
-    replicate: int
-    result: DiffusionResult
-
-
-@dataclass
-class ExperimentOutput:
-    rows: list[dict]
-    runs: list[RunArtifacts]
-
-
-def _replicate_models(config: ExperimentConfig, stats: PopulationStats, stub_model):
-    """The replicates' model, trained before anything is written: a STUB_MODELS
-    entry or one fit on stream index 0, shared by all replicates, or with
-    per_replicate a tuple holding replicate rep's own fit on stream index rep + 1.
+def _replicate_models(config: ExperimentConfig, stats: PopulationStats, stub_model) -> tuple:
+    """One model per replicate, every one trained before anything is written:
+    a STUB_MODELS entry or one fit on stream index 0, the same object for all
+    replicates, or with per_replicate replicate rep's own fit on stream index rep + 1.
     """
     if stub_model is not None:
         if stub_model not in STUB_MODELS:
             raise ConfigError("stub_model", f"unknown stub {stub_model!r}")
-        return STUB_MODELS[stub_model]
+        return (STUB_MODELS[stub_model],) * config.replicates
     if config.training is None:
         raise ConfigError("training", "missing section and no stub model requested")
-    if not config.training.per_replicate:
-        return train_pipeline(config, stats=stats)
-    return tuple(
-        train_pipeline(config, stats=stats, stream_index=rep + 1)
-        for rep in range(config.replicates)
-    )
+    if config.training.per_replicate:
+        return tuple(train_pipeline(config, stats, rep + 1) for rep in range(config.replicates))
+    return (train_pipeline(config, stats=stats),) * config.replicates
 
 
 def _run_replicate(
@@ -602,17 +578,34 @@ def _run_replicate(
     return table, run_diffusion(graph, table, model, dconf, rng)
 
 
+def _write_run(
+    config: ExperimentConfig, stats: PopulationStats, index: int, rep: int, model, runs_dir
+) -> tuple[float, float, np.ndarray]:
+    """Run replicate rep of grid point `index` and write its log.csv and
+    summary.json; returns (avg_hops, fanout, coverage increments) and keeps
+    nothing else of the run."""
+    tag = config.points[index].tag
+    _, result = _run_replicate(config, stats, index, rep, model)
+    run_dir = os.path.join(runs_dir, f"{tag}_r{rep}")
+    os.makedirs(run_dir, exist_ok=True)
+    write_log_csv(result.log, os.path.join(run_dir, "log.csv"))
+    write_summary_json(result, config.n, os.path.join(run_dir, "summary.json"),
+                       extra={"tag": tag, "replicate": rep})
+    return result.avg_hops, result.fanout, np.diff(result.coverage)
+
+
 def run_experiment(
     config: ExperimentConfig,
     stub_model: str | None = None,
     out_dir: str | None = None,
-) -> ExperimentOutput:
+) -> list[dict]:
     """Run the full sweep and write per-run plus aggregated artifacts.
 
-    Returns the aggregated sweep rows (also written to sweep.csv, whose
-    columns follow the key order of a row) plus the per-run results.
-    `stub_model`, a STUB_MODELS name, replaces the trained SVM with a
-    constant predictor for oracle testing.  A shared trained model is
+    Returns the aggregated sweep rows, also written to sweep.csv, whose
+    columns follow the key order of a row.  Each run is written to
+    runs/<tag>_r<rep> and dropped, so memory does not grow with the run
+    count.  `stub_model`, a STUB_MODELS name, replaces the trained SVM with
+    a constant predictor for oracle testing.  A shared trained model is
     saved as model.json.
     """
     out_dir = out_dir or config.output_dir
@@ -620,42 +613,26 @@ def run_experiment(
     models = _replicate_models(config, stats, stub_model)
     runs_dir = os.path.join(out_dir, "runs")
     os.makedirs(runs_dir, exist_ok=True)
-    if isinstance(models, SvmModel):
-        models.save(os.path.join(out_dir, "model.json"))
+    if stub_model is None and not config.training.per_replicate:
+        models[0].save(os.path.join(out_dir, "model.json"))
 
     rows = []
-    all_results: list[RunArtifacts] = []
     for index, point in enumerate(config.points):
-        hops, fans, deltas = [], [], []
-        for rep in range(config.replicates):
-            model = models[rep] if isinstance(models, tuple) else models
-            _, result = _run_replicate(config, stats, index, rep, model)
-            run_dir = os.path.join(runs_dir, f"{point.tag}_r{rep}")
-            os.makedirs(run_dir, exist_ok=True)
-            write_log_csv(result.log, os.path.join(run_dir, "log.csv"))
-            write_summary_json(
-                result,
-                config.n,
-                os.path.join(run_dir, "summary.json"),
-                extra={"tag": point.tag, "replicate": rep},
-            )
-            hops.append(result.avg_hops)
-            fans.append(result.fanout)
-            deltas.append(np.diff(result.coverage))
-            all_results.append(RunArtifacts(point.tag, rep, result))
-        deltas_arr = np.array(deltas)
+        hops, fans, deltas = zip(*(
+            _write_run(config, stats, index, rep, model, runs_dir)
+            for rep, model in enumerate(models)
+        ))
+        deltas = np.array(deltas)
+        means = [("mu_h", hops), ("xi", fans)]
+        means += [(f"dnu_{i + 1}", deltas[:, i]) for i in range(min(config.iterations, 3))]
         row = dict(point.columns)  # sweep.csv columns: the key order of this dict
-        row["mu_h_mean"] = float(np.mean(hops))
-        row["mu_h_std"] = _sample_std(np.array(hops))
-        row["xi_mean"] = float(np.mean(fans))
-        row["xi_std"] = _sample_std(np.array(fans))
-        for i in range(min(config.iterations, 3)):
-            row[f"dnu_{i + 1}_mean"] = float(np.mean(deltas_arr[:, i]))
-            row[f"dnu_{i + 1}_std"] = _sample_std(deltas_arr[:, i])
+        for name, values in means:
+            row[f"{name}_mean"] = float(np.mean(values))
+            row[f"{name}_std"] = _sample_std(np.asarray(values))
         row["replicates"] = config.replicates
         rows.append(row)
     _write_sweep_csv(rows, os.path.join(out_dir, "sweep.csv"))
-    return ExperimentOutput(rows=rows, runs=all_results)
+    return rows
 
 
 def _write_sweep_csv(rows, path) -> None:
@@ -680,10 +657,8 @@ def report_distributions(
     if not config.report_fields:
         raise ConfigError("report_fields", "must name at least one field")
     stats = load_config_stats(config)
-    models = _replicate_models(config, stats, None)
     per_field: dict[str, list] = {fid: [] for fid in config.report_fields}
-    for rep in range(config.replicates):
-        model = models[rep] if isinstance(models, tuple) else models
+    for rep, model in enumerate(_replicate_models(config, stats, None)):
         table, result = _run_replicate(config, stats, 0, rep, model)
         for fid in config.report_fields:
             per_field[fid].append(analysis.wave_distribution(result, table, fid))
@@ -698,12 +673,8 @@ def report_distributions(
             if stack:
                 rows[i] = np.mean(stack, axis=0)
         averaged[fid] = rows
-        avg = analysis.WaveDistribution(
-            field_id=fid,
-            categories=first.categories,
-            row_labels=first.row_labels,
-            proportions=rows,
-            empty_rows=tuple(bool(np.all(r == analysis.EMPTY_ROW)) for r in rows),
+        empty = tuple(bool(np.all(r == analysis.EMPTY_ROW)) for r in rows)
+        replace(first, proportions=rows, empty_rows=empty).to_csv(
+            os.path.join(out_dir, f"dist_{fid}.csv")
         )
-        avg.to_csv(os.path.join(out_dir, f"dist_{fid}.csv"))
     return averaged

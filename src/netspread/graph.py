@@ -446,9 +446,9 @@ def read_edge_list(path) -> Graph:
         raise type(exc)(f"{path}: {exc}") from None
 
 
-def to_dot(g: Graph, name: str = "G") -> str:
-    """DOT text for external rendering; isolated vertices are listed too."""
-    lines = [f"graph {name} {{"]
+def to_dot(g: Graph) -> str:
+    """DOT text (graph G) for external rendering; isolated vertices are listed too."""
+    lines = ["graph G {"]
     isolated = [v for v in range(g.n) if g.degree(v) == 0]
     for v in isolated:
         lines.append(f"  {v};")

@@ -1,11 +1,14 @@
+import json
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from netspread.diffusion import read_log_csv
 from netspread.graph import Graph
 from netspread.population import Field, FeatureSchema
 
@@ -81,3 +84,26 @@ def random_record(schema: FeatureSchema, gen: np.random.Generator) -> dict:
             lo, hi = f.value_range
             record[f.id] = int(gen.integers(lo, hi + 1))
     return record
+
+
+class WrittenRun(NamedTuple):
+    seeds: tuple
+    coverage: tuple
+    log: tuple
+    wave: dict
+
+
+def written_runs(config) -> list[WrittenRun]:
+    """The runs a sweep wrote under config.output_dir, in sweep order: seeds
+    and coverage from summary.json, the log from log.csv, and the wave rebuilt
+    from the seeds and the log."""
+    runs = []
+    for point in config.points:
+        for rep in range(config.replicates):
+            run_dir = Path(config.output_dir) / "runs" / f"{point.tag}_r{rep}"
+            summary = json.loads((run_dir / "summary.json").read_text())
+            log = tuple(read_log_csv(run_dir / "log.csv"))
+            wave = {v: 0 for v in summary["seeds"]}
+            wave.update((r, it) for it, _, r in log)
+            runs.append(WrittenRun(tuple(summary["seeds"]), tuple(summary["nu"]), log, wave))
+    return runs

@@ -25,7 +25,7 @@ from netspread.graph import clustering_coefficient, gen_erdos_renyi, gen_small_w
 from netspread.experiments import ExperimentConfig, run_experiment
 from netspread.population import VertexTable
 
-from conftest import TINY_SCHEMA, make_graph, random_graph, random_record
+from conftest import TINY_SCHEMA, make_graph, random_graph, random_record, written_runs
 from oracles import (
     all_partitions,
     bfs_layers,
@@ -147,22 +147,22 @@ def test_criterion_07_qualitative_sweep_trends(tmp_path):
             },
         }
     )
-    out = run_experiment(config)
+    rows = run_experiment(config)
     # (a) coverage increments non-increasing within >= 90% of runs
     flags = []
-    for run in out.runs:
-        d = np.diff(run.result.coverage)
+    for run in written_runs(config):
+        d = np.diff(run.coverage)
         flags.append(all(d[i] >= d[i + 1] - 1e-12 for i in range(len(d) - 1)))
     frac_monotone = np.mean(flags)
     # (b) mean avg_hops strictly increasing in edge probability at a = 0.1
-    mus = [r["mu_h_mean"] for r in out.rows if r["initial_fraction"] == 0.1]
+    mus = [r["mu_h_mean"] for r in rows if r["initial_fraction"] == 0.1]
     increasing = all(a < b for a, b in zip(mus, mus[1:]))
     # (c) mean fanout lower at a = 0.5 than a = 0.1 on matched graphs
     lower = True
     for pe in (0.001, 0.002, 0.003, 0.004):
         xi = {
             r["initial_fraction"]: r["xi_mean"]
-            for r in out.rows
+            for r in rows
             if r["edge_prob"] == pe
         }
         lower = lower and xi[0.5] < xi[0.1]

@@ -181,6 +181,29 @@ class TestExitCodes:
         assert "config error: training: missing section" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "train", "report"])
+    @pytest.mark.parametrize(
+        "key", ["pairs_file", "egos_file", "alter_pool_file", "alters_file"]
+    )
+    def test_missing_training_data_file_exits_2_before_writing(
+        self, tmp_path, capsys, command, key
+    ):
+        if key == "pairs_file":
+            training = dict(TRAINING, mode="pairs")
+        else:
+            training = write_survey(tmp_path, ["29,0,2,1"])
+        missing = str(tmp_path / "missing.csv")
+        config = write_config(tmp_path, training=dict(training, **{key: missing}))
+        assert main([command, "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: training.{key}: no such file: {missing}" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_config_file_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "cfg.json"
+        assert main(["simulate", "--config", str(missing)]) == 2
+        assert f"config error: <file>: no such file: {missing}" in capsys.readouterr().err
+
     def test_broken_stats_file_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "stats.json"
         bad.write_text("{}")

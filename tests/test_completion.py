@@ -148,7 +148,7 @@ class TestCompleteAlter:
             person(gender=1, age=3, edu=2, friends=6, family=5),
             person(gender=0, age=3, edu=2),
         ])
-        full = complete_alter(partial, pool, rng, match_fields=self.MATCH)
+        full = complete_alter(partial, pool, rng)
         assert full["contact_friends"] == 6 and full["contact_family"] == 5
 
     def test_observed_fields_never_overwritten(self, rng):
@@ -163,7 +163,7 @@ class TestCompleteAlter:
                 "education": donor["education"],
                 "profession": int(gen.integers(3)),
             }
-            full = complete_alter(partial, pool, rng, match_fields=self.MATCH)
+            full = complete_alter(partial, pool, rng)
             for fid, value in partial.items():
                 assert full[fid] == value
             assert set(full) == set(TINY_SCHEMA.field_ids)
@@ -171,19 +171,19 @@ class TestCompleteAlter:
     def test_deterministic_choice(self):
         partial = {"gender": 0, "age_band": 2, "education": 1, "profession": 0}
         pool = table([person(friends=1), person(friends=5)])
-        a = complete_alter(partial, pool, np.random.default_rng(4), match_fields=self.MATCH)
-        b = complete_alter(partial, pool, np.random.default_rng(4), match_fields=self.MATCH)
+        a = complete_alter(partial, pool, np.random.default_rng(4))
+        b = complete_alter(partial, pool, np.random.default_rng(4))
         assert a == b
 
     def test_idempotent_on_fully_observed(self, rng):
         full = person(gender=1, age=4, edu=3)
-        out = complete_alter(full, table([person()]), rng, match_fields=self.MATCH)
+        out = complete_alter(full, table([person()]), rng)
         assert out == full
 
     def test_fallback_relaxes_education_then_age(self, rng):
         partial = {"gender": 0, "age_band": 2, "education": 4, "profession": 0}
         pool = table([person(gender=0, age=5, edu=1, friends=2)])  # gender-only match
-        full = complete_alter(partial, pool, rng, match_fields=self.MATCH)
+        full = complete_alter(partial, pool, rng)
         assert full["education"] == 4  # observed kept despite relaxed match
         assert full["contact_friends"] == 2
 
@@ -191,12 +191,11 @@ class TestCompleteAlter:
         partial = {"gender": 0, "age_band": 2, "education": 1, "profession": 0}
         pool = table([person(gender=1, age=2, edu=1)])
         with pytest.raises(NoMatchError):
-            complete_alter(partial, pool, rng, match_fields=self.MATCH)
+            complete_alter(partial, pool, rng)
 
 
 class TestBuildTrainingSet:
     CONTACTS = ("contact_friends", "contact_family")
-    MATCH = ("gender", "age_band", "education")
 
     def test_counts(self, rng):
         ego = person(prof=2, friends=3, family=2)  # 5 generated non-receivers
@@ -211,7 +210,6 @@ class TestBuildTrainingSet:
             contact_fields=self.CONTACTS,
             h=0.7,
             rng=rng,
-            match_fields=self.MATCH,
         )
         ego_labels = [pairs.labels[i] for i in range(len(pairs)) if pairs.senders.row(i) == ego]
         assert ego_labels.count(1) == 2
@@ -227,7 +225,6 @@ class TestBuildTrainingSet:
         ]
         pairs = build_training_set(
             table(egos), listed, table(pool), CRITERIA, self.CONTACTS, 0.7, rng,
-            match_fields=self.MATCH,
         )
         n_pos = int(np.sum(pairs.labels == 1))
         n_gen = sum(round_half_up(e["contact_friends"] + e["contact_family"]) for e in egos)
@@ -240,12 +237,10 @@ class TestBuildTrainingSet:
         pool = table([random_record(TINY_SCHEMA, gen) for _ in range(20)])
         listed = [[] for _ in range(egos.n)]
         a = build_training_set(
-            egos, listed, pool, CRITERIA, self.CONTACTS, 0.7,
-            np.random.default_rng(1), match_fields=self.MATCH,
+            egos, listed, pool, CRITERIA, self.CONTACTS, 0.7, np.random.default_rng(1)
         )
         b = build_training_set(
-            egos, listed, pool, CRITERIA, self.CONTACTS, 0.7,
-            np.random.default_rng(1), match_fields=self.MATCH,
+            egos, listed, pool, CRITERIA, self.CONTACTS, 0.7, np.random.default_rng(1)
         )
         assert a.matrix().tobytes() == b.matrix().tobytes()
         assert np.array_equal(a.labels, b.labels)
@@ -414,7 +409,7 @@ def test_build_matches_dict_reference(caplog):
         )
         rng = np.random.default_rng(seed)
         pairs = build_training_set(
-            table(egos), listed, table(pool), criteria, contacts, h, rng, match_fields=match
+            table(egos), listed, table(pool), criteria, contacts, h, rng
         )
         assert pairs.matrix().tobytes() == X.tobytes(), seed
         assert np.array_equal(pairs.labels, y), seed

@@ -84,7 +84,9 @@ def full_scan(graph, table, model, config, rng):
     coverage = [len(informed) / graph.n]
     log = []
     for iteration in range(1, config.iterations + 1):
-        new, entries = diffusion_step(graph, table, informed, model, iteration, frontier=None)
+        new, entries = diffusion_step(
+            graph, table, informed, model, iteration, frontier=informed
+        )
         informed |= new
         wave.update((v, iteration) for v in new)
         log.extend(entries)
@@ -218,7 +220,7 @@ class TestSeeding:
 class TestDiffusionStep:
     def test_always_negative_no_spread(self, path3):
         table = table_for(path3)
-        new, entries = diffusion_step(path3, table, {0}, ConstantModel(-1), 1)
+        new, entries = diffusion_step(path3, table, {0}, ConstantModel(-1), 1, frontier={0})
         assert new == set() and entries == []
 
     def test_always_positive_is_one_bfs_layer(self):
@@ -226,20 +228,24 @@ class TestDiffusionStep:
             g = random_graph(30, 0.1, seed)
             table = table_for(g, seed)
             informed = {0, 5, 11}
-            new, entries = diffusion_step(g, table, informed, ConstantModel(1), 1)
+            new, entries = diffusion_step(
+                g, table, informed, ConstantModel(1), 1, frontier=informed
+            )
             expected = {v for u in informed for v in g.neighbors(u)} - informed
             assert new == expected
             assert {r for _, _, r in entries} == expected
 
     def test_both_endpoints_informed_edge_skipped(self, triangle):
         table = table_for(triangle)
-        new, entries = diffusion_step(triangle, table, {0, 1, 2}, ConstantModel(1), 1)
+        new, entries = diffusion_step(
+            triangle, table, {0, 1, 2}, ConstantModel(1), 1, frontier={0, 1, 2}
+        )
         assert new == set() and entries == []
 
     def test_attribution_smallest_positive_sender(self):
         g = make_graph(4, [(0, 3), (2, 3), (1, 3)])
         table = table_for(g)
-        _, entries = diffusion_step(g, table, {0, 1, 2}, ConstantModel(1), 1)
+        _, entries = diffusion_step(g, table, {0, 1, 2}, ConstantModel(1), 1, frontier={0, 1, 2})
         assert entries == [(1, 0, 3)]
 
     def test_prediction_direction_is_sender_to_receiver(self):
@@ -253,10 +259,10 @@ class TestDiffusionStep:
         table = VertexTable.from_records(TINY_SCHEMA, records)
         model = RuleModel()
         # informed 0 -> receiver 1 has gender 1: transmitted
-        new, _ = diffusion_step(g, table, {0}, model, 1)
+        new, _ = diffusion_step(g, table, {0}, model, 1, frontier={0})
         assert new == {1}
         # informed 1 -> receiver 0 has gender 0: not transmitted
-        new, _ = diffusion_step(g, table, {1}, model, 1)
+        new, _ = diffusion_step(g, table, {1}, model, 1, frontier={1})
         assert new == set()
 
 

@@ -1,6 +1,7 @@
 import copy
 import csv
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from netspread.experiments import (
 from netspread.graph import GraphParams
 from netspread.population import VertexTable
 
-from conftest import TINY_SCHEMA, random_record
+from conftest import TINY_SCHEMA, random_record, written_runs
 from oracles import bfs_layers
 
 RULE = {
@@ -370,14 +371,14 @@ class TestRunExperiment:
         )
         del doc["training"]
         config = ExperimentConfig.from_dict(doc)
-        out = run_experiment(config, stub_model="always-positive")
-        result = out.runs[0].result
+        rows = run_experiment(config, stub_model="always-positive")
+        result = written_runs(config)[0]
         # rebuild the run's graph from its stream and compare with BFS layers
         rng = stream(config.seed, 0, 0)
         graph = experiments.generate_graph(config.points[0].graph, rng)
         layers = bfs_layers(graph, result.seeds)
         assert result.wave == {v: d for v, d in layers.items() if d <= 3}
-        row = out.rows[0]
+        row = rows[0]
         assert row["dnu_1_std"] == 0.0  # single replicate
 
     def test_identical_replicate_streams_give_zero_std(self, tmp_path, monkeypatch):
@@ -389,8 +390,7 @@ class TestRunExperiment:
         doc = base_config(tmp_path, replicates=3)
         del doc["training"]
         config = ExperimentConfig.from_dict(doc)
-        out = run_experiment(config, stub_model="always-positive")
-        row = out.rows[0]
+        row = run_experiment(config, stub_model="always-positive")[0]
         for name in ("mu_h_std", "xi_std", "dnu_1_std", "dnu_2_std", "dnu_3_std"):
             assert row[name] == 0.0
 
@@ -404,7 +404,7 @@ class TestRunExperiment:
         doc = base_config(tmp_path, replicates=2)
         del doc["training"]
         config = ExperimentConfig.from_dict(doc)
-        out = run_experiment(config, stub_model="always-positive")
+        run_experiment(config, stub_model="always-positive")
         out_dir = Path(config.output_dir)
         sweep = out_dir / "sweep.csv"
         assert sweep.exists()
@@ -428,8 +428,8 @@ class TestRunExperiment:
     def test_byte_identical_reruns(self, tmp_path):
         doc1 = base_config(tmp_path, output_dir=str(tmp_path / "a"))
         doc2 = base_config(tmp_path, output_dir=str(tmp_path / "b"))
-        out1 = run_experiment(ExperimentConfig.from_dict(doc1))
-        out2 = run_experiment(ExperimentConfig.from_dict(doc2))
+        run_experiment(ExperimentConfig.from_dict(doc1))
+        run_experiment(ExperimentConfig.from_dict(doc2))
         files1 = sorted(p.relative_to(tmp_path / "a") for p in (tmp_path / "a").rglob("*") if p.is_file())
         files2 = sorted(p.relative_to(tmp_path / "b") for p in (tmp_path / "b").rglob("*") if p.is_file())
         assert files1 == files2
@@ -451,10 +451,31 @@ class TestRunExperiment:
         doc["training"]["per_replicate"] = True
         doc["training"]["sample_size"] = 200
         config = ExperimentConfig.from_dict(doc)
-        out = run_experiment(config)
-        assert len(out.runs) == 2
+        run_experiment(config)
+        assert len(list((Path(config.output_dir) / "runs").iterdir())) == 2
         # no shared model file is written in per-replicate mode
         assert not (Path(config.output_dir) / "model.json").exists()
+
+    def test_sweep_memory_does_not_grow_with_replicates(self, tmp_path):
+        # each run is dropped once written, so 8 replicates peak like 1
+        def peak(replicates, name):
+            doc = base_config(
+                tmp_path,
+                graph={"model": "erdos_renyi", "n": 2000, "edge_prob": [0.005]},
+                replicates=replicates,
+                output_dir=str(tmp_path / name),
+            )
+            del doc["training"]
+            config = ExperimentConfig.from_dict(doc)
+            tracemalloc.start()
+            try:
+                run_experiment(config, stub_model="always-positive")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1, "warm-up")  # first-call allocations: stats loading and caches
+        assert peak(8, "eight") / peak(1, "one") <= 1.2
 
     def test_default_n_matches_documented_default(self):
         config = ExperimentConfig.from_dict(
@@ -476,10 +497,10 @@ class TestRunExperiment:
         )
         doc["training"]["sample_size"] = 1500
         config = ExperimentConfig.from_dict(doc)
-        out = run_experiment(config)
+        run_experiment(config)
         flags = []
-        for run in out.runs:
-            d = np.diff(run.result.coverage)
+        for run in written_runs(config):
+            d = np.diff(run.coverage)
             flags.append(all(d[i] >= d[i + 1] - 1e-12 for i in range(len(d) - 1)))
         assert np.mean(flags) >= 0.9
 
@@ -536,7 +557,8 @@ class TestReportDistributions:
             return result
 
         monkeypatch.setattr(experiments, "train_pipeline", train)
-        simulated = [art.result.log for art in run_experiment(config).runs]
+        run_experiment(config)
+        simulated = [run.log for run in written_runs(config)]
         # simulate trains one shared model on stream index 0, or per-replicate
         # models on stream index rep + 1
         assert trained == stream_indices

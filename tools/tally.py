@@ -10,6 +10,8 @@ Reads the source files with `ast` and imports nothing.  Prints:
   * config_keys: the config keys that experiments._KEYS allows, counting
     the top level's non-section keys, the union of the graph models' keys
     and the training keys, where params, grid and rule count once each;
+    a `*_SETTINGS["section"]` entry in _KEYS stands for that section's
+    keys in the _SETTINGS table;
   * cli_flags: distinct `--flag` names given to add_argument in cli.py;
   * options: the sum of the last three.
 """
@@ -39,16 +41,23 @@ def defaulted_public_params(tree: ast.Module) -> int:
 
 
 def config_keys(tree: ast.Module) -> int:
+    assigned = {node.targets[0].id: node.value for node in tree.body
+                if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)}
+    # _SETTINGS: section -> {key: (kind, default, low, high)}; older trees have none
+    table = assigned.get("_SETTINGS", ast.Dict(keys=[], values=[]))
+    settings = {key.value: {k.value for k in value.keys}
+                for key, value in zip(table.keys, table.values)}
+
+    def names(elt) -> set:  # a literal key, or *_SETTINGS["section"]
+        return settings[elt.value.slice.value] if isinstance(elt, ast.Starred) else {elt.value}
+
     sections, graph = {}, set()
-    for node in tree.body:
-        if (isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
-                and node.targets[0].id == "_KEYS"):
-            for key, value in zip(node.value.keys, node.value.values):
-                keys = {elt.value for elt in value.elts}
-                if isinstance(key, ast.Name):  # a graph model's constant
-                    graph |= keys
-                else:
-                    sections[key.value] = keys
+    for key, value in zip(assigned["_KEYS"].keys, assigned["_KEYS"].values):
+        keys = set().union(*(names(elt) for elt in value.elts))
+        if isinstance(key, ast.Name):  # a graph model's constant
+            graph |= keys
+        else:
+            sections[key.value] = keys
     return len(sections[""] - {"graph", "training"}) + len(graph) + len(sections["training"])
 
 
