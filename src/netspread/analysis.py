@@ -13,13 +13,12 @@ vertex anywhere (including into a fresh singleton).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import Graph, GraphError, connected_components
-from .population import VertexTable
+from .population import VertexTable, write_csv
 
 EMPTY_ROW = -1.0  # placeholder proportion for waves with no members
 
@@ -312,11 +311,8 @@ class WaveDistribution:
     empty_rows: tuple[bool, ...]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["wave"] + list(self.categories))
-            for i, label in enumerate(self.row_labels):
-                writer.writerow([label] + [repr(float(x)) for x in self.proportions[i]])
+        rows = zip(self.row_labels, self.proportions.tolist())
+        write_csv(path, ["wave", *self.categories], ([label, *row] for label, row in rows))
 
 
 def _field_categories(field) -> tuple[list[str], list[int]]:

@@ -29,14 +29,13 @@ the model can score unstandardized pairs.
 from __future__ import annotations
 
 import bisect
-import json
 import logging
 from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
-from .population import FeatureSchema, Standardizer
+from .population import FeatureSchema, Standardizer, read_json, write_json
 
 logger = logging.getLogger(__name__)
 
@@ -133,10 +132,6 @@ class SvmParams:
             raise ClassifierError("C must be positive")
         if self.weight <= 0:
             raise ClassifierError("positive-class weight must be positive")
-
-    def sort_key(self):
-        # deterministic tie-breaking: smaller C, then sigma, then weight
-        return (self.C, self.kernel.sigma or 0.0, self.weight)
 
 
 class _RowCache:
@@ -305,14 +300,11 @@ class SvmModel:
         }
         if self.kernel.kind == RBF:
             doc["sigma"] = self.kernel.sigma
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write_json(path, doc)
 
     @classmethod
     def load(cls, path, schema: FeatureSchema | None = None) -> "SvmModel":
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = read_json(path, ClassifierError)
         kernel = KernelSpec(doc["kernel"], doc.get("sigma"))
         support = doc["support"]
         vectors = np.array([s["vector"] for s in support], dtype=float)
@@ -620,8 +612,6 @@ def stratified_folds(y: np.ndarray, k: int, rng: np.random.Generator) -> list[np
 class CvEntry:
     params: SvmParams
     balanced_error: float
-    positive_error: float
-    negative_error: float
 
 
 @dataclass(frozen=True)
@@ -650,14 +640,12 @@ def cross_validate(
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
     folds = stratified_folds(y, k, rng)
-    all_idx = np.arange(len(y))
     entries = []
     for params in grid:
-        bal, pos, neg = [], [], []
+        bal = []
         for fold in folds:
-            test_mask = np.zeros(len(y), dtype=bool)
-            test_mask[fold] = True
-            train_idx = all_idx[~test_mask]
+            # without assume_unique, setdiff1d calls np.unique, which imports numpy.ma
+            train_idx = np.setdiff1d(np.arange(len(y)), fold, assume_unique=True)
             std = Standardizer.fit(X[train_idx])
             model = train_svm(
                 std.transform(X[train_idx]),
@@ -667,18 +655,9 @@ def cross_validate(
             )
             preds = model.predict_labels(std.transform(X[fold]))
             bal.append(balanced_error(preds, y[fold]))
-            p, q = per_class_errors(preds, y[fold])
-            pos.append(p)
-            neg.append(q)
-        entries.append(
-            CvEntry(
-                params=params,
-                balanced_error=float(np.mean(bal)),
-                positive_error=float(np.mean(pos)),
-                negative_error=float(np.mean(neg)),
-            )
-        )
-    best = min(entries, key=lambda e: (e.balanced_error,) + e.params.sort_key())
+        entries.append(CvEntry(params=params, balanced_error=float(np.mean(bal))))
+    best = min(entries, key=lambda e: (
+        e.balanced_error, e.params.C, e.params.kernel.sigma or 0.0, e.params.weight))
     return CvReport(entries=tuple(entries), best=best.params)
 
 

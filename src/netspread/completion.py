@@ -11,12 +11,13 @@ record dict (the fields the ego observed), completed from a pool donor.
 
 from __future__ import annotations
 
-import csv
 import logging
 
 import numpy as np
 
-from .population import FeatureSchema, VertexTable, optional_cell, read_int_csv, round_half_up
+from .population import (
+    FeatureSchema, VertexTable, optional_cell, read_int_csv, round_half_up, write_csv,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -72,10 +73,8 @@ class PairSet:
         """Pair dataset CSV: sender columns, receiver columns, label."""
         ids = self.senders.schema.field_ids
         cells = [t.columns[f] for t in (self.senders, self.receivers) for f in ids]
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(_pair_header(self.senders.schema))
-            writer.writerows(np.column_stack(cells + [self.labels]).tolist())
+        write_csv(path, _pair_header(self.senders.schema),
+                  np.column_stack(cells + [self.labels]).tolist())
 
     @classmethod
     def from_csv(cls, path, schema: FeatureSchema) -> "PairSet":

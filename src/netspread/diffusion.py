@@ -21,15 +21,13 @@ Both are zero when their denominator is zero.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
 
 from .graph import Graph
-from .population import VertexTable, read_int_csv, round_half_up
+from .population import VertexTable, read_int_csv, round_half_up, write_csv, write_json
 
 LogEntry = tuple[int, int, int]  # (iteration, sender, receiver)
 
@@ -83,16 +81,6 @@ class DiffusionResult:
         for it, _, _ in self.log:
             counts[it - 1] += 1
         return counts
-
-    def to_summary(self, n: int) -> dict:
-        return {
-            "a": len(self.seeds) / n,
-            "m": self.iterations,
-            "nu": list(self.coverage),
-            "mu_h": self.avg_hops,
-            "xi": self.fanout,
-            "seeds": list(self.seeds),
-        }
 
 
 def seed_information(graph: Graph, fraction: float, rng: np.random.Generator) -> list[int]:
@@ -189,11 +177,7 @@ def run_diffusion(
 
 
 def write_log_csv(log, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "sender", "receiver"])
-        for iteration, sender, receiver in log:
-            writer.writerow([iteration, sender, receiver])
+    write_csv(path, ["iteration", "sender", "receiver"], log)
 
 
 def read_log_csv(path) -> list[LogEntry]:
@@ -208,12 +192,15 @@ def read_log_csv(path) -> list[LogEntry]:
 
 
 def write_summary_json(result: DiffusionResult, n: int, path, extra: dict | None = None) -> None:
-    doc = result.to_summary(n)
-    if extra:
-        doc.update(extra)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(path, {
+        "a": len(result.seeds) / n,
+        "m": result.iterations,
+        "nu": list(result.coverage),
+        "mu_h": result.avg_hops,
+        "xi": result.fanout,
+        "seeds": list(result.seeds),
+        **(extra or {}),
+    })
 
 
 def validate_log(log, seeds, wave: dict[int, int]) -> None:

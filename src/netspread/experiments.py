@@ -61,15 +61,13 @@ Graph values are checked by GraphParams and initial fractions by
 DiffusionConfig while parsing; the field names in report_fields,
 criteria, contact_fields and the rule conditions are checked against the
 stats schema as soon as the stats are loaded, and the training data files
-are checked to exist, before anything is trained or written.  Every
+are checked to be files, before anything is trained or written.  Every
 violation is a ConfigError naming the field path, which the CLI turns
 into exit code 2.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import logging
 import os
 import sys
@@ -101,7 +99,9 @@ from .population import (
     FeatureSchema,
     PopulationStats,
     VertexTable,
+    read_json,
     sample_population,
+    write_csv,
 )
 
 logger = logging.getLogger(__name__)
@@ -414,14 +414,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError("<file>", f"no such file: {path}") from None
-        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-            raise ConfigError("<file>", f"not valid JSON: {exc}") from None
-        return cls.from_dict(doc)
+        return cls.from_dict(read_json(path, lambda message: ConfigError("<file>", message)))
 
 
 def stream(master_seed: int, *key: int) -> np.random.Generator:
@@ -436,14 +429,20 @@ def load_stats(stats_file: str) -> PopulationStats:
         ref = resources.files("netspread.data").joinpath("fixture_stats.json")
         with resources.as_file(ref) as path:
             return PopulationStats.from_json(path)
-    if not os.path.exists(stats_file):
-        raise ConfigError("stats_file", f"no such file: {stats_file}")
+    _check_file(stats_file, "stats_file")
     return PopulationStats.from_json(stats_file)
+
+
+def _check_file(name: str, path: str) -> None:
+    """A ConfigError at `path` unless `name` is a file."""
+    if not os.path.isfile(name):
+        problem = "not a file" if os.path.exists(name) else "no such file"
+        raise ConfigError(path, f"{problem}: {name}")
 
 
 def load_config_stats(config: ExperimentConfig) -> PopulationStats:
     """The config's stats, with every field name the config holds in their schema
-    and every training data file it names on disk."""
+    and every training data file it names checked to be a file."""
     stats = load_stats(config.stats_file)
     named = [(f"report_fields[{i}]", fid) for i, fid in enumerate(config.report_fields)]
     tc = config.training
@@ -459,8 +458,8 @@ def load_config_stats(config: ExperimentConfig) -> PopulationStats:
             raise ConfigError(path, f"no field {fid!r} in the stats schema")
     for key in ("pairs_file", "egos_file", "alter_pool_file", "alters_file"):
         name = getattr(tc, key, None)  # None without a training section
-        if name is not None and not os.path.exists(name):
-            raise ConfigError(f"training.{key}", f"no such file: {name}")
+        if name is not None:
+            _check_file(name, f"training.{key}")
     return stats
 
 
@@ -636,11 +635,7 @@ def run_experiment(
 
 
 def _write_sweep_csv(rows, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(rows[0]))
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row.values()])
+    write_csv(path, list(rows[0]), (row.values() for row in rows))
 
 
 def report_distributions(

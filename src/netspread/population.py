@@ -18,7 +18,9 @@ Conventions fixed here and relied on elsewhere:
     sampled ordinals, diffusion seed counts, generated contact counts);
   * decoding rounds ordinals half-up and clamps them to their declared
     range, thresholds binaries at 0.5, and takes argmax over each one-hot
-    block.
+    block;
+  * read_int_csv, write_csv, write_json and read_json are the package's
+    file formats; only graph's edge list has its own.
 """
 
 from __future__ import annotations
@@ -211,11 +213,8 @@ class VertexTable:
         return self._encoded
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.schema.field_ids)
-            for i in range(self.n):
-                writer.writerow([int(self.columns[fid][i]) for fid in self.schema.field_ids])
+        ids = self.schema.field_ids
+        write_csv(path, ids, zip(*(self.columns[fid].tolist() for fid in ids)))
 
     @classmethod
     def from_csv(cls, path, schema: FeatureSchema) -> "VertexTable":
@@ -272,6 +271,36 @@ def read_int_csv(path, error, columns) -> tuple[list[str], list[list]]:
     return header, rows
 
 
+def write_csv(path, header, rows) -> None:
+    """The one CSV writer: CRLF line ends, and a float as str writes it, which
+    for a Python float is its repr."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path, doc) -> None:
+    """The one JSON writer: indent 1, sorted keys and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+def read_json(path, error):
+    """The JSON document in a file.  A missing or unreadable file and text
+    that is not JSON are an `error(message)` naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise error(f"no such file: {path}") from None
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise error(f"{path}: not valid JSON: {exc}") from None
+
+
 def optional_cell(parse):
     """A cell parser that reads an empty cell as None and any other by `parse`."""
     return lambda cell: parse(cell) if cell.strip() else None
@@ -326,14 +355,11 @@ class PopulationStats:
             raise PopulationError("covariance has negative diagonal entries")
 
     def to_json(self, path) -> None:
-        doc = {
+        write_json(path, {
             "schema": [_field_to_json(f) for f in self.schema.fields],
             "mean": self.mean.tolist(),
             "covariance": self.covariance.tolist(),
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        })
 
     @classmethod
     def from_json(cls, path) -> "PopulationStats":
@@ -342,11 +368,7 @@ class PopulationStats:
         top-level key, a schema entry that is not an object or lacks `id` or
         `kind`, and a mean or covariance whose shape does not fit the
         schema's encoded width (`stats.json: schema[0]: missing 'id'`)."""
-        try:
-            with open(path, encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-            raise PopulationError(f"{path}: not valid JSON: {exc}") from None
+        doc = read_json(path, PopulationError)
         try:
             return cls._from_doc(doc)
         except PopulationError as exc:

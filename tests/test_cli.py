@@ -199,6 +199,28 @@ class TestExitCodes:
         assert f"config error: training.{key}: no such file: {missing}" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "train", "report"])
+    @pytest.mark.parametrize("key", [
+        "stats_file", "pairs_file", "egos_file", "alter_pool_file", "alters_file", "--config",
+    ])
+    def test_directory_for_a_file_exits_2_before_writing(self, tmp_path, capsys, command, key):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        if key == "--config":
+            config, message = folder, f"<file>: cannot read {folder}: Is a directory"
+        else:
+            if key == "stats_file":
+                config = write_config(tmp_path, stats_file=str(folder))
+            else:
+                training = (dict(TRAINING, mode="pairs") if key == "pairs_file"
+                            else write_survey(tmp_path, ["29,0,2,1"]))
+                config = write_config(tmp_path, training=dict(training, **{key: str(folder)}))
+                key = f"training.{key}"
+            message = f"{key}: not a file: {folder}"
+        assert main([command, "--config", str(config)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         missing = tmp_path / "cfg.json"
         assert main(["simulate", "--config", str(missing)]) == 2
@@ -294,9 +316,13 @@ class TestSurveyInputs:
         assert main(["train", "--config", str(config)]) == 0
 
     def test_survey_train_leaves_numpy_ma_unloaded(self, tmp_path):
-        # VertexTable.validate avoids np.unique, which imports numpy.ma: about
-        # 14 ms and 1.2 MB of start-up that nothing else on this path needs
-        config = write_config(tmp_path, training=write_survey(tmp_path, ["29,0,2,1"]))
+        # VertexTable.validate and the cross-validation split avoid np.unique,
+        # which imports numpy.ma: about 14 ms and 1.2 MB of start-up that
+        # nothing else on this path needs
+        grid = [TRAINING["params"], dict(TRAINING["params"], C=2.0)]
+        config = write_config(
+            tmp_path, training=dict(write_survey(tmp_path, ["29,0,2,1"]), grid=grid, cv_folds=2)
+        )
         src = Path(__file__).resolve().parents[1] / "src"
         code = (
             f"import sys; sys.path.insert(0, {str(src)!r})\n"

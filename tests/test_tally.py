@@ -1,9 +1,12 @@
-"""tools/tally.py: the option tally reads experiments._KEYS as the parser does."""
+"""tools/tally.py: the option tally reads experiments._KEYS as the parser does,
+and file_opens equals a count of the source tokens."""
 
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
+import netspread
 from netspread import experiments
 from netspread.graph import ERDOS_RENYI, SMALL_WORLD
 
@@ -27,3 +30,17 @@ def test_config_keys_count_the_runtime_key_table():
     assert counts["options"] == (
         counts["defaulted_public_params"] + counts["config_keys"] + counts["cli_flags"]
     )
+
+
+def test_file_opens_count_open_calls_token_by_token():
+    # `open` followed by `(`, not as an attribute (`.open(`) or a definition
+    count = 0
+    for path in Path(netspread.__file__).parent.glob("*.py"):
+        with path.open("rb") as fh:
+            tokens = [t for t in tokenize.tokenize(fh.readline)
+                      if t.type not in (tokenize.NL, tokenize.COMMENT)]
+        count += sum(
+            prev.string not in (".", "def") and tok.string == "open" and nxt.string == "("
+            for prev, tok, nxt in zip(tokens, tokens[1:], tokens[2:])
+        )
+    assert tally()["file_opens"] == count

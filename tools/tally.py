@@ -4,6 +4,8 @@
 
 Reads the source files with `ast` and imports nothing.  Prints:
   * src_lines: `wc -l` over the package's .py files;
+  * file_opens: calls of the builtin `open`, one per place that reads or
+    writes a file;
   * defaulted_public_params: parameters with a default value, over every
     public function and public method (no leading underscore on the
     function or on an enclosing class);
@@ -23,6 +25,11 @@ import sys
 from pathlib import Path
 
 DEFAULT_SRC = Path(__file__).resolve().parent.parent / "src" / "netspread"
+
+
+def file_opens(tree: ast.Module) -> int:
+    return sum(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id == "open" for node in ast.walk(tree))
 
 
 def defaulted_public_params(tree: ast.Module) -> int:
@@ -79,6 +86,7 @@ def main(src: Path) -> None:
     keys = config_keys(trees["experiments.py"])
     flags = cli_flags(trees["cli.py"])
     print(f"src_lines {lines}")
+    print(f"file_opens {sum(file_opens(t) for t in trees.values())}")
     print(f"defaulted_public_params {params}")
     print(f"config_keys {keys}")
     print(f"cli_flags {flags}")
