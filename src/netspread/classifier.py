@@ -186,8 +186,6 @@ class SvmModel:
     bias: float
     standardizer: Standardizer | None = None
     schema: FeatureSchema | None = None
-    alphas: np.ndarray | None = None
-    support_labels: np.ndarray | None = None
     converged: bool = True
     kkt_violation: float = 0.0
     iterations: int = 0
@@ -304,22 +302,25 @@ class SvmModel:
 
     @classmethod
     def load(cls, path, schema: FeatureSchema | None = None) -> "SvmModel":
+        """The model saved at path; a malformed file is a ClassifierError
+        naming it and the missing key or the bad value."""
         doc = read_json(path, ClassifierError)
-        kernel = KernelSpec(doc["kernel"], doc.get("sigma"))
-        support = doc["support"]
-        vectors = np.array([s["vector"] for s in support], dtype=float)
-        coefs = np.array([s["coef"] for s in support], dtype=float)
+        try:
+            kernel = KernelSpec(doc["kernel"], doc.get("sigma"))
+            support = doc["support"]
+            vectors = np.array([s["vector"] for s in support], dtype=float)
+            coefs = np.array([s["coef"] for s in support], dtype=float)
+            bias = float(doc["bias"])
+            std = doc.get("standardizer")
+            standardizer = Standardizer.from_dict(std) if std else None
+        except KeyError as exc:
+            raise ClassifierError(f"{path}: missing key {exc}") from None
+        except ValueError as exc:
+            raise ClassifierError(f"{path}: {exc}") from None
         if vectors.size == 0:
             vectors = vectors.reshape(0, 0)
-        std = doc.get("standardizer")
-        return cls(
-            kernel=kernel,
-            support_vectors=vectors,
-            coefs=coefs,
-            bias=float(doc["bias"]),
-            standardizer=Standardizer.from_dict(std) if std else None,
-            schema=schema,
-        )
+        return cls(kernel=kernel, support_vectors=vectors, coefs=coefs, bias=bias,
+                   standardizer=standardizer, schema=schema)
 
 
 class ConstantModel:
@@ -552,8 +553,6 @@ def train_svm(
         support_vectors=X[keep],
         coefs=(alpha * y)[keep],
         bias=bias,
-        alphas=alpha[keep],
-        support_labels=y[keep].astype(int),
         converged=converged,
         kkt_violation=violation,
         iterations=iterations,

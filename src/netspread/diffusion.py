@@ -21,15 +21,17 @@ Both are zero when their denominator is zero.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
 
 from .graph import Graph
-from .population import VertexTable, read_int_csv, round_half_up, write_csv, write_json
+from .population import VertexTable, read_int_csv, read_json, round_half_up, write_csv, write_json
 
 LogEntry = tuple[int, int, int]  # (iteration, sender, receiver)
+LOG_CSV, SUMMARY_JSON = "log.csv", "summary.json"  # the files of a written run
 
 
 class DiffusionError(ValueError):
@@ -201,6 +203,26 @@ def write_summary_json(result: DiffusionResult, n: int, path, extra: dict | None
         "seeds": list(result.seeds),
         **(extra or {}),
     })
+
+
+def read_run(run_dir) -> DiffusionResult:
+    """The run written to run_dir as LOG_CSV and SUMMARY_JSON, checked by
+    validate_log.  The wave is the seeds at 0 plus each log receiver at its
+    iteration.  A malformed file is a DiffusionError naming it."""
+    path = os.path.join(run_dir, SUMMARY_JSON)
+    summary = read_json(path, DiffusionError)
+    try:
+        seeds, coverage, avg_hops, fanout = (summary[k] for k in ("seeds", "nu", "mu_h", "xi"))
+    except (KeyError, TypeError) as exc:  # a key missing, or not a JSON object
+        raise DiffusionError(f"{path}: not a run summary ({type(exc).__name__}: {exc})") from None
+    log = tuple(read_log_csv(os.path.join(run_dir, LOG_CSV)))
+    wave = {v: 0 for v in seeds}
+    wave.update((r, it) for it, _, r in log)
+    try:
+        validate_log(log, seeds, wave)
+    except DiffusionError as exc:
+        raise DiffusionError(f"{run_dir}: {exc}") from None
+    return DiffusionResult(tuple(seeds), tuple(coverage), avg_hops, fanout, log, wave)
 
 
 def validate_log(log, seeds, wave: dict[int, int]) -> None:

@@ -11,9 +11,21 @@ fraction, leading sweep.csv columns and run tag.  _replicate_models is the
 one rule for the model each replicate runs with (a STUB_MODELS stub, one
 fit on training stream 0 shared by all replicates, or with per_replicate a
 fit per replicate on training stream rep + 1); it trains every model before
-anything is written.  _run_replicate is a pure job (stream -> graph ->
-population -> diffusion); run_experiment and report_distributions write
-every file, and run_experiment keeps no run once it is written.
+anything is written.  _replicate_inputs is the one stream order (stream ->
+graph -> population; the diffusion draws next), and _write_runs the one
+replicate loop: it writes each run under <out>/runs/<tag>_r<rep>, keeps no
+run once it is written, and then writes runs/manifest.json, having removed
+an old one before its first run, so an interrupted sweep leaves none.
+
+The manifest holds "sha256", a digest of the inputs (the parsed config
+without output_dir and report_fields, the stub name or null, and the bytes
+of the stats file and the training data files), and "runs", the run
+directories it covers.  report_distributions reads grid point 0's runs
+back with diffusion.read_run, and draws their vertex tables again from
+their streams, when the manifest holds its own digest (no stub) and names
+them all and their directories exist; otherwise it first writes them
+through _write_runs.  The manifest vouches for the inputs, not for the
+netspread version that made the runs.
 
 Config layout::
 
@@ -71,9 +83,11 @@ from __future__ import annotations
 import logging
 import os
 import sys
-from contextlib import contextmanager
+import time
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
@@ -88,8 +102,11 @@ from .classifier import (
     fit_pair_classifier,
 )
 from .diffusion import (
+    LOG_CSV,
+    SUMMARY_JSON,
     DiffusionConfig,
-    DiffusionResult,
+    DiffusionError,
+    read_run,
     run_diffusion,
     write_log_csv,
     write_summary_json,
@@ -102,11 +119,15 @@ from .population import (
     read_json,
     sample_population,
     write_csv,
+    write_json,
 )
 
 logger = logging.getLogger(__name__)
 
 BUILTIN_STATS = "builtin"
+MANIFEST = "manifest.json"  # under <out>/runs: the input digest and the runs it covers
+# the training data files a config may name, by training key
+_DATA_FILES = ("pairs_file", "egos_file", "alter_pool_file", "alters_file")
 # constant predictors that stand in for the trained model in oracle runs
 STUB_MODELS = {"always-positive": ConstantModel(1), "always-negative": ConstantModel(-1)}
 
@@ -424,13 +445,18 @@ def stream(master_seed: int, *key: int) -> np.random.Generator:
     )
 
 
-def load_stats(stats_file: str) -> PopulationStats:
+def _stats_ref(stats_file: str):
+    """The stats file as a path, or the packaged fixture for "builtin"."""
     if stats_file == BUILTIN_STATS:
-        ref = resources.files("netspread.data").joinpath("fixture_stats.json")
-        with resources.as_file(ref) as path:
-            return PopulationStats.from_json(path)
-    _check_file(stats_file, "stats_file")
-    return PopulationStats.from_json(stats_file)
+        return resources.files("netspread.data").joinpath("fixture_stats.json")
+    return Path(stats_file)
+
+
+def load_stats(stats_file: str) -> PopulationStats:
+    if stats_file != BUILTIN_STATS:
+        _check_file(stats_file, "stats_file")
+    with resources.as_file(_stats_ref(stats_file)) as path:
+        return PopulationStats.from_json(path)
 
 
 def _check_file(name: str, path: str) -> None:
@@ -456,7 +482,7 @@ def load_config_stats(config: ExperimentConfig) -> PopulationStats:
     for path, fid in named:
         if fid not in stats.schema.field_ids:
             raise ConfigError(path, f"no field {fid!r} in the stats schema")
-    for key in ("pairs_file", "egos_file", "alter_pool_file", "alters_file"):
+    for key in _DATA_FILES:
         name = getattr(tc, key, None)  # None without a training section
         if name is not None:
             _check_file(name, f"training.{key}")
@@ -565,16 +591,33 @@ def _replicate_models(config: ExperimentConfig, stats: PopulationStats, stub_mod
     return (train_pipeline(config, stats=stats),) * config.replicates
 
 
-def _run_replicate(
-    config: ExperimentConfig, stats: PopulationStats, index: int, rep: int, model
-) -> tuple[VertexTable, DiffusionResult]:
-    """Replicate rep of grid point `index`: stream -> graph -> population -> diffusion."""
-    point = config.points[index]
+def _replicate_inputs(
+    config: ExperimentConfig, stats: PopulationStats, index: int, rep: int
+) -> tuple:
+    """(stream, graph, population) of replicate rep of grid point `index`: the
+    graph is drawn from the stream first, then the population; the diffusion
+    draws from the stream next."""
     rng = stream(config.seed, 0, index * config.replicates + rep)
-    graph = generate_graph(point.graph, rng)
-    table = sample_population(stats, config.n, rng)
-    dconf = DiffusionConfig(point.initial_fraction, config.iterations)
-    return table, run_diffusion(graph, table, model, dconf, rng)
+    graph = generate_graph(config.points[index].graph, rng)
+    return rng, graph, sample_population(stats, config.n, rng)
+
+
+def _run_name(config: ExperimentConfig, index: int, rep: int) -> str:
+    return f"{config.points[index].tag}_r{rep}"
+
+
+def _inputs_digest(config: ExperimentConfig, stub_model: str | None) -> str:
+    """sha256 of what the runs depend on: the parsed config without output_dir
+    and report_fields (a dataclass repr, defaults included), the stub name or
+    None, and the bytes of the stats file and of each training data file."""
+    import hashlib  # here, after the runs: it maps OpenSSL, about 3.5 MB of RSS
+
+    blanked = replace(config, output_dir="", report_fields=())
+    digest = hashlib.sha256(repr((blanked, stub_model)).encode())
+    names = [getattr(config.training, key, None) for key in _DATA_FILES]
+    for ref in (_stats_ref(config.stats_file), *(Path(name) for name in names if name)):
+        digest.update(hashlib.sha256(ref.read_bytes()).digest())
+    return digest.hexdigest()
 
 
 def _write_run(
@@ -583,14 +626,54 @@ def _write_run(
     """Run replicate rep of grid point `index` and write its log.csv and
     summary.json; returns (avg_hops, fanout, coverage increments) and keeps
     nothing else of the run."""
-    tag = config.points[index].tag
-    _, result = _run_replicate(config, stats, index, rep, model)
-    run_dir = os.path.join(runs_dir, f"{tag}_r{rep}")
+    point = config.points[index]
+    rng, graph, table = _replicate_inputs(config, stats, index, rep)
+    result = run_diffusion(
+        graph, table, model, DiffusionConfig(point.initial_fraction, config.iterations), rng
+    )
+    run_dir = os.path.join(runs_dir, _run_name(config, index, rep))
     os.makedirs(run_dir, exist_ok=True)
-    write_log_csv(result.log, os.path.join(run_dir, "log.csv"))
-    write_summary_json(result, config.n, os.path.join(run_dir, "summary.json"),
-                       extra={"tag": tag, "replicate": rep})
+    write_log_csv(result.log, os.path.join(run_dir, LOG_CSV))
+    write_summary_json(result, config.n, os.path.join(run_dir, SUMMARY_JSON),
+                       extra={"tag": point.tag, "replicate": rep})
     return result.avg_hops, result.fanout, np.diff(result.coverage)
+
+
+def _write_runs(
+    config: ExperimentConfig, stats: PopulationStats, models, runs_dir, stub_model, count: int
+) -> list[list[tuple]]:
+    """Write every replicate run of the first `count` grid points, then the
+    manifest naming them (removing an old one first); returns each point's
+    _write_run results."""
+    manifest = os.path.join(runs_dir, MANIFEST)
+    with suppress(FileNotFoundError):
+        os.remove(manifest)
+    os.makedirs(runs_dir, exist_ok=True)
+    start, results = time.perf_counter(), []
+    for index in range(count):
+        results.append([_write_run(config, stats, index, rep, model, runs_dir)
+                        for rep, model in enumerate(models)])
+        logger.info("grid point %d/%d %s written, %.1f s elapsed",
+                    index + 1, count, config.points[index].tag, time.perf_counter() - start)
+    write_json(manifest, {
+        "sha256": _inputs_digest(config, stub_model),
+        "runs": [_run_name(config, i, rep) for i in range(count) for rep in range(len(models))],
+    })
+    return results
+
+
+def _stale(runs_dir, digest: str, names) -> str | None:
+    """Why the runs `names` under runs_dir are not the runs of `digest`, or None."""
+    path = os.path.join(runs_dir, MANIFEST)
+    if not os.path.isfile(path):
+        return "no manifest"
+    manifest = read_json(path, DiffusionError)
+    if not isinstance(manifest, dict) or manifest.get("sha256") != digest:
+        return "the input digest differs"
+    for name in names:
+        if name not in manifest.get("runs", ()) or not os.path.isdir(os.path.join(runs_dir, name)):
+            return f"run {name} is missing"
+    return None
 
 
 def run_experiment(
@@ -603,24 +686,22 @@ def run_experiment(
     Returns the aggregated sweep rows, also written to sweep.csv, whose
     columns follow the key order of a row.  Each run is written to
     runs/<tag>_r<rep> and dropped, so memory does not grow with the run
-    count.  `stub_model`, a STUB_MODELS name, replaces the trained SVM with
-    a constant predictor for oracle testing.  A shared trained model is
+    count; runs/manifest.json, written after the last run, names them.
+    `stub_model`, a STUB_MODELS name, replaces the trained SVM with a
+    constant predictor for oracle testing.  A shared trained model is
     saved as model.json.
     """
     out_dir = out_dir or config.output_dir
     stats = load_config_stats(config)
     models = _replicate_models(config, stats, stub_model)
-    runs_dir = os.path.join(out_dir, "runs")
-    os.makedirs(runs_dir, exist_ok=True)
+    runs = _write_runs(config, stats, models, os.path.join(out_dir, "runs"), stub_model,
+                       len(config.points))
     if stub_model is None and not config.training.per_replicate:
         models[0].save(os.path.join(out_dir, "model.json"))
 
     rows = []
-    for index, point in enumerate(config.points):
-        hops, fans, deltas = zip(*(
-            _write_run(config, stats, index, rep, model, runs_dir)
-            for rep, model in enumerate(models)
-        ))
+    for point, point_runs in zip(config.points, runs):
+        hops, fans, deltas = zip(*point_runs)
         deltas = np.array(deltas)
         means = [("mu_h", hops), ("xi", fans)]
         means += [(f"dnu_{i + 1}", deltas[:, i]) for i in range(min(config.iterations, 3))]
@@ -641,24 +722,32 @@ def _write_sweep_csv(rows, path) -> None:
 def report_distributions(
     config: ExperimentConfig, out_dir: str | None = None
 ) -> dict[str, np.ndarray]:
-    """Per-field wave-distribution CSVs averaged over replicate runs.
+    """Per-field wave-distribution CSVs averaged over the replicate runs of
+    the sweep's first grid point, read from runs/ under out_dir and written
+    there first unless the manifest vouches for them (see the module doc).
 
-    Each CSV mirrors the sweep's first grid point, run as `run_experiment`
-    runs it (the same streams and models): rows All, Egos and one
-    per iteration wave; proportions are means over replicates (waves empty
-    in a replicate are excluded from its average; rows empty in every
-    replicate keep the empty placeholder).
+    Rows All, Egos and one per iteration wave; proportions are means over
+    replicates (waves empty in a replicate are excluded from its average;
+    rows empty in every replicate keep the empty placeholder).
     """
     if not config.report_fields:
         raise ConfigError("report_fields", "must name at least one field")
     stats = load_config_stats(config)
+    out_dir = out_dir or config.output_dir
+    runs_dir = os.path.join(out_dir, "runs")
+    names = [_run_name(config, 0, rep) for rep in range(config.replicates)]
+    stale = _stale(runs_dir, _inputs_digest(config, None), names)
+    if stale:
+        logger.info("writing the runs of grid point 0 under %s: %s", runs_dir, stale)
+        _write_runs(config, stats, _replicate_models(config, stats, None), runs_dir, None, 1)
+    else:
+        logger.info("reading the runs of grid point 0 under %s", runs_dir)
     per_field: dict[str, list] = {fid: [] for fid in config.report_fields}
-    for rep, model in enumerate(_replicate_models(config, stats, None)):
-        table, result = _run_replicate(config, stats, 0, rep, model)
+    for rep, name in enumerate(names):
+        result = read_run(os.path.join(runs_dir, name))
+        _, _, table = _replicate_inputs(config, stats, 0, rep)
         for fid in config.report_fields:
             per_field[fid].append(analysis.wave_distribution(result, table, fid))
-    out_dir = out_dir or config.output_dir
-    os.makedirs(out_dir, exist_ok=True)
     averaged: dict[str, np.ndarray] = {}
     for fid, dists in per_field.items():
         first = dists[0]

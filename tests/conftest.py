@@ -1,14 +1,12 @@
-import json
 import sys
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from netspread.diffusion import read_log_csv
+from netspread.diffusion import read_run
 from netspread.graph import Graph
 from netspread.population import Field, FeatureSchema
 
@@ -86,24 +84,8 @@ def random_record(schema: FeatureSchema, gen: np.random.Generator) -> dict:
     return record
 
 
-class WrittenRun(NamedTuple):
-    seeds: tuple
-    coverage: tuple
-    log: tuple
-    wave: dict
-
-
-def written_runs(config) -> list[WrittenRun]:
-    """The runs a sweep wrote under config.output_dir, in sweep order: seeds
-    and coverage from summary.json, the log from log.csv, and the wave rebuilt
-    from the seeds and the log."""
-    runs = []
-    for point in config.points:
-        for rep in range(config.replicates):
-            run_dir = Path(config.output_dir) / "runs" / f"{point.tag}_r{rep}"
-            summary = json.loads((run_dir / "summary.json").read_text())
-            log = tuple(read_log_csv(run_dir / "log.csv"))
-            wave = {v: 0 for v in summary["seeds"]}
-            wave.update((r, it) for it, _, r in log)
-            runs.append(WrittenRun(tuple(summary["seeds"]), tuple(summary["nu"]), log, wave))
-    return runs
+def written_runs(config) -> list:
+    """The runs a sweep wrote under config.output_dir, in sweep order."""
+    runs_dir = Path(config.output_dir) / "runs"
+    return [read_run(runs_dir / f"{point.tag}_r{rep}")
+            for point in config.points for rep in range(config.replicates)]

@@ -440,8 +440,6 @@ def reference_train_svm(X, y, params, tol=None, max_kernel_evals=None):
         support_vectors=X[keep],
         coefs=(alpha * y)[keep],
         bias=bias,
-        alphas=alpha[keep],
-        support_labels=y[keep].astype(int),
         converged=converged,
         kkt_violation=violation,
         iterations=iterations,

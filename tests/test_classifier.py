@@ -85,10 +85,10 @@ KERNELS = [("linear", None), ("rbf", 1.0)]
 
 
 def full_alpha(model: SvmModel, X: np.ndarray) -> np.ndarray:
-    """Scatter the kept support alphas back onto the training rows."""
+    """Scatter the kept support alphas, |coef|, back onto the training rows."""
     full = np.zeros(len(X))
     used: set[int] = set()
-    for a, v in zip(model.alphas, model.support_vectors):
+    for a, v in zip(np.abs(model.coefs), model.support_vectors):
         for i in range(len(X)):
             if i not in used and np.array_equal(X[i], v):
                 full[i] = a
@@ -223,10 +223,12 @@ class TestTrainSvm:
     @pytest.mark.parametrize("name,X,y,C,weight", TOY_SETS)
     def test_dual_feasibility(self, name, X, y, C, weight):
         model = train_svm(X, y.astype(float), SvmParams(C=C, weight=weight, kernel=RBF1))
-        upper = np.where(model.support_labels > 0, C * weight, C)
-        assert np.all(model.alphas >= 0.0)
-        assert np.all(model.alphas <= upper)
-        assert abs(np.sum(model.alphas * model.support_labels)) < 1e-6
+        # coef = alpha * y with y = +-1, so alpha = |coef| and y = sign(coef)
+        alphas = np.abs(model.coefs)
+        upper = np.where(model.coefs > 0, C * weight, C)
+        assert np.all(alphas > classifier.SUPPORT_EPS)
+        assert np.all(alphas <= upper)
+        assert abs(np.sum(model.coefs)) < 1e-6
         assert model.kkt_violation < 1e-3
 
     def test_duplicated_points_same_decision_function(self):
@@ -307,7 +309,7 @@ class TestRowCache:
             lambda self, i: textbook_kernel(self.spec, self.X[i : i + 1], self.X)[0],
         )
         plain = train_svm(X, y, params)
-        assert model.alphas.tobytes() == plain.alphas.tobytes()
+        assert model.coefs.tobytes() == plain.coefs.tobytes()
         assert model.bias == plain.bias
         assert model.support_vectors.tobytes() == plain.support_vectors.tobytes()
 
@@ -335,7 +337,6 @@ class TestRowCache:
 
 
 def assert_same_fit(model, reference):
-    assert model.alphas.tobytes() == reference.alphas.tobytes()
     assert model.coefs.tobytes() == reference.coefs.tobytes()
     assert np.float64(model.bias).tobytes() == np.float64(reference.bias).tobytes()
     assert model.support_vectors.tobytes() == reference.support_vectors.tobytes()
@@ -417,9 +418,9 @@ class TestIncrementalSmo:
         model = train_svm(X, y, params)
         assert_same_fit(model, reference_train_svm(X, y, params))
         # alphas sit at 0 (not kept) and at the upper bound
-        upper = np.where(model.support_labels > 0, C * weight, C)
-        assert 0 < len(model.alphas) < len(y)
-        assert np.any(model.alphas == upper)
+        upper = np.where(model.coefs > 0, C * weight, C)
+        assert 0 < len(model.coefs) < len(y)
+        assert np.any(np.abs(model.coefs) == upper)
 
     def test_budget_stop_is_bitwise_the_reference(self):
         X, y = self.problem()
@@ -754,6 +755,22 @@ class TestSerialization:
         path = tmp_path / "model.json"
         model.save(path)
         assert "sigma" not in json.loads(path.read_text())
+
+    @pytest.mark.parametrize("doc,problem", [
+        ({}, "missing key 'kernel'"),
+        ({"kernel": "linear", "bias": 0.0}, "missing key 'support'"),
+        ({"kernel": "linear", "bias": 0.0, "support": [{"vector": [1.0]}]},
+         "missing key 'coef'"),
+        ({"kernel": "rbf", "bias": 0.0, "support": []}, "rbf kernel needs finite sigma > 0"),
+    ])
+    def test_malformed_file_names_file_and_key(self, tmp_path, doc, problem):
+        import json
+
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ClassifierError) as err:
+            SvmModel.load(path)
+        assert str(err.value) == f"{path}: {problem}"
 
 
 class TestConstantModel:

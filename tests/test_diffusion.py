@@ -13,6 +13,7 @@ from netspread.diffusion import (
     compute_metrics,
     diffusion_step,
     read_log_csv,
+    read_run,
     run_diffusion,
     seed_information,
     validate_log,
@@ -373,3 +374,34 @@ class TestSerialization:
         assert doc["m"] == 2
         assert doc["nu"] == list(result.coverage)
         assert doc["seeds"] == list(result.seeds)
+
+    @staticmethod
+    def written(tmp_path, model=ConstantModel(1)):
+        g = random_graph(40, 0.1, 2)
+        result = run_diffusion(
+            g, table_for(g, 2), model, DiffusionConfig(0.1, 3), np.random.default_rng(6)
+        )
+        write_log_csv(result.log, tmp_path / "log.csv")
+        write_summary_json(result, g.n, tmp_path / "summary.json")
+        return result
+
+    def test_read_run_round_trip(self, tmp_path):
+        result = self.written(tmp_path)
+        assert result.log and read_run(tmp_path) == result
+
+    @pytest.mark.parametrize("doc,problem", [
+        ({"seeds": [0], "nu": [0.1], "mu_h": 0.0}, "KeyError: 'xi'"),
+        ([1, 2], "TypeError"),
+    ])
+    def test_read_run_names_a_malformed_summary(self, tmp_path, doc, problem):
+        self.written(tmp_path)
+        (tmp_path / "summary.json").write_text(json.dumps(doc))
+        with pytest.raises(DiffusionError, match=f"summary.json: not a run summary .*{problem}"):
+            read_run(tmp_path)
+
+    def test_read_run_validates_the_log(self, tmp_path):
+        result = self.written(tmp_path)
+        u, w = sorted(set(range(40)) - set(result.seeds))[:2]
+        write_log_csv([(1, u, w)], tmp_path / "log.csv")  # u was never informed
+        with pytest.raises(DiffusionError, match=f"^{tmp_path}: sender {u} not informed"):
+            read_run(tmp_path)

@@ -1,6 +1,8 @@
 import copy
 import csv
 import json
+import re
+import shutil
 import tracemalloc
 from pathlib import Path
 
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import netspread.experiments as experiments
+from netspread import analysis
 from netspread.completion import PairSet
 from netspread.experiments import (
     ConfigError,
@@ -22,6 +25,8 @@ from netspread.experiments import (
     synthetic_pairs,
     train_pipeline,
 )
+from netspread.cli import main
+from netspread.diffusion import DiffusionConfig
 from netspread.graph import GraphParams
 from netspread.population import VertexTable
 
@@ -452,7 +457,9 @@ class TestRunExperiment:
         doc["training"]["sample_size"] = 200
         config = ExperimentConfig.from_dict(doc)
         run_experiment(config)
-        assert len(list((Path(config.output_dir) / "runs").iterdir())) == 2
+        runs = Path(config.output_dir) / "runs"
+        assert sorted(p.name for p in runs.iterdir() if p.is_dir()) == [
+            "pe0.01_a0.1_r0", "pe0.01_a0.1_r1"]
         # no shared model file is written in per-replicate mode
         assert not (Path(config.output_dir) / "model.json").exists()
 
@@ -536,41 +543,185 @@ class TestReportDistributions:
             if not np.all(row == -1.0):
                 assert row.sum() == pytest.approx(1.0, abs=1e-9)
 
-    @pytest.mark.parametrize("per_replicate,stream_indices", [(False, [0]), (True, [1, 2])])
-    def test_reports_the_runs_simulate_makes(
-        self, tmp_path, monkeypatch, per_replicate, stream_indices
-    ):
-        doc = base_config(tmp_path, report_fields=["gender"], replicates=2)
-        doc["training"]["per_replicate"] = per_replicate
-        doc["training"]["sample_size"] = 200
-        config = ExperimentConfig.from_dict(doc)
-        trained, reported = [], []
-        real_train, real_run = experiments.train_pipeline, experiments.run_diffusion
-
-        def train(config, stats=None, stream_index=0):
-            trained.append(stream_index)
-            return real_train(config, stats, stream_index)
-
-        def run(*args):
-            result = real_run(*args)
-            reported.append(result.log)
-            return result
-
-        monkeypatch.setattr(experiments, "train_pipeline", train)
-        run_experiment(config)
-        simulated = [run.log for run in written_runs(config)]
-        # simulate trains one shared model on stream index 0, or per-replicate
-        # models on stream index rep + 1
-        assert trained == stream_indices
-        trained.clear()
-        monkeypatch.setattr(experiments, "run_diffusion", run)
-        report_distributions(config)
-        # report trains the same models and replays simulate's runs
-        assert trained == stream_indices
-        assert reported == simulated and any(simulated)
-
     def test_unknown_report_field(self, tmp_path):
         doc = base_config(tmp_path, report_fields=["no_such_field"])
         config = ExperimentConfig.from_dict(doc)
         with pytest.raises(ValueError):
             report_distributions(config)
+
+
+def report_doc(tmp_path, per_replicate, **overrides):
+    """Two grid points of two replicates, read from a copy of the builtin stats."""
+    stats = tmp_path / "stats.json"
+    if not stats.exists():
+        stats.write_bytes(experiments._stats_ref("builtin").read_bytes())
+    doc = base_config(tmp_path, report_fields=["gender", "profession"],
+                      initial_fraction=[0.1, 0.2], stats_file=str(stats), **overrides)
+    doc["training"].update(per_replicate=per_replicate, sample_size=200)
+    return doc
+
+
+def recomputed_point0(config) -> list:
+    """(result, vertex table) of point 0's replicates as report made them when
+    it reran them: the models trained afresh, each replicate rerun from its
+    stream."""
+    stats = load_stats(config.stats_file)
+    point = config.points[0]
+    runs = []
+    for rep in range(config.replicates):
+        model = train_pipeline(config, stats, rep + 1 if config.training.per_replicate else 0)
+        rng = stream(config.seed, 0, rep)
+        graph = experiments.generate_graph(point.graph, rng)
+        table = experiments.sample_population(stats, config.n, rng)
+        dconf = DiffusionConfig(point.initial_fraction, config.iterations)
+        runs.append((experiments.run_diffusion(graph, table, model, dconf, rng), table))
+    return runs
+
+
+def dist_bytes(out_dir) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(Path(out_dir).glob("dist_*.csv"))}
+
+
+@pytest.fixture(scope="module", params=[False, True], ids=["shared", "per_replicate"])
+def reference(request, tmp_path_factory):
+    """(per_replicate, recomputed_point0, the dist CSVs report writes with no
+    runs on disk)."""
+    config = ExperimentConfig.from_dict(report_doc(tmp_path_factory.mktemp("ref"), request.param))
+    report_distributions(config)
+    return request.param, recomputed_point0(config), dist_bytes(config.output_dir)
+
+
+def _simulate(tmp_path, per_replicate):
+    run_experiment(ExperimentConfig.from_dict(report_doc(tmp_path, per_replicate)))
+
+
+def _stub_simulate(tmp_path, per_replicate):
+    config = ExperimentConfig.from_dict(report_doc(tmp_path, per_replicate))
+    run_experiment(config, stub_model="always-positive")
+
+
+def _other_seed(tmp_path, per_replicate):
+    run_experiment(ExperimentConfig.from_dict(report_doc(tmp_path, per_replicate, seed=12)))
+
+
+def _edited_stats(tmp_path, per_replicate):
+    _simulate(tmp_path, per_replicate)
+    with open(tmp_path / "stats.json", "a") as fh:  # same statistics, other bytes
+        fh.write("\n")
+
+
+def _deleted_run(tmp_path, per_replicate):
+    _simulate(tmp_path, per_replicate)
+    shutil.rmtree(tmp_path / "out" / "runs" / "pe0.01_a0.1_r1")
+
+
+# before report: what is on disk -> why report writes point 0's runs (None: it reads them)
+BEFORE_REPORT = {
+    "after_simulate": (_simulate, None),
+    "no_simulate": (lambda tmp_path, per_replicate: None, "no manifest"),
+    "after_stub_simulate": (_stub_simulate, "the input digest differs"),
+    "changed_seed": (_other_seed, "the input digest differs"),
+    "edited_stats": (_edited_stats, "the input digest differs"),
+    "deleted_run": (_deleted_run, "run pe0.01_a0.1_r1 is missing"),
+}
+
+
+def count_calls(monkeypatch) -> dict:
+    """Count the train_pipeline and run_diffusion calls made through experiments."""
+    calls = {"train_pipeline": 0, "run_diffusion": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(experiments, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(experiments, name, counted)
+    return calls
+
+
+class TestReportReadsRuns:
+    @pytest.mark.parametrize("before", BEFORE_REPORT)
+    def test_report_reads_current_runs_else_writes_them(
+        self, tmp_path, monkeypatch, caplog, reference, before
+    ):
+        per_replicate, runs, dists = reference
+        setup, reason = BEFORE_REPORT[before]
+        setup(tmp_path, per_replicate)
+        config = ExperimentConfig.from_dict(report_doc(tmp_path, per_replicate))
+        calls = count_calls(monkeypatch)
+        tabulated = []  # the (result, table) of each wave_distribution call
+        real = analysis.wave_distribution
+        monkeypatch.setattr(analysis, "wave_distribution", lambda result, table, fid: (
+            tabulated.append((result, table.columns)) or real(result, table, fid)))
+        with caplog.at_level("INFO", logger="netspread.experiments"):
+            report_distributions(config)
+        assert dist_bytes(config.output_dir) == dists
+        # every field is tabulated on the old path's run and population
+        expected = [run for run in runs for _ in config.report_fields]
+        assert len(tabulated) == len(expected)
+        for (result, columns), (run, table) in zip(tabulated, expected):
+            assert result == run
+            assert all(np.array_equal(columns[f], table.columns[f]) for f in columns)
+        runs_dir = tmp_path / "out" / "runs"
+        manifest = json.loads((runs_dir / "manifest.json").read_text())
+        assert manifest["sha256"] == experiments._inputs_digest(config, None)
+        if reason is None:
+            assert calls == {"train_pipeline": 0, "run_diffusion": 0}
+            assert "reading the runs of grid point 0" in caplog.text
+            assert len(manifest["runs"]) == 4  # simulate's, both grid points
+        else:
+            assert calls == {"train_pipeline": 2 if per_replicate else 1, "run_diffusion": 2}
+            assert f"writing the runs of grid point 0 under {runs_dir}: {reason}" in caplog.text
+            assert manifest["runs"] == ["pe0.01_a0.1_r0", "pe0.01_a0.1_r1"]
+
+    def test_cli_report_reads_simulate_out(self, tmp_path, monkeypatch, reference):
+        per_replicate, _, dists = reference
+        doc = report_doc(tmp_path, per_replicate, output_dir=str(tmp_path / "unused"))
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        argv = ["--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "given")]
+        assert main(["simulate", *argv]) == 0
+        calls = count_calls(monkeypatch)
+        assert main(["report", *argv]) == 0
+        assert calls == {"train_pipeline": 0, "run_diffusion": 0}
+        assert dist_bytes(tmp_path / "given") == dists
+        assert not (tmp_path / "unused").exists()
+
+
+class TestManifest:
+    def test_simulate_names_every_run_and_logs_each_point(self, tmp_path, caplog):
+        config = ExperimentConfig.from_dict(report_doc(tmp_path, False))
+        with caplog.at_level("INFO", logger="netspread.experiments"):
+            run_experiment(config)
+        manifest = json.loads((tmp_path / "out" / "runs" / "manifest.json").read_text())
+        assert manifest == {
+            "runs": ["pe0.01_a0.1_r0", "pe0.01_a0.1_r1", "pe0.01_a0.2_r0", "pe0.01_a0.2_r1"],
+            "sha256": experiments._inputs_digest(config, None),
+        }
+        progress = [r.getMessage() for r in caplog.records if "grid point" in r.getMessage()]
+        assert len(progress) == 2
+        for message, expected in zip(progress, ["1/2 pe0.01_a0.1", "2/2 pe0.01_a0.2"]):
+            assert re.fullmatch(f"grid point {expected} written, [0-9.]+ s elapsed", message)
+
+    def test_interrupted_sweep_leaves_no_manifest(self, tmp_path, monkeypatch):
+        config = ExperimentConfig.from_dict(report_doc(tmp_path, False))
+        run_experiment(config)
+        real, calls = experiments._write_run, []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == 3:  # the first run of the second grid point
+                raise RuntimeError("interrupted")
+            return real(*args)
+
+        monkeypatch.setattr(experiments, "_write_run", failing)
+        with pytest.raises(RuntimeError):
+            run_experiment(config)
+        assert not (tmp_path / "out" / "runs" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("change", [
+        {"output_dir": "elsewhere"}, {"report_fields": ["age_band"]},
+    ])
+    def test_digest_ignores_output_dir_and_report_fields(self, tmp_path, change):
+        doc = report_doc(tmp_path, False)
+        digest = experiments._inputs_digest(ExperimentConfig.from_dict(doc), None)
+        changed = ExperimentConfig.from_dict(dict(doc, **change))
+        assert experiments._inputs_digest(changed, None) == digest
+        assert experiments._inputs_digest(changed, "always-positive") != digest
