@@ -689,15 +689,20 @@ def run_experiment(
     count; runs/manifest.json, written after the last run, names them.
     `stub_model`, a STUB_MODELS name, replaces the trained SVM with a
     constant predictor for oracle testing.  A shared trained model is
-    saved as model.json.
+    saved as model.json after the runs; an old model.json is removed
+    before them, so a sweep that saves none (a stub, or per_replicate)
+    leaves none beside its runs.
     """
     out_dir = out_dir or config.output_dir
     stats = load_config_stats(config)
     models = _replicate_models(config, stats, stub_model)
+    model_path = os.path.join(out_dir, "model.json")
+    with suppress(FileNotFoundError):
+        os.remove(model_path)
     runs = _write_runs(config, stats, models, os.path.join(out_dir, "runs"), stub_model,
                        len(config.points))
     if stub_model is None and not config.training.per_replicate:
-        models[0].save(os.path.join(out_dir, "model.json"))
+        models[0].save(model_path)
 
     rows = []
     for point, point_runs in zip(config.points, runs):

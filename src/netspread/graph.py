@@ -67,6 +67,11 @@ class Graph:
     (a sequence of pairs or an (m, 2) integer array).  The constructor is
     the only place the simple-graph rules are checked; there is no
     mutator.
+
+    Memory: the build holds the input (as int64; an (m, 2) int64 array is
+    not copied) plus one 2m-long int64 key array, sorted in place and
+    reduced in place to `_indices`.  Its other temporaries are the n + 1
+    row offsets and boolean masks of at most 2m bytes.
     """
 
     __slots__ = ("n", "_indptr", "_indices", "_ptr", "_idx")
@@ -86,15 +91,23 @@ class Graph:
         if loops.any():
             u = e[np.argmax(loops), 0]
             raise SelfEdgeError(f"self edge ({u}, {u}) not allowed")
-        lo, hi = e.min(axis=1), e.max(axis=1)
+        del bad, loops
         # both orientations as row * n + column, sorted: the CSR entries in order
-        entries = np.sort(np.concatenate([lo * n + hi, hi * n + lo]))
-        if np.any(entries[1:] == entries[:-1]):  # name the first repeat, as given
+        keys = np.empty(2 * len(e), dtype=np.int64)
+        forward, backward = keys[: len(e)], keys[len(e) :]
+        np.multiply(e[:, 0], n, out=forward)
+        forward += e[:, 1]
+        np.multiply(e[:, 1], n, out=backward)
+        backward += e[:, 0]
+        keys.sort()
+        if np.any(keys[1:] == keys[:-1]):  # name the first repeat, as given
+            lo, hi = e.min(axis=1), e.max(axis=1)
             _, first = np.unique(lo * n + hi, return_index=True)
             u, v = e[np.setdiff1d(np.arange(len(e)), first)[0]]
             raise DuplicateEdgeError(f"edge ({u}, {v}) already present")
-        rows, self._indices = np.divmod(entries, max(n, 1))
-        self._indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+        # row r's entries are the keys in [r * n, (r + 1) * n)
+        self._indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+        self._indices = np.remainder(keys, max(n, 1), out=keys)
         self._indptr.flags.writeable = self._indices.flags.writeable = False
         # Python-int views of the same buffers, for fast scalar lookups
         self._ptr, self._idx = memoryview(self._indptr), memoryview(self._indices)
@@ -137,8 +150,11 @@ class Graph:
         starts = self._indptr[vs]
         counts = self._indptr[vs + 1] - starts
         offsets = np.cumsum(counts) - counts  # where each vertex's run begins
-        positions = np.repeat(starts - offsets, counts) + np.arange(counts.sum())
-        return np.repeat(vs, counts), self._indices[positions]
+        positions = np.repeat(starts - offsets, counts)
+        positions += np.arange(len(positions))
+        targets = self._indices[positions]
+        del positions  # before the sources exist: at most two edge-long arrays at once
+        return np.repeat(vs, counts), targets
 
     def edges(self):
         """Yield each edge once as (u, v) with u < v, in sorted order."""
@@ -284,14 +300,25 @@ def gen_erdos_renyi(n: int, edge_prob: float, rng: np.random.Generator) -> Graph
         gaps = np.minimum(rng.geometric(edge_prob, size=ER_BLOCK), pairs + 1)
         if gaps.min() < 1:  # a zero gap would never pass the last pair
             raise GraphError("edge skip gap must be positive")
-        idx = last + np.cumsum(gaps)
+        idx = np.cumsum(gaps, out=gaps)
+        idx += last
         last = int(idx[-1])
         blocks.append(idx[: np.searchsorted(idx, pairs)])
     idx = np.concatenate(blocks)
+    # each m-long temporary goes before the next comes, so the peak is the
+    # constructor's: the (m, 2) edges plus its 2m keys
+    del blocks, gaps
     rows = np.arange(n, dtype=np.int64)
     row_start = rows * (2 * n - rows - 1) // 2  # number of pair (u, u + 1)
-    us = np.searchsorted(row_start, idx, side="right") - 1
-    return Graph(n, np.column_stack([us, idx - row_start[us] + us + 1]))
+    edges = np.empty((len(idx), 2), dtype=np.int64)
+    us, vs = edges[:, 0], edges[:, 1]
+    us[:] = np.searchsorted(row_start, idx, side="right")
+    us -= 1
+    np.subtract(idx, row_start[us], out=vs)  # how far pair (u, v) lies past (u, u + 1)
+    del idx, rows, row_start
+    vs += us
+    vs += 1
+    return Graph(n, edges)
 
 
 def _coin_block(bitgen, size: int, cut: int):

@@ -1,7 +1,9 @@
 """Independent brute-force oracles used to pin expected test values.
 
 Everything here deliberately avoids the library's own algorithms: graph
-invariants are re-checked from a Graph's stored arrays, metrics are
+invariants are re-checked from a Graph's stored arrays, the constructor's
+CSR build, Erdős–Rényi generation and small-world rewiring are kept as
+first written, with whole-array temporaries and per-edge draws, metrics are
 recomputed by exhaustive enumeration, diffusion by plain BFS layers,
 the SVM dual by projected gradient descent with Dykstra's alternating
 projection onto the feasible set, record encoding one record at a time, and
@@ -15,12 +17,15 @@ from collections import deque
 
 import numpy as np
 
+from netspread import graph as graph_module
 from netspread.analysis import Clustering
 from netspread.graph import (
+    ERDOS_RENYI,
     REWIRE_RETRIES,
     DuplicateEdgeError,
     Graph,
     GraphError,
+    GraphParams,
     SelfEdgeError,
     VertexRangeError,
 )
@@ -42,6 +47,63 @@ def check_simple(g) -> None:
         raise DuplicateEdgeError("adjacency rows must strictly increase")
     if not np.array_equal(np.sort(idx * n + rows), entries):
         raise GraphError("asymmetric adjacency")
+
+
+def reference_csr(n: int, edges=()) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, indices) as Graph's constructor first built them: the sorted
+    concatenation of both orientations' keys, split by divmod, with the row
+    offsets from bincount and cumsum.  Raises the constructor's errors with
+    its messages, so the in-place build can be compared on bad input too.
+    """
+    if n < 0:
+        raise GraphError(f"vertex count must be non-negative, got {n}")
+    e = np.asarray(edges, dtype=np.int64)
+    if e.size == 0:
+        e = e.reshape(0, 2)
+    if e.ndim != 2 or e.shape[1] != 2:
+        raise GraphError("edges must be (u, v) pairs")
+    bad = (e < 0) | (e >= n)
+    if bad.any():
+        raise VertexRangeError(f"vertex {e.flat[np.argmax(bad)]} outside [0, {n})")
+    loops = e[:, 0] == e[:, 1]
+    if loops.any():
+        u = e[np.argmax(loops), 0]
+        raise SelfEdgeError(f"self edge ({u}, {u}) not allowed")
+    lo, hi = e.min(axis=1), e.max(axis=1)
+    entries = np.sort(np.concatenate([lo * n + hi, hi * n + lo]))
+    if np.any(entries[1:] == entries[:-1]):
+        _, first = np.unique(lo * n + hi, return_index=True)
+        u, v = e[np.setdiff1d(np.arange(len(e)), first)[0]]
+        raise DuplicateEdgeError(f"edge ({u}, {v}) already present")
+    rows, indices = np.divmod(entries, max(n, 1))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    return indptr, indices
+
+
+def reference_gen_erdos_renyi(n: int, edge_prob: float, rng) -> tuple[np.ndarray, np.ndarray]:
+    """gen_erdos_renyi as first written, returning reference_csr of its edges:
+    each block's running sum as a fresh array, the blocks kept to the end,
+    and the edge columns decoded by whole-array expressions and stacked.
+    Reads graph.ER_BLOCK when called, so a patched block size applies.
+    """
+    GraphParams(ERDOS_RENYI, n, edge_prob=edge_prob)
+    pairs = n * (n - 1) // 2
+    if pairs == 0 or edge_prob == 0.0:
+        return reference_csr(n)
+    blocks = []
+    last = -1
+    while last < pairs:
+        gaps = np.minimum(rng.geometric(edge_prob, size=graph_module.ER_BLOCK), pairs + 1)
+        if gaps.min() < 1:
+            raise GraphError("edge skip gap must be positive")
+        idx = last + np.cumsum(gaps)
+        last = int(idx[-1])
+        blocks.append(idx[: np.searchsorted(idx, pairs)])
+    idx = np.concatenate(blocks)
+    rows = np.arange(n, dtype=np.int64)
+    row_start = rows * (2 * n - rows - 1) // 2
+    us = np.searchsorted(row_start, idx, side="right") - 1
+    return reference_csr(n, np.column_stack([us, idx - row_start[us] + us + 1]))
 
 
 def reference_gen_small_world(n: int, neighbors: int, rewire_prob: float, rng) -> Graph:

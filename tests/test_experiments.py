@@ -716,6 +716,21 @@ class TestManifest:
             run_experiment(config)
         assert not (tmp_path / "out" / "runs" / "manifest.json").exists()
 
+    @pytest.mark.parametrize("second", [
+        (False, ["--stub-model", "always-positive"]), (True, []),
+    ], ids=["stub", "per_replicate"])
+    def test_simulate_saving_no_model_removes_an_old_one(self, tmp_path, second):
+        per_replicate, flags = second
+        config = tmp_path / "cfg.json"
+        argv = ["simulate", "--config", str(config), "--out", str(tmp_path / "out")]
+        config.write_text(json.dumps(report_doc(tmp_path, False)))
+        assert main(argv) == 0
+        assert (tmp_path / "out" / "model.json").is_file()
+        config.write_text(json.dumps(report_doc(tmp_path, per_replicate)))
+        assert main(argv + flags) == 0
+        assert not (tmp_path / "out" / "model.json").exists()
+        assert (tmp_path / "out" / "runs" / "manifest.json").is_file()
+
     @pytest.mark.parametrize("change", [
         {"output_dir": "elsewhere"}, {"report_fields": ["age_band"]},
     ])

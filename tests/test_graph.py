@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netspread import graph as graph_module
 from netspread.graph import (
@@ -28,6 +31,8 @@ from conftest import make_graph, random_graph
 from oracles import (
     check_simple,
     mean_geodesic_floyd,
+    reference_csr,
+    reference_gen_erdos_renyi,
     reference_gen_small_world,
     transitivity_all_triples,
 )
@@ -294,6 +299,167 @@ class TestErdosRenyiSkipping:
     def test_huge_gaps_are_clipped_not_wrapped(self):
         g = gen_erdos_renyi(100, 0.1, _CountingRng(0, gaps=np.iinfo(np.int64).max))
         assert g.edge_count == 0
+
+
+def assert_same_csr(g, indptr, indices):
+    for got, want in ((g._indptr, indptr), (g._indices, indices)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def assert_same_build(n, edges):
+    """Graph(n, edges) stores reference_csr's arrays, or raises its error."""
+    try:
+        indptr, indices = reference_csr(n, edges)
+    except GraphError as exc:
+        with pytest.raises(GraphError) as raised:
+            Graph(n, edges)
+        assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
+        return
+    assert_same_csr(Graph(n, edges), indptr, indices)
+
+
+def assert_same_erdos_renyi(n, p, seed):
+    """gen_erdos_renyi gives reference_gen_erdos_renyi's arrays and leaves the
+    generator where it does."""
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert_same_csr(gen_erdos_renyi(n, p, fast), *reference_gen_erdos_renyi(n, p, slow))
+    assert fast.bit_generator.state == slow.bit_generator.state, (n, p, seed)
+    assert fast.random() == slow.random()
+
+
+class TestInPlaceBuild:
+    """The constructor and gen_erdos_renyi build in place; the whole-array
+    versions they replaced, in oracles.py, pin every stored byte, each error
+    message and the generator's next draw."""
+
+    def test_every_small_graph_in_both_forms(self):
+        gen = np.random.default_rng(0)
+        for n in range(5):
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            for mask in range(2 ** len(pairs)):
+                chosen = [e for i, e in enumerate(pairs) if mask >> i & 1]
+                edges = [(v, u) if gen.random() < 0.5 else (u, v) for u, v in chosen]
+                assert_same_build(n, edges)
+                assert_same_build(n, np.array(edges, dtype=np.int64).reshape(-1, 2))
+
+    @pytest.mark.parametrize("n,edges", [
+        (4, [(0, 4)]), (4, [(4, 0)]), (4, [(-1, 2)]), (4, [(2, -1)]), (4, [(5, 7)]),
+        (0, [(0, 0)]), (1, [(0, 0)]), (4, [(0, 1), (3, 3)]), (4, [(2, 2), (1, 1)]),
+        (4, [(0, 1), (2, 3), (1, 0)]), (4, [(1, 0), (0, 1)]), (4, [(0, 1), (0, 1)]),
+        (5, [(2, 3), (0, 4), (3, 2), (4, 0)]), (5, [(0, 1), (1, 2), (3, 4), (2, 1)]),
+        (5, [(0, 1, 2)]), (-1, []),
+    ])
+    def test_error_messages_unchanged(self, n, edges):
+        with pytest.raises(GraphError):
+            reference_csr(n, edges)
+        assert_same_build(n, edges)
+        if edges:
+            assert_same_build(n, np.array(edges))
+
+    @pytest.mark.parametrize("n,m", [(2000, 20000), (300, 44850), (100000, 5000)])
+    def test_large_random_graphs(self, n, m):
+        gen = np.random.default_rng(n + m)
+        pairs = n * (n - 1) // 2
+        number = np.sort(gen.choice(pairs, size=m, replace=False))
+        rows = np.arange(n, dtype=np.int64)
+        row_start = rows * (2 * n - rows - 1) // 2
+        u = np.searchsorted(row_start, number, side="right") - 1
+        e = np.column_stack([u, number - row_start[u] + u + 1])
+        e = gen.permutation(e)
+        flip = gen.random(m) < 0.5
+        e[flip] = e[flip, ::-1]
+        assert_same_build(n, e)
+        assert_same_build(n, e.T.copy().T)  # an (m, 2) view that is not C-ordered
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 10).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(-1, n), st.integers(-1, n)), max_size=30),
+        st.booleans(),
+    )))
+    def test_any_pair_list_matches(self, case):
+        n, edges, as_array = case
+        assert_same_build(n, np.array(edges, dtype=np.int64).reshape(-1, 2) if as_array else edges)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_simple_graphs_match(self, data):
+        n = data.draw(st.integers(0, 40))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        flips = data.draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))
+        edges = [(v, u) if flip else (u, v) for (u, v), flip in zip(chosen, flips)]
+        assert_same_build(n, edges)
+        assert_same_build(n, np.array(edges, dtype=np.int64).reshape(-1, 2))
+
+    @pytest.mark.parametrize("p", [0.0, 1e-300, 1e-18, 0.003, 0.2, 1.0])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 50, 700])
+    def test_erdos_renyi_matches_reference(self, monkeypatch, n, p):
+        for seed, block in enumerate((graph_module.ER_BLOCK, 16)):
+            monkeypatch.setattr(graph_module, "ER_BLOCK", block)
+            assert_same_erdos_renyi(n, p, seed)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 300),
+        st.one_of(st.floats(0.0, 1.0), st.sampled_from([1e-300, 1e-18, 1e-6, 1.0])),
+        st.integers(0, 2**32),
+        st.sampled_from([16384, 64, 7]),
+    )
+    def test_erdos_renyi_matches_reference_anywhere(self, n, p, seed, block):
+        original = graph_module.ER_BLOCK
+        graph_module.ER_BLOCK = block
+        try:
+            assert_same_erdos_renyi(n, p, seed)
+        finally:
+            graph_module.ER_BLOCK = original
+
+
+def traced_peak(build):
+    """build()'s result and the most bytes traced above the start while it ran."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = build()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestGraphMemory:
+    """At er_stub_large's size (n = 15,000, mean degree 20) a build's traced
+    peak is a small multiple of the CSR bytes the graph keeps, and
+    out_edges holds at most two edge-long arrays at once.  The whole-array
+    versions reached 6.7x in gen_erdos_renyi, 4.1x above its input in the
+    constructor and 1.5x the returned arrays in out_edges."""
+
+    N, EDGE_PROB = 15000, 20 / 14999
+
+    @staticmethod
+    def csr_bytes(g):
+        return g._indptr.nbytes + g._indices.nbytes
+
+    def test_erdos_renyi_peak(self):
+        gen_erdos_renyi(50, 0.1, np.random.default_rng(0))  # first-call imports are not the build's
+        g, peak = traced_peak(lambda: gen_erdos_renyi(self.N, self.EDGE_PROB, np.random.default_rng(5)))
+        assert g.edge_count > 140000
+        assert peak <= 2.5 * self.csr_bytes(g), peak / self.csr_bytes(g)
+
+    def test_constructor_peak_above_its_input(self):
+        g = gen_erdos_renyi(self.N, self.EDGE_PROB, np.random.default_rng(5))
+        rows, cols = g.out_edges(np.arange(g.n))
+        e = np.column_stack([rows[rows < cols], cols[rows < cols]])
+        assert e.dtype == np.int64 and e.flags.c_contiguous
+        built, peak = traced_peak(lambda: Graph(g.n, e))
+        assert_same_csr(built, g._indptr, g._indices)
+        assert peak <= 1.5 * self.csr_bytes(g), peak / self.csr_bytes(g)
+
+    def test_out_edges_peak(self):
+        g = gen_erdos_renyi(self.N, self.EDGE_PROB, np.random.default_rng(5))
+        vertices = np.arange(0, g.n, 2)
+        (sources, targets), peak = traced_peak(lambda: g.out_edges(vertices))
+        assert len(targets) > 70000
+        assert peak <= 1.25 * (sources.nbytes + targets.nbytes), peak / (2 * targets.nbytes)
 
 
 class TestSmallWorld:
