@@ -8,8 +8,12 @@ equals scanning every edge with exactly one informed endpoint: models are
 deterministic per (sender, receiver) pair, and an edge from an earlier
 informed vertex to a still uninformed one was scored when its sender was
 new and came out negative, so scoring it again cannot inform anyone.
-Exactly one transmission is logged per new receiver, attributed to its
-smallest-id positive-predicting informed neighbor, so the log forms a
+A step reads the edges of the frontier or of the uninformed vertices,
+whichever are fewer: early steps scan from the few new senders, late ones
+from the few vertices still uninformed.  Both scans find the same pairs and
+sort them by (sender, receiver), so the model gets the same calls either
+way.  Exactly one transmission is logged per new receiver, attributed to
+its smallest-id positive-predicting informed neighbor, so the log forms a
 forest of transmission trees.
 
 Metrics over the log:
@@ -108,16 +112,19 @@ def diffusion_step(
 
     Senders are the vertices of `frontier`, a subset of `informed`;
     `run_diffusion` passes the vertices informed in the previous step, and
-    passing all of `informed` gives the full scan.
+    passing all of `informed` gives the full scan.  The model scores every
+    edge from a sender to a vertex outside `informed`, in arrays sorted by
+    sender, then receiver.  `Graph.edges_between` finds them in the rows of
+    the frontier or of the uninformed vertices, whichever hold fewer edges
+    (in a late step most of the frontier's edges lead to informed
+    vertices); the edges and their order are the same either way.
     Returns the set of vertices informed during this step and their log
     entries (sorted by receiver id).  Edges with both endpoints informed
     are skipped; vertices informed within the step do not transmit.
     """
-    senders, receivers = graph.out_edges(sorted(frontier))
     known = np.zeros(graph.n, dtype=bool)
     known[list(informed)] = True
-    fresh = ~known[receivers]
-    senders, receivers = senders[fresh], receivers[fresh]
+    senders, receivers = graph.edges_between(sorted(frontier), np.flatnonzero(~known))
     if not len(senders):
         return set(), []
     positive = np.asarray(model.predict_pairs(table, senders, receivers)) > 0

@@ -7,6 +7,10 @@ in that one place, and stores the adjacency in compressed sparse rows,
 each row sorted.  Replicated experiments may share graphs freely across
 threads.
 
+`edges_between` lists the edges from one vertex set to another by
+reading the adjacency rows of whichever side has fewer edges; diffusion
+steps use it to find the frontier's edges into uninformed vertices.
+
 Generators build an edge list and hand it to the constructor.
 Erdős–Rényi graphs are drawn by geometric edge skipping in O(n + m);
 small-world graphs rewire the ring lattice's edge arrays against a set of
@@ -134,6 +138,10 @@ class Graph:
         self._check_vertex(v)
         return self._ptr[v + 1] - self._ptr[v]
 
+    def degrees(self) -> np.ndarray:
+        """Every vertex's degree, as an int64 array of length n."""
+        return np.diff(self._indptr)
+
     @property
     def edge_count(self) -> int:
         return len(self._idx) // 2
@@ -144,9 +152,7 @@ class Graph:
         Each vertex's edges come in the order the vertices are given, and
         within a vertex in ascending target order.
         """
-        vs = np.asarray(vertices, dtype=np.int64).reshape(-1)
-        if len(vs) and (vs.min() < 0 or vs.max() >= self.n):
-            self._check_vertex(int(vs[(vs < 0) | (vs >= self.n)][0]))
+        vs = self._vertex_array(vertices)
         starts = self._indptr[vs]
         counts = self._indptr[vs + 1] - starts
         offsets = np.cumsum(counts) - counts  # where each vertex's run begins
@@ -155,6 +161,42 @@ class Graph:
         targets = self._indices[positions]
         del positions  # before the sources exist: at most two edge-long arrays at once
         return np.repeat(vs, counts), targets
+
+    def edges_between(self, sources, targets) -> tuple[np.ndarray, np.ndarray]:
+        """(s, t) of every edge from a vertex of `sources` to one of `targets`,
+        as int64 arrays sorted by s, then by t.
+
+        Both arguments are ascending sequences of distinct vertices.  Only
+        the adjacency rows of the side with the smaller degree sum are read,
+        as direction-optimizing BFS picks between the frontier and the
+        unvisited vertices (Beamer, Asanović & Patterson, SC 2012).  Both
+        scans find the same edges in the same order: out_edges(sources)
+        comes sorted by (s, t), since the sources ascend and each row is
+        sorted; out_edges(targets) comes sorted by (t, s), and a stable sort
+        on s makes that (s, t).  A tie reads the sources' rows.
+        """
+        sources, targets = self._vertex_array(sources), self._vertex_array(targets)
+        degrees = self.degrees()
+        forward = degrees[sources].sum() <= degrees[targets].sum()
+        del degrees
+        near, far = (sources, targets) if forward else (targets, sources)
+        rows, cols = self.out_edges(near)
+        wanted = np.zeros(self.n, dtype=bool)
+        wanted[far] = True
+        keep = wanted[cols]
+        rows, cols = rows[keep], cols[keep]
+        if forward:
+            return rows, cols
+        order = np.argsort(cols, kind="stable")
+        return cols[order], rows[order]
+
+    def _vertex_array(self, vertices) -> np.ndarray:
+        """`vertices` as a flat int64 array; VertexRangeError names the
+        first one outside [0, n)."""
+        vs = np.asarray(vertices, dtype=np.int64).reshape(-1)
+        if len(vs) and (vs.min() < 0 or vs.max() >= self.n):
+            self._check_vertex(int(vs[(vs < 0) | (vs >= self.n)][0]))
+        return vs
 
     def edges(self):
         """Yield each edge once as (u, v) with u < v, in sorted order."""
@@ -195,7 +237,7 @@ def clustering_coefficient(g: Graph) -> float:
     triangle.  Raises NoTriplesError when the graph has no path of length
     two, where the ratio is undefined.
     """
-    degrees = np.diff(g._indptr)
+    degrees = g.degrees()
     triples = int(np.sum(degrees * (degrees - 1))) // 2
     if triples == 0:
         raise NoTriplesError("graph has no connected triples")

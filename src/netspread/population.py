@@ -457,8 +457,11 @@ def sample_population(
 ) -> VertexTable:
     """Draw n records from N(mean, covariance) and decode them to valid rows."""
     L = _factor(stats.covariance)
-    z = rng.standard_normal((n, stats.schema.encoded_dim))
-    return decode(stats.mean + z @ L.T, stats.schema)
+    # mean + z @ L.T with the sum taken in place (IEEE addition commutes, so
+    # the bits are the same): two n x d arrays at once, not three
+    y = rng.standard_normal((n, stats.schema.encoded_dim)) @ L.T
+    y += stats.mean
+    return decode(y, stats.schema)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -89,3 +90,14 @@ def written_runs(config) -> list:
     runs_dir = Path(config.output_dir) / "runs"
     return [read_run(runs_dir / f"{point.tag}_r{rep}")
             for point in config.points for rep in range(config.replicates)]
+
+
+def traced_peak(build):
+    """build()'s result and the most bytes traced above the start while it ran."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = build()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()

@@ -4,10 +4,11 @@ Everything here deliberately avoids the library's own algorithms: graph
 invariants are re-checked from a Graph's stored arrays, the constructor's
 CSR build, Erdős–Rényi generation and small-world rewiring are kept as
 first written, with whole-array temporaries and per-edge draws, metrics are
-recomputed by exhaustive enumeration, diffusion by plain BFS layers,
-the SVM dual by projected gradient descent with Dykstra's alternating
-projection onto the feasible set, record encoding one record at a time, and
-training-set completion over lists of record dicts.
+recomputed by exhaustive enumeration, diffusion by plain BFS layers and a
+step's pairs by the forward-only scan, population sampling by its
+one-expression draw, the SVM dual by projected gradient descent with
+Dykstra's alternating projection onto the feasible set, record encoding one
+record at a time, and training-set completion over lists of record dicts.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from netspread.graph import (
     SelfEdgeError,
     VertexRangeError,
 )
+from netspread.population import _factor, decode
 
 
 def check_simple(g) -> None:
@@ -130,6 +132,25 @@ def reference_gen_small_world(n: int, neighbors: int, rewire_prob: float, rng) -
                 far[i] = w
                 break
     return Graph(n, np.column_stack([near, far]))
+
+
+def reference_step_pairs(g, informed, frontier) -> tuple[np.ndarray, np.ndarray]:
+    """The (senders, receivers) diffusion_step first handed to the model:
+    every edge out of the sorted frontier, then those into informed
+    vertices dropped, whatever the two sides' degree sums."""
+    senders, receivers = g.out_edges(sorted(frontier))
+    known = np.zeros(g.n, dtype=bool)
+    known[list(informed)] = True
+    fresh = ~known[receivers]
+    return senders[fresh], receivers[fresh]
+
+
+def reference_sample_population(stats, n: int, rng):
+    """sample_population as first written: one expression holding z,
+    z @ L.T and their mean-shifted sum at once."""
+    L = _factor(stats.covariance)
+    z = rng.standard_normal((n, stats.schema.encoded_dim))
+    return decode(stats.mean + z @ L.T, stats.schema)
 
 
 def transitivity_all_triples(g) -> float:

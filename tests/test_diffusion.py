@@ -20,11 +20,12 @@ from netspread.diffusion import (
     write_log_csv,
     write_summary_json,
 )
-from netspread.graph import Graph
-from netspread.population import VertexTable
+from netspread.experiments import load_stats
+from netspread.graph import Graph, gen_erdos_renyi
+from netspread.population import VertexTable, sample_population
 
-from conftest import TINY_SCHEMA, make_graph, random_graph, random_record
-from oracles import bfs_layers
+from conftest import TINY_SCHEMA, make_graph, random_graph, random_record, traced_peak
+from oracles import bfs_layers, reference_step_pairs
 
 # hand-encoded transmission-tree fixtures: the first has one original
 # sender (0), two senders in total and three transmissions; the second a
@@ -65,15 +66,16 @@ class HashModel:
         ], dtype=int)
 
 
-class SenderLog:
-    """Wraps a model and records the senders of every predict_pairs call."""
+class PairLog:
+    """Wraps a model and records the (senders, receivers) arrays of every
+    predict_pairs call."""
 
     def __init__(self, model):
         self.model = model
-        self.calls: list[list[int]] = []
+        self.calls: list[tuple[np.ndarray, np.ndarray]] = []
 
     def predict_pairs(self, table, senders, receivers):
-        self.calls.append(sorted(set(int(s) for s in senders)))
+        self.calls.append((senders, receivers))
         return self.model.predict_pairs(table, senders, receivers)
 
 
@@ -146,15 +148,15 @@ class TestFrontierEquivalence:
 
     def test_senders_are_the_previous_step_receivers(self):
         g = random_graph(50, 0.12, 4)
-        model = SenderLog(trained_svm())
+        model = PairLog(trained_svm())
         result = run_diffusion(
             g, table_for(g, 4), model, DiffusionConfig(0.1, 4), np.random.default_rng(4)
         )
         # one call per step that has an edge to score, each from the last wave
-        for wave_index, senders in enumerate(model.calls):
-            expected = sorted(v for v, w in result.wave.items() if w == wave_index)
-            assert set(senders) <= set(expected)
-            assert senders
+        for wave_index, (senders, _) in enumerate(model.calls):
+            expected = {v for v, w in result.wave.items() if w == wave_index}
+            assert set(senders.tolist()) <= expected
+            assert len(senders)
 
 
 @settings(max_examples=60, deadline=None)
@@ -179,6 +181,141 @@ def test_random_deterministic_models_frontier_equals_full_scan(
     validate_log(result.log, result.seeds, result.wave)
     log, wave, coverage = full_scan(g, table, model, config, np.random.default_rng(run_seed))
     assert (result.log, result.wave, result.coverage) == (log, wave, coverage)
+
+
+def handed_pairs(g, informed, frontier):
+    """The (senders, receivers) diffusion_step hands the model, or None when
+    it makes no call."""
+    model = PairLog(ConstantModel(-1))
+    diffusion_step(g, None, informed, model, 1, frontier)
+    assert len(model.calls) <= 1
+    return model.calls[0] if model.calls else None
+
+
+def assert_forward_scan_pairs(g, informed, frontier) -> None:
+    """diffusion_step hands the model the forward-only scan's arrays, bytes
+    and dtypes, whichever side it reads."""
+    want = reference_step_pairs(g, informed, frontier)
+    got = handed_pairs(g, informed, frontier)
+    if got is None:
+        assert len(want[0]) == 0
+        return
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def late_step(seed: int = 5):
+    """ER n = 15,000 with mean degree 20, 300 vertices uninformed and a
+    frontier of 12,700 of the informed ones: a late step of er_stub_large."""
+    g = gen_erdos_renyi(15000, 20 / 14999, np.random.default_rng(seed))
+    order = np.random.default_rng(seed + 1).permutation(g.n)
+    return g, set(order[300:].tolist()), set(order[300:13000].tolist())
+
+
+class TestSmallerSideScan:
+    """diffusion_step reads the edges of the frontier or of the uninformed
+    vertices, whichever are fewer; the model must see the same arrays as
+    the forward-only scan's (tests/oracles.py)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        edge_prob=st.floats(0.0, 0.6),
+        graph_seed=st.integers(0, 2**31),
+        set_seed=st.integers(0, 2**31),
+        informed_share=st.floats(0.0, 1.0),
+        frontier_share=st.floats(0.0, 1.0),
+    )
+    def test_random_sets_match_forward_scan(
+        self, n, edge_prob, graph_seed, set_seed, informed_share, frontier_share
+    ):
+        g = random_graph(n, edge_prob, graph_seed)
+        gen = np.random.default_rng(set_seed)
+        informed = {v for v in range(n) if gen.random() < informed_share}
+        frontier = {v for v in sorted(informed) if gen.random() < frontier_share}
+        assert_forward_scan_pairs(g, informed, frontier)
+
+    def test_empty_frontier(self):
+        g = random_graph(30, 0.2, 1)
+        assert handed_pairs(g, {1, 4, 9}, set()) is None
+        assert_forward_scan_pairs(g, {1, 4, 9}, set())
+
+    def test_frontier_is_informed(self):
+        for seed in range(8):
+            g = random_graph(30, 0.2, seed)
+            informed = set(range(0, 30, 1 + seed % 4))
+            assert_forward_scan_pairs(g, informed, informed)
+
+    def test_all_informed(self):
+        g = random_graph(30, 0.2, 2)
+        assert handed_pairs(g, set(range(30)), {0, 3, 7}) is None
+        assert_forward_scan_pairs(g, set(range(30)), {0, 3, 7})
+
+    def test_equal_degree_sums(self):
+        g = make_graph(4, [(0, 1), (1, 2), (2, 3)])  # frontier {0, 1} and {2, 3} both sum to 3
+        degrees = g.degrees()
+        assert degrees[[0, 1]].sum() == degrees[[2, 3]].sum()
+        senders, receivers = handed_pairs(g, {0, 1}, {0, 1})
+        assert senders.tolist() == [1] and receivers.tolist() == [2]
+        assert_forward_scan_pairs(g, {0, 1}, {0, 1})
+
+    def test_reads_the_side_with_fewer_edges(self, monkeypatch):
+        g, informed, frontier = late_step()
+        rows_read = []
+        out_edges = Graph.out_edges
+
+        def recording(graph, vertices):
+            rows_read.append(np.asarray(vertices).tolist())
+            return out_edges(graph, vertices)
+
+        monkeypatch.setattr(Graph, "out_edges", recording)
+        handed_pairs(g, informed, frontier)
+        handed_pairs(g, {0, 1, 2}, {0, 1, 2})
+        assert rows_read == [sorted(set(range(g.n)) - informed), [0, 1, 2]]
+
+    def test_seeded_late_step(self):
+        g, informed, frontier = late_step()
+        senders, _ = handed_pairs(g, informed, frontier)
+        assert 0 < len(senders) < 10000
+        assert_forward_scan_pairs(g, informed, frontier)
+
+    def test_seeded_run_every_step(self):
+        g = gen_erdos_renyi(15000, 20 / 14999, np.random.default_rng(7))
+        table = sample_population(load_stats("builtin"), g.n, np.random.default_rng(7))
+        model = PairLog(ConstantModel(1))
+        result = run_diffusion(g, table, model, DiffusionConfig(0.01, 3), np.random.default_rng(7))
+        # steps 1-2 read the frontier's rows and step 3 the uninformed vertices', so both scans run
+        assert len(model.calls) == 3
+        for step, got in enumerate(model.calls, start=1):
+            informed = {v for v, w in result.wave.items() if w < step}
+            frontier = {v for v, w in result.wave.items() if w == step - 1}
+            want = reference_step_pairs(g, informed, frontier)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestDiffusionMemory:
+    """At er_stub_large's size sample_population holds two n x d arrays at
+    once, and a late step reads the few uninformed vertices' edges.  The
+    one-expression draw peaked at 3.02 n*d*8 bytes, and the forward-only
+    scan of the late step at 4.37 MiB."""
+
+    def test_sample_population_peak(self):
+        stats = load_stats("builtin")
+        sample_population(stats, 10, np.random.default_rng(0))  # first-call work is not the draw's
+        n, d = 15000, stats.schema.encoded_dim
+        table, peak = traced_peak(lambda: sample_population(stats, n, np.random.default_rng(1)))
+        assert len(table) == n
+        assert peak <= 2.25 * n * d * 8, peak / (n * d * 8)
+
+    def test_late_step_peak(self):
+        g, informed, frontier = late_step()
+        model = ConstantModel(1)
+        (new, _), peak = traced_peak(
+            lambda: diffusion_step(g, None, informed, model, 3, frontier)
+        )
+        assert len(new) > 250
+        assert peak <= 2**20, peak / 2**20
 
 
 class TestConfig:

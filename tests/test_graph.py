@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +26,7 @@ from netspread.graph import (
     write_edge_list,
 )
 
-from conftest import make_graph, random_graph
+from conftest import make_graph, random_graph, traced_peak
 from oracles import (
     check_simple,
     mean_geodesic_floyd,
@@ -65,13 +64,17 @@ class TestGraphBasics:
         with pytest.raises(VertexRangeError):
             Graph(4, [(-1, 2)])
 
-    @pytest.mark.parametrize("method", ["constructor", "has_edge", "out_edges"])
+    @pytest.mark.parametrize("method", [
+        "constructor", "has_edge", "out_edges", "edges_between_sources", "edges_between_targets",
+    ])
     def test_out_of_range_names_the_bad_endpoint(self, method):
         g = make_graph(4, [(0, 1)])
         call = {
             "constructor": lambda u, v: Graph(4, [(0, 1), (u, v)]),
             "has_edge": g.has_edge,
             "out_edges": lambda u, v: g.out_edges([1, u, v]),
+            "edges_between_sources": lambda u, v: g.edges_between([1, u, v], [0]),
+            "edges_between_targets": lambda u, v: g.edges_between([0], [1, u, v]),
         }[method]
         for u, v, bad in ((0, 4, 4), (4, 0, 4), (-1, 2, -1), (2, -1, -1), (5, 7, 5)):
             with pytest.raises(VertexRangeError, match=rf"^vertex {bad} outside \[0, 4\)$"):
@@ -86,6 +89,34 @@ class TestGraphBasics:
         assert sources.tolist() == [4, 0, 0, 0] and targets.tolist() == [0, 1, 3, 4]
         with pytest.raises(GraphError):
             Graph(5, [(0, 1, 2)])
+
+    def test_degrees(self):
+        for seed in range(6):
+            g = random_graph(25, 0.15, seed)
+            degrees = g.degrees()
+            assert degrees.dtype == np.int64
+            assert degrees.tolist() == [g.degree(v) for v in range(g.n)]
+        assert Graph(0).degrees().tolist() == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(0, 30),
+        edge_prob=st.floats(0.0, 0.7),
+        seed=st.integers(0, 2**31),
+        source_share=st.floats(0.0, 1.0),
+        target_share=st.floats(0.0, 1.0),
+    )
+    def test_edges_between_is_every_edge_from_sources_to_targets(
+        self, n, edge_prob, seed, source_share, target_share
+    ):
+        g = random_graph(n, edge_prob, seed)
+        gen = np.random.default_rng(seed)
+        sources = [v for v in range(n) if gen.random() < source_share]
+        targets = [v for v in range(n) if gen.random() < target_share]  # may share vertices
+        s, t = g.edges_between(sources, targets)
+        assert s.dtype == t.dtype == np.int64
+        want = [(u, v) for u in sources for v in targets if g.has_edge(u, v)]
+        assert list(zip(s.tolist(), t.tolist())) == want
 
     @pytest.mark.parametrize("indices,error", [
         ([1, 0, 2, 0], GraphError),  # 2 -> 0 without 0 -> 2
@@ -413,17 +444,6 @@ class TestInPlaceBuild:
             assert_same_erdos_renyi(n, p, seed)
         finally:
             graph_module.ER_BLOCK = original
-
-
-def traced_peak(build):
-    """build()'s result and the most bytes traced above the start while it ran."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        result = build()
-        return result, tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
 
 
 class TestGraphMemory:

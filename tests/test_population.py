@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netspread import population
 from netspread.completion import CompletionError, PairSet, read_alters_csv
 from netspread.diffusion import DiffusionError, read_log_csv, write_log_csv
+from netspread.experiments import load_stats
 from netspread.population import (
     Field,
     FeatureSchema,
@@ -24,7 +26,7 @@ from netspread.population import (
 )
 
 from conftest import TINY_SCHEMA, random_record
-from oracles import covariance_two_pass, encode
+from oracles import covariance_two_pass, encode, reference_sample_population
 
 
 def record_strategy(schema):
@@ -237,6 +239,42 @@ class TestFitStats:
         table = VertexTable.from_records(tiny_schema, [random_record(tiny_schema, rng)])
         with pytest.raises(TooFewRowsError):
             fit_stats(table)
+
+
+class TestSampleAsOneExpression:
+    """sample_population forms mean + z @ L.T in place; its rows, columns and
+    generator state equal the one-expression draw's (tests/oracles.py)."""
+
+    @staticmethod
+    def stats(which):
+        if which == "builtin":
+            return load_stats("builtin")
+        gen = np.random.default_rng(3)
+        return fit_stats(VertexTable.from_records(
+            TINY_SCHEMA, [random_record(TINY_SCHEMA, gen) for _ in range(60)]))
+
+    @pytest.mark.parametrize("which", ["builtin", "fixture"])
+    @pytest.mark.parametrize("n", [0, 1, 7, 4096, 15000])
+    def test_columns_equal_reference(self, which, n):
+        stats = self.stats(which)
+        rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
+        got = sample_population(stats, n, rng)
+        want = reference_sample_population(stats, n, ref_rng)
+        assert list(got.columns) == list(want.columns)
+        for f, column in want.columns.items():
+            assert got.columns[f].dtype == column.dtype
+            assert got.columns[f].tobytes() == column.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("which", ["builtin", "fixture"])
+    def test_decoded_matrix_is_bitwise_the_sum(self, which, monkeypatch):
+        stats = self.stats(which)
+        seen = []
+        monkeypatch.setattr(population, "decode", lambda y, schema: seen.append(y.copy()))
+        sample_population(stats, 4096, np.random.default_rng(11))
+        z = np.random.default_rng(11).standard_normal((4096, stats.schema.encoded_dim))
+        want = stats.mean + z @ population._factor(stats.covariance).T
+        assert seen[0].tobytes() == want.tobytes()
 
 
 class TestSamplePopulation:
