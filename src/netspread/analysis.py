@@ -301,14 +301,18 @@ class WaveDistribution:
     """Per-wave category proportions of one schema field.
 
     Row labels are "All", "Egos", then "Alters 1".."Alters m".  Rows with
-    no members are flagged empty and hold EMPTY_ROW placeholders.
+    no members hold EMPTY_ROW placeholders; a real proportion is >= 0.
     """
 
     field_id: str
     categories: tuple[str, ...]
     row_labels: tuple[str, ...]
     proportions: np.ndarray  # shape (rows, categories)
-    empty_rows: tuple[bool, ...]
+
+    @property
+    def empty_rows(self) -> tuple[bool, ...]:
+        """Whether each row has no members."""
+        return tuple(bool(np.all(row == EMPTY_ROW)) for row in self.proportions)
 
     def to_csv(self, path) -> None:
         rows = zip(self.row_labels, self.proportions.tolist())
@@ -340,21 +344,17 @@ def wave_distribution(result, table: VertexTable, field_id: str) -> WaveDistribu
         )
         groups.append((f"Alters {it}", members))
     rows = np.zeros((len(groups), len(values)))
-    empty = []
     for i, (_, members) in enumerate(groups):
         if len(members) == 0:
             rows[i, :] = EMPTY_ROW
-            empty.append(True)
             continue
         counts = np.array(
             [np.count_nonzero(column[members] == v) for v in values], dtype=float
         )
         rows[i] = counts / len(members)
-        empty.append(False)
     return WaveDistribution(
         field_id=field_id,
         categories=tuple(names),
         row_labels=tuple(label for label, _ in groups),
         proportions=rows,
-        empty_rows=tuple(empty),
     )

@@ -8,8 +8,9 @@ with Q_ij = y_i y_j K(x_i, x_j), is solved by sequential minimal
 optimization using maximal-KKT-violation pair selection.  The negative
 class uses penalty C and the (minority) positive class C * weight, so
 errors on positives cost more.  Kernel rows are memoized in a bounded LRU
-cache and training stops early if the kernel-evaluation budget runs out,
-returning the best iterate with ``converged=False``.
+cache.  Training stops when the KKT violation is within tolerance; a fit
+that reaches the iteration cap or a pair it cannot move first returns its
+last iterate with ``converged=False``.
 
 Each SMO step makes four whole-array numpy passes over buffers allocated
 once, plus the two passes that pick the pair.  It carries -y * gradient
@@ -43,7 +44,6 @@ LINEAR = "linear"
 RBF = "rbf"
 
 KKT_TOL = 1e-3
-MAX_KERNEL_EVALS = 10_000_000
 SUPPORT_EPS = 1e-8
 # Vertex rows per kernel_matrix call in predict_pairs.  It fixes the GEMM row
 # blocking, so changing it changes the last bits of decision values.
@@ -149,11 +149,6 @@ class _RowCache:
         self.rows: OrderedDict[int, np.ndarray] = OrderedDict()
         self.hits = 0
         self.misses = 0
-
-    @property
-    def evals(self) -> int:
-        """Kernel entries computed so far."""
-        return self.misses * self.X.shape[0]
 
     def row(self, i: int) -> np.ndarray:
         cached = self.rows.get(i)
@@ -365,14 +360,6 @@ def _sender_blocks(send_of: np.ndarray, recv_of: np.ndarray, max_rows: int):
         start = stop
 
 
-def _violating_sets(y, alpha, C):
-    """Masks of the SMO "up" set (alpha_i y_i can grow) and "down" set (can
-    shrink)."""
-    up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
-    down = ((y < 0) & (alpha < C)) | ((y > 0) & (alpha > 0))
-    return up, down
-
-
 def _snap(value: float, limit: float) -> float:
     """value, set to the bound 0 or limit when within float dust of it, so
     up/down set membership is not decided by rounding noise."""
@@ -389,15 +376,17 @@ def train_svm(
     y: np.ndarray,
     params: SvmParams,
     tol: float = KKT_TOL,
-    max_kernel_evals: int = MAX_KERNEL_EVALS,
 ) -> SvmModel:
     """Solve the weighted soft-margin dual on standardized vectors via SMO.
 
     Each step selects the maximal violating pair (i from the "up" set with
     the largest -y grad, j from the "down" set with the smallest) and
     solves the two-variable subproblem analytically.  Convergence is
-    m(alpha) - M(alpha) <= tol.  Labels other than exactly +1 and -1, and
-    non-finite entries of X, are a ClassifierError before any kernel work.
+    m(alpha) - M(alpha) <= tol.  The fit stops short of it only at the
+    iteration cap max(100_000, 30 n) or at a pair whose step is below
+    1e-14; either logs one warning and returns converged=False.  Labels
+    other than exactly +1 and -1, and non-finite entries of X, are a
+    ClassifierError before any kernel work.
 
     Loop invariants, each bit-exact against the direct form it replaces,
     which keeps grad and takes -y * grad every step:
@@ -418,9 +407,10 @@ def train_svm(
       reach the model: bias is a numpy mean or a Python sum, and both sums
       start from +0, which absorbs a zero's sign; a converged violation of
       exactly zero is given the direct form's sign.
-    - up_bias[k] is 0 when k is in the up set, else -inf; down_bias[k] is
-      0 or +inf.  A step changes only alpha_i and alpha_j, so only entries
-      i and j are recomputed.  For finite vals, vals + 0 is vals, so
+    - up_bias[k] is 0 when k is in the up set (alpha_k y_k can grow), else
+      -inf; down_bias[k] is 0 when k is in the down set (alpha_k y_k can
+      shrink), else +inf.  A step changes only alpha_i and alpha_j, so only
+      entries i and j are recomputed.  For finite vals, vals + 0 is vals, so
       argmax(vals + up_bias) is the first index of the up set's largest
       value, as up_idx[argmax(vals[up_idx])] is; argmin with down_bias
       likewise.  A maximum of -inf (minimum of +inf) means an empty set.
@@ -454,14 +444,14 @@ def train_svm(
     picked = np.empty(n)  # vals plus one set's bias, for its argmax or argmin
     step_i = np.empty(n)
     step_j = np.empty(n)
-    up, down = _violating_sets(y, np.zeros(n), C)
-    up_bias = np.where(up, 0.0, -np.inf)
-    down_bias = np.where(down, 0.0, np.inf)
+    # the sets at alpha = 0
+    up_bias = np.where((y > 0) & (C > 0), 0.0, -np.inf)
+    down_bias = np.where((y < 0) & (C > 0), 0.0, np.inf)
     ys, Cs = y.tolist(), C.tolist()
     alpha = [0.0] * n
     inf = np.inf
     violation = inf
-    converged = False
+    stopped_at = None  # what ended a non-converged fit
     iterations = 0
 
     while True:
@@ -471,27 +461,16 @@ def train_svm(
         np.add(vals, down_bias, out=picked)
         j = int(picked.argmin())
         if no_up or picked.item(j) == inf:  # an empty up or down set
-            converged = True
             violation = 0.0
             break
         v_i, v_j = vals.item(i), vals.item(j)
         violation = v_i - v_j
         if violation <= tol:
-            converged = True
             if v_i == 0.0 == v_j:  # the direct form's zeros are -y_k * (+0)
                 violation = -ys[i] * 0.0 + ys[j] * 0.0
             break
-        if cache.evals >= max_kernel_evals:
-            logger.warning(
-                "SMO stopped at kernel-eval budget %d with violation %.3g",
-                max_kernel_evals, violation,
-            )
-            break
         if iterations >= max_iter:
-            logger.warning(
-                "SMO stopped at iteration cap %d with violation %.3g",
-                max_iter, violation,
-            )
+            stopped_at = f"the iteration cap {max_iter}"
             break
         iterations += 1
 
@@ -514,8 +493,7 @@ def train_svm(
         new_j = min(high, max(low, new_j))
         delta_j = new_j - a_j
         if abs(delta_j) < 1e-14:
-            # numerically stuck pair; treat as converged at this violation
-            logger.debug("SMO made no progress at violation %.3g", violation)
+            stopped_at = "a stuck pair"
             break
         new_i = _snap(a_i - y_i * y_j * delta_j, Cs[i])
         new_j = _snap(new_j, Cs[j])
@@ -526,7 +504,7 @@ def train_svm(
         np.multiply(Kj, -(y_j * (new_j - a_j)), out=step_j)
         step_i += step_j
         vals += step_i
-        # _violating_sets at the two indices, for labels that are exactly +-1
+        # the sets at the two indices, for labels that are exactly +-1
         for k, y_k, a_k in ((i, y_i, new_i), (j, y_j, new_j)):
             below, above = a_k < Cs[k], a_k > 0.0
             up_bias[k] = 0.0 if (below if y_k > 0 else above) else -inf
@@ -539,7 +517,7 @@ def train_svm(
         F = -vals  # y * grad
         bias = float(-F[free].mean())
     else:
-        up, down = _violating_sets(y, alpha, C)
+        up, down = up_bias == 0.0, down_bias == 0.0
         candidates = []
         if np.any(up):
             candidates.append(float(np.max(vals[up])))
@@ -547,22 +525,22 @@ def train_svm(
             candidates.append(float(np.min(vals[down])))
         bias = sum(candidates) / len(candidates) if candidates else 0.0
 
+    if stopped_at is not None:
+        logger.warning("SMO stopped at %s with violation %.3g; the model is not converged",
+                       stopped_at, violation)
     keep = alpha > SUPPORT_EPS
-    model = SvmModel(
+    return SvmModel(
         kernel=params.kernel,
         support_vectors=X[keep],
         coefs=(alpha * y)[keep],
         bias=bias,
-        converged=converged,
+        converged=stopped_at is None,
         kkt_violation=violation,
         iterations=iterations,
         cache_hits=cache.hits,
         cache_misses=cache.misses,
         params=params,
     )
-    if not converged:
-        logger.warning("SMO returned a non-converged model (violation %.3g)", violation)
-    return model
 
 
 def balanced_error(predictions, labels) -> float:
@@ -625,7 +603,6 @@ def cross_validate(
     grid,
     k: int,
     rng: np.random.Generator,
-    max_kernel_evals: int = MAX_KERNEL_EVALS,
 ) -> CvReport:
     """Mean balanced error of each parameter set over k stratified folds.
 
@@ -646,12 +623,7 @@ def cross_validate(
             # without assume_unique, setdiff1d calls np.unique, which imports numpy.ma
             train_idx = np.setdiff1d(np.arange(len(y)), fold, assume_unique=True)
             std = Standardizer.fit(X[train_idx])
-            model = train_svm(
-                std.transform(X[train_idx]),
-                y[train_idx],
-                params,
-                max_kernel_evals=max_kernel_evals,
-            )
+            model = train_svm(std.transform(X[train_idx]), y[train_idx], params)
             preds = model.predict_labels(std.transform(X[fold]))
             bal.append(balanced_error(preds, y[fold]))
         entries.append(CvEntry(params=params, balanced_error=float(np.mean(bal))))
@@ -665,11 +637,10 @@ def fit_pair_classifier(
     y: np.ndarray,
     params: SvmParams,
     schema: FeatureSchema | None = None,
-    max_kernel_evals: int = MAX_KERNEL_EVALS,
 ) -> SvmModel:
     """Standardize raw encoded pair rows, train, and attach the pieces."""
     std = Standardizer.fit(X_raw)
-    model = train_svm(std.transform(X_raw), y, params, max_kernel_evals=max_kernel_evals)
+    model = train_svm(std.transform(X_raw), y, params)
     model.standardizer = std
     model.schema = schema
     return model

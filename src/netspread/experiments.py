@@ -48,10 +48,9 @@ Config layout::
             {"role": "receiver", "field": "food_risk_knowledge", "op": ">=", "value": 6},
             {"role": "sender", "field": "risk_perception", "op": ">=", "value": 4}]},
         "params": {"kernel": "rbf", "sigma": 1.0, "C": 2048.0, "weight": 32.0},
-        "grid": [ ...same shape as params... ],   # optional CV grid
+        "grid": [ ...same shape as params... ],   # or a CV grid, not both
         "cv_folds": 3,
         "per_replicate": false,      # retrain per replicate instead of once
-        "max_kernel_evals": 10000000,  # SMO kernel-eval cap (max(1e7, 5 n^2))
         "pairs_file": "pairs.csv",   # mode "pairs"
         "egos_file": "...", "alters_file": "...", "alter_pool_file": "...",
         "criteria": [...], "contact_fields": [...], "homophily": 0.7  # mode "survey"
@@ -93,7 +92,6 @@ import numpy as np
 
 from . import analysis, completion
 from .classifier import (
-    MAX_KERNEL_EVALS,
     ConstantModel,
     KernelSpec,
     SvmModel,
@@ -157,7 +155,6 @@ _SETTINGS = {
         "cv_folds": (int, 3, 2, None),
         "per_replicate": (bool, False, None, None),
         "homophily": (float, 0.7, 0, 1),
-        "max_kernel_evals": (int, None, 1, None),  # None: training_budget
         "pairs_file": (str, None, None, None),
         "egos_file": (str, None, None, None),
         "alters_file": (str, None, None, None),
@@ -308,8 +305,7 @@ def _parse_svm_params(doc: dict, path: str) -> SvmParams:
 class TrainingConfig:
     mode: str
     sample_size: int
-    params: SvmParams | None
-    grid: tuple[SvmParams, ...]
+    grid: tuple[SvmParams, ...]  # params, when set, is a one-point grid
     cv_folds: int
     per_replicate: bool
     rule: PlantedRule | None
@@ -320,7 +316,6 @@ class TrainingConfig:
     criteria: tuple[str, ...]
     contact_fields: tuple[str, ...]
     homophily: float
-    max_kernel_evals: int | None
 
     @classmethod
     def from_config(cls, doc: dict) -> "TrainingConfig":
@@ -328,12 +323,16 @@ class TrainingConfig:
         mode = _object(doc, path, path).get("mode", "synthetic")
         if mode not in ("synthetic", "pairs", "survey"):
             raise ConfigError(f"{path}.mode", "must be synthetic, pairs or survey")
-        params = _parse_svm_params(doc["params"], f"{path}.params") if "params" in doc else None
-        grid = tuple(
-            _parse_svm_params(g, f"{path}.grid[{i}]")
-            for i, g in enumerate(_list(doc.get("grid", []), f"{path}.grid", empty_ok=True))
-        )
-        if params is None and not grid:
+        if "params" in doc:
+            if "grid" in doc:
+                raise ConfigError(f"{path}.params", "set params or a grid, not both")
+            grid = (_parse_svm_params(doc["params"], f"{path}.params"),)
+        else:
+            grid = tuple(
+                _parse_svm_params(g, f"{path}.grid[{i}]")
+                for i, g in enumerate(_list(doc.get("grid", []), f"{path}.grid", empty_ok=True))
+            )
+        if not grid:
             raise ConfigError(f"{path}.params", "need params or a grid")
         rule = None
         if mode == "synthetic":
@@ -348,7 +347,6 @@ class TrainingConfig:
             raise ConfigError(f"{path}.criteria", "must name at least one field")
         return cls(
             mode=mode,
-            params=params,
             grid=grid,
             rule=rule,
             criteria=criteria,
@@ -516,16 +514,6 @@ def _survey_pairs(tc: TrainingConfig, schema: FeatureSchema, rng) -> completion.
     )
 
 
-def training_budget(n_examples: int) -> int:
-    """Kernel-evaluation cap scaled so pipeline-sized fits can converge.
-
-    The solver's flat default caps a 20k-example fit after a few hundred
-    gradient steps; 5 n^2 evaluations allow roughly 2.5 n row computations,
-    which is comfortably past convergence for the planted-rule tasks.
-    """
-    return max(MAX_KERNEL_EVALS, 5 * n_examples * n_examples)
-
-
 def train_pipeline(
     config: ExperimentConfig,
     stats: PopulationStats | None = None,
@@ -533,8 +521,9 @@ def train_pipeline(
 ) -> SvmModel:
     """Build training pairs per the configured mode, select params, fit.
 
-    A single-point grid degenerates to a direct fit.  The returned model
-    carries the fold-independent standardizer and the schema.
+    A one-point grid (params) is fitted directly; a longer one is
+    cross-validated first.  The returned model carries the fold-independent
+    standardizer and the schema.
     """
     tc = config.training
     if tc is None:
@@ -554,15 +543,11 @@ def train_pipeline(
     if len(pairs) > tc.sample_size:
         pairs = pairs.take(np.sort(rng.choice(len(pairs), size=tc.sample_size, replace=False)))
     X, y = pairs.matrix(), pairs.labels
-    budget = tc.max_kernel_evals or training_budget(len(y))
-    params = tc.params
-    if tc.grid:
-        if len(tc.grid) == 1:
-            params = tc.grid[0]
-        else:
-            params = cross_validate(X, y, tc.grid, tc.cv_folds, rng, max_kernel_evals=budget).best
-            logger.info("cross-validation selected %s", params)
-    model = fit_pair_classifier(X, y, params, schema=stats.schema, max_kernel_evals=budget)
+    params = tc.grid[0]
+    if len(tc.grid) > 1:
+        params = cross_validate(X, y, tc.grid, tc.cv_folds, rng).best
+        logger.info("cross-validation selected %s", params)
+    model = fit_pair_classifier(X, y, params, schema=stats.schema)
     model.training_size = len(y)
     return model
 
@@ -762,8 +747,5 @@ def report_distributions(
             if stack:
                 rows[i] = np.mean(stack, axis=0)
         averaged[fid] = rows
-        empty = tuple(bool(np.all(r == analysis.EMPTY_ROW)) for r in rows)
-        replace(first, proportions=rows, empty_rows=empty).to_csv(
-            os.path.join(out_dir, f"dist_{fid}.csv")
-        )
+        replace(first, proportions=rows).to_csv(os.path.join(out_dir, f"dist_{fid}.csv"))
     return averaged

@@ -408,7 +408,7 @@ def training_pairs_dicts(egos, listed_alters, pool, criteria, contact_fields, h,
     return X.reshape(len(pairs), 2 * schema.encoded_dim), y
 
 
-def reference_train_svm(X, y, params, tol=None, max_kernel_evals=None):
+def reference_train_svm(X, y, params, tol=None):
     """The SMO loop as first written: every step rebuilds the up/down masks,
     gathers their members with np.nonzero and allocates the gradient update.
 
@@ -432,8 +432,6 @@ def reference_train_svm(X, y, params, tol=None, max_kernel_evals=None):
         return value
 
     tol = classifier.KKT_TOL if tol is None else tol
-    if max_kernel_evals is None:
-        max_kernel_evals = classifier.MAX_KERNEL_EVALS
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n = len(y)
@@ -469,8 +467,6 @@ def reference_train_svm(X, y, params, tol=None, max_kernel_evals=None):
         violation = float(vals[i] - vals[j])
         if violation <= tol:
             converged = True
-            break
-        if cache.evals >= max_kernel_evals:
             break
         if iterations >= max_iter:
             break

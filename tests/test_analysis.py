@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from netspread.analysis import (
+    EMPTY_ROW,
     Clustering,
+    WaveDistribution,
     cluster_by_modularity,
     cluster_graph,
     extend_cluster,
@@ -342,6 +344,12 @@ class TestWaveDistribution:
         )
         dist = wave_distribution(result, table, "gender")
         assert dist.empty_rows == (False, False, True, True)
+
+    def test_empty_rows_read_from_proportions(self):
+        # only an all-placeholder row is empty; a real proportion of 0 is not
+        rows = np.array([[0.0, 1.0], [0.0, 0.0], [EMPTY_ROW, EMPTY_ROW], [EMPTY_ROW, 1.0]])
+        dist = WaveDistribution("f", ("a", "b"), ("All", "Egos", "Alters 1", "Alters 2"), rows)
+        assert dist.empty_rows == (False, False, True, False)
 
     def test_uniform_seeding_matches_population_rate(self):
         schema = FeatureSchema((Field("gender", "binary"),))

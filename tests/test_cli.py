@@ -108,8 +108,7 @@ class TestExitCodes:
         ({"training": dict(SURVEY, criteria=[])}, "training.criteria"),
         ({"output_dir": ["out"]}, "output_dir"),
         ({"stats_file": 7}, "stats_file"),
-        ({"training": dict(TRAINING, max_kernel_evals=-5)}, "training.max_kernel_evals"),
-        ({"training": dict(TRAINING, max_kernel_evals=0)}, "training.max_kernel_evals"),
+        ({"training": dict(TRAINING, grid=[TRAINING["params"]])}, "training.params"),
         ({"graph": {"model": "erdos_renyi", "n": 200, "edge_prob": [True]}},
          "graph.edge_prob[0]"),
         ({"graph": {"model": "erdos_renyi", "n": 200, "edge_prob": ["0.02"]}},
@@ -130,9 +129,11 @@ class TestExitCodes:
         ({"graph": {"model": "erdos_renyi", "n": 200, "edge_prob": [0.02],
                     "neighbors": [4]}}, "graph.neighbors"),
         ({"training": dict(TRAINING, sampel_size=100)}, "training.sampel_size"),
+        ({"training": dict(TRAINING, max_kernel_evals=-5)}, "training.max_kernel_evals"),
+        ({"training": dict(TRAINING, max_kernel_evals=0)}, "training.max_kernel_evals"),
         ({"training": dict(TRAINING, params=dict(TRAINING["params"], sigmaa=2.0))},
          "training.params.sigmaa"),
-        ({"training": dict(TRAINING, grid=[dict(TRAINING["params"], c=2.0)])},
+        ({"training": {"rule": RULE, "grid": [dict(TRAINING["params"], c=2.0)]}},
          "training.grid[0].c"),
         ({"training": dict(TRAINING, rule=dict(RULE, condition=[]))}, "training.rule.condition"),
         ({"training": dict(TRAINING, rule={"conditions": [
@@ -320,9 +321,9 @@ class TestSurveyInputs:
         # which imports numpy.ma: about 14 ms and 1.2 MB of start-up that
         # nothing else on this path needs
         grid = [TRAINING["params"], dict(TRAINING["params"], C=2.0)]
-        config = write_config(
-            tmp_path, training=dict(write_survey(tmp_path, ["29,0,2,1"]), grid=grid, cv_folds=2)
-        )
+        survey = write_survey(tmp_path, ["29,0,2,1"])
+        del survey["params"]  # params and grid together are a config error
+        config = write_config(tmp_path, training=dict(survey, grid=grid, cv_folds=2))
         src = Path(__file__).resolve().parents[1] / "src"
         code = (
             f"import sys; sys.path.insert(0, {str(src)!r})\n"

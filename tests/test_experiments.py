@@ -75,7 +75,7 @@ VALID_DOCS = [
                   "rewire_prob": [0.0, 0.1]},
         "training": {"mode": "survey", "egos_file": "egos.csv", "alter_pool_file": "pool.csv",
                      "criteria": ["gender"], "contact_fields": ["contact_friends"],
-                     "homophily": 0.7, "params": PARAMS, "max_kernel_evals": 1000},
+                     "homophily": 0.7, "params": PARAMS},
     },
 ]
 
@@ -134,6 +134,18 @@ class TestConfigParsing:
             ExperimentConfig.from_dict(_replaced(VALID_DOCS[index], path, value))
         except ConfigError:
             pass
+
+    def test_config_layout_doc_names_every_key(self):
+        # the module doc's layout block shows exactly the keys the parser takes
+        block = experiments.__doc__.split("Config layout::")[1].split("\n\n")[1]
+        assert set(re.findall(r'"(\w+)":', block)) == set().union(*experiments._KEYS.values())
+
+    def test_params_parses_as_a_one_point_grid(self, tmp_path):
+        doc = base_config(tmp_path)
+        direct = ExperimentConfig.from_dict(doc).training
+        doc["training"]["grid"] = [doc["training"].pop("params")]
+        assert direct == ExperimentConfig.from_dict(doc).training
+        assert [(p.C, p.weight, p.kernel.sigma) for p in direct.grid] == [(4.0, 8.0, 12.0)]
 
     def test_missing_graph(self):
         with pytest.raises(ConfigError) as err:
@@ -293,16 +305,6 @@ class TestTrainPipeline:
         config = ExperimentConfig.from_dict(doc)
         model = train_pipeline(config)
         assert model.converged
-
-    def test_training_budget_scales_with_examples(self, tmp_path):
-        from netspread.experiments import training_budget
-
-        assert training_budget(100) == 10_000_000  # flat solver default
-        assert training_budget(20000) == 5 * 20000 * 20000
-        doc = base_config(tmp_path)
-        doc["training"]["max_kernel_evals"] = 12345
-        config = ExperimentConfig.from_dict(doc)
-        assert config.training.max_kernel_evals == 12345
 
     def test_grid_selection_runs_cross_validation(self, tmp_path):
         doc = base_config(tmp_path)

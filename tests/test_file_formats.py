@@ -133,7 +133,7 @@ WRITERS = {
     "wave distribution csv": (
         analysis.WaveDistribution(
             "p", ("a", "b"), ("All", "Egos"),
-            np.array([[0.1 + 0.2, np.float64(0.7)], [analysis.EMPTY_ROW] * 2]), (False, True),
+            np.array([[0.1 + 0.2, np.float64(0.7)], [analysis.EMPTY_ROW] * 2]),
         ).to_csv,
         b"wave,a,b\r\nAll,0.30000000000000004,0.7\r\nEgos,-1.0,-1.0\r\n",
     ),
