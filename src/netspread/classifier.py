@@ -52,8 +52,14 @@ KERNEL_BLOCK = 1024
 # predict_pairs, sized to stay in L2.  Each pair is reduced on its own, so any
 # value gives the same bits.
 PAIR_CHUNK_BYTES = 1 << 19
+# Bytes of an RBF block's one temporary, the |a|^2 + |b|^2 of a row sub-block;
+# the block itself is built in the array it is returned in.  Each element is
+# computed on its own, so any value gives the same bits; 128 KiB keeps the
+# temporary and the sub-block it updates in L2.
+_RBF_SUB_BYTES = 1 << 17
 # Kernel-row bytes held at once: the SMO row cache, and the sender plus
-# receiver half-kernel rows of one predict_pairs block.
+# receiver half-kernel rows of one predict_pairs block, whose kernel_matrix
+# calls write into them and add only row norms and _RBF_SUB_BYTES.
 KERNEL_ROWS_BYTES = 256_000_000
 
 
@@ -96,29 +102,52 @@ def kernel_matrix(
     """K[i, j] = kernel(A[i], B[j]), vectorized over both arguments.
 
     `b_sq` is sum(B**2, axis=1) when the caller already has it; `out`, an
-    (len(A), len(B)) float array, receives the block and is returned.  The
-    RBF block is built in place from |a|^2 + |b|^2 - 2 a.b with the same
-    floating-point operations in the same order as the textbook expression,
-    so it is bit-identical to it, with or without `out`.  Negative squared
-    distances are raised to 0 with np.maximum rather than np.clip, which is
-    cheaper; the two can differ only on -0.0, and exp(-0.0) is exp(0.0).
+    (len(A), len(B)) float array, receives the block and is returned.
+
+    An RBF block is built in the array it is returned in: A @ B.T is written
+    there and doubled, then each row sub-block of _RBF_SUB_BYTES (the whole
+    block, when it is no larger) becomes
+    exp(max(|a|^2 + |b|^2 - 2 a.b, 0) / -(2 sigma^2)), with the norm sum in
+    one sub-block-sized buffer.  So the block allocates no array of its own
+    size, and every element goes through the same floating-point operations
+    in the same order as the textbook expression: the block is bitwise equal
+    to it, with or without `out`.  Negative squared distances are raised to
+    0 with np.maximum rather than np.clip, which is cheaper; the two can
+    differ only on -0.0, and exp(-0.0) is exp(0.0).
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if A.shape[1] != B.shape[1]:
         raise DimensionMismatchError(f"dimensions {A.shape[1]} and {B.shape[1]} differ")
+    K = np.matmul(A, B.T, out)  # out by position: the keyword costs ~0.5 us a call
     if spec.kind == LINEAR:
-        return np.matmul(A, B.T, out=out)
+        return K
     if b_sq is None:
         b_sq = np.sum(B**2, axis=1)
-    G = A @ B.T
-    G *= 2.0
-    K = np.add(np.sum(A**2, axis=1)[:, None], b_sq[None, :], out=out)
-    K -= G
-    np.maximum(K, 0.0, out=K)
-    K /= -(2.0 * spec.sigma**2)
-    np.exp(K, out=K)
+    K *= 2.0
+    a_sq = np.sum(A**2, axis=1)[:, None]
+    scale = -(2.0 * spec.sigma**2)
+    # a block no larger than a sub-block, such as an SMO row of up to 16,384
+    # columns, takes one pass: the loop's set-up would cost such a row ~1.5 us
+    if 8 * K.size <= _RBF_SUB_BYTES:
+        _finish_rbf_rows(K, a_sq, b_sq, scale)
+        return K
+    step = max(1, _RBF_SUB_BYTES // (8 * len(b_sq)))
+    norms = np.empty((step, len(b_sq)))
+    for start in range(0, len(A), step):
+        sub = K[start : start + step]
+        _finish_rbf_rows(sub, a_sq[start : start + step], b_sq, scale, norms[: len(sub)])
     return K
+
+
+def _finish_rbf_rows(K, a_sq, b_sq, scale, norms=None) -> None:
+    """K, holding 2 a.b, becomes exp(max(|a|^2 + |b|^2 - 2 a.b, 0) / scale) in
+    place; |a|^2 + |b|^2 is written into `norms` when it is given."""
+    sq = np.add(a_sq, b_sq, out=norms)
+    np.subtract(sq, K, out=K)
+    np.maximum(K, 0.0, out=K)
+    K /= scale
+    np.exp(K, out=K)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from .experiments import (
     STUB_MODELS,
     ConfigError,
     ExperimentConfig,
+    check_output_dir,
     report_distributions,
     run_experiment,
     train_pipeline,
@@ -54,6 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _run(args) -> int:
     config = ExperimentConfig.from_file(args.config)
     out_dir = args.out or config.output_dir
+    check_output_dir(out_dir, "--out" if args.out else "output_dir")
     if args.command == "simulate":
         rows = run_experiment(config, stub_model=args.stub_model, out_dir=out_dir)
         print(f"wrote {len(rows)} sweep rows to {os.path.join(out_dir, 'sweep.csv')}")

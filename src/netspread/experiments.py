@@ -464,6 +464,16 @@ def _check_file(name: str, path: str) -> None:
         raise ConfigError(path, f"{problem}: {name}")
 
 
+def check_output_dir(name: str, path: str) -> None:
+    """A ConfigError at `path` unless `name` is a directory or can be made
+    one: the nearest of it and its parents that exists must be a directory."""
+    probe = os.path.abspath(name)
+    while not os.path.exists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        raise ConfigError(path, f"not a directory: {probe}")
+
+
 def load_config_stats(config: ExperimentConfig) -> PopulationStats:
     """The config's stats, with every field name the config holds in their schema
     and every training data file it names checked to be a file."""

@@ -36,6 +36,8 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 RIDGE = 1e-6
+# Rows per block of sample_population's draw.
+SAMPLE_BLOCK = 1024
 
 ORDINAL = "ordinal"
 BINARY = "binary"
@@ -313,17 +315,24 @@ def decode(samples: np.ndarray, schema: FeatureSchema) -> VertexTable:
         raise SchemaError(
             f"samples have shape {samples.shape}, expected (n, {schema.encoded_dim})"
         )
-    columns: dict[str, np.ndarray] = {}
+    columns = {fid: np.empty(len(samples), dtype=int) for fid in schema.field_ids}
+    _decode_into(samples, schema, columns)
+    return VertexTable(schema, columns)
+
+
+def _decode_into(samples: np.ndarray, schema: FeatureSchema, columns: dict) -> None:
+    """Write decode's values for the rows of `samples` into `columns`, one
+    int array per field id, as long as `samples`."""
     for f, pos in schema.offsets():
         block = samples[:, pos : pos + f.width]
+        column = columns[f.id]
         if f.kind == CATEGORICAL:
-            columns[f.id] = np.argmax(block, axis=1).astype(int)
+            np.argmax(block, axis=1, out=column)
         elif f.kind == BINARY:
-            columns[f.id] = (block[:, 0] >= 0.5).astype(int)
+            column[:] = block[:, 0] >= 0.5
         else:
             lo, hi = f.value_range
-            columns[f.id] = np.clip(round_half_up(block[:, 0]), lo, hi).astype(int)
-    return VertexTable(schema, columns)
+            column[:] = np.clip(round_half_up(block[:, 0]), lo, hi)
 
 
 def _column_mode(values) -> int:
@@ -455,13 +464,27 @@ def _factor(covariance: np.ndarray) -> np.ndarray:
 def sample_population(
     stats: PopulationStats, n: int, rng: np.random.Generator
 ) -> VertexTable:
-    """Draw n records from N(mean, covariance) and decode them to valid rows."""
+    """Draw n records from N(mean, covariance) and decode them to valid rows.
+
+    mean + z @ L.T is drawn, formed and decoded SAMPLE_BLOCK rows at a time
+    into the table's columns, so two block-sized float arrays are held, not
+    two n x d ones.  The bits are those of the one n x d expression: the
+    normals are drawn in the same order, the mean is added in place (IEEE
+    addition commutes), and a row of a block's product has the bits it has
+    in the whole product, except in a one-row block, which BLAS forms as a
+    matrix-vector product; so a one-row tail joins the block before it.
+    """
     L = _factor(stats.covariance)
-    # mean + z @ L.T with the sum taken in place (IEEE addition commutes, so
-    # the bits are the same): two n x d arrays at once, not three
-    y = rng.standard_normal((n, stats.schema.encoded_dim)) @ L.T
-    y += stats.mean
-    return decode(y, stats.schema)
+    schema = stats.schema
+    columns = {fid: np.empty(n, dtype=int) for fid in schema.field_ids}
+    stops = list(range(SAMPLE_BLOCK, n, SAMPLE_BLOCK))
+    if stops and n - stops[-1] == 1:
+        stops.pop()
+    for start, stop in zip([0] + stops, stops + [n]):
+        y = rng.standard_normal((stop - start, schema.encoded_dim)) @ L.T
+        y += stats.mean
+        _decode_into(y, schema, {fid: column[start:stop] for fid, column in columns.items()})
+    return VertexTable(schema, columns)
 
 
 @dataclass(frozen=True)

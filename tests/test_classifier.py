@@ -25,7 +25,7 @@ from netspread.classifier import (
 )
 from netspread.population import FeatureSchema, VertexTable
 
-from conftest import TINY_SCHEMA, random_record
+from conftest import TINY_SCHEMA, random_record, traced_peak
 from oracles import dual_objective, encode, reference_train_svm, svm_dual_reference
 
 LIN = KernelSpec("linear")
@@ -157,21 +157,37 @@ class TestKernels:
                     assert one(spec, A[i], B[j]) == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("given_b_sq", [False, True])
-    @pytest.mark.parametrize("rows", [1, 64, 1024])
-    def test_in_place_block_is_bitwise_the_textbook_expression(self, rows, given_b_sq):
-        gen = np.random.default_rng(rows)
-        A, B = gen.normal(size=(rows, 27)), gen.normal(size=(277, 27))
+    @pytest.mark.parametrize("cols", [1, 277, 2518])
+    @pytest.mark.parametrize("rows", ["sub-1", "sub", "sub+1", 1, 64, 1023, 1024, 1025])
+    def test_in_place_block_is_bitwise_the_textbook_expression(self, rows, cols, given_b_sq):
+        # an RBF block is finished in row sub-blocks of this many rows, in one
+        # pass when it has no more
+        sub = max(1, classifier._RBF_SUB_BYTES // (8 * cols))
+        if isinstance(rows, str):
+            rows = sub + int(rows[3:] or 0)
+        gen = np.random.default_rng(rows * cols)
+        A, B = gen.normal(size=(rows, 27)), gen.normal(size=(cols, 27))
         A[0] = B[0]  # a zero distance, where rounding can go negative and is clipped
         b_sq = np.sum(B**2, axis=1) if given_b_sq else None
         for spec in (LIN, KernelSpec("rbf", 4.0)):
             K = kernel_matrix(spec, A, B, b_sq=b_sq)
             assert K.tobytes() == textbook_kernel(spec, A, B).tobytes()
             # out as _half_kernel passes it: a row slice of a larger array
-            whole = np.full((rows + 3, 277), np.nan)
+            whole = np.full((rows + 3, cols), np.nan)
             out = whole[1 : rows + 1]
             assert kernel_matrix(spec, A, B, b_sq=b_sq, out=out) is out
             assert out.tobytes() == K.tobytes()
             assert np.isnan(whole[0]).all() and np.isnan(whole[rows + 1 :]).all()
+
+    def test_rbf_block_into_out_allocates_no_block_sized_array(self):
+        # _half_kernel's call: one KERNEL_BLOCK x SVs block of the ER demo
+        # model (2,518 SVs, 27 columns), 19.7 MiB, written into `out`
+        gen = np.random.default_rng(8)
+        A = gen.normal(size=(classifier.KERNEL_BLOCK, 27))
+        B = gen.normal(size=(2518, 27))
+        out = np.empty((len(A), len(B)))
+        _, peak = traced_peak(lambda: kernel_matrix(KernelSpec("rbf", 4.0), A, B, out=out))
+        assert peak < 2**20, peak / 2**20
 
     def test_rbf_block_is_the_textbook_expression_at_zero_distance(self):
         # duplicate, near-duplicate and zero rows: the squared distance comes

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from netspread import experiments
 from netspread.cli import main
 from netspread.completion import PairSet
 from netspread.experiments import load_stats
@@ -221,6 +222,29 @@ class TestExitCodes:
         assert main([command, "--config", str(config)]) == 2
         assert f"config error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "train", "report"])
+    @pytest.mark.parametrize("flag", [False, True])
+    @pytest.mark.parametrize("under", [False, True])
+    def test_file_for_the_output_directory_exits_2_before_any_work(
+        self, tmp_path, capsys, monkeypatch, command, flag, under
+    ):
+        def reached(config):
+            raise RuntimeError("the run started")
+
+        # every command loads the config's stats before it fits or writes
+        monkeypatch.setattr(experiments, "load_config_stats", reached)
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+        out = taken / "sub" if under else taken
+        if flag:
+            argv = [command, "--config", str(write_config(tmp_path)), "--out", str(out)]
+        else:
+            argv = [command, "--config", str(write_config(tmp_path, output_dir=str(out)))]
+        assert main(argv) == 2
+        key = "--out" if flag else "output_dir"
+        assert f"config error: {key}: not a directory: {taken}" in capsys.readouterr().err
+        assert taken.read_text() == "kept"
 
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         missing = tmp_path / "cfg.json"

@@ -242,8 +242,13 @@ class TestFitStats:
 
 
 class TestSampleAsOneExpression:
-    """sample_population forms mean + z @ L.T in place; its rows, columns and
-    generator state equal the one-expression draw's (tests/oracles.py)."""
+    """sample_population forms mean + z @ L.T in place, SAMPLE_BLOCK rows at
+    a time; its rows, columns and generator state equal the one-expression
+    draw's (tests/oracles.py).  A one-row last block would move bits (BLAS
+    takes it as a matrix-vector product), so tails of one row, two rows and
+    a block plus one row are pinned."""
+
+    B = population.SAMPLE_BLOCK
 
     @staticmethod
     def stats(which):
@@ -254,7 +259,7 @@ class TestSampleAsOneExpression:
             TINY_SCHEMA, [random_record(TINY_SCHEMA, gen) for _ in range(60)]))
 
     @pytest.mark.parametrize("which", ["builtin", "fixture"])
-    @pytest.mark.parametrize("n", [0, 1, 7, 4096, 15000])
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, B - 1, B, B + 1, B + 2, 2 * B + 1, 4096, 15000])
     def test_columns_equal_reference(self, which, n):
         stats = self.stats(which)
         rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
@@ -267,14 +272,24 @@ class TestSampleAsOneExpression:
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("which", ["builtin", "fixture"])
-    def test_decoded_matrix_is_bitwise_the_sum(self, which, monkeypatch):
+    @pytest.mark.parametrize("n,sizes", [
+        (1, [1]), (B + 1, [B + 1]), (B + 2, [B, 2]), (2 * B + 1, [B, B + 1]),
+        (2 * B + 952, [B, B, 952]),
+    ])
+    def test_decoded_blocks_are_bitwise_the_sum(self, which, n, sizes, monkeypatch):
         stats = self.stats(which)
-        seen = []
-        monkeypatch.setattr(population, "decode", lambda y, schema: seen.append(y.copy()))
-        sample_population(stats, 4096, np.random.default_rng(11))
-        z = np.random.default_rng(11).standard_normal((4096, stats.schema.encoded_dim))
+        seen, real = [], population._decode_into
+
+        def decode_into(y, schema, columns):
+            seen.append(y.copy())
+            real(y, schema, columns)
+
+        monkeypatch.setattr(population, "_decode_into", decode_into)
+        sample_population(stats, n, np.random.default_rng(11))
+        assert [len(y) for y in seen] == sizes
+        z = np.random.default_rng(11).standard_normal((n, stats.schema.encoded_dim))
         want = stats.mean + z @ population._factor(stats.covariance).T
-        assert seen[0].tobytes() == want.tobytes()
+        assert np.concatenate(seen).tobytes() == want.tobytes()
 
 
 class TestSamplePopulation:
