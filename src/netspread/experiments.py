@@ -12,10 +12,11 @@ one rule for the model each replicate runs with (a STUB_MODELS stub, one
 fit on training stream 0 shared by all replicates, or with per_replicate a
 fit per replicate on training stream rep + 1); it trains every model before
 anything is written.  _replicate_inputs is the one stream order (stream ->
-graph -> population; the diffusion draws next), and _write_runs the one
-replicate loop: it writes each run under <out>/runs/<tag>_r<rep>, keeps no
-run once it is written, and then writes runs/manifest.json, having removed
-an old one before its first run, so an interrupted sweep leaves none.
+graph -> population; the diffusion draws next).  _run_replicate is the job,
+one replicate's DiffusionResult with no file written, and _write_runs the
+one writer: it writes each record under <out>/runs/<tag>_r<rep> and keeps
+only its sweep.csv values, then writes runs/manifest.json, having removed
+an old one before the first job, so an interrupted sweep leaves none.
 
 The manifest holds "sha256", a digest of the inputs (the parsed config
 without output_dir and report_fields, the stub name or null, and the bytes
@@ -104,6 +105,7 @@ from .diffusion import (
     SUMMARY_JSON,
     DiffusionConfig,
     DiffusionError,
+    DiffusionResult,
     read_run,
     run_diffusion,
     write_log_csv,
@@ -615,41 +617,42 @@ def _inputs_digest(config: ExperimentConfig, stub_model: str | None) -> str:
     return digest.hexdigest()
 
 
-def _write_run(
-    config: ExperimentConfig, stats: PopulationStats, index: int, rep: int, model, runs_dir
-) -> tuple[float, float, np.ndarray]:
-    """Run replicate rep of grid point `index` and write its log.csv and
-    summary.json; returns (avg_hops, fanout, coverage increments) and keeps
-    nothing else of the run."""
-    point = config.points[index]
+def _run_replicate(
+    config: ExperimentConfig, stats: PopulationStats, index: int, rep: int, model
+) -> DiffusionResult:
+    """Replicate rep of grid point `index`, run with `model`; writes nothing."""
     rng, graph, table = _replicate_inputs(config, stats, index, rep)
-    result = run_diffusion(
-        graph, table, model, DiffusionConfig(point.initial_fraction, config.iterations), rng
-    )
-    run_dir = os.path.join(runs_dir, _run_name(config, index, rep))
-    os.makedirs(run_dir, exist_ok=True)
-    write_log_csv(result.log, os.path.join(run_dir, LOG_CSV))
-    write_summary_json(result, config.n, os.path.join(run_dir, SUMMARY_JSON),
-                       extra={"tag": point.tag, "replicate": rep})
-    return result.avg_hops, result.fanout, np.diff(result.coverage)
+    dconf = DiffusionConfig(config.points[index].initial_fraction, config.iterations)
+    return run_diffusion(graph, table, model, dconf, rng)
 
 
 def _write_runs(
     config: ExperimentConfig, stats: PopulationStats, models, runs_dir, stub_model, count: int
-) -> list[list[tuple]]:
-    """Write every replicate run of the first `count` grid points, then the
-    manifest naming them (removing an old one first); returns each point's
-    _write_run results."""
+) -> list[list[dict]]:
+    """Write the log.csv and summary.json of each _run_replicate record of the
+    first `count` grid points, then the manifest naming them (removing an old
+    one first).  Returns each point's runs as their sweep.csv values, name ->
+    value in column order (mu_h, xi, dnu_1..3)."""
     manifest = os.path.join(runs_dir, MANIFEST)
     with suppress(FileNotFoundError):
         os.remove(manifest)
-    os.makedirs(runs_dir, exist_ok=True)
     start, results = time.perf_counter(), []
     for index in range(count):
-        results.append([_write_run(config, stats, index, rep, model, runs_dir)
-                        for rep, model in enumerate(models)])
+        point, values = config.points[index], []
+        for rep, model in enumerate(models):
+            run = _run_replicate(config, stats, index, rep, model)
+            run_dir = os.path.join(runs_dir, _run_name(config, index, rep))
+            os.makedirs(run_dir, exist_ok=True)
+            write_log_csv(run.log, os.path.join(run_dir, LOG_CSV))
+            write_summary_json(run, config.n, os.path.join(run_dir, SUMMARY_JSON),
+                               extra={"tag": point.tag, "replicate": rep})
+            dnu = np.diff(run.coverage)[:3].tolist()
+            values.append({"mu_h": run.avg_hops, "xi": run.fanout,
+                           **{f"dnu_{i}": d for i, d in enumerate(dnu, 1)}})
+            del run  # free its log and wave before the next replicate runs
+        results.append(values)
         logger.info("grid point %d/%d %s written, %.1f s elapsed",
-                    index + 1, count, config.points[index].tag, time.perf_counter() - start)
+                    index + 1, count, point.tag, time.perf_counter() - start)
     write_json(manifest, {
         "sha256": _inputs_digest(config, stub_model),
         "runs": [_run_name(config, i, rep) for i in range(count) for rep in range(len(models))],
@@ -660,13 +663,16 @@ def _write_runs(
 def _stale(runs_dir, digest: str, names) -> str | None:
     """Why the runs `names` under runs_dir are not the runs of `digest`, or None."""
     path = os.path.join(runs_dir, MANIFEST)
-    if not os.path.isfile(path):
-        return "no manifest"
-    manifest = read_json(path, DiffusionError)
+    try:
+        manifest = read_json(path, DiffusionError)
+    except DiffusionError:  # missing, unreadable or not JSON
+        return "the manifest is not valid JSON" if os.path.isfile(path) else "no manifest"
     if not isinstance(manifest, dict) or manifest.get("sha256") != digest:
         return "the input digest differs"
+    if not isinstance(manifest.get("runs"), list):
+        return "the manifest holds no list of runs"
     for name in names:
-        if name not in manifest.get("runs", ()) or not os.path.isdir(os.path.join(runs_dir, name)):
+        if name not in manifest["runs"] or not os.path.isdir(os.path.join(runs_dir, name)):
             return f"run {name} is missing"
     return None
 
@@ -676,17 +682,16 @@ def run_experiment(
     stub_model: str | None = None,
     out_dir: str | None = None,
 ) -> list[dict]:
-    """Run the full sweep and write per-run plus aggregated artifacts.
+    """Run and write the full sweep through _write_runs, then sweep.csv.
 
-    Returns the aggregated sweep rows, also written to sweep.csv, whose
-    columns follow the key order of a row.  Each run is written to
-    runs/<tag>_r<rep> and dropped, so memory does not grow with the run
-    count; runs/manifest.json, written after the last run, names them.
-    `stub_model`, a STUB_MODELS name, replaces the trained SVM with a
-    constant predictor for oracle testing.  A shared trained model is
-    saved as model.json after the runs; an old model.json is removed
-    before them, so a sweep that saves none (a stub, or per_replicate)
-    leaves none beside its runs.
+    Returns the sweep rows, also written to sweep.csv in the key order of a
+    row: a grid point's columns, then the mean and sample std over its
+    replicates of each sweep.csv value _write_runs kept of a run.  Nothing
+    else of a run outlives its writing, so memory does not grow with the run
+    count.  `stub_model`, a STUB_MODELS name, replaces the trained SVM with
+    a constant predictor for oracle testing.  A shared trained model is
+    saved as model.json after the runs; an old one is removed before them,
+    so a sweep that saves none (a stub, or per_replicate) leaves none.
     """
     out_dir = out_dir or config.output_dir
     stats = load_config_stats(config)
@@ -701,14 +706,11 @@ def run_experiment(
 
     rows = []
     for point, point_runs in zip(config.points, runs):
-        hops, fans, deltas = zip(*point_runs)
-        deltas = np.array(deltas)
-        means = [("mu_h", hops), ("xi", fans)]
-        means += [(f"dnu_{i + 1}", deltas[:, i]) for i in range(min(config.iterations, 3))]
         row = dict(point.columns)  # sweep.csv columns: the key order of this dict
-        for name, values in means:
+        for name in point_runs[0]:
+            values = np.array([run[name] for run in point_runs])
             row[f"{name}_mean"] = float(np.mean(values))
-            row[f"{name}_std"] = _sample_std(np.asarray(values))
+            row[f"{name}_std"] = _sample_std(values)
         row["replicates"] = config.replicates
         rows.append(row)
     _write_sweep_csv(rows, os.path.join(out_dir, "sweep.csv"))

@@ -1,6 +1,9 @@
+import builtins
 import copy
 import csv
+import hashlib
 import json
+import pickle
 import re
 import shutil
 import tracemalloc
@@ -26,7 +29,7 @@ from netspread.experiments import (
     train_pipeline,
 )
 from netspread.cli import main
-from netspread.diffusion import DiffusionConfig
+from netspread.diffusion import DiffusionConfig, read_run
 from netspread.graph import GraphParams
 from netspread.population import VertexTable
 
@@ -617,6 +620,20 @@ def _deleted_run(tmp_path, per_replicate):
     shutil.rmtree(tmp_path / "out" / "runs" / "pe0.01_a0.1_r1")
 
 
+def _truncated_manifest(tmp_path, per_replicate):
+    _simulate(tmp_path, per_replicate)
+    (tmp_path / "out" / "runs" / "manifest.json").write_text('{"sha256": "x", "ru')
+
+
+def _runs_not_a_list(tmp_path, per_replicate):
+    # a string would pass `name in runs` as a substring match
+    _simulate(tmp_path, per_replicate)
+    config = ExperimentConfig.from_dict(report_doc(tmp_path, per_replicate))
+    (tmp_path / "out" / "runs" / "manifest.json").write_text(json.dumps({
+        "sha256": experiments._inputs_digest(config, None),
+        "runs": "pe0.01_a0.1_r0 pe0.01_a0.1_r1"}))
+
+
 # before report: what is on disk -> why report writes point 0's runs (None: it reads them)
 BEFORE_REPORT = {
     "after_simulate": (_simulate, None),
@@ -625,6 +642,8 @@ BEFORE_REPORT = {
     "changed_seed": (_other_seed, "the input digest differs"),
     "edited_stats": (_edited_stats, "the input digest differs"),
     "deleted_run": (_deleted_run, "run pe0.01_a0.1_r1 is missing"),
+    "truncated_manifest": (_truncated_manifest, "the manifest is not valid JSON"),
+    "runs_not_a_list": (_runs_not_a_list, "the manifest holds no list of runs"),
 }
 
 
@@ -705,7 +724,7 @@ class TestManifest:
     def test_interrupted_sweep_leaves_no_manifest(self, tmp_path, monkeypatch):
         config = ExperimentConfig.from_dict(report_doc(tmp_path, False))
         run_experiment(config)
-        real, calls = experiments._write_run, []
+        real, calls = experiments._run_replicate, []
 
         def failing(*args):
             calls.append(args)
@@ -713,7 +732,7 @@ class TestManifest:
                 raise RuntimeError("interrupted")
             return real(*args)
 
-        monkeypatch.setattr(experiments, "_write_run", failing)
+        monkeypatch.setattr(experiments, "_run_replicate", failing)
         with pytest.raises(RuntimeError):
             run_experiment(config)
         assert not (tmp_path / "out" / "runs" / "manifest.json").exists()
@@ -742,3 +761,100 @@ class TestManifest:
         changed = ExperimentConfig.from_dict(dict(doc, **change))
         assert experiments._inputs_digest(changed, None) == digest
         assert experiments._inputs_digest(changed, "always-positive") != digest
+
+
+def tree_state(root) -> dict:
+    """path -> (size, mtime_ns) of every file and directory under root."""
+    return {p: (p.stat().st_size, p.stat().st_mtime_ns) for p in Path(root).rglob("*")}
+
+
+class TestReplicateJob:
+    @pytest.mark.parametrize("stub", [None, "always-positive"], ids=["trained", "stub"])
+    def test_job_writes_nothing_and_its_record_is_the_written_run(
+        self, tmp_path, monkeypatch, stub
+    ):
+        config = ExperimentConfig.from_dict(report_doc(tmp_path, False))
+        run_experiment(config, stub_model=stub)
+        stats = load_stats(config.stats_file)
+        models = experiments._replicate_models(config, stats, stub)
+        # what a worker would get: the job's inputs after a pickle round trip
+        config2, stats2, models2 = pickle.loads(pickle.dumps((config, stats, models)))
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        before, opened, real_open = tree_state(tmp_path), [], builtins.open
+        monkeypatch.setattr(builtins, "open",
+                            lambda *a, **k: opened.append(a) or real_open(*a, **k))
+        records, shipped = {}, {}
+        for index, point in enumerate(config.points):
+            for rep, model in enumerate(models):
+                name = f"{point.tag}_r{rep}"
+                records[name] = experiments._run_replicate(config, stats, index, rep, model)
+                shipped[name] = experiments._run_replicate(
+                    config2, stats2, index, rep, models2[rep])
+        monkeypatch.setattr(builtins, "open", real_open)
+        assert opened == []
+        assert tree_state(tmp_path) == before
+        assert list(cwd.iterdir()) == []
+        assert len(records) == 4
+        for name, record in records.items():
+            assert record == read_run(Path(config.output_dir) / "runs" / name)
+            assert shipped[name] == record
+
+
+# sha256sum-style lines ("<digest>  <path>") for every file under the output
+# directory of two stub sweeps, recorded from the code before the replicate job
+# was split from its writer
+GOLDEN_SWEEPS = {
+    "erdos_renyi": (
+        {"model": "erdos_renyi", "n": 300, "edge_prob": [0.005, 0.01]},
+        """
+c9d5d5a0f7818bf4e73825ed45e660da09bc7c444a13f8e26c976e9a4c3cb543  runs/manifest.json
+a893a40e21f8d29005c793e3c2b4d86f98f9a6967893ec8e8adc4b6bb74718ae  runs/pe0.005_a0.1_r0/log.csv
+1ec2d09f339678780096f13c7c60d894a0e96c8e56dc149a8e364edc8530cf1b  runs/pe0.005_a0.1_r0/summary.json
+167cf612d29a50575d4d7979fa9cff592b09f0f204fda02196c422b6d67cfa2e  runs/pe0.005_a0.1_r1/log.csv
+9eb0980e667fbca5c4f17f08619fde46d231c8ea8d8a6ae1450d7b9e95e27753  runs/pe0.005_a0.1_r1/summary.json
+c023236f1492e0de278532188b03b79dd78bbc32083eee5c9ac16338cc77272c  runs/pe0.01_a0.1_r0/log.csv
+6f22262fab8c5262fe66b0be8d0285cf1242d699a06cb830205681b6ea325b9c  runs/pe0.01_a0.1_r0/summary.json
+910fd5fccdd95b186a9ee13b539a7b8d654769e318b72a352cb53301129e4e41  runs/pe0.01_a0.1_r1/log.csv
+67827af1d643e360de670b7e12c56f4df1aed26ee3b4f219c5e787f56b5b51d4  runs/pe0.01_a0.1_r1/summary.json
+83055d045ec68e1cca80c7747e5edd97bd2716af98cddc9b9f575ec4316fcdc2  sweep.csv
+"""),
+    "small_world": (
+        {"model": "small_world", "n": 300, "neighbors": [4], "rewire_prob": [0.0, 0.1]},
+        """
+8c9957fe5a6621bf44a11eaf3c61812e4e9dd0af1993ce0b465222aa217cde11  runs/manifest.json
+f0cd6a5e6f040df97a29929b8ee7e7b5c32ff433cf1fd91996249d15eb9af96f  runs/ps0.1_k4_a0.1_r0/log.csv
+38a23ff916d235d328fd9e5deceda369bb84d16503a284ca5f074444121c34e0  runs/ps0.1_k4_a0.1_r0/summary.json
+de45bf230618fcef219a3aebc9b6e1fd2cdc519849247f45549afd5c7a49b8f3  runs/ps0.1_k4_a0.1_r1/log.csv
+dd2133d916d77f774afdc294c294eeeddd97ff713ef5d9fd57ba4a2313211fe5  runs/ps0.1_k4_a0.1_r1/summary.json
+3a763cb2df8fb71ea5749c8d665e4d9288310e6ef150986330dca18c9906c4c4  runs/ps0_k4_a0.1_r0/log.csv
+e86591eba132ce4e5f6bfb1ea8bf55c4f916b2debcc39ca2fe4738233a3848fc  runs/ps0_k4_a0.1_r0/summary.json
+46abee0608b38210db8b8348cc7363b23dd7cfa55b584c629d962ac64802410c  runs/ps0_k4_a0.1_r1/log.csv
+b668c4a9e7453ad6e1d1b37df1d4b21b9e72465828c6d0c60c32481b4ce4c80f  runs/ps0_k4_a0.1_r1/summary.json
+59668d2ee080c333835d18a85123f99ad000b3c4652f2e8367faae41ddef83ee  sweep.csv
+"""),
+}
+
+
+@pytest.mark.parametrize("model", GOLDEN_SWEEPS)
+def test_stub_sweep_output_bytes_are_pinned(tmp_path, model):
+    """Every file a 2-point, 2-replicate always-positive sweep writes has the
+    sha256 recorded in GOLDEN_SWEEPS, so an output change between commits
+    shows here, not only between two runs of one commit.
+
+    A stub run never reaches a kernel GEMM, and the population's values
+    reach no file (a log names vertices; a summary holds coverage, seeds and
+    the log metrics), so the digests do not depend on the BLAS build.  They
+    do depend on numpy's PCG64 streams and, through the manifest's input
+    digest, on the repr of the parsed config and the bytes of the builtin
+    stats file.
+    """
+    graph, expected = GOLDEN_SWEEPS[model]
+    out = tmp_path / "out"
+    doc = {"graph": graph, "initial_fraction": [0.1], "iterations": 3, "replicates": 2,
+           "seed": 11, "stats_file": "builtin", "output_dir": str(out)}
+    run_experiment(ExperimentConfig.from_dict(doc), stub_model="always-positive")
+    written = {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(out.rglob("*")) if p.is_file()}
+    assert written == dict(line.split()[::-1] for line in expected.strip().splitlines())
