@@ -29,7 +29,6 @@ the model can score unstandardized pairs.
 
 from __future__ import annotations
 
-import bisect
 import logging
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -58,8 +57,9 @@ PAIR_CHUNK_BYTES = 1 << 19
 # temporary and the sub-block it updates in L2.
 _RBF_SUB_BYTES = 1 << 17
 # Kernel-row bytes held at once: the SMO row cache, and the sender plus
-# receiver half-kernel rows of one predict_pairs block, whose kernel_matrix
-# calls write into them and add only row norms and _RBF_SUB_BYTES.
+# receiver half-kernel rows of one predict_pairs call or span, whose
+# kernel_matrix calls write into them and add only row norms and
+# _RBF_SUB_BYTES.
 KERNEL_ROWS_BYTES = 256_000_000
 
 
@@ -250,14 +250,26 @@ class SvmModel:
         its two rows, taken PAIR_CHUNK_BYTES of gathered rows at a time.  A
         linear model collapses to the primal weight vector, one scalar per
         vertex half.  Memory is bounded: when the unique senders plus
-        receivers need more than KERNEL_ROWS_BYTES of rows, the pairs,
-        ordered by sender, are scored in blocks whose S + R fit in it.  No
-        pairs x SVs array is built.
+        receivers need more than KERNEL_ROWS_BYTES of rows, the pairs are
+        scored in the order given, in spans of max_rows // 2 pairs; a span
+        has at most that many senders and as many receivers, so its S + R
+        fit in it.  No pairs x SVs array is built.
+
+        senders and receivers must be of one length (else a
+        DimensionMismatchError) and index rows of table (else a
+        ClassifierError naming the first pair that does not).
         """
         if self.schema is not None and table.schema.field_ids != self.schema.field_ids:
             raise SchemaMismatchError("vertex table schema differs from model schema")
-        senders = np.asarray(senders, dtype=int)
-        receivers = np.asarray(receivers, dtype=int)
+        senders, receivers = _pair_arrays(senders, receivers)
+        n = len(table)
+        outside = (senders < 0) | (senders >= n) | (receivers < 0) | (receivers >= n)
+        if outside.any():
+            k = int(outside.argmax())
+            bad_sender = not 0 <= senders[k] < n
+            role, index = ("sender", senders[k]) if bad_sender else ("receiver", receivers[k])
+            raise ClassifierError(f"pair {k}: {role} index {index} is outside the table's "
+                                  f"rows [0, {n})")
         if self.support_vectors.shape[0] == 0:
             return np.full(len(senders), self.bias)
         enc = table.encoded()
@@ -279,13 +291,12 @@ class SvmModel:
         max_rows = max(2, KERNEL_ROWS_BYTES // (8 * len(self.coefs)))
         if len(send_ids) + len(recv_ids) <= max_rows:
             return self._rbf_pair_values(Zs, Zr, send_of, recv_of) + self.bias
-        order = np.argsort(send_of, kind="stable")
         values = np.empty(len(senders))
-        for block in _sender_blocks(send_of[order], recv_of[order], max_rows):
-            pairs = order[block]
-            s_ids, s_of = np.unique(send_of[pairs], return_inverse=True)
-            r_ids, r_of = np.unique(recv_of[pairs], return_inverse=True)
-            values[pairs] = self._rbf_pair_values(Zs[s_ids], Zr[r_ids], s_of, r_of)
+        for start in range(0, len(senders), max_rows // 2):
+            span = slice(start, start + max_rows // 2)
+            s_ids, s_of = np.unique(send_of[span], return_inverse=True)
+            r_ids, r_of = np.unique(recv_of[span], return_inverse=True)
+            values[span] = self._rbf_pair_values(Zs[s_ids], Zr[r_ids], s_of, r_of)
         return values + self.bias
 
     def _rbf_pair_values(self, Zs, Zr, send_of, recv_of) -> np.ndarray:
@@ -357,36 +368,18 @@ class ConstantModel:
 
     def predict_pairs(self, table, senders, receivers) -> np.ndarray:
         """`diffusion.TransmissionModel`: the fixed label for every pair."""
-        return np.full(len(np.asarray(senders)), self.label, dtype=int)
+        senders, _ = _pair_arrays(senders, receivers)
+        return np.full(len(senders), self.label, dtype=int)
 
 
-def _sender_blocks(send_of: np.ndarray, recv_of: np.ndarray, max_rows: int):
-    """Slices of pairs sorted by sender, each with at most max_rows unique
-    senders plus unique receivers.
-
-    Blocks are taken greedily and end at a sender boundary, unless one
-    sender's pairs alone need more rows; then that sender's run is cut too.
-    max_rows must be at least 2.
-    """
-    ends = np.append(np.flatnonzero(np.diff(send_of)) + 1, len(send_of))
-    start = 0
-
-    def rows(stop) -> int:
-        return len(np.unique(send_of[start:stop])) + len(np.unique(recv_of[start:stop]))
-
-    while start < len(send_of):
-        # a block holds at most max_rows senders, so at most max_rows runs
-        first = np.searchsorted(ends, start, side="right")
-        run_ends = ends[first : first + max_rows]
-        fit = bisect.bisect_right(run_ends, max_rows, key=rows)
-        if fit:
-            stop = int(run_ends[fit - 1])
-        else:
-            stop = start + bisect.bisect_right(
-                range(start + 1, int(run_ends[0])), max_rows, key=rows
-            )
-        yield slice(start, stop)
-        start = stop
+def _pair_arrays(senders, receivers) -> tuple[np.ndarray, np.ndarray]:
+    """senders and receivers as int arrays; a DimensionMismatchError when
+    their lengths differ."""
+    senders = np.asarray(senders, dtype=int)
+    receivers = np.asarray(receivers, dtype=int)
+    if len(senders) != len(receivers):
+        raise DimensionMismatchError(f"{len(senders)} senders but {len(receivers)} receivers")
+    return senders, receivers
 
 
 def _snap(value: float, limit: float) -> float:
@@ -400,22 +393,17 @@ def _snap(value: float, limit: float) -> float:
     return value
 
 
-def train_svm(
-    X: np.ndarray,
-    y: np.ndarray,
-    params: SvmParams,
-    tol: float = KKT_TOL,
-) -> SvmModel:
+def train_svm(X: np.ndarray, y: np.ndarray, params: SvmParams) -> SvmModel:
     """Solve the weighted soft-margin dual on standardized vectors via SMO.
 
     Each step selects the maximal violating pair (i from the "up" set with
     the largest -y grad, j from the "down" set with the smallest) and
     solves the two-variable subproblem analytically.  Convergence is
-    m(alpha) - M(alpha) <= tol.  The fit stops short of it only at the
-    iteration cap max(100_000, 30 n) or at a pair whose step is below
-    1e-14; either logs one warning and returns converged=False.  Labels
-    other than exactly +1 and -1, and non-finite entries of X, are a
-    ClassifierError before any kernel work.
+    m(alpha) - M(alpha) <= KKT_TOL, read when the fit starts.  The fit
+    stops short of it only at the iteration cap max(100_000, 30 n) or at a
+    pair whose step is below 1e-14; either logs one warning and returns
+    converged=False.  Labels other than exactly +1 and -1, and non-finite
+    entries of X, are a ClassifierError before any kernel work.
 
     Loop invariants, each bit-exact against the direct form it replaces,
     which keeps grad and takes -y * grad every step:
@@ -432,10 +420,10 @@ def train_svm(
       direct form are -y_k * (+0).
     - A zero's sign changes no step.  vals + 0 is +0 for either zero, so
       the biased arrays below are bitwise equal, and within a step
-      Fi - Fj = -violation is not zero (violation > tol >= 0).  Nor does it
-      reach the model: bias is a numpy mean or a Python sum, and both sums
-      start from +0, which absorbs a zero's sign; a converged violation of
-      exactly zero is given the direct form's sign.
+      Fi - Fj = -violation is not zero (violation > KKT_TOL >= 0).  Nor
+      does it reach the model: bias is a numpy mean or a Python sum, and
+      both sums start from +0, which absorbs a zero's sign; a converged
+      violation of exactly zero is given the direct form's sign.
     - up_bias[k] is 0 when k is in the up set (alpha_k y_k can grow), else
       -inf; down_bias[k] is 0 when k is in the down set (alpha_k y_k can
       shrink), else +inf.  A step changes only alpha_i and alpha_j, so only
@@ -468,6 +456,7 @@ def train_svm(
         params.kernel, X, max(64, min(n, int(KERNEL_ROWS_BYTES / (8 * max(n, 1)))))
     )
     max_iter = max(100_000, 30 * n)
+    tol = KKT_TOL
 
     vals = y.copy()  # -y * grad; the dual gradient at alpha = 0 is -1
     picked = np.empty(n)  # vals plus one set's bias, for its argmax or argmin

@@ -118,6 +118,9 @@ def diffusion_step(
     the frontier or of the uninformed vertices, whichever hold fewer edges
     (in a late step most of the frontier's edges lead to informed
     vertices); the edges and their order are the same either way.
+    Senders are informed and receivers are not, so the two arrays share no
+    vertex and their unique senders plus unique receivers number at most
+    graph.n.
     Returns the set of vertices informed during this step and their log
     entries (sorted by receiver id).  Edges with both endpoints informed
     are skipped; vertices informed within the step do not transmit.

@@ -256,13 +256,14 @@ class TestTrainSvm:
         grid = np.random.default_rng(0).normal(size=(20, 2))
         assert np.max(np.abs(base.decision_values(grid) - doubled.decision_values(grid))) < 1e-6
 
-    def test_row_permutation_invariance(self):
+    def test_row_permutation_invariance(self, monkeypatch):
         # tight tol so both runs reach the unique optimum, not just tol-close
+        monkeypatch.setattr(classifier, "KKT_TOL", 1e-9)
         name, X, y, C, weight = TOY_SETS[2]
         params = SvmParams(C=C, weight=weight, kernel=RBF1)
-        base = train_svm(X, y.astype(float), params, tol=1e-9)
+        base = train_svm(X, y.astype(float), params)
         perm = np.random.default_rng(1).permutation(len(y))
-        shuffled = train_svm(X[perm], y[perm].astype(float), params, tol=1e-9)
+        shuffled = train_svm(X[perm], y[perm].astype(float), params)
         grid = np.random.default_rng(2).normal(size=(20, 2))
         assert np.max(np.abs(base.decision_values(grid) - shuffled.decision_values(grid))) < 1e-6
 
@@ -574,6 +575,30 @@ class TestFactoredPairScoring:
         with pytest.raises(DimensionMismatchError):
             model.predict_pairs(pair_table(), [0], [1])
 
+    @pytest.mark.parametrize("kind", ["rbf", "linear"])
+    @pytest.mark.parametrize("senders,receivers", [
+        ([0], [1, 2, 3]), ([1, 2, 3], [0]), ([0, 1, 2], [3]), ([3], [0, 1, 2]),
+    ])
+    def test_pair_arrays_of_different_lengths_rejected(self, kind, senders, receivers):
+        model = pair_model(kind, True)
+        with pytest.raises(DimensionMismatchError, match=f"{len(senders)} senders but "
+                           f"{len(receivers)} receivers"):
+            model.predict_pairs(pair_table(), senders, receivers)
+
+    @pytest.mark.parametrize("kind", ["rbf", "linear"])
+    @pytest.mark.parametrize("senders,receivers,message", [
+        ([0, -1, -2], [3, 4, 5], "pair 1: sender index -1 "),
+        ([0, 1, 2], [3, 90, 91], "pair 1: receiver index 90 "),
+        ([0, 1, 95], [3, -3, 5], "pair 1: receiver index -3 "),
+        ([0, 1, 95], [3, 4, 5], "pair 2: sender index 95 "),
+        ([90], [-1], "pair 0: sender index 90 "),
+    ])
+    def test_index_outside_the_table_rejected(self, kind, senders, receivers, message):
+        model = pair_model(kind, True)
+        rows = r"is outside the table's rows \[0, 90\)"
+        with pytest.raises(ClassifierError, match=message + rows):
+            model.predict_pairs(pair_table(), senders, receivers)
+
     def test_kernel_rows_once_per_unique_vertex_in_blocks(self, monkeypatch):
         model = pair_model("rbf", True)
         table = pair_table(n=600, seed=4)
@@ -597,15 +622,16 @@ class TestFactoredPairScoring:
             len(np.unique(senders)) + len(np.unique(receivers))
         )
 
+    @pytest.mark.parametrize("max_rows", [40, 2])
     @pytest.mark.parametrize("ascending", [True, False])
-    def test_blocks_fit_the_row_budget(self, monkeypatch, ascending):
+    def test_blocks_fit_the_row_budget(self, monkeypatch, ascending, max_rows):
         model = pair_model("rbf", True)
         table = pair_table(n=600, seed=4)
         svs = len(model.coefs)
-        monkeypatch.setattr(classifier, "KERNEL_ROWS_BYTES", 40 * 8 * svs)
+        monkeypatch.setattr(classifier, "KERNEL_ROWS_BYTES", max_rows * 8 * svs)
         gen = np.random.default_rng(12)
         senders = gen.integers(0, 200, size=3000)
-        senders[:150] = 7  # a sender whose receivers alone exceed the budget
+        senders[:150] = 7  # one sender's pairs fill several spans
         receivers = gen.integers(0, 600, size=3000)
         if ascending:  # as diffusion_step passes them
             order = np.argsort(senders, kind="stable")
@@ -620,37 +646,12 @@ class TestFactoredPairScoring:
         monkeypatch.setattr(SvmModel, "_half_kernel", recording)
         values = model.pair_decision_values(table, senders, receivers)
         blocks = list(zip(rows[::2], rows[1::2]))  # (S rows, R rows) per block
-        assert len(blocks) > 2
+        assert len(blocks) == -(-len(senders) // (max_rows // 2))  # spans of max_rows // 2
         assert all((s + r) * 8 * svs <= classifier.KERNEL_ROWS_BYTES for s, r in blocks)
         expected = row_values(model, table, senders, receivers)
         assert np.max(np.abs(values - expected)) <= 1e-9
         labels = model.predict_pairs(table, senders, receivers)
         assert np.array_equal(labels, np.where(expected > 0.0, 1, -1))  # 0 label flips
-
-
-def test_sender_blocks_are_greedy_and_cut_at_sender_boundaries():
-    gen = np.random.default_rng(13)
-    runs = gen.integers(1, 30, size=50)
-    runs[10] = 200  # one sender needing more rows than a block holds
-    send_of = np.repeat(np.arange(50), runs)
-    recv_of = gen.integers(0, 300, size=len(send_of))
-    ends = np.append(np.flatnonzero(np.diff(send_of)) + 1, len(send_of))
-
-    def rows(start, stop):
-        return len(np.unique(send_of[start:stop])) + len(np.unique(recv_of[start:stop]))
-
-    blocks = list(classifier._sender_blocks(send_of, recv_of, 40))
-    assert blocks[0].start == 0 and blocks[-1].stop == len(send_of)
-    assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
-    assert all(rows(b.start, b.stop) <= 40 for b in blocks)
-    for block in blocks[:-1]:
-        if send_of[block.stop - 1] == send_of[block.stop]:  # cut inside a run
-            assert len(np.unique(send_of[block])) == 1
-            grown = block.stop + 1
-        else:
-            grown = ends[ends > block.stop][0]
-        assert rows(block.start, grown) > 40  # the next cut would not have fit
-    assert sum(send_of[b.stop - 1] == send_of[b.stop] for b in blocks[:-1]) >= 4
 
 
 class TestBalancedError:
@@ -802,3 +803,8 @@ class TestConstantModel:
     def test_invalid_label(self):
         with pytest.raises(ValueError):
             ConstantModel(0)
+
+    @pytest.mark.parametrize("senders,receivers", [([0], [1, 2, 3]), ([0, 1, 2], [3])])
+    def test_pair_arrays_of_different_lengths_rejected(self, senders, receivers):
+        with pytest.raises(DimensionMismatchError):
+            ConstantModel(1).predict_pairs(None, senders, receivers)

@@ -21,7 +21,7 @@ from netspread.diffusion import (
     write_summary_json,
 )
 from netspread.experiments import load_stats
-from netspread.graph import Graph, gen_erdos_renyi
+from netspread.graph import Graph, gen_erdos_renyi, gen_small_world
 from netspread.population import VertexTable, sample_population
 
 from conftest import TINY_SCHEMA, make_graph, random_graph, random_record, traced_peak
@@ -157,6 +157,26 @@ class TestFrontierEquivalence:
             expected = {v for v, w in result.wave.items() if w == wave_index}
             assert set(senders.tolist()) <= expected
             assert len(senders)
+
+    @pytest.mark.parametrize("graph", [
+        pytest.param(lambda rng: gen_erdos_renyi(400, 0.02, rng), id="erdos_renyi"),
+        pytest.param(lambda rng: gen_small_world(400, 4, 0.1, rng), id="small_world"),
+    ])
+    @pytest.mark.parametrize("scan", ["frontier", "full"])
+    def test_senders_and_receivers_are_disjoint(self, graph, scan):
+        # senders are informed and receivers are not, so one call needs at
+        # most n half-kernel rows: SvmModel's bounded path has no traffic
+        g = graph(np.random.default_rng(6))
+        model = PairLog(trained_svm())
+        config = DiffusionConfig(0.05, 6)
+        if scan == "frontier":
+            run_diffusion(g, table_for(g, 6), model, config, np.random.default_rng(6))
+        else:
+            full_scan(g, table_for(g, 6), model, config, np.random.default_rng(6))
+        assert len(model.calls) > 2
+        for senders, receivers in model.calls:
+            assert not set(senders.tolist()) & set(receivers.tolist())
+            assert len(np.unique(senders)) + len(np.unique(receivers)) <= g.n
 
 
 @settings(max_examples=60, deadline=None)
