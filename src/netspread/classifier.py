@@ -67,18 +67,6 @@ class ClassifierError(ValueError):
     pass
 
 
-class DimensionMismatchError(ClassifierError):
-    pass
-
-
-class SingleClassError(ClassifierError):
-    pass
-
-
-class SchemaMismatchError(ClassifierError):
-    pass
-
-
 @dataclass(frozen=True)
 class KernelSpec:
     kind: str
@@ -118,7 +106,7 @@ def kernel_matrix(
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if A.shape[1] != B.shape[1]:
-        raise DimensionMismatchError(f"dimensions {A.shape[1]} and {B.shape[1]} differ")
+        raise ClassifierError(f"dimensions {A.shape[1]} and {B.shape[1]} differ")
     K = np.matmul(A, B.T, out)  # out by position: the keyword costs ~0.5 us a call
     if spec.kind == LINEAR:
         return K
@@ -255,12 +243,12 @@ class SvmModel:
         has at most that many senders and as many receivers, so its S + R
         fit in it.  No pairs x SVs array is built.
 
-        senders and receivers must be of one length (else a
-        DimensionMismatchError) and index rows of table (else a
-        ClassifierError naming the first pair that does not).
+        senders and receivers must be integer arrays of one length that
+        index rows of table; else a ClassifierError names the fault, and
+        for an index outside the table the first pair that holds one.
         """
         if self.schema is not None and table.schema.field_ids != self.schema.field_ids:
-            raise SchemaMismatchError("vertex table schema differs from model schema")
+            raise ClassifierError("vertex table schema differs from model schema")
         senders, receivers = _pair_arrays(senders, receivers)
         n = len(table)
         outside = (senders < 0) | (senders >= n) | (receivers < 0) | (receivers >= n)
@@ -275,7 +263,7 @@ class SvmModel:
         enc = table.encoded()
         d = enc.shape[1]
         if self.support_vectors.shape[1] != 2 * d:
-            raise DimensionMismatchError(
+            raise ClassifierError(
                 f"model dimension {self.support_vectors.shape[1]} is not twice "
                 f"the record width {d}"
             )
@@ -373,13 +361,15 @@ class ConstantModel:
 
 
 def _pair_arrays(senders, receivers) -> tuple[np.ndarray, np.ndarray]:
-    """senders and receivers as int arrays; a DimensionMismatchError when
-    their lengths differ."""
-    senders = np.asarray(senders, dtype=int)
-    receivers = np.asarray(receivers, dtype=int)
+    """senders and receivers as int arrays; a ClassifierError when one holds
+    non-integers (an empty list may) or their lengths differ."""
+    senders, receivers = np.asarray(senders), np.asarray(receivers)
+    for role, x in (("senders", senders), ("receivers", receivers)):
+        if x.dtype.kind not in "iu" and x.size:
+            raise ClassifierError(f"{role} must be integer indices, got dtype {x.dtype}")
     if len(senders) != len(receivers):
-        raise DimensionMismatchError(f"{len(senders)} senders but {len(receivers)} receivers")
-    return senders, receivers
+        raise ClassifierError(f"{len(senders)} senders but {len(receivers)} receivers")
+    return senders.astype(int, copy=False), receivers.astype(int, copy=False)
 
 
 def _snap(value: float, limit: float) -> float:
@@ -438,7 +428,7 @@ def train_svm(X: np.ndarray, y: np.ndarray, params: SvmParams) -> SvmModel:
     y = np.asarray(y, dtype=float)
     n = len(y)
     if X.shape[0] != n:
-        raise DimensionMismatchError("X and y lengths differ")
+        raise ClassifierError("X and y lengths differ")
     bad = y[(y != 1.0) & (y != -1.0)]
     if len(bad):
         raise ClassifierError(
@@ -448,7 +438,7 @@ def train_svm(X: np.ndarray, y: np.ndarray, params: SvmParams) -> SvmModel:
     if nonfinite:
         raise ClassifierError(f"training vectors hold {nonfinite} non-finite entries")
     if not (np.any(y > 0) and np.any(y < 0)):
-        raise SingleClassError("training data must contain both classes")
+        raise ClassifierError("training data must contain both classes")
 
     C = np.where(y > 0, params.C * params.weight, params.C)
     # keep the cache near KERNEL_ROWS_BYTES worth of rows, at least 64 rows
@@ -572,11 +562,11 @@ def per_class_errors(predictions, labels) -> tuple[float, float]:
     predictions = np.asarray(predictions)
     labels = np.asarray(labels)
     if predictions.shape != labels.shape:
-        raise DimensionMismatchError("predictions and labels differ in length")
+        raise ClassifierError("predictions and labels differ in length")
     pos = labels > 0
     neg = labels < 0
     if not (np.any(pos) and np.any(neg)):
-        raise SingleClassError("labels must contain both classes")
+        raise ClassifierError("labels must contain both classes")
     return (
         float(np.mean(predictions[pos] != labels[pos])),
         float(np.mean(predictions[neg] != labels[neg])),
@@ -593,9 +583,7 @@ def stratified_folds(y: np.ndarray, k: int, rng: np.random.Generator) -> list[np
     for cls in (1, -1):
         idx = np.nonzero(y == cls)[0]
         if len(idx) < k:
-            raise SingleClassError(
-                f"class {cls} has {len(idx)} members, fewer than {k} folds"
-            )
+            raise ClassifierError(f"class {cls} has {len(idx)} members, fewer than {k} folds")
         idx = idx[rng.permutation(len(idx))]
         for pos, index in enumerate(idx):
             folds[(pos + offset) % k].append(int(index))

@@ -13,6 +13,7 @@ import argparse
 import logging
 import os
 import sys
+from dataclasses import replace
 
 from .experiments import (
     STUB_MODELS,
@@ -54,10 +55,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run(args) -> int:
     config = ExperimentConfig.from_file(args.config)
-    out_dir = args.out or config.output_dir
+    config = replace(config, output_dir=args.out or config.output_dir)
+    out_dir = config.output_dir
     check_output_dir(out_dir, "--out" if args.out else "output_dir")
     if args.command == "simulate":
-        rows = run_experiment(config, stub_model=args.stub_model, out_dir=out_dir)
+        rows = run_experiment(config, stub_model=args.stub_model)
         print(f"wrote {len(rows)} sweep rows to {os.path.join(out_dir, 'sweep.csv')}")
     elif args.command == "train":
         model = train_pipeline(config)
@@ -67,7 +69,7 @@ def _run(args) -> int:
         status = "converged" if model.converged else "NOT converged"
         print(f"wrote {model_path} ({len(model.coefs)} support vectors, {status})")
     else:
-        averaged = report_distributions(config, out_dir=out_dir)
+        averaged = report_distributions(config)
         for fid in averaged:
             print(f"wrote {os.path.join(out_dir, f'dist_{fid}.csv')}")
     return 0

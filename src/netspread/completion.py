@@ -33,14 +33,6 @@ class CompletionError(ValueError):
     pass
 
 
-class EmptyPoolError(CompletionError):
-    pass
-
-
-class NoMatchError(CompletionError):
-    pass
-
-
 def _pair_header(schema: FeatureSchema) -> list[str]:
     ids = schema.field_ids
     return [f"sender_{f}" for f in ids] + [f"receiver_{f}" for f in ids] + ["label"]
@@ -186,7 +178,7 @@ def generate_non_receivers(
         return np.zeros(0, dtype=int)
     similar, dissimilar = homophile_split(i, pool, criteria)
     if not len(similar) and not len(dissimilar):
-        raise EmptyPoolError("both homophile and non-homophile sets are empty")
+        raise CompletionError("both homophile and non-homophile sets are empty")
     n_similar = round_half_up(h * count)
     n_dissimilar = count - n_similar
     if not len(similar) and n_similar:
@@ -232,7 +224,7 @@ def complete_alter(
                 )
             donor = pool.row(int(candidates[rng.integers(len(candidates))]))
             return {**donor, **partial}
-    raise NoMatchError(
+    raise CompletionError(
         f"no pool member matches even {MATCH_FIELDS[:1]} for the partial record"
     )
 

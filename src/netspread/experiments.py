@@ -7,7 +7,10 @@ the same config are byte-identical and no two replicates share a stream.
 
 The sweep is parsed once: ExperimentConfig.from_dict builds `points`, one
 GridPoint per sweep.csv row in row order, holding the row's graph, initial
-fraction, leading sweep.csv columns and run tag.  _replicate_models is the
+fraction, leading sweep.csv columns and run tag.  A tag joins one part per
+swept value, its key's prefix and the value's :g form (pe0.02_a0.1), and
+two values of one list that give one part are a ConfigError, since their
+grid points would write one run directory.  _replicate_models is the
 one rule for the model each replicate runs with (a STUB_MODELS stub, one
 fit on training stream 0 shared by all replicates, or with per_replicate a
 fit per replicate on training stream rep + 1); it trains every model before
@@ -359,6 +362,17 @@ class TrainingConfig:
         )
 
 
+def _tag_parts(values: tuple, path: str, prefix: str, spec: str = "g") -> list[str]:
+    """The run-tag part, prefix + format(value, spec), of each of `values`; a
+    ConfigError at the first value whose part an earlier one gives."""
+    parts = [prefix + format(value, spec) for value in values]
+    for i, part in enumerate(parts):
+        if parts.index(part) < i:
+            raise ConfigError(f"{path}[{i}]", f"{values[i]} gives run tag {part}, "
+                              f"as {path}[{parts.index(part)}] does")
+    return parts
+
+
 @dataclass(frozen=True)
 class GridPoint:
     """One sweep.csv row: a graph setting and an initial fraction.
@@ -398,35 +412,37 @@ class ExperimentConfig:
         graphs = []
         if model == ERDOS_RENYI:
             edge_probs = _list(_require(graph, "edge_prob", "graph"), "graph.edge_prob", float)
-            for i, p in enumerate(edge_probs):
+            tags = _tag_parts(edge_probs, "graph.edge_prob", "pe")
+            for i, (p, tag) in enumerate(zip(edge_probs, tags)):
                 with _at(f"graph.edge_prob[{i}]"):
-                    graphs.append(
-                        (GraphParams(model, n, edge_prob=p), (("edge_prob", p),), f"pe{p:g}")
-                    )
+                    graphs.append((GraphParams(model, n, edge_prob=p), (("edge_prob", p),), tag))
         else:
             neighbor_counts = _list(_require(graph, "neighbors", "graph"), "graph.neighbors", int)
             rewire_probs = _list(
                 _require(graph, "rewire_prob", "graph"), "graph.rewire_prob", float
             )
+            k_tags = _tag_parts(neighbor_counts, "graph.neighbors", "k", "d")
+            p_tags = _tag_parts(rewire_probs, "graph.rewire_prob", "ps")
             for i, k in enumerate(neighbor_counts):
                 with _at(f"graph.neighbors[{i}]"):
                     GraphParams(model, n, neighbors=k)
-            for i, p in enumerate(rewire_probs):
-                for k in neighbor_counts:
+            for i, (p, p_tag) in enumerate(zip(rewire_probs, p_tags)):
+                for k, k_tag in zip(neighbor_counts, k_tags):
                     with _at(f"graph.rewire_prob[{i}]"):
                         graphs.append((GraphParams(model, n, neighbors=k, rewire_prob=p),
-                                       (("rewire_prob", p), ("neighbors", k)), f"ps{p:g}_k{k}"))
+                                       (("rewire_prob", p), ("neighbors", k)), f"{p_tag}_{k_tag}"))
         settings = _settings(doc, "")
         fractions = _list(doc.get("initial_fraction", [0.1, 0.2, 0.5]), "initial_fraction", float)
+        a_tags = _tag_parts(fractions, "initial_fraction", "a")
         for i, a in enumerate(fractions):
             with _at(f"initial_fraction[{i}]"):
                 DiffusionConfig(a, settings["iterations"])
         return cls(
             n=n,
             points=tuple(
-                GridPoint(params, a, columns + (("initial_fraction", a),), f"{tag}_a{a:g}")
+                GridPoint(params, a, columns + (("initial_fraction", a),), f"{tag}_{a_tag}")
                 for params, columns, tag in graphs
-                for a in fractions
+                for a, a_tag in zip(fractions, a_tags)
             ),
             training=TrainingConfig.from_config(doc["training"]) if "training" in doc else None,
             report_fields=_list(doc.get("report_fields", []), "report_fields", str, empty_ok=True),
@@ -677,12 +693,9 @@ def _stale(runs_dir, digest: str, names) -> str | None:
     return None
 
 
-def run_experiment(
-    config: ExperimentConfig,
-    stub_model: str | None = None,
-    out_dir: str | None = None,
-) -> list[dict]:
-    """Run and write the full sweep through _write_runs, then sweep.csv.
+def run_experiment(config: ExperimentConfig, stub_model: str | None = None) -> list[dict]:
+    """Run and write the full sweep through _write_runs, then sweep.csv, under
+    config.output_dir.
 
     Returns the sweep rows, also written to sweep.csv in the key order of a
     row: a grid point's columns, then the mean and sample std over its
@@ -693,7 +706,7 @@ def run_experiment(
     saved as model.json after the runs; an old one is removed before them,
     so a sweep that saves none (a stub, or per_replicate) leaves none.
     """
-    out_dir = out_dir or config.output_dir
+    out_dir = config.output_dir
     stats = load_config_stats(config)
     models = _replicate_models(config, stats, stub_model)
     model_path = os.path.join(out_dir, "model.json")
@@ -721,12 +734,11 @@ def _write_sweep_csv(rows, path) -> None:
     write_csv(path, list(rows[0]), (row.values() for row in rows))
 
 
-def report_distributions(
-    config: ExperimentConfig, out_dir: str | None = None
-) -> dict[str, np.ndarray]:
+def report_distributions(config: ExperimentConfig) -> dict[str, np.ndarray]:
     """Per-field wave-distribution CSVs averaged over the replicate runs of
-    the sweep's first grid point, read from runs/ under out_dir and written
-    there first unless the manifest vouches for them (see the module doc).
+    the sweep's first grid point, read from runs/ under config.output_dir
+    and written there first unless the manifest vouches for them (see the
+    module doc).
 
     Rows All, Egos and one per iteration wave; proportions are means over
     replicates (waves empty in a replicate are excluded from its average;
@@ -735,8 +747,7 @@ def report_distributions(
     if not config.report_fields:
         raise ConfigError("report_fields", "must name at least one field")
     stats = load_config_stats(config)
-    out_dir = out_dir or config.output_dir
-    runs_dir = os.path.join(out_dir, "runs")
+    runs_dir = os.path.join(config.output_dir, "runs")
     names = [_run_name(config, 0, rep) for rep in range(config.replicates)]
     stale = _stale(runs_dir, _inputs_digest(config, None), names)
     if stale:
@@ -759,5 +770,5 @@ def report_distributions(
             if stack:
                 rows[i] = np.mean(stack, axis=0)
         averaged[fid] = rows
-        replace(first, proportions=rows).to_csv(os.path.join(out_dir, f"dist_{fid}.csv"))
+        replace(first, proportions=rows).to_csv(os.path.join(config.output_dir, f"dist_{fid}.csv"))
     return averaged

@@ -41,27 +41,7 @@ GEODESIC_SOURCES = 64  # BFS sources per bit-parallel sweep of mean_geodesic
 
 
 class GraphError(ValueError):
-    """Base class for graph construction and metric errors."""
-
-
-class SelfEdgeError(GraphError):
-    pass
-
-
-class DuplicateEdgeError(GraphError):
-    pass
-
-
-class VertexRangeError(GraphError):
-    pass
-
-
-class NoTriplesError(GraphError):
-    """Raised when the transitivity denominator (connected triples) is zero."""
-
-
-class DegenerateGraphError(GraphError):
-    """Raised when the largest component has fewer than two vertices."""
+    """A graph construction, file or metric error."""
 
 
 class Graph:
@@ -90,11 +70,11 @@ class Graph:
             raise GraphError("edges must be (u, v) pairs")
         bad = (e < 0) | (e >= n)
         if bad.any():  # name the first bad endpoint, u before v
-            raise VertexRangeError(f"vertex {e.flat[np.argmax(bad)]} outside [0, {n})")
+            raise GraphError(f"vertex {e.flat[np.argmax(bad)]} outside [0, {n})")
         loops = e[:, 0] == e[:, 1]
         if loops.any():
             u = e[np.argmax(loops), 0]
-            raise SelfEdgeError(f"self edge ({u}, {u}) not allowed")
+            raise GraphError(f"self edge ({u}, {u}) not allowed")
         del bad, loops
         # both orientations as row * n + column, sorted: the CSR entries in order
         keys = np.empty(2 * len(e), dtype=np.int64)
@@ -108,7 +88,7 @@ class Graph:
             lo, hi = e.min(axis=1), e.max(axis=1)
             _, first = np.unique(lo * n + hi, return_index=True)
             u, v = e[np.setdiff1d(np.arange(len(e)), first)[0]]
-            raise DuplicateEdgeError(f"edge ({u}, {v}) already present")
+            raise GraphError(f"edge ({u}, {v}) already present")
         # row r's entries are the keys in [r * n, (r + 1) * n)
         self._indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
         self._indices = np.remainder(keys, max(n, 1), out=keys)
@@ -119,7 +99,7 @@ class Graph:
 
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
-            raise VertexRangeError(f"vertex {v} outside [0, {self.n})")
+            raise GraphError(f"vertex {v} outside [0, {self.n})")
 
     def has_edge(self, u: int, v: int) -> bool:
         if not (0 <= u < self.n and 0 <= v < self.n):
@@ -191,7 +171,7 @@ class Graph:
         return cols[order], rows[order]
 
     def _vertex_array(self, vertices) -> np.ndarray:
-        """`vertices` as a flat int64 array; VertexRangeError names the
+        """`vertices` as a flat int64 array; GraphError names the
         first one outside [0, n)."""
         vs = np.asarray(vertices, dtype=np.int64).reshape(-1)
         if len(vs) and (vs.min() < 0 or vs.max() >= self.n):
@@ -234,13 +214,13 @@ def clustering_coefficient(g: Graph) -> float:
     """Global transitivity: 3 * triangles / connected triples.
 
     This is the probability that a path of length two closes into a
-    triangle.  Raises NoTriplesError when the graph has no path of length
+    triangle.  Raises GraphError when the graph has no path of length
     two, where the ratio is undefined.
     """
     degrees = g.degrees()
     triples = int(np.sum(degrees * (degrees - 1))) // 2
     if triples == 0:
-        raise NoTriplesError("graph has no connected triples")
+        raise GraphError("graph has no connected triples")
     rows, cols = g.out_edges(np.arange(g.n))
     entries = rows * g.n + cols  # sorted, so membership is a binary search
     # a path c - a - b with b adjacent to c closes the triangle {c, a, b};
@@ -264,11 +244,11 @@ def mean_geodesic(g: Graph) -> float:
     source in a uint64 per vertex.
     """
     if g.n < 2:
-        raise DegenerateGraphError("need at least two vertices")
+        raise GraphError("need at least two vertices")
     comp = np.asarray(max(connected_components(g), key=len), dtype=np.int64)
     c = len(comp)
     if c < 2:
-        raise DegenerateGraphError("largest component has fewer than two vertices")
+        raise GraphError("largest component has fewer than two vertices")
     sources, targets = g.out_edges(comp)
     targets = np.searchsorted(comp, targets)  # component-local ids
     # every component vertex has an edge, so no row is empty, as reduceat needs
@@ -512,7 +492,7 @@ def read_edge_list(path) -> Graph:
     try:
         return Graph(n, edges)
     except GraphError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+        raise GraphError(f"{path}: {exc}") from None
 
 
 def to_dot(g: Graph) -> str:

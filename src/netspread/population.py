@@ -48,26 +48,6 @@ class PopulationError(ValueError):
     pass
 
 
-class SchemaError(PopulationError):
-    pass
-
-
-class InvalidCategoryError(PopulationError):
-    pass
-
-
-class TooFewRowsError(PopulationError):
-    pass
-
-
-class NotPSDError(PopulationError):
-    """Covariance could not be factorized even after the ridge."""
-
-
-class UnknownFieldError(PopulationError):
-    pass
-
-
 @dataclass(frozen=True)
 class Field:
     """One feature of a person record.
@@ -86,11 +66,11 @@ class Field:
 
     def __post_init__(self):
         if self.kind not in (ORDINAL, BINARY, CATEGORICAL):
-            raise SchemaError(f"field {self.id!r}: unknown kind {self.kind!r}")
+            raise PopulationError(f"field {self.id!r}: unknown kind {self.kind!r}")
         if self.kind == CATEGORICAL and len(self.categories) < 2:
-            raise SchemaError(f"field {self.id!r}: categorical needs >= 2 categories")
+            raise PopulationError(f"field {self.id!r}: categorical needs >= 2 categories")
         if self.kind == ORDINAL and self.value_range[0] > self.value_range[1]:
-            raise SchemaError(f"field {self.id!r}: empty value range")
+            raise PopulationError(f"field {self.id!r}: empty value range")
 
     @property
     def width(self) -> int:
@@ -101,17 +81,17 @@ class Field:
         value = int(value)
         if self.kind == CATEGORICAL:
             if not 0 <= value < len(self.categories):
-                raise InvalidCategoryError(
+                raise PopulationError(
                     f"field {self.id!r}: category index {value} outside "
                     f"[0, {len(self.categories)})"
                 )
         elif self.kind == BINARY:
             if value not in (0, 1):
-                raise InvalidCategoryError(f"field {self.id!r}: binary value {value}")
+                raise PopulationError(f"field {self.id!r}: binary value {value}")
         else:
             lo, hi = self.value_range
             if not lo <= value <= hi:
-                raise InvalidCategoryError(
+                raise PopulationError(
                     f"field {self.id!r}: value {value} outside [{lo}, {hi}]"
                 )
         return value
@@ -124,7 +104,7 @@ class FeatureSchema:
     def __post_init__(self):
         ids = [f.id for f in self.fields]
         if len(set(ids)) != len(ids):
-            raise SchemaError("field ids must be unique")
+            raise PopulationError("field ids must be unique")
 
     @property
     def encoded_dim(self) -> int:
@@ -138,7 +118,7 @@ class FeatureSchema:
         for f in self.fields:
             if f.id == field_id:
                 return f
-        raise UnknownFieldError(f"no field {field_id!r} in schema")
+        raise PopulationError(f"no field {field_id!r} in schema")
 
     def offsets(self) -> list[tuple[Field, int]]:
         """(field, start column) pairs into the encoded space."""
@@ -164,10 +144,10 @@ class VertexTable:
 
     def __init__(self, schema: FeatureSchema, columns: dict[str, np.ndarray]):
         if set(columns) != set(schema.field_ids):
-            raise SchemaError("columns do not match schema field ids")
+            raise PopulationError("columns do not match schema field ids")
         lengths = {len(col) for col in columns.values()}
         if len(lengths) > 1:
-            raise SchemaError("columns have unequal lengths")
+            raise PopulationError("columns have unequal lengths")
         self.schema = schema
         self.columns = {fid: np.asarray(columns[fid], dtype=int) for fid in schema.field_ids}
         self._encoded: np.ndarray | None = None
@@ -224,7 +204,7 @@ class VertexTable:
         must be a value of its field, and empty ones take the column mode."""
         def parsers(header):
             if header != schema.field_ids:
-                raise SchemaError(f"{path}: CSV header {header} does not match schema")
+                raise PopulationError(f"{path}: CSV header {header} does not match schema")
             return [optional_cell(f.validate) for f in schema.fields]
 
         header, rows = read_int_csv(path, PopulationError, parsers)
@@ -312,7 +292,7 @@ def decode(samples: np.ndarray, schema: FeatureSchema) -> VertexTable:
     """Map each row of a real matrix to the nearest valid record."""
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[1] != schema.encoded_dim:
-        raise SchemaError(
+        raise PopulationError(
             f"samples have shape {samples.shape}, expected (n, {schema.encoded_dim})"
         )
     columns = {fid: np.empty(len(samples), dtype=int) for fid in schema.field_ids}
@@ -354,7 +334,7 @@ class PopulationStats:
         d = self.schema.encoded_dim
         for key, shape in (("mean", (d,)), ("covariance", (d, d))):
             if getattr(self, key).shape != shape:
-                raise SchemaError(
+                raise PopulationError(
                     f"{key}: shape {getattr(self, key).shape} does not fit the schema's "
                     f"encoded width {d}, which needs {shape}"
                 )
@@ -381,7 +361,7 @@ class PopulationStats:
         try:
             return cls._from_doc(doc)
         except PopulationError as exc:
-            raise type(exc)(f"{path}: {exc}") from None
+            raise PopulationError(f"{path}: {exc}") from None
 
     @classmethod
     def _from_doc(cls, doc) -> "PopulationStats":
@@ -389,18 +369,18 @@ class PopulationStats:
             if not isinstance(doc, dict) or key not in doc:
                 raise PopulationError(f"stats file has no {key!r} key")
         if not isinstance(doc["schema"], list):
-            raise SchemaError("schema: must be a list")
+            raise PopulationError("schema: must be a list")
         fields = []
         for i, entry in enumerate(doc["schema"]):
             if not isinstance(entry, dict):
-                raise SchemaError(f"schema[{i}]: must be an object")
+                raise PopulationError(f"schema[{i}]: must be an object")
             for key in ("id", "kind"):
                 if key not in entry:
-                    raise SchemaError(f"schema[{i}]: missing {key!r}")
+                    raise PopulationError(f"schema[{i}]: missing {key!r}")
             try:
                 fields.append(_field_from_json(entry))
             except PopulationError as exc:
-                raise SchemaError(f"schema[{i}]: {exc}") from None
+                raise PopulationError(f"schema[{i}]: {exc}") from None
         arrays = {}
         for key in ("mean", "covariance"):
             try:
@@ -424,7 +404,9 @@ def _field_to_json(f: Field) -> dict:
 def _field_from_json(doc: dict) -> Field:
     value_range = doc.get("range", [0, 1])
     if not (isinstance(value_range, list) and [type(v) for v in value_range] == [int, int]):
-        raise SchemaError(f"field {doc['id']!r}: range must be two integers, got {value_range!r}")
+        raise PopulationError(
+            f"field {doc['id']!r}: range must be two integers, got {value_range!r}"
+        )
     return Field(
         id=doc["id"],
         kind=doc["kind"],
@@ -437,7 +419,7 @@ def _field_from_json(doc: dict) -> Field:
 def fit_stats(table: VertexTable) -> PopulationStats:
     """Sample mean/covariance of the encoded rows, ridge added to the diagonal."""
     if table.n < 2:
-        raise TooFewRowsError("need at least two rows to fit statistics")
+        raise PopulationError("need at least two rows to fit statistics")
     enc = table.encoded()
     mean = enc.mean(axis=0)
     centered = enc - mean
@@ -455,7 +437,7 @@ def _factor(covariance: np.ndarray) -> np.ndarray:
         eigvals, eigvecs = np.linalg.eigh(covariance)
         floor = -1e-8 * max(1.0, float(eigvals.max()))
         if eigvals.min() < floor:
-            raise NotPSDError(
+            raise PopulationError(
                 f"covariance has negative eigenvalue {eigvals.min():.3e}"
             ) from None
         return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))

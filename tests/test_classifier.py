@@ -9,10 +9,7 @@ from netspread.classifier import (
     ClassifierError,
     ConstantModel,
     CvReport,
-    DimensionMismatchError,
     KernelSpec,
-    SchemaMismatchError,
-    SingleClassError,
     SvmModel,
     SvmParams,
     balanced_error,
@@ -137,7 +134,7 @@ class TestKernels:
             assert one(spec, x, z) == pytest.approx(one(spec, z, x))
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ClassifierError, match=r"^dimensions 1 and 2 differ$"):
             one(LIN, [1.0], [1.0, 2.0])
 
     def test_matrix_matches_pointwise(self):
@@ -268,7 +265,7 @@ class TestTrainSvm:
         assert np.max(np.abs(base.decision_values(grid) - shuffled.decision_values(grid))) < 1e-6
 
     def test_single_class_rejected(self):
-        with pytest.raises(SingleClassError):
+        with pytest.raises(ClassifierError, match=r"^training data must contain both classes$"):
             train_svm(np.ones((3, 1)), np.ones(3), SvmParams(C=1.0, weight=1.0, kernel=LIN))
 
     @pytest.mark.parametrize("y,message", [
@@ -505,7 +502,8 @@ class TestPredict:
         table = VertexTable.from_records(
             reordered, [random_record(reordered, rng) for _ in range(4)]
         )
-        with pytest.raises(SchemaMismatchError):
+        message = r"^vertex table schema differs from model schema$"
+        with pytest.raises(ClassifierError, match=message):
             model.predict_pairs(table, [0, 1], [2, 3])
 
 
@@ -530,6 +528,20 @@ def row_values(model: SvmModel, table: VertexTable, senders, receivers) -> np.nd
     """The unfactored reference: decision values of the hstacked pair rows."""
     enc = table.encoded()
     return model.decision_values(np.hstack([enc[senders], enc[receivers]]))
+
+
+# index arrays of floats or booleans, which a cast to int would truncate
+NON_INTEGER_PAIRS = [
+    pytest.param([0.7], [1], r"^senders must be integer indices, got dtype float64$",
+                 id="float-senders"),
+    pytest.param(np.array([0.0, 1.0]), [2, 3],
+                 r"^senders must be integer indices, got dtype float64$", id="whole-floats"),
+    pytest.param([0, 1], [True, False], r"^receivers must be integer indices, got dtype bool$",
+                 id="bool-receivers"),
+    pytest.param(np.array([0], dtype=np.int32), np.array([1.9], dtype=np.float32),
+                 r"^receivers must be integer indices, got dtype float32$",
+                 id="float32-receivers"),
+]
 
 
 class TestFactoredPairScoring:
@@ -572,7 +584,8 @@ class TestFactoredPairScoring:
     def test_wrong_model_width_rejected(self):
         model = SvmModel(kernel=RBF1, support_vectors=np.zeros((2, 3)), coefs=np.ones(2),
                          bias=0.0)
-        with pytest.raises(DimensionMismatchError):
+        message = r"^model dimension 3 is not twice the record width \d+$"
+        with pytest.raises(ClassifierError, match=message):
             model.predict_pairs(pair_table(), [0], [1])
 
     @pytest.mark.parametrize("kind", ["rbf", "linear"])
@@ -581,8 +594,8 @@ class TestFactoredPairScoring:
     ])
     def test_pair_arrays_of_different_lengths_rejected(self, kind, senders, receivers):
         model = pair_model(kind, True)
-        with pytest.raises(DimensionMismatchError, match=f"{len(senders)} senders but "
-                           f"{len(receivers)} receivers"):
+        with pytest.raises(ClassifierError, match=f"^{len(senders)} senders but "
+                           f"{len(receivers)} receivers$"):
             model.predict_pairs(pair_table(), senders, receivers)
 
     @pytest.mark.parametrize("kind", ["rbf", "linear"])
@@ -598,6 +611,17 @@ class TestFactoredPairScoring:
         rows = r"is outside the table's rows \[0, 90\)"
         with pytest.raises(ClassifierError, match=message + rows):
             model.predict_pairs(pair_table(), senders, receivers)
+
+    @pytest.mark.parametrize("kind", ["rbf", "linear"])
+    @pytest.mark.parametrize("senders,receivers,message", NON_INTEGER_PAIRS)
+    def test_non_integer_index_arrays_rejected(self, kind, senders, receivers, message):
+        model = pair_model(kind, True)
+        with pytest.raises(ClassifierError, match=message):
+            model.predict_pairs(pair_table(), senders, receivers)
+
+    @pytest.mark.parametrize("kind", ["rbf", "linear"])
+    def test_empty_pair_lists_score_nothing(self, kind):
+        assert pair_model(kind, True).predict_pairs(pair_table(), [], []).tolist() == []
 
     def test_kernel_rows_once_per_unique_vertex_in_blocks(self, monkeypatch):
         model = pair_model("rbf", True)
@@ -674,7 +698,7 @@ class TestBalancedError:
         assert per_class_errors(preds, labels) == (0.2, 0.4)
 
     def test_single_class_rejected(self):
-        with pytest.raises(SingleClassError):
+        with pytest.raises(ClassifierError, match=r"^labels must contain both classes$"):
             balanced_error(np.ones(3), np.ones(3))
 
     def test_flipped_predictions_complement(self):
@@ -806,5 +830,14 @@ class TestConstantModel:
 
     @pytest.mark.parametrize("senders,receivers", [([0], [1, 2, 3]), ([0, 1, 2], [3])])
     def test_pair_arrays_of_different_lengths_rejected(self, senders, receivers):
-        with pytest.raises(DimensionMismatchError):
+        message = f"^{len(senders)} senders but {len(receivers)} receivers$"
+        with pytest.raises(ClassifierError, match=message):
             ConstantModel(1).predict_pairs(None, senders, receivers)
+
+    @pytest.mark.parametrize("senders,receivers,message", NON_INTEGER_PAIRS)
+    def test_non_integer_index_arrays_rejected(self, senders, receivers, message):
+        with pytest.raises(ClassifierError, match=message):
+            ConstantModel(1).predict_pairs(None, senders, receivers)
+
+    def test_empty_pair_lists_score_nothing(self):
+        assert ConstantModel(1).predict_pairs(None, [], []).tolist() == []

@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -35,9 +36,13 @@ SURVEY = dict(
 )
 
 
+ER = {"model": "erdos_renyi", "n": 200, "edge_prob": [0.02]}
+SW = {"model": "small_world", "n": 200, "neighbors": [4], "rewire_prob": [0.1]}
+
+
 def write_config(tmp_path, name="cfg.json", **overrides) -> Path:
     doc = {
-        "graph": {"model": "small_world", "n": 200, "neighbors": [4], "rewire_prob": [0.1]},
+        "graph": SW,
         "initial_fraction": [0.1],
         "iterations": 3,
         "replicates": 2,
@@ -146,6 +151,33 @@ class TestExitCodes:
         assert main(["simulate", "--config", str(config)]) == 2
         assert f"config error: {path}:" in capsys.readouterr().err
         # rejected while parsing: nothing was trained or written
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "report"])
+    @pytest.mark.parametrize("overrides,message", [
+        pytest.param({"graph": dict(ER, edge_prob=[0.02, 0.0200000001])},
+                     "graph.edge_prob[1]: 0.0200000001 gives run tag pe0.02, "
+                     "as graph.edge_prob[0] does", id="er-near-duplicate"),
+        pytest.param({"graph": dict(ER, edge_prob=[0.02, 0.03, 0.02])},
+                     "graph.edge_prob[2]: 0.02 gives run tag pe0.02, as graph.edge_prob[0] does",
+                     id="er-duplicate"),
+        pytest.param({"graph": dict(SW, neighbors=[4, 6, 4])},
+                     "graph.neighbors[2]: 4 gives run tag k4, as graph.neighbors[0] does",
+                     id="sw-neighbors-duplicate"),
+        pytest.param({"graph": dict(SW, rewire_prob=[0.1, 0.1000001])},
+                     "graph.rewire_prob[1]: 0.1000001 gives run tag ps0.1, "
+                     "as graph.rewire_prob[0] does", id="sw-rewire-near-duplicate"),
+        pytest.param({"initial_fraction": [0.1, 0.2, 0.1]},
+                     "initial_fraction[2]: 0.1 gives run tag a0.1, as initial_fraction[0] does",
+                     id="fraction-duplicate"),
+    ])
+    def test_colliding_run_tags_exit_2_before_writing(
+        self, tmp_path, capsys, command, overrides, message
+    ):
+        # two grid points with one tag would write, and report read, one run directory
+        config = write_config(tmp_path, **overrides)
+        assert main([command, "--config", str(config)]) == 2
+        assert f"config error: {message}\n" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_non_object_document_exits_2(self, tmp_path, capsys):
@@ -278,6 +310,11 @@ class TestExitCodes:
         assert main(["simulate", "--config", str(config)]) == 1
         assert f"error: {bad}: {message}" in capsys.readouterr().err
 
+def tree_bytes(root: Path) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file()}
+
+
 class TestSimulate:
     def test_stub_model_flag(self, tmp_path):
         config = write_config(tmp_path)
@@ -295,6 +332,23 @@ class TestSimulate:
              "--out", str(tmp_path / "elsewhere")]
         ) == 0
         assert (tmp_path / "elsewhere" / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["simulate", "--stub-model", "always-positive"], id="simulate-stub"),
+        pytest.param(["simulate"], id="simulate-trained"),
+        pytest.param(["report"], id="report"),
+        pytest.param(["train"], id="train"),
+    ])
+    def test_out_flag_equals_output_dir(self, tmp_path, argv):
+        out = tmp_path / "D"
+        config = write_config(tmp_path)
+        assert main([*argv, "--config", str(config), "--out", str(out)]) == 0
+        assert not (tmp_path / "out").exists()
+        via_flag = tree_bytes(out)
+        shutil.rmtree(out)
+        config = write_config(tmp_path, output_dir=str(out))
+        assert main([*argv, "--config", str(config)]) == 0
+        assert tree_bytes(out) == via_flag and via_flag
 
     def test_sweep_column_order(self, tmp_path):
         config = write_config(tmp_path)

@@ -5,8 +5,6 @@ from hypothesis import strategies as st
 
 from netspread.completion import (
     CompletionError,
-    EmptyPoolError,
-    NoMatchError,
     PairSet,
     build_training_set,
     complete_alter,
@@ -110,7 +108,8 @@ class TestGenerateNonReceivers:
         assert np.all(drawn.columns["gender"] == 0) and np.all(drawn.columns["age_band"] == 2)
 
     def test_empty_pool_raises(self, rng):
-        with pytest.raises(EmptyPoolError):
+        message = r"^both homophile and non-homophile sets are empty$"
+        with pytest.raises(CompletionError, match=message):
             generate_non_receivers(0, table([person()]), CRITERIA, 0.7, 4, rng)
 
     def test_one_side_empty_falls_back(self, rng):
@@ -190,7 +189,8 @@ class TestCompleteAlter:
     def test_no_match_raises(self, rng):
         partial = {"gender": 0, "age_band": 2, "education": 1, "profession": 0}
         pool = table([person(gender=1, age=2, edu=1)])
-        with pytest.raises(NoMatchError):
+        message = r"^no pool member matches even \('gender',\) for the partial record$"
+        with pytest.raises(CompletionError, match=message):
             complete_alter(partial, pool, rng)
 
 
