@@ -7,8 +7,8 @@ diffusion simulation itself (diffusion), post-run analytics (analysis) and
 the sweep/experiment runner (experiments, cli).
 """
 
-from . import analysis, classifier, completion, diffusion, graph, population
-
+# submodules are imported where they are used, so `netspread simulate` and
+# `train` never import analysis
 __all__ = [
     "analysis",
     "classifier",

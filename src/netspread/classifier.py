@@ -7,10 +7,11 @@ The soft-margin dual
 with Q_ij = y_i y_j K(x_i, x_j), is solved by sequential minimal
 optimization using maximal-KKT-violation pair selection.  The negative
 class uses penalty C and the (minority) positive class C * weight, so
-errors on positives cost more.  Kernel rows are memoized in a bounded LRU
-cache.  Training stops when the KKT violation is within tolerance; a fit
-that reaches the iteration cap or a pair it cannot move first returns its
-last iterate with ``converged=False``.
+errors on positives cost more.  A small fit builds its whole kernel matrix
+at once; a larger one memoizes kernel rows in a bounded LRU cache.
+Training stops when the KKT violation is within tolerance; a fit that
+reaches the iteration cap or a pair it cannot move first returns its last
+iterate with ``converged=False``.
 
 Each SMO step makes four whole-array numpy passes over buffers allocated
 once, plus the two passes that pick the pair.  It carries -y * gradient
@@ -61,6 +62,9 @@ _RBF_SUB_BYTES = 1 << 17
 # kernel_matrix calls write into them and add only row norms and
 # _RBF_SUB_BYTES.
 KERNEL_ROWS_BYTES = 256_000_000
+# Bytes of the whole n x n kernel matrix that a fit whose rows all fit the
+# row cache builds at once instead (train_svm).  2 MiB takes n <= 512.
+FIT_GRAM_BYTES = 1 << 21
 
 
 class ClassifierError(ValueError):
@@ -112,20 +116,27 @@ def kernel_matrix(
         return K
     if b_sq is None:
         b_sq = np.sum(B**2, axis=1)
+    _finish_rbf(spec, K, np.sum(A**2, axis=1), b_sq)
+    return K
+
+
+def _finish_rbf(spec: KernelSpec, K, a_sq, b_sq) -> None:
+    """K, holding A @ B.T, becomes the RBF block of rows with squared norms
+    a_sq against columns with b_sq, in place, one row sub-block of
+    _RBF_SUB_BYTES at a time (kernel_matrix says how)."""
     K *= 2.0
-    a_sq = np.sum(A**2, axis=1)[:, None]
+    a_sq = a_sq[:, None]
     scale = -(2.0 * spec.sigma**2)
     # a block no larger than a sub-block, such as an SMO row of up to 16,384
     # columns, takes one pass: the loop's set-up would cost such a row ~1.5 us
     if 8 * K.size <= _RBF_SUB_BYTES:
         _finish_rbf_rows(K, a_sq, b_sq, scale)
-        return K
+        return
     step = max(1, _RBF_SUB_BYTES // (8 * len(b_sq)))
     norms = np.empty((step, len(b_sq)))
-    for start in range(0, len(A), step):
+    for start in range(0, len(K), step):
         sub = K[start : start + step]
         _finish_rbf_rows(sub, a_sq[start : start + step], b_sq, scale, norms[: len(sub)])
-    return K
 
 
 def _finish_rbf_rows(K, a_sq, b_sq, scale, norms=None) -> None:
@@ -155,7 +166,9 @@ class _RowCache:
     """LRU cache of kernel rows against the training matrix.
 
     The squared row norms of X are summed once; a miss is one 1 x n
-    kernel_matrix block.
+    kernel_matrix block.  train_svm uses it for a fit whose whole kernel
+    matrix exceeds FIT_GRAM_BYTES or whose rows do not all fit the cache,
+    and _GramRows for the rest.
     """
 
     def __init__(self, spec: KernelSpec, X: np.ndarray, capacity: int):
@@ -179,6 +192,37 @@ class _RowCache:
         if len(self.rows) > self.capacity:
             self.rows.popitem(last=False)
         return row
+
+
+class _GramRows:
+    """Every kernel row of the training matrix, built at once; a row is a
+    view.  Its first request counts as a miss and later ones as hits, as in
+    a _RowCache that never evicts.
+
+    np.matmul(X[:, None, :], X.T) makes one 1 x n product per row, which
+    numpy hands to the same BLAS routine as the lone 1 x n product of a
+    _RowCache miss, and the RBF finish is kernel_matrix's own, whose every
+    element is computed on its own.  So each row has the bits of the
+    _RowCache row (TestGramRows pins both for the running numpy).
+    """
+
+    def __init__(self, spec: KernelSpec, X: np.ndarray):
+        n = len(X)
+        self.K = np.matmul(X[:, None, :], X.T).reshape(n, n)
+        if spec.kind == RBF:
+            sq = np.sum(X**2, axis=1)
+            _finish_rbf(spec, self.K, sq, sq)
+        self.seen = bytearray(n)
+        self.hits = 0
+        self.misses = 0
+
+    def row(self, i: int) -> np.ndarray:
+        if self.seen[i]:
+            self.hits += 1
+        else:
+            self.seen[i] = 1
+            self.misses += 1
+        return self.K[i]
 
 
 @dataclass
@@ -395,6 +439,12 @@ def train_svm(X: np.ndarray, y: np.ndarray, params: SvmParams) -> SvmModel:
     converged=False.  Labels other than exactly +1 and -1, and non-finite
     entries of X, are a ClassifierError before any kernel work.
 
+    Kernel rows come from _GramRows, the whole matrix built at once, when
+    all n rows fit the row cache and 8 n^2 <= FIT_GRAM_BYTES (n <= 512);
+    else from a _RowCache, one 1 x n kernel_matrix block per miss.  The
+    rows have the same bits either way (_GramRows says why), so the fit,
+    its iterations and its cache counters do not depend on the path.
+
     Loop invariants, each bit-exact against the direct form it replaces,
     which keeps grad and takes -y * grad every step:
 
@@ -442,9 +492,11 @@ def train_svm(X: np.ndarray, y: np.ndarray, params: SvmParams) -> SvmModel:
 
     C = np.where(y > 0, params.C * params.weight, params.C)
     # keep the cache near KERNEL_ROWS_BYTES worth of rows, at least 64 rows
-    cache = _RowCache(
-        params.kernel, X, max(64, min(n, int(KERNEL_ROWS_BYTES / (8 * max(n, 1)))))
-    )
+    capacity = max(64, min(n, int(KERNEL_ROWS_BYTES / (8 * n))))
+    if n <= capacity and 8 * n * n <= FIT_GRAM_BYTES:
+        cache = _GramRows(params.kernel, X)
+    else:
+        cache = _RowCache(params.kernel, X, capacity)
     max_iter = max(100_000, 30 * n)
     tol = KKT_TOL
 

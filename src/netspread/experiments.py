@@ -94,7 +94,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, completion
+from . import completion
 from .classifier import (
     ConstantModel,
     KernelSpec,
@@ -573,6 +573,10 @@ def train_pipeline(
     X, y = pairs.matrix(), pairs.labels
     params = tc.grid[0]
     if len(tc.grid) > 1:
+        smaller = min(int(np.count_nonzero(y > 0)), int(np.count_nonzero(y < 0)))
+        if 0 < smaller < tc.cv_folds:
+            raise ConfigError("training.cv_folds", f"must be at most {smaller}, the smaller "
+                              f"class's training pair count, got {tc.cv_folds}")
         params = cross_validate(X, y, tc.grid, tc.cv_folds, rng).best
         logger.info("cross-validation selected %s", params)
     model = fit_pair_classifier(X, y, params, schema=stats.schema)
@@ -744,6 +748,8 @@ def report_distributions(config: ExperimentConfig) -> dict[str, np.ndarray]:
     replicates (waves empty in a replicate are excluded from its average;
     rows empty in every replicate keep the empty placeholder).
     """
+    from . import analysis  # only report reads runs back, so only it imports analysis
+
     if not config.report_fields:
         raise ConfigError("report_fields", "must name at least one field")
     stats = load_config_stats(config)

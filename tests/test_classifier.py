@@ -306,23 +306,38 @@ class TestRowCache:
             assert cache.row(i).tobytes() == kernel_matrix(spec, X[i : i + 1], X)[0].tobytes()
         assert (cache.hits, cache.misses) == (1, 4)
 
-    def test_fit_is_bitwise_the_fit_on_textbook_rows(self, monkeypatch):
+    @pytest.mark.parametrize("gram_bytes", [classifier.FIT_GRAM_BYTES, 0],
+                             ids=["whole-matrix", "row-cache"])
+    def test_fit_is_bitwise_the_fit_on_textbook_rows(self, monkeypatch, gram_bytes):
         X, y, params = xor_set()
+        monkeypatch.setattr(classifier, "FIT_GRAM_BYTES", gram_bytes)
         model = train_svm(X, y, params)
-        monkeypatch.setattr(
-            classifier._RowCache,
-            "row",
-            lambda self, i: textbook_kernel(self.spec, self.X[i : i + 1], self.X)[0],
-        )
+        # the textbook fit goes through _RowCache, whose rows are replaced
+        monkeypatch.setattr(classifier, "FIT_GRAM_BYTES", 0)
+        textbook_rows = []
+
+        def textbook_row(self, i):
+            textbook_rows.append(i)
+            return textbook_kernel(self.spec, self.X[i : i + 1], self.X)[0]
+
+        monkeypatch.setattr(classifier._RowCache, "row", textbook_row)
         plain = train_svm(X, y, params)
+        assert len(textbook_rows) == 2 * plain.iterations
         assert model.coefs.tobytes() == plain.coefs.tobytes()
         assert model.bias == plain.bias
         assert model.support_vectors.tobytes() == plain.support_vectors.tobytes()
 
-    @pytest.mark.parametrize("budget", [classifier.KERNEL_ROWS_BYTES, 1])
-    def test_fit_counts_iterations_and_cache_traffic(self, monkeypatch, budget):
-        # budget 1 leaves the 64-row minimum cache, so rows are evicted and recomputed
+    @pytest.mark.parametrize("budget,gram_bytes", [
+        pytest.param(classifier.KERNEL_ROWS_BYTES, classifier.FIT_GRAM_BYTES,
+                     id="whole-matrix"),
+        pytest.param(classifier.KERNEL_ROWS_BYTES, 0, id="row-cache"),
+        pytest.param(1, classifier.FIT_GRAM_BYTES, id="evicting-row-cache"),
+    ])
+    def test_fit_counts_iterations_and_cache_traffic(self, monkeypatch, budget, gram_bytes):
+        # budget 1 leaves the 64-row minimum cache, so rows are evicted and
+        # recomputed, and the fit takes the row cache whatever FIT_GRAM_BYTES is
         monkeypatch.setattr(classifier, "KERNEL_ROWS_BYTES", budget)
+        monkeypatch.setattr(classifier, "FIT_GRAM_BYTES", gram_bytes)
         X, y, params = xor_set()
         entries = []
         real = classifier.kernel_matrix
@@ -336,10 +351,70 @@ class TestRowCache:
         model = train_svm(X, y, params)
         assert model.converged
         assert model.iterations > 100 and model.cache_hits > 0
-        assert sum(entries) == model.cache_misses * len(y)
         assert model.cache_hits + model.cache_misses == 2 * model.iterations
+        if gram_bytes and budget > 1:
+            # the whole matrix is one batched product, no kernel_matrix call;
+            # a miss is a row's first request
+            assert entries == []
+            assert model.cache_misses <= len(y)
+        else:
+            assert sum(entries) == model.cache_misses * len(y)
         if budget == 1:
             assert model.cache_misses > 64
+
+
+class TestGramRows:
+    """A fit whose kernel matrix fits FIT_GRAM_BYTES builds it at once
+    (_GramRows); every row must have the bits of the _RowCache row."""
+
+    def test_batched_rows_are_the_lone_rows(self):
+        # numpy hands each 1 x n product of a stacked matmul to the routine
+        # that a lone 1 x n product takes; a numpy or BLAS that does not
+        # trips here before any fit moves
+        gen = np.random.default_rng(24)
+        for case in range(9):
+            n, d = int(gen.integers(2, 1501)), int(gen.integers(1, 71))
+            X = gen.normal(size=(n, d))
+            if case % 3 == 0:
+                X = np.round(X, 1)
+            batched = np.matmul(X[:, None, :], X.T)[:, 0]
+            sq = np.sum(X**2, axis=1)
+            for i in range(n):
+                lone = X[i : i + 1]
+                assert batched[i].tobytes() == np.matmul(lone, X.T)[0].tobytes(), (n, d, i)
+                assert sq[i] == np.sum(lone**2, axis=1)[0], (n, d, i)
+
+    @pytest.mark.parametrize("spec", [LIN, KernelSpec("rbf", 0.7)])
+    def test_rows_are_the_row_cache_rows(self, spec):
+        X = np.random.default_rng(9).normal(size=(300, 54))
+        gram = classifier._GramRows(spec, X)
+        cache = classifier._RowCache(spec, X, capacity=300)
+        for i in (0, 7, 299, 7, 0, 150):
+            assert gram.row(i).tobytes() == cache.row(i).tobytes()
+        assert (gram.hits, gram.misses) == (cache.hits, cache.misses) == (2, 4)
+
+    @pytest.mark.parametrize("spec", [LIN, KernelSpec("rbf", 1.5), KernelSpec("rbf", 4.0)])
+    @pytest.mark.parametrize("n", [60, 400])
+    def test_fit_is_the_row_cache_fit(self, monkeypatch, spec, n):
+        X, y, _ = xor_set(n=n)
+        params = SvmParams(C=4.0, weight=2.0, kernel=spec)
+        real = classifier._GramRows
+        built = []
+        monkeypatch.setattr(classifier, "_GramRows",
+                            lambda *args: built.append(args) or real(*args))
+        model = train_svm(X, y, params)
+        assert len(built) == 1
+        monkeypatch.setattr(classifier, "FIT_GRAM_BYTES", 0)
+        reference = train_svm(X, y, params)
+        assert len(built) == 1
+        assert_same_fit(model, reference)
+
+    def test_large_fit_takes_the_row_cache(self, monkeypatch):
+        # 513 rows need more than FIT_GRAM_BYTES for the whole matrix
+        monkeypatch.setattr(classifier, "_GramRows", None)
+        X, y, params = xor_set(n=513)
+        assert 8 * len(y) ** 2 > classifier.FIT_GRAM_BYTES
+        assert train_svm(X, y, params).converged
 
 
 def assert_same_fit(model, reference):

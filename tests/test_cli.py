@@ -180,6 +180,23 @@ class TestExitCodes:
         assert f"config error: {message}\n" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "train"])
+    def test_more_folds_than_pairs_of_a_class_exits_2_before_fitting(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        grid = [TRAINING["params"], dict(TRAINING["params"], sigma=6.0)]
+        training = {k: v for k, v in TRAINING.items() if k != "params"}
+        config = write_config(tmp_path, graph=ER,
+                              training=dict(training, grid=grid, cv_folds=150))
+        fits = []
+        monkeypatch.setattr(experiments, "cross_validate", lambda *args: fits.append(args))
+        assert main([command, "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: training.cv_folds: must be at most " in err
+        assert "the smaller class's training pair count, got 150\n" in err
+        assert fits == []
+        assert not (tmp_path / "out").exists()
+
     def test_non_object_document_exits_2(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
         config.write_text('"graph"')
