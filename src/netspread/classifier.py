@@ -357,37 +357,74 @@ class SvmModel:
         doc = {
             "kernel": self.kernel.kind,
             "bias": self.bias,
-            "support": [
-                {"coef": float(c), "vector": v.tolist()}
-                for c, v in zip(self.coefs, self.support_vectors)
+            "support": [  # rows as arrays: write_json formats one at a time
+                {"coef": c, "vector": v}
+                for c, v in zip(self.coefs.tolist(), self.support_vectors)
             ],
-            "standardizer": self.standardizer.to_dict() if self.standardizer else None,
+            "standardizer": None,
         }
+        if self.standardizer is not None:
+            doc["standardizer"] = {"means": self.standardizer.means,
+                                   "stds": self.standardizer.stds}
         if self.kernel.kind == RBF:
             doc["sigma"] = self.kernel.sigma
         write_json(path, doc)
 
     @classmethod
     def load(cls, path, schema: FeatureSchema | None = None) -> "SvmModel":
-        """The model saved at path; a malformed file is a ClassifierError
-        naming it and the missing key or the bad value."""
+        """The model saved at path.  A malformed file is a ClassifierError
+        naming it and the missing key or the bad value: a document that is
+        not an object, a support that is not a list of objects, a coef,
+        vector, bias, mean or std that is not a number or is NaN or
+        infinite, a std <= 0, and vectors, means and stds of different
+        lengths."""
         doc = read_json(path, ClassifierError)
         try:
+            if not isinstance(doc, dict):
+                raise ClassifierError("not a JSON object")
             kernel = KernelSpec(doc["kernel"], doc.get("sigma"))
             support = doc["support"]
-            vectors = np.array([s["vector"] for s in support], dtype=float)
-            coefs = np.array([s["coef"] for s in support], dtype=float)
-            bias = float(doc["bias"])
+            if not (isinstance(support, list) and all(isinstance(s, dict) for s in support)):
+                raise ClassifierError("support: not a list of objects")
+            rows = [_finite(f"support[{i}].vector", s["vector"], 1) for i, s in enumerate(support)]
+            widths = {len(v) for v in rows}
+            if len(widths) > 1:
+                raise ClassifierError("support: vectors of different lengths")
+            vectors = np.array(rows) if rows else np.empty((0, 0))
+            coefs = np.array([_finite(f"support[{i}].coef", s["coef"], 0)
+                              for i, s in enumerate(support)])
+            bias = float(_finite("bias", doc["bias"], 0))
             std = doc.get("standardizer")
-            standardizer = Standardizer.from_dict(std) if std else None
+            standardizer = None
+            if std:
+                if not isinstance(std, dict):
+                    raise ClassifierError("standardizer: not an object")
+                standardizer = Standardizer(means=_finite("standardizer.means", std["means"], 1),
+                                            stds=_finite("standardizer.stds", std["stds"], 1))
+                if (standardizer.stds <= 0).any():
+                    raise ClassifierError("standardizer.stds: holds a std <= 0")
+                if len(widths | {len(standardizer.means), len(standardizer.stds)}) > 1:
+                    raise ClassifierError("standardizer: means, stds and vectors differ in length")
         except KeyError as exc:
             raise ClassifierError(f"{path}: missing key {exc}") from None
-        except ValueError as exc:
+        except ValueError as exc:  # a ClassifierError above or from KernelSpec
             raise ClassifierError(f"{path}: {exc}") from None
-        if vectors.size == 0:
-            vectors = vectors.reshape(0, 0)
         return cls(kernel=kernel, support_vectors=vectors, coefs=coefs, bias=bias,
                    standardizer=standardizer, schema=schema)
+
+
+def _finite(key: str, value, ndim: int) -> np.ndarray:
+    """value as a float array of ndim dimensions (0, a number, or 1, a list
+    of numbers) whose entries are all finite; else a ClassifierError naming key."""
+    try:
+        values = np.array(value)
+    except ValueError:  # a ragged list
+        values = None
+    if values is None or values.dtype.kind not in "iuf" or values.ndim != ndim:
+        raise ClassifierError(f"{key}: not {('a number', 'a list of numbers')[ndim]}")
+    if not np.isfinite(values).all():
+        raise ClassifierError(f"{key}: holds NaN or an infinity")
+    return values.astype(float)
 
 
 class ConstantModel:

@@ -263,10 +263,98 @@ def write_csv(path, header, rows) -> None:
 
 
 def write_json(path, doc) -> None:
-    """The one JSON writer: indent 1, sorted keys and a final newline."""
+    """The one JSON writer: the bytes of json.dump(doc, indent=1,
+    sort_keys=True) and a final newline, written by _JsonEncoder.  A 1-D
+    numpy array in doc is written as its tolist(), so a caller need not
+    convert its arrays first; keys must be str (a TypeError otherwise)."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
+        json.dump(doc, fh, cls=_JsonEncoder)
         fh.write("\n")
+
+
+# Distinct float texts one document keeps.  A model file holds a few hundred
+# distinct values (standardized integer codes, at most a dozen per column);
+# past the cap a value is formatted each time it occurs.
+_FLOAT_TEXTS = 1024
+_INF = float("inf")
+
+
+class _JsonEncoder(json.JSONEncoder):
+    """json's indent-1, sorted-key text in fewer, larger chunks.
+
+    json's own encoder falls back to pure Python under indent and formats
+    every float with float.__repr__.  Here a list of plain floats is one
+    chunk, and each distinct nonzero value's text is computed once per
+    document (0.0 and -0.0 are one dict key, so zeros are formatted each
+    time); a list of plain ints is one chunk too.  NaN and +-inf are spelled
+    as json spells them, and strings are json's ASCII-escaped text.
+    """
+
+    def iterencode(self, o, _one_shot=False):
+        texts = {}
+        get = texts.get
+        esc = json.encoder.encode_basestring_ascii
+
+        def float_text(x):
+            if x != x:
+                return "NaN"
+            text = ("Infinity" if x == _INF else "-Infinity" if x == -_INF
+                    else float.__repr__(x))
+            if x and len(texts) < _FLOAT_TEXTS:
+                texts[x] = text
+            return text
+
+        def scalar(o):
+            """The text of a JSON scalar; None for anything else."""
+            if isinstance(o, str):
+                return esc(o)
+            if isinstance(o, float):
+                return get(o) or float_text(o)
+            if o is None:
+                return "null"
+            if o is True:
+                return "true"
+            if o is False:
+                return "false"
+            if isinstance(o, int):
+                return int.__repr__(o)
+            return None
+
+        def chunks(o, pad):
+            """The text of container o, whose closing bracket follows pad."""
+            if isinstance(o, np.ndarray) and o.ndim == 1:
+                o = o.tolist()
+            inner = pad + " "
+            if isinstance(o, dict):  # esc raises the TypeError for a key that is not str
+                brackets, items = "{}", [(esc(k) + ": ", v) for k, v in sorted(o.items())]
+            elif isinstance(o, (list, tuple)):
+                kinds = set(map(type, o))
+                if kinds == {float}:
+                    yield "[" + inner + ("," + inner).join(
+                        [get(x) or float_text(x) for x in o]) + pad + "]"
+                    return
+                if kinds == {int}:
+                    yield "[" + inner + ("," + inner).join(map(int.__repr__, o)) + pad + "]"
+                    return
+                brackets, items = "[]", [("", v) for v in o]
+            else:
+                raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+            if not items:
+                yield brackets
+                return
+            sep = brackets[0] + inner
+            for head, value in items:
+                text = scalar(value)
+                if text is None:
+                    yield sep + head
+                    yield from chunks(value, inner)
+                else:
+                    yield sep + head + text
+                sep = "," + inner
+            yield pad + brackets[1]
+
+        text = scalar(o)
+        return iter((text,)) if text is not None else chunks(o, "\n")
 
 
 def read_json(path, error):
@@ -333,11 +421,14 @@ class PopulationStats:
     def __post_init__(self):
         d = self.schema.encoded_dim
         for key, shape in (("mean", (d,)), ("covariance", (d, d))):
-            if getattr(self, key).shape != shape:
+            value = getattr(self, key)
+            if value.shape != shape:
                 raise PopulationError(
-                    f"{key}: shape {getattr(self, key).shape} does not fit the schema's "
+                    f"{key}: shape {value.shape} does not fit the schema's "
                     f"encoded width {d}, which needs {shape}"
                 )
+            if not np.isfinite(value).all():
+                raise PopulationError(f"{key}: holds NaN or an infinity")
         if not np.allclose(self.covariance, self.covariance.T, atol=1e-9):
             raise PopulationError("covariance not symmetric within 1e-9")
         if np.any(np.diag(self.covariance) < 0):
@@ -356,7 +447,8 @@ class PopulationStats:
         file and, below the top level, the key: invalid JSON, a missing
         top-level key, a schema entry that is not an object or lacks `id` or
         `kind`, and a mean or covariance whose shape does not fit the
-        schema's encoded width (`stats.json: schema[0]: missing 'id'`)."""
+        schema's encoded width or that holds NaN or an infinity
+        (`stats.json: schema[0]: missing 'id'`)."""
         doc = read_json(path, PopulationError)
         try:
             return cls._from_doc(doc)
@@ -495,13 +587,3 @@ class Standardizer:
     def columns(self, cols: slice) -> "Standardizer":
         """The same map restricted to a slice of columns."""
         return Standardizer(means=self.means[cols], stds=self.stds[cols])
-
-    def to_dict(self) -> dict:
-        return {"means": self.means.tolist(), "stds": self.stds.tolist()}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "Standardizer":
-        return cls(
-            means=np.asarray(doc["means"], dtype=float),
-            stds=np.asarray(doc["stds"], dtype=float),
-        )

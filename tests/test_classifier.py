@@ -836,6 +836,11 @@ class TestCrossValidation:
         assert isinstance(report, CvReport)
 
 
+NAN, INF = float("nan"), float("inf")
+SV = {"coef": 0.5, "vector": [1.0, -1.0]}
+LINEAR_DOC = {"kernel": "linear", "bias": 0.0, "support": [SV], "standardizer": None}
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         name, X, y, C, weight = TOY_SETS[2]
@@ -875,6 +880,31 @@ class TestSerialization:
         ({"kernel": "linear", "bias": 0.0, "support": [{"vector": [1.0]}]},
          "missing key 'coef'"),
         ({"kernel": "rbf", "bias": 0.0, "support": []}, "rbf kernel needs finite sigma > 0"),
+        ([], "not a JSON object"),
+        ({"kernel": "linear", "bias": 0.0, "support": {"coef": 1.0, "vector": [1.0]}},
+         "support: not a list of objects"),
+        ({"kernel": "linear", "bias": 0.0, "support": [[1.0]]}, "support: not a list of objects"),
+        (dict(LINEAR_DOC, bias=NAN), "bias: holds NaN or an infinity"),
+        (dict(LINEAR_DOC, bias=None), "bias: not a number"),
+        (dict(LINEAR_DOC, support=[SV, dict(SV, coef=-INF)]),
+         "support[1].coef: holds NaN or an infinity"),
+        (dict(LINEAR_DOC, support=[SV, dict(SV, coef="1.0")]), "support[1].coef: not a number"),
+        (dict(LINEAR_DOC, support=[dict(SV, vector=[1.0, INF]), SV]),
+         "support[0].vector: holds NaN or an infinity"),
+        (dict(LINEAR_DOC, support=[dict(SV, vector=[1.0, None])]),
+         "support[0].vector: not a list of numbers"),
+        (dict(LINEAR_DOC, support=[SV, dict(SV, vector=[1.0])]),
+         "support: vectors of different lengths"),
+        (dict(LINEAR_DOC, standardizer=[1.0]), "standardizer: not an object"),
+        (dict(LINEAR_DOC, standardizer={"means": [0.0, NAN], "stds": [1.0, 1.0]}),
+         "standardizer.means: holds NaN or an infinity"),
+        (dict(LINEAR_DOC, standardizer={"means": [0.0, 0.0], "stds": [1.0, 0.0]}),
+         "standardizer.stds: holds a std <= 0"),
+        (dict(LINEAR_DOC, standardizer={"means": [0.0, 0.0]}), "missing key 'stds'"),
+        (dict(LINEAR_DOC, standardizer={"means": [0.0], "stds": [1.0]}),
+         "standardizer: means, stds and vectors differ in length"),
+        (dict(LINEAR_DOC, support=[], standardizer={"means": [0.0], "stds": [1.0, 1.0]}),
+         "standardizer: means, stds and vectors differ in length"),
     ])
     def test_malformed_file_names_file_and_key(self, tmp_path, doc, problem):
         import json
@@ -884,6 +914,15 @@ class TestSerialization:
         with pytest.raises(ClassifierError) as err:
             SvmModel.load(path)
         assert str(err.value) == f"{path}: {problem}"
+
+    def test_the_valid_base_document_loads(self, tmp_path):
+        import json
+
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(dict(LINEAR_DOC, standardizer={"means": [0, 1], "stds": [2, 1]})))
+        model = SvmModel.load(path)
+        assert model.coefs.tolist() == [0.5] and model.support_vectors.tolist() == [[1.0, -1.0]]
+        assert model.standardizer.stds.tolist() == [2.0, 1.0]
 
 
 class TestConstantModel:

@@ -316,6 +316,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("edit,message", [
         (lambda doc: doc["schema"][0].pop("id"), "schema[0]: missing 'id'"),
         (lambda doc: doc.update(mean=doc["mean"][:-1]), "mean: shape"),
+        (lambda doc: doc["mean"].__setitem__(0, float("nan")), "mean: holds NaN or an infinity"),
+        (lambda doc: doc["covariance"][1].__setitem__(1, float("inf")),
+         "covariance: holds NaN or an infinity"),
     ])
     def test_malformed_stats_file_exits_1_naming_it(self, tmp_path, capsys, edit, message):
         bad = tmp_path / "stats.json"
