@@ -79,10 +79,13 @@ class _LevelGraph:
     @classmethod
     def from_graph(cls, g: Graph) -> "_LevelGraph":
         lg = cls(g.n)
-        for u, v in g.edges():
-            lg.adj[u][v] = lg.adj[u].get(v, 0.0) + 1.0
-            lg.adj[v][u] = lg.adj[v].get(u, 0.0) + 1.0
-        lg.strength = [float(g.degree(v)) for v in range(g.n)]
+        _, targets = g.out_edges(np.arange(g.n))  # row by row, each row ascending
+        targets = targets.tolist()
+        degrees = g.degrees()
+        ends = np.cumsum(degrees).tolist()
+        lg.adj = [dict.fromkeys(targets[end - d : end], 1.0)
+                  for d, end in zip(degrees.tolist(), ends)]
+        lg.strength = degrees.astype(float).tolist()
         lg.total_weight = float(g.edge_count)
         return lg
 

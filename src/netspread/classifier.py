@@ -82,6 +82,11 @@ class KernelSpec:
         if self.kind == RBF:
             if self.sigma is None or not np.isfinite(self.sigma) or self.sigma <= 0:
                 raise ClassifierError("rbf kernel needs finite sigma > 0")
+            # the kernel divides by 2 sigma^2; a product overflows to inf, not an error
+            if not 0.0 < 2.0 * (self.sigma * self.sigma) < np.inf:
+                raise ClassifierError(
+                    f"rbf kernel needs 2 sigma^2 in (0, inf) as a float, got sigma {self.sigma!r}"
+                )
 
 
 def kernel_matrix(

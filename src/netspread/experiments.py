@@ -71,7 +71,8 @@ one check of a set value: a number is a finite JSON number only, never a
 boolean, a string, Infinity or NaN, and an integer (graph.n, neighbors
 too) takes no fraction; a file or directory name is a JSON string and
 per_replicate a JSON boolean.  report_fields, criteria and contact_fields
-are lists of strings, and a survey-mode criteria list is not empty.
+are lists of strings, and survey mode's criteria and contact_fields are
+not empty.
 Graph values are checked by GraphParams and initial fractions by
 DiffusionConfig while parsing; the field names in report_fields,
 criteria, contact_fields and the rule conditions are checked against the
@@ -96,6 +97,7 @@ import numpy as np
 
 from . import completion
 from .classifier import (
+    ClassifierError,
     ConstantModel,
     KernelSpec,
     SvmModel,
@@ -347,19 +349,14 @@ class TrainingConfig:
         if mode == "survey":
             for key in ("egos_file", "alter_pool_file", "criteria", "contact_fields"):
                 _require(doc, key, path)
-        criteria = _list(doc.get("criteria", []), f"{path}.criteria", str, empty_ok=True)
-        if mode == "survey" and not criteria:
-            raise ConfigError(f"{path}.criteria", "must name at least one field")
-        return cls(
-            mode=mode,
-            grid=grid,
-            rule=rule,
-            criteria=criteria,
-            contact_fields=_list(
-                doc.get("contact_fields", []), f"{path}.contact_fields", str, empty_ok=True
-            ),
-            **_settings(doc, path),
-        )
+        # survey mode draws each ego's non-receivers by the criteria, as many
+        # as its contact fields sum to, so each list needs a field
+        lists = {key: _list(doc.get(key, []), f"{path}.{key}", str, empty_ok=True)
+                 for key in ("criteria", "contact_fields")}
+        for key, fields in lists.items():
+            if mode == "survey" and not fields:
+                raise ConfigError(f"{path}.{key}", "must name at least one field")
+        return cls(mode=mode, grid=grid, rule=rule, **lists, **_settings(doc, path))
 
 
 def _tag_parts(values: tuple, path: str, prefix: str, spec: str = "g") -> list[str]:
@@ -565,16 +562,19 @@ def train_pipeline(
         pairs = completion.PairSet.from_csv(tc.pairs_file, stats.schema)
     else:
         pairs = _survey_pairs(tc, stats.schema, rng)
+    # a fault of the training data names its file, when it has one
+    where = {"pairs": f"{tc.pairs_file}: ", "survey": f"{tc.egos_file}: "}.get(tc.mode, "")
     if len(pairs) == 0:  # a data file that holds only its header
-        source = tc.pairs_file if tc.mode == "pairs" else tc.egos_file
-        raise completion.CompletionError(f"{source}: no training pairs")
+        raise completion.CompletionError(f"{where}no training pairs")
     if len(pairs) > tc.sample_size:
         pairs = pairs.take(np.sort(rng.choice(len(pairs), size=tc.sample_size, replace=False)))
     X, y = pairs.matrix(), pairs.labels
+    smaller = min(int(np.count_nonzero(y > 0)), int(np.count_nonzero(y < 0)))
+    if smaller == 0:  # checked before cross-validation, whose folds need both classes
+        raise ClassifierError(f"{where}training data must contain both classes")
     params = tc.grid[0]
     if len(tc.grid) > 1:
-        smaller = min(int(np.count_nonzero(y > 0)), int(np.count_nonzero(y < 0)))
-        if 0 < smaller < tc.cv_folds:
+        if smaller < tc.cv_folds:
             raise ConfigError("training.cv_folds", f"must be at most {smaller}, the smaller "
                               f"class's training pair count, got {tc.cv_folds}")
         params = cross_validate(X, y, tc.grid, tc.cv_folds, rng).best

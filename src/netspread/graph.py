@@ -41,7 +41,7 @@ GEODESIC_SOURCES = 64  # BFS sources per bit-parallel sweep of mean_geodesic
 
 
 class GraphError(ValueError):
-    """A graph construction, file or metric error."""
+    """A graph construction or metric error."""
 
 
 class Graph:
@@ -101,22 +101,10 @@ class Graph:
         if not (0 <= v < self.n):
             raise GraphError(f"vertex {v} outside [0, {self.n})")
 
-    def has_edge(self, u: int, v: int) -> bool:
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            self._check_vertex(u)
-            self._check_vertex(v)
-        end = self._ptr[u + 1]
-        i = bisect_left(self._idx, v, self._ptr[u], end)
-        return i < end and self._idx[i] == v
-
     def neighbors(self, v: int) -> list[int]:
         """v's neighbours in ascending order."""
         self._check_vertex(v)
         return self._idx[self._ptr[v] : self._ptr[v + 1]].tolist()
-
-    def degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return self._ptr[v + 1] - self._ptr[v]
 
     def degrees(self) -> np.ndarray:
         """Every vertex's degree, as an int64 array of length n."""
@@ -465,41 +453,10 @@ def write_edge_list(g: Graph, path) -> None:
             fh.write(f"{u}\t{v}\n")
 
 
-def read_edge_list(path) -> Graph:
-    """The graph write_edge_list wrote.  A malformed header or line is a
-    GraphError naming the file and the line; a graph the rules reject
-    (a self or duplicate edge, a vertex out of range) names the file."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if not header.startswith("# vertices="):
-            raise GraphError(f"missing '# vertices=<n>' header in {path}")
-        try:
-            n = int(header.split("=", 1)[1])
-        except ValueError:
-            raise GraphError(f"{path}, line 1: bad vertex count in {header!r}") from None
-        edges = []
-        for num, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                u, v = line.split("\t")
-                edges.append((int(u), int(v)))
-            except ValueError:
-                raise GraphError(
-                    f"{path}, line {num}: expected 'u<TAB>v', got {line!r}"
-                ) from None
-    try:
-        return Graph(n, edges)
-    except GraphError as exc:
-        raise GraphError(f"{path}: {exc}") from None
-
-
 def to_dot(g: Graph) -> str:
     """DOT text (graph G) for external rendering; isolated vertices are listed too."""
     lines = ["graph G {"]
-    isolated = [v for v in range(g.n) if g.degree(v) == 0]
-    for v in isolated:
+    for v in np.flatnonzero(g.degrees() == 0).tolist():
         lines.append(f"  {v};")
     for u, v in g.edges():
         lines.append(f"  {u} -- {v};")

@@ -20,7 +20,8 @@ Conventions fixed here and relied on elsewhere:
     range, thresholds binaries at 0.5, and takes argmax over each one-hot
     block;
   * read_int_csv, write_csv, write_json and read_json are the package's
-    file formats; only graph's edge list has its own.
+    file formats; graph formats its edge-list and DOT exports itself and
+    reads neither back.
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to pin expected test values.
 
 Everything here deliberately avoids the library's own algorithms: graph
-invariants are re-checked from a Graph's stored arrays, the constructor's
+invariants are re-checked from a Graph's stored arrays, adjacency and
+degrees come from an edge set built once from its edges(), the constructor's
 CSR build, Erdős–Rényi generation and small-world rewiring are kept as
 first written, with whole-array temporaries and per-edge draws, metrics are
 recomputed by exhaustive enumeration, diffusion by plain BFS layers and a
@@ -150,12 +151,19 @@ def reference_sample_population(stats, n: int, rng):
     return decode(stats.mean + z @ L.T, stats.schema)
 
 
+def edge_set(g) -> set[tuple[int, int]]:
+    """Every edge of g in both orientations, from one pass over g.edges()."""
+    pairs = set(g.edges())
+    return pairs | {(v, u) for u, v in pairs}
+
+
 def transitivity_all_triples(g) -> float:
     """Enumerate every 3-subset of vertices; count paths and triangles."""
+    adjacent = edge_set(g)
     connected = 0
     closed = 0
     for a, b, c in itertools.combinations(range(g.n), 3):
-        edges = (g.has_edge(a, b), g.has_edge(b, c), g.has_edge(a, c))
+        edges = ((a, b) in adjacent, (b, c) in adjacent, (a, c) in adjacent)
         k = sum(edges)
         if k == 3:
             closed += 3  # three closed triples, one per center
@@ -169,13 +177,16 @@ def transitivity_all_triples(g) -> float:
 
 def transitivity_centered(g) -> float:
     """Enumerate connected triples center by center; check closure."""
+    adjacent = edge_set(g)
+    neighbors = [[] for _ in range(g.n)]
+    for u, v in sorted(adjacent):
+        neighbors[u].append(v)
     connected = 0
     closed = 0
-    for center in range(g.n):
-        neigh = sorted(g.neighbors(center))
+    for neigh in neighbors:
         for a, b in itertools.combinations(neigh, 2):
             connected += 1
-            if g.has_edge(a, b):
+            if (a, b) in adjacent:
                 closed += 1
     if connected == 0:
         raise ValueError("no connected triples")
@@ -327,15 +338,18 @@ def clustering_from_groups(n: int, groups) -> Clustering:
 
 def modularity_pairwise(g, assignment) -> float:
     """Q via the pairwise definition (1/2m) sum_ij (A_ij - d_i d_j / 2m) delta."""
-    m = g.edge_count
-    two_m = 2.0 * m
+    adjacent = edge_set(g)
+    degree = [0] * g.n
+    for u, _ in adjacent:
+        degree[u] += 1
+    two_m = float(len(adjacent))
     total = 0.0
     for i in range(g.n):
         for j in range(g.n):
             if assignment[i] != assignment[j]:
                 continue
-            a_ij = 1.0 if (i != j and g.has_edge(i, j)) else 0.0
-            total += a_ij - g.degree(i) * g.degree(j) / two_m
+            a_ij = 1.0 if (i, j) in adjacent else 0.0
+            total += a_ij - degree[i] * degree[j] / two_m
     return total / two_m
 
 

@@ -209,6 +209,13 @@ class TestKernels:
             KernelSpec("rbf", 0.0)
         with pytest.raises(ValueError):
             KernelSpec("rbf")
+        # 2 sigma^2 overflows to inf at 1e154 and underflows to 0 at 1e-200
+        for sigma in (1e200, 1e154, 1e-200):
+            with pytest.raises(ClassifierError, match=r"2 sigma\^2 in \(0, inf\)"):
+                KernelSpec("rbf", sigma)
+        for sigma in (1e153, 1e-150):  # 2 sigma^2 is finite and above 0
+            spec = KernelSpec("rbf", sigma)
+            assert np.isfinite(kernel_matrix(spec, [[0.0], [1.0]], [[0.0]])).all()
 
 
 class TestTrainSvm:
@@ -880,6 +887,10 @@ class TestSerialization:
         ({"kernel": "linear", "bias": 0.0, "support": [{"vector": [1.0]}]},
          "missing key 'coef'"),
         ({"kernel": "rbf", "bias": 0.0, "support": []}, "rbf kernel needs finite sigma > 0"),
+        ({"kernel": "rbf", "sigma": 1e200, "bias": 0.0, "support": []},
+         "rbf kernel needs 2 sigma^2 in (0, inf) as a float, got sigma 1e+200"),
+        ({"kernel": "rbf", "sigma": 1e-200, "bias": 0.0, "support": []},
+         "rbf kernel needs 2 sigma^2 in (0, inf) as a float, got sigma 1e-200"),
         ([], "not a JSON object"),
         ({"kernel": "linear", "bias": 0.0, "support": {"coef": 1.0, "vector": [1.0]}},
          "support: not a list of objects"),

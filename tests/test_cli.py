@@ -123,6 +123,12 @@ class TestExitCodes:
          "training.params.C"),
         ({"training": dict(TRAINING, params=dict(TRAINING["params"], C=float("inf")))},
          "training.params.C"),
+        # 2 sigma^2 overflows to inf or underflows to 0
+        ({"training": dict(TRAINING, params=dict(TRAINING["params"], sigma=1e200))},
+         "training.params"),
+        ({"training": {"rule": RULE, "grid": [TRAINING["params"],
+                                              dict(TRAINING["params"], sigma=1e-200)]}},
+         "training.grid[1]"),
         ({"training": dict(TRAINING, rule={"conditions": [
             RULE["conditions"][0], dict(RULE["conditions"][1], value="nan")]})},
          "training.rule.conditions[1].value"),
@@ -195,6 +201,19 @@ class TestExitCodes:
         assert "config error: training.cv_folds: must be at most " in err
         assert "the smaller class's training pair count, got 150\n" in err
         assert fits == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "train"])
+    @pytest.mark.parametrize("key", ["criteria", "contact_fields"])
+    def test_empty_survey_field_list_exits_2_before_training(
+        self, tmp_path, capsys, monkeypatch, command, key
+    ):
+        # rejected while parsing: a run that loaded the stats would exit 1
+        monkeypatch.setattr(experiments, "load_config_stats", lambda config: 1 / 0)
+        config = write_config(tmp_path, training=dict(SURVEY, **{key: []}))
+        assert main([command, "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: training.{key}: must name at least one field\n"
         assert not (tmp_path / "out").exists()
 
     def test_non_object_document_exits_2(self, tmp_path, capsys):
@@ -522,6 +541,26 @@ class TestSurveyInputs:
         assert main(["train", "--config", str(config)]) == 1
         assert f"error: {training[key]}: no training pairs" in capsys.readouterr().err
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("grid", [
+        pytest.param(None, id="params"),
+        pytest.param([TRAINING["params"], dict(TRAINING["params"], sigma=6.0)], id="grid"),
+    ])
+    def test_single_class_pairs_file_exits_1_naming_it(self, tmp_path, capsys, grid):
+        # a grid's cross-validation must not report a fold count instead
+        stats = load_stats("builtin")
+        people = sample_population(stats, 4, np.random.default_rng(2))
+        pairs_path = tmp_path / "pairs.csv"
+        PairSet(people, people, [1, 1, 1, 1]).to_csv(pairs_path)
+        training = dict(TRAINING, mode="pairs", pairs_file=str(pairs_path))
+        if grid is not None:
+            del training["params"]
+            training["grid"] = grid
+        config = write_config(tmp_path, training=training)
+        assert main(["train", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {pairs_path}: training data must contain both classes\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("column,name,cell,message", [
         (1, "sender_gender", "7", "field 'gender': binary value 7"),

@@ -1,6 +1,10 @@
 """tools/tally.py: the option tally reads experiments._KEYS as the parser does,
-and file_opens equals a count of the source tokens."""
+file_opens equals a count of the source tokens and public_names a count of
+the imported modules' members."""
 
+import importlib
+import inspect
+import pkgutil
 import subprocess
 import sys
 import tokenize
@@ -44,3 +48,23 @@ def test_file_opens_count_open_calls_token_by_token():
             for prev, tok, nxt in zip(tokens, tokens[1:], tokens[2:])
         )
     assert tally()["file_opens"] == count
+
+
+def test_public_names_count_the_imported_members():
+    # functions and classes defined in each module, and their own methods,
+    # properties, class methods and static methods; none with a leading "_"
+    methods = (staticmethod, classmethod, property)
+    count = 0
+    modules = [netspread] + [importlib.import_module(f"netspread.{info.name}")
+                             for info in pkgutil.iter_modules(netspread.__path__)]
+    for module in modules:
+        for name, obj in vars(module).items():
+            if (name.startswith("_") or not (inspect.isfunction(obj) or inspect.isclass(obj))
+                    or obj.__module__ != module.__name__):
+                continue
+            count += 1
+            if inspect.isclass(obj):
+                count += sum(not attr.startswith("_")
+                             and (inspect.isfunction(value) or isinstance(value, methods))
+                             for attr, value in vars(obj).items())
+    assert tally()["public_names"] == count

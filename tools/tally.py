@@ -6,6 +6,8 @@ Reads the source files with `ast` and imports nothing.  Prints:
   * src_lines: `wc -l` over the package's .py files;
   * file_opens: calls of the builtin `open`, one per place that reads or
     writes a file;
+  * public_names: the public module-level functions and classes (no
+    leading underscore) and the public methods of those classes;
   * defaulted_public_params: parameters with a default value, over every
     public function and public method (no leading underscore on the
     function or on an enclosing class);
@@ -30,6 +32,18 @@ DEFAULT_SRC = Path(__file__).resolve().parent.parent / "src" / "netspread"
 def file_opens(tree: ast.Module) -> int:
     return sum(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                and node.func.id == "open" for node in ast.walk(tree))
+
+
+def public_names(tree: ast.Module) -> int:
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    count = 0
+    for node in tree.body:
+        if isinstance(node, (*functions, ast.ClassDef)) and not node.name.startswith("_"):
+            count += 1
+            if isinstance(node, ast.ClassDef):
+                count += sum(isinstance(child, functions) and not child.name.startswith("_")
+                             for child in node.body)
+    return count
 
 
 def defaulted_public_params(tree: ast.Module) -> int:
@@ -87,6 +101,7 @@ def main(src: Path) -> None:
     flags = cli_flags(trees["cli.py"])
     print(f"src_lines {lines}")
     print(f"file_opens {sum(file_opens(t) for t in trees.values())}")
+    print(f"public_names {sum(public_names(t) for t in trees.values())}")
     print(f"defaulted_public_params {params}")
     print(f"config_keys {keys}")
     print(f"cli_flags {flags}")
