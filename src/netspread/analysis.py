@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph, GraphError, connected_components
-from .population import VertexTable, write_csv
+from .population import BINARY, CATEGORICAL, VertexTable, write_csv
 
 EMPTY_ROW = -1.0  # placeholder proportion for waves with no members
 
@@ -195,31 +195,21 @@ def propagation_graph(log, n: int) -> Graph:
     return Graph(n, list({(min(s, r), max(s, r)) for _, s, r in log}))
 
 
-def restrict_log(log, vertices) -> list:
-    """Keep records whose sender and receiver both lie in `vertices`."""
-    keep = set(vertices)
-    return [rec for rec in log if rec[1] in keep and rec[2] in keep]
-
-
 def main_component_clustering(log, n: int) -> tuple[Clustering, list[int], list]:
     """Cluster the largest connected component of the propagation graph.
 
     Returns (clustering over the component subgraph, component vertices in
     subgraph order, the log restricted to the component).  Subgraph vertex
-    i corresponds to component[i] in the original ids.
+    i corresponds to component[i] in the original ids.  A component holds
+    both ends of each of its edges, so a record is in it when its sender is.
     """
-    pg = propagation_graph(log, n)
-    comps = [c for c in connected_components(pg) if len(c) > 1]
+    comps = [c for c in connected_components(propagation_graph(log, n)) if len(c) > 1]
     if not comps:
         raise AnalysisError("propagation graph has no component with an edge")
     component = max(comps, key=len)
     index = {v: i for i, v in enumerate(component)}
-    sub = Graph(len(component), [(index[u], index[v]) for u, v in pg.edges() if u in index])
-    clustering = cluster_by_modularity(sub)
-    sub_log = [
-        (it, index[s], index[r]) for it, s, r in restrict_log(log, component)
-    ]
-    return clustering, component, sub_log
+    sub_log = [(it, index[s], index[r]) for it, s, r in log if s in index]
+    return cluster_by_modularity(propagation_graph(sub_log, len(component))), component, sub_log
 
 
 def inter_cluster_fraction(log, clustering: Clustering) -> float:
@@ -247,8 +237,6 @@ class ClusterGraph:
 
     sizes: dict[int, int]
     edge_weights: dict[tuple[int, int], int]
-    edges_by_iteration: dict[int, dict[tuple[int, int], int]]
-    receivers_by_iteration: dict[int, dict[int, int]]
 
     def to_dot(self) -> str:
         lines = ["digraph clusters {"]
@@ -260,43 +248,21 @@ class ClusterGraph:
         return "\n".join(lines) + "\n"
 
 
-def cluster_graph(clustering: Clustering, log, seeds=None) -> ClusterGraph:
+def cluster_graph(clustering: Clustering, log) -> ClusterGraph:
     """Aggregate a transmission log over a clustering.
 
-    Node sizes are cluster member counts; a directed edge (a, b) counts
-    inter-cluster transmissions from a to b, also broken down per
-    iteration.  receivers_by_iteration counts new receivers per cluster
-    (iteration 0 holds the seeds when provided).
+    Node sizes are cluster member counts; a directed edge (a, b) counts the
+    log's transmissions from cluster a to a different cluster b.
     """
     sizes = {c: 0 for c in range(clustering.n_clusters)}
     for c in clustering.assignment:
         sizes[c] += 1
     edge_weights: dict[tuple[int, int], int] = {}
-    edges_by_iteration: dict[int, dict[tuple[int, int], int]] = {}
-    receivers: dict[int, dict[int, int]] = {}
-    if seeds is not None:
-        wave0: dict[int, int] = {}
-        for v in seeds:
-            c = clustering.cluster_of(v)
-            wave0[c] = wave0.get(c, 0) + 1
-        receivers[0] = wave0
-    for iteration, sender, receiver in log:
-        cs = clustering.cluster_of(sender)
-        cr = clustering.cluster_of(receiver)
-        rec = receivers.setdefault(iteration, {})
-        rec[cr] = rec.get(cr, 0) + 1
-        if cs == cr:
-            continue
-        key = (cs, cr)
-        edge_weights[key] = edge_weights.get(key, 0) + 1
-        per_it = edges_by_iteration.setdefault(iteration, {})
-        per_it[key] = per_it.get(key, 0) + 1
-    return ClusterGraph(
-        sizes=sizes,
-        edge_weights=edge_weights,
-        edges_by_iteration=edges_by_iteration,
-        receivers_by_iteration=receivers,
-    )
+    for _, sender, receiver in log:
+        key = (clustering.cluster_of(sender), clustering.cluster_of(receiver))
+        if key[0] != key[1]:
+            edge_weights[key] = edge_weights.get(key, 0) + 1
+    return ClusterGraph(sizes=sizes, edge_weights=edge_weights)
 
 
 @dataclass(frozen=True)
@@ -323,9 +289,9 @@ class WaveDistribution:
 
 
 def _field_categories(field) -> tuple[list[str], list[int]]:
-    if field.kind == "categorical":
+    if field.kind == CATEGORICAL:
         return list(field.categories), list(range(len(field.categories)))
-    if field.kind == "binary":
+    if field.kind == BINARY:
         return ["0", "1"], [0, 1]
     lo, hi = field.value_range
     return [str(v) for v in range(lo, hi + 1)], list(range(lo, hi + 1))

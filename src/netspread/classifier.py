@@ -380,14 +380,16 @@ class SvmModel:
         """The model saved at path.  A malformed file is a ClassifierError
         naming it and the missing key or the bad value: a document that is
         not an object, a support that is not a list of objects, a coef,
-        vector, bias, mean or std that is not a number or is NaN or
+        vector, bias, mean, std or sigma that is not a number or is NaN or
         infinite, a std <= 0, and vectors, means and stds of different
         lengths."""
         doc = read_json(path, ClassifierError)
         try:
             if not isinstance(doc, dict):
                 raise ClassifierError("not a JSON object")
-            kernel = KernelSpec(doc["kernel"], doc.get("sigma"))
+            sigma = doc.get("sigma")
+            kernel = KernelSpec(doc["kernel"],
+                                None if sigma is None else float(_finite("sigma", sigma, 0)))
             support = doc["support"]
             if not (isinstance(support, list) and all(isinstance(s, dict) for s in support)):
                 raise ClassifierError("support: not a list of objects")
@@ -646,13 +648,7 @@ def train_svm(X: np.ndarray, y: np.ndarray, params: SvmParams) -> SvmModel:
 
 
 def balanced_error(predictions, labels) -> float:
-    """Mean of the per-class error rates."""
-    pos_err, neg_err = per_class_errors(predictions, labels)
-    return (pos_err + neg_err) / 2.0
-
-
-def per_class_errors(predictions, labels) -> tuple[float, float]:
-    """(error rate on the positive class, error rate on the negative class)."""
+    """Mean of the error rates on the positive and on the negative class."""
     predictions = np.asarray(predictions)
     labels = np.asarray(labels)
     if predictions.shape != labels.shape:
@@ -661,10 +657,9 @@ def per_class_errors(predictions, labels) -> tuple[float, float]:
     neg = labels < 0
     if not (np.any(pos) and np.any(neg)):
         raise ClassifierError("labels must contain both classes")
-    return (
-        float(np.mean(predictions[pos] != labels[pos])),
-        float(np.mean(predictions[neg] != labels[neg])),
-    )
+    pos_err = float(np.mean(predictions[pos] != labels[pos]))
+    neg_err = float(np.mean(predictions[neg] != labels[neg]))
+    return (pos_err + neg_err) / 2.0
 
 
 def stratified_folds(y: np.ndarray, k: int, rng: np.random.Generator) -> list[np.ndarray]:
@@ -706,7 +701,8 @@ def cross_validate(
 ) -> CvReport:
     """Mean balanced error of each parameter set over k stratified folds.
 
-    Standardization is fitted on each training split only.  The winner is
+    Each training split is fitted by fit_pair_classifier, so its
+    standardization comes from that split only.  The winner is
     the entry with the lowest mean balanced error; ties break toward
     smaller C, then sigma, then class weight.
     """
@@ -722,10 +718,8 @@ def cross_validate(
         for fold in folds:
             # without assume_unique, setdiff1d calls np.unique, which imports numpy.ma
             train_idx = np.setdiff1d(np.arange(len(y)), fold, assume_unique=True)
-            std = Standardizer.fit(X[train_idx])
-            model = train_svm(std.transform(X[train_idx]), y[train_idx], params)
-            preds = model.predict_labels(std.transform(X[fold]))
-            bal.append(balanced_error(preds, y[fold]))
+            model = fit_pair_classifier(X[train_idx], y[train_idx], params)
+            bal.append(balanced_error(model.predict_labels(X[fold]), y[fold]))
         entries.append(CvEntry(params=params, balanced_error=float(np.mean(bal))))
     best = min(entries, key=lambda e: (
         e.balanced_error, e.params.C, e.params.kernel.sigma or 0.0, e.params.weight))

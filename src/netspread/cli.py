@@ -16,7 +16,10 @@ import sys
 from dataclasses import replace
 
 from .experiments import (
+    DIST_FILE,
+    MODEL_FILE,
     STUB_MODELS,
+    SWEEP_FILE,
     ConfigError,
     ExperimentConfig,
     check_output_dir,
@@ -60,18 +63,18 @@ def _run(args) -> int:
     check_output_dir(out_dir, "--out" if args.out else "output_dir")
     if args.command == "simulate":
         rows = run_experiment(config, stub_model=args.stub_model)
-        print(f"wrote {len(rows)} sweep rows to {os.path.join(out_dir, 'sweep.csv')}")
+        print(f"wrote {len(rows)} sweep rows to {os.path.join(out_dir, SWEEP_FILE)}")
     elif args.command == "train":
         model = train_pipeline(config)
         os.makedirs(out_dir, exist_ok=True)
-        model_path = os.path.join(out_dir, "model.json")
+        model_path = os.path.join(out_dir, MODEL_FILE)
         model.save(model_path)
         status = "converged" if model.converged else "NOT converged"
         print(f"wrote {model_path} ({len(model.coefs)} support vectors, {status})")
     else:
         averaged = report_distributions(config)
         for fid in averaged:
-            print(f"wrote {os.path.join(out_dir, f'dist_{fid}.csv')}")
+            print(f"wrote {os.path.join(out_dir, DIST_FILE.format(fid))}")
     return 0
 
 

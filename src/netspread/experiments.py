@@ -131,6 +131,9 @@ logger = logging.getLogger(__name__)
 
 BUILTIN_STATS = "builtin"
 MANIFEST = "manifest.json"  # under <out>/runs: the input digest and the runs it covers
+MODEL_FILE = "model.json"  # under <out>: the trained model a sweep or `train` saves
+SWEEP_FILE = "sweep.csv"  # under <out>: one row per grid point
+DIST_FILE = "dist_{}.csv"  # under <out>: report's table for the field id filled in
 # the training data files a config may name, by training key
 _DATA_FILES = ("pairs_file", "egos_file", "alter_pool_file", "alters_file")
 # constant predictors that stand in for the trained model in oracle runs
@@ -713,7 +716,7 @@ def run_experiment(config: ExperimentConfig, stub_model: str | None = None) -> l
     out_dir = config.output_dir
     stats = load_config_stats(config)
     models = _replicate_models(config, stats, stub_model)
-    model_path = os.path.join(out_dir, "model.json")
+    model_path = os.path.join(out_dir, MODEL_FILE)
     with suppress(FileNotFoundError):
         os.remove(model_path)
     runs = _write_runs(config, stats, models, os.path.join(out_dir, "runs"), stub_model,
@@ -730,7 +733,7 @@ def run_experiment(config: ExperimentConfig, stub_model: str | None = None) -> l
             row[f"{name}_std"] = _sample_std(values)
         row["replicates"] = config.replicates
         rows.append(row)
-    _write_sweep_csv(rows, os.path.join(out_dir, "sweep.csv"))
+    _write_sweep_csv(rows, os.path.join(out_dir, SWEEP_FILE))
     return rows
 
 
@@ -776,5 +779,6 @@ def report_distributions(config: ExperimentConfig) -> dict[str, np.ndarray]:
             if stack:
                 rows[i] = np.mean(stack, axis=0)
         averaged[fid] = rows
-        replace(first, proportions=rows).to_csv(os.path.join(config.output_dir, f"dist_{fid}.csv"))
+        replace(first, proportions=rows).to_csv(
+            os.path.join(config.output_dir, DIST_FILE.format(fid)))
     return averaged

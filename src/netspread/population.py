@@ -4,10 +4,10 @@ People live in a VertexTable: one integer column per schema field, one row
 per person (`row(i)` gives a record dict, a mapping from field id to value).
 VertexTable.encoded is the one encoder: it passes ordinal and binary fields
 through unchanged and expands each categorical field into a one-hot
-indicator block.  decode is the one decoder, from a matrix of encoded-space
-rows back to a table of valid records.  Population statistics (mean vector
-+ covariance matrix over the encoded space) drive multivariate-normal
-sampling of whole vertex tables through decode.
+indicator block.  _decode_into is the one decoder, from encoded-space rows
+back to columns of valid records.  Population statistics (mean vector +
+covariance matrix over the encoded space) drive multivariate-normal
+sampling of whole vertex tables, decoded through _decode_into.
 
 Conventions fixed here and relied on elsewhere:
   * fit_stats uses the sample covariance (divisor n-1) plus a diagonal
@@ -377,21 +377,10 @@ def optional_cell(parse):
     return lambda cell: parse(cell) if cell.strip() else None
 
 
-def decode(samples: np.ndarray, schema: FeatureSchema) -> VertexTable:
-    """Map each row of a real matrix to the nearest valid record."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 2 or samples.shape[1] != schema.encoded_dim:
-        raise PopulationError(
-            f"samples have shape {samples.shape}, expected (n, {schema.encoded_dim})"
-        )
-    columns = {fid: np.empty(len(samples), dtype=int) for fid in schema.field_ids}
-    _decode_into(samples, schema, columns)
-    return VertexTable(schema, columns)
-
-
 def _decode_into(samples: np.ndarray, schema: FeatureSchema, columns: dict) -> None:
-    """Write decode's values for the rows of `samples` into `columns`, one
-    int array per field id, as long as `samples`."""
+    """The one decoder: write the nearest valid record of each row of the
+    encoded-space matrix `samples` into `columns`, one int array per field
+    id, as long as `samples`."""
     for f, pos in schema.offsets():
         block = samples[:, pos : pos + f.width]
         column = columns[f.id]
@@ -539,7 +528,8 @@ def _factor(covariance: np.ndarray) -> np.ndarray:
 def sample_population(
     stats: PopulationStats, n: int, rng: np.random.Generator
 ) -> VertexTable:
-    """Draw n records from N(mean, covariance) and decode them to valid rows.
+    """Draw n records from N(mean, covariance) and decode them to valid rows
+    through _decode_into.
 
     mean + z @ L.T is drawn, formed and decoded SAMPLE_BLOCK rows at a time
     into the table's columns, so two block-sized float arrays are held, not

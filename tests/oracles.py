@@ -28,7 +28,7 @@ from netspread.graph import (
     GraphError,
     GraphParams,
 )
-from netspread.population import _factor, decode
+from netspread.population import VertexTable, _factor
 
 
 def check_simple(g) -> None:
@@ -148,7 +148,27 @@ def reference_sample_population(stats, n: int, rng):
     z @ L.T and their mean-shifted sum at once."""
     L = _factor(stats.covariance)
     z = rng.standard_normal((n, stats.schema.encoded_dim))
-    return decode(stats.mean + z @ L.T, stats.schema)
+    return reference_decode(stats.mean + z @ L.T, stats.schema)
+
+
+def reference_decode(samples: np.ndarray, schema) -> VertexTable:
+    """Each encoded-space row as its nearest valid record: argmax over each
+    one-hot block, a binary 1 at >= 0.5, an ordinal floor(x + 0.5) clamped
+    to its range."""
+    columns, pos = {}, 0
+    for f in schema.fields:
+        if f.kind == "categorical":
+            columns[f.id] = samples[:, pos : pos + len(f.categories)].argmax(axis=1)
+            pos += len(f.categories)
+            continue
+        x = samples[:, pos]
+        if f.kind == "binary":
+            columns[f.id] = (x >= 0.5).astype(int)
+        else:
+            lo, hi = f.value_range
+            columns[f.id] = np.clip(np.floor(x + 0.5), lo, hi).astype(int)
+        pos += 1
+    return VertexTable(schema, columns)
 
 
 def edge_set(g) -> set[tuple[int, int]]:

@@ -14,7 +14,6 @@ from netspread.analysis import (
     main_component_clustering,
     modularity,
     propagation_graph,
-    restrict_log,
     wave_distribution,
 )
 from netspread.classifier import ConstantModel
@@ -154,9 +153,12 @@ class TestPropagationGraph:
         assert {(1, 0), (4, 1)} <= edge_set(g)
         assert g.edge_count == 5
 
-    def test_restrict_log(self):
-        kept = restrict_log(self.LOG, {0, 1, 4, 6})
-        assert kept == [(1, 0, 1), (2, 1, 4), (3, 4, 6)]
+    def test_main_component_keeps_and_renumbers_its_records(self):
+        # components {0, 1, 4, 6} and {2, 3, 5}: the larger one is kept
+        clustering, component, sub_log = main_component_clustering(self.LOG, 8)
+        assert component == [0, 1, 4, 6]
+        assert sub_log == [(1, 0, 1), (2, 1, 2), (3, 2, 3)]
+        assert clustering == cluster_by_modularity(propagation_graph(sub_log, 4))
 
     def test_main_component_clustering(self):
         log = [(1, 0, 1), (1, 1, 2), (1, 5, 6)]
@@ -230,7 +232,6 @@ class TestClusterGraph:
         log = [(1, 0, 2), (1, 1, 3), (2, 0, 3), (2, 2, 3)]
         cg = cluster_graph(clustering, log)
         assert cg.edge_weights == {(0, 1): 3}
-        assert cg.edges_by_iteration == {1: {(0, 1): 2}, 2: {(0, 1): 1}}
 
     def test_sizes_sum_to_vertex_count(self):
         clustering = Clustering((0, 1, 0, 2, 1))
@@ -256,11 +257,6 @@ class TestClusterGraph:
         )
         cg = cluster_graph(clustering, log)
         assert sum(cg.edge_weights.values()) == crossing
-
-    def test_seed_panel(self):
-        clustering = Clustering((0, 0, 1, 1))
-        cg = cluster_graph(clustering, [], seeds=[0, 2, 3])
-        assert cg.receivers_by_iteration[0] == {0: 1, 1: 2}
 
     def test_dot_export(self):
         clustering = Clustering((0, 0, 1))

@@ -16,11 +16,10 @@ from netspread.classifier import (
     cross_validate,
     fit_pair_classifier,
     kernel_matrix,
-    per_class_errors,
     stratified_folds,
     train_svm,
 )
-from netspread.population import FeatureSchema, VertexTable
+from netspread.population import FeatureSchema, Standardizer, VertexTable
 
 from conftest import TINY_SCHEMA, random_record, traced_peak
 from oracles import dual_objective, encode, reference_train_svm, svm_dual_reference
@@ -777,7 +776,6 @@ class TestBalancedError:
         preds[5] = 1
         preds[6] = 1  # negative error 0.4
         assert balanced_error(preds, labels) == pytest.approx(0.3)
-        assert per_class_errors(preds, labels) == (0.2, 0.4)
 
     def test_single_class_rejected(self):
         with pytest.raises(ClassifierError, match=r"^labels must contain both classes$"):
@@ -835,6 +833,30 @@ class TestCrossValidation:
         # both achieve zero error: the smaller C must win regardless of order
         assert report.best.C == 4.0
 
+    def test_entries_are_the_explicit_recipe_bit_for_bit(self):
+        # each fold: fit the standardizer on the training split, train on the
+        # standardized split, predict the standardized held-out fold
+        gen = np.random.default_rng(23)
+        X = np.vstack([gen.normal(-0.4, 1.0, size=(24, 3)), gen.normal(0.4, 1.0, size=(16, 3))])
+        y = np.array([-1] * 24 + [1] * 16)
+        grid = [SvmParams(C=0.5, weight=1.5, kernel=KernelSpec("rbf", 0.7)),
+                SvmParams(C=8.0, weight=1.5, kernel=KernelSpec("rbf", 2.0))]
+        report = cross_validate(X, y, grid, 3, np.random.default_rng(4))
+        folds = stratified_folds(y, 3, np.random.default_rng(4))
+        explicit = []
+        for params in grid:
+            errors = []
+            for fold in folds:
+                train = np.setdiff1d(np.arange(len(y)), fold)
+                std = Standardizer.fit(X[train])
+                model = train_svm(std.transform(X[train]), y[train], params)
+                errors.append(balanced_error(model.predict_labels(std.transform(X[fold])), y[fold]))
+            explicit.append(float(np.mean(errors)))
+        assert [e.params for e in report.entries] == grid
+        assert [e.balanced_error for e in report.entries] == explicit
+        assert explicit[0] != explicit[1]
+        assert report.best == grid[int(np.argmin(explicit))]
+
     def test_report_is_cv_report(self):
         X, y = self._toy()
         report = cross_validate(
@@ -891,6 +913,9 @@ class TestSerialization:
          "rbf kernel needs 2 sigma^2 in (0, inf) as a float, got sigma 1e+200"),
         ({"kernel": "rbf", "sigma": 1e-200, "bias": 0.0, "support": []},
          "rbf kernel needs 2 sigma^2 in (0, inf) as a float, got sigma 1e-200"),
+        ({"kernel": "rbf", "sigma": "1.0", "bias": 0.0, "support": []}, "sigma: not a number"),
+        ({"kernel": "rbf", "sigma": 10**400, "bias": 0.0, "support": []}, "sigma: not a number"),
+        ({"kernel": "rbf", "sigma": True, "bias": 0.0, "support": []}, "sigma: not a number"),
         ([], "not a JSON object"),
         ({"kernel": "linear", "bias": 0.0, "support": {"coef": 1.0, "vector": [1.0]}},
          "support: not a list of objects"),
