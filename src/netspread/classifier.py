@@ -26,13 +26,26 @@ Input vectors are expected standardized; ``fit_pair_classifier`` takes
 pair rows that are already encoded (``completion.PairSet.matrix``),
 standardizes and trains on them, and attaches the fitted Standardizer so
 the model can score unstandardized pairs.
+
+``SvmModel.predict_pairs`` labels RBF pairs from a faster float64 form of
+the decision value whose sign a rigorous error bound certifies (a
+floating-point filter, Shewchuk 1997; the dot-product bound follows
+Higham 2002, ch. 3), and scores any call it cannot certify by the
+reference path, ``pair_decision_values``, so its labels are always the
+reference path's.  The error model is IEEE-754 binary64 with
+round-to-nearest and ``np.exp`` within 1 ulp on float64, as numpy's
+``_core/tests/data/umath-validation-set-exp.csv`` tests it; the bound
+carries a safety factor of 2, and a range guard sends calls whose exp
+factors could leave the normal range to the reference path.
+``predict_pairs`` states the bound and the guard.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,6 +78,15 @@ KERNEL_ROWS_BYTES = 256_000_000
 # Bytes of the whole n x n kernel matrix that a fit whose rows all fit the
 # row cache builds at once instead (train_svm).  2 MiB takes n <= 512.
 FIT_GRAM_BYTES = 1 << 21
+# The certified pair scorer's range guard (_PairScorer): a call whose P exceeds
+# it takes the reference path.  Below it every exp factor of the fast form is
+# a normal float.
+_RANGE_LIMIT = 600.0
+# The factor on the certified scorer's error bound; it covers the rounding of
+# the bound's own arithmetic.
+_BOUND_SAFETY = 2.0
+_U = 2.0**-53  # unit roundoff of binary64 under round-to-nearest
+_TINY = 2.0**-1022  # the smallest normal binary64
 
 
 class ClassifierError(ValueError):
@@ -150,7 +172,11 @@ def _finish_rbf_rows(K, a_sq, b_sq, scale, norms=None) -> None:
     sq = np.add(a_sq, b_sq, out=norms)
     np.subtract(sq, K, out=K)
     np.maximum(K, 0.0, out=K)
-    K /= scale
+    if scale <= -1.0:  # K / scale is no larger than K
+        K /= scale
+    else:  # a tiny 2 sigma^2 sends far pairs to -inf, and exp(-inf) is the right 0
+        with np.errstate(over="ignore"):
+            K /= scale
     np.exp(K, out=K)
 
 
@@ -238,7 +264,11 @@ class SvmModel:
     alpha_i * y_i.  When a Standardizer (and schema) is attached, raw
     encoded pair rows and index pairs into a vertex table can be scored
     directly.  converged, kkt_violation, iterations, cache_hits and
-    cache_misses describe the fit and are not saved.
+    cache_misses describe the fit; fast_calls and fallback_calls count the
+    predict_pairs calls the certified fast path and the reference path
+    scored, and min_margin_ratio is the smallest |f^| / 2B a fast-path
+    evaluation has seen (predict_pairs says what these are).  None of them
+    is saved.
     """
 
     kernel: KernelSpec
@@ -254,6 +284,10 @@ class SvmModel:
     cache_misses: int = 0
     params: SvmParams | None = None
     training_size: int | None = None
+    fast_calls: int = 0
+    fallback_calls: int = 0
+    min_margin_ratio: float = math.inf
+    _scorer: _PairScorer | None = field(default=None, init=False, repr=False, compare=False)
 
     def decision_values(self, X: np.ndarray) -> np.ndarray:
         """Decision values for encoded pair rows (standardized if attached)."""
@@ -272,9 +306,54 @@ class SvmModel:
 
     def predict_pairs(self, table, senders, receivers) -> np.ndarray:
         """`diffusion.TransmissionModel`: +1 where `pair_decision_values` is
-        strictly positive, else -1."""
-        values = self.pair_decision_values(table, senders, receivers)
-        return np.where(values > 0.0, 1, -1)
+        strictly positive, else -1.
+
+        An RBF model scores a call through a certified fast form, and the
+        labels are still those of `pair_decision_values`, the reference
+        path.  The fast form is exp(-|s-a|^2 / 2 sigma^2) =
+        e(s) e(a) exp(s.a / sigma^2) with e(x) = exp(-|x|^2 / 2 sigma^2),
+        so a half-kernel row is one GEMM against the SV half divided by
+        sigma^2 and one in-place exp, the coefs carry e(a_k) e(b_k), and
+        f^ = e(s) e(r) g + b, where g is the gathered row dot product of
+        the reference path.  Each call bounds the error of both paths by
+
+            B = 2 [((1 + gamma_{K+18}) e^D - 1) sum|c_k| + u |b|
+                   + 2 (K + 1) 2^-1074 e^600],   D = gamma_{d+5} P,
+
+        against the exact decision value of the stored floats, where K is
+        the SV count, d the record width, u = 2^-53, gamma_n =
+        n u / (1 - n u), and P = ((max|s| + max|a|)^2 + (max|r| +
+        max|b|)^2) / 2 sigma^2 over the call's sender rows s, receiver
+        rows r and SV halves (a, b).  The error model: IEEE-754 binary64
+        with round-to-nearest; a GEMM and an einsum that may sum in any
+        order, with or without FMA; np.exp within 1 ulp of float64 results,
+        as numpy's accuracy test checks it against
+        _core/tests/data/umath-validation-set-exp.csv.  The 2 in front is
+        a safety factor for the rounding of B's own arithmetic; _PairScorer
+        derives the rest.  When every pair has |f^| > 2B, each f^ and each
+        reference value has the sign of the exact value, so the fast labels
+        are returned; a call with any |f^| <= 2B is scored whole by the
+        reference path, which gives its labels bit for bit.
+
+        The range guard: a call with P > 600 takes the reference path, and
+        so does every call of a model whose 2 sigma^2 is not normal, whose
+        SV halves alone reach P > 600, whose sum|c_k| exceeds 1e40 or whose
+        folded coefs underflow, of a linear model and of one without SVs.
+        The fast path scores in the reference path's KERNEL_ROWS_BYTES
+        spans.  fast_calls or fallback_calls counts the call; a call that
+        computed f^ lowers min_margin_ratio to its min |f^| / 2B.
+        """
+        rows = self._pair_rows(table, senders, receivers)
+        fast = self._fast_values(*rows)
+        if fast is not None:
+            values, bound = fast
+            smallest = float(np.min(np.abs(values))) if len(values) else math.inf
+            self.min_margin_ratio = min(self.min_margin_ratio, smallest / (2.0 * bound))
+            if smallest > 2.0 * bound:
+                self.fast_calls += 1
+                return np.where(values > 0.0, 1, -1)
+        self.fallback_calls += 1
+        return np.where(self._pair_values(*rows) > 0.0, 1, -1)
 
     def pair_decision_values(self, table, senders, receivers) -> np.ndarray:
         """Decision values of the [sender, receiver] rows of index pairs.
@@ -296,6 +375,13 @@ class SvmModel:
         index rows of table; else a ClassifierError names the fault, and
         for an index outside the table the first pair that holds one.
         """
+        return self._pair_values(*self._pair_rows(table, senders, receivers))
+
+    def _pair_rows(self, table, senders, receivers) -> tuple:
+        """(Zs, Zr, send_of, recv_of): the standardized rows of the unique
+        senders and receivers, and each pair's index into them; for a model
+        without SVs, (None, None, senders, receivers).  Checks the pairs as
+        pair_decision_values says."""
         if self.schema is not None and table.schema.field_ids != self.schema.field_ids:
             raise ClassifierError("vertex table schema differs from model schema")
         senders, receivers = _pair_arrays(senders, receivers)
@@ -308,7 +394,7 @@ class SvmModel:
             raise ClassifierError(f"pair {k}: {role} index {index} is outside the table's "
                                   f"rows [0, {n})")
         if self.support_vectors.shape[0] == 0:
-            return np.full(len(senders), self.bias)
+            return None, None, senders, receivers
         enc = table.encoded()
         d = enc.shape[1]
         if self.support_vectors.shape[1] != 2 * d:
@@ -316,25 +402,53 @@ class SvmModel:
                 f"model dimension {self.support_vectors.shape[1]} is not twice "
                 f"the record width {d}"
             )
-        send_ids, send_of = np.unique(senders, return_inverse=True)
-        recv_ids, recv_of = np.unique(receivers, return_inverse=True)
+        send_ids, send_of = _unique_indices(senders, n)
+        recv_ids, recv_of = _unique_indices(receivers, n)
         Zs, Zr = enc[send_ids], enc[recv_ids]
         if self.standardizer is not None:
             Zs = self.standardizer.columns(slice(0, d)).transform(Zs)
             Zr = self.standardizer.columns(slice(d, 2 * d)).transform(Zr)
+        return Zs, Zr, send_of, recv_of
+
+    def _pair_values(self, Zs, Zr, send_of, recv_of) -> np.ndarray:
+        """The reference path: pair_decision_values of _pair_rows' rows."""
+        if self.support_vectors.shape[0] == 0:
+            return np.full(len(send_of), self.bias)
         if self.kernel.kind == LINEAR:
+            d = Zs.shape[1]
             w = self.coefs @ self.support_vectors
             return (Zs @ w[:d])[send_of] + (Zr @ w[d:])[recv_of] + self.bias
+        return self._in_spans(self._rbf_pair_values, Zs, Zr, send_of, recv_of) + self.bias
+
+    def _fast_values(self, Zs, Zr, send_of, recv_of) -> tuple[np.ndarray, float] | None:
+        """(f^, B) of _pair_rows' rows by the fast form, or None when the
+        range guard sends the call to the reference path (predict_pairs)."""
+        if self.kernel.kind != RBF or self.support_vectors.shape[0] == 0:
+            return None
+        scorer = self._scorer
+        if scorer is None or not scorer.built_from(self):
+            scorer = self._scorer = _PairScorer(self)
+        bound = scorer.bound(Zs, Zr, self.bias)
+        if bound is None:
+            return None
+        values = self._in_spans(scorer.pair_values, Zs, Zr, send_of, recv_of)
+        values += self.bias
+        return values, bound
+
+    def _in_spans(self, pair_values, Zs, Zr, send_of, recv_of) -> np.ndarray:
+        """pair_values(Zs, Zr, send_of, recv_of), or, when its sender plus
+        receiver rows exceed KERNEL_ROWS_BYTES, the same over spans of
+        max_rows // 2 pairs in the order given (pair_decision_values)."""
         max_rows = max(2, KERNEL_ROWS_BYTES // (8 * len(self.coefs)))
-        if len(send_ids) + len(recv_ids) <= max_rows:
-            return self._rbf_pair_values(Zs, Zr, send_of, recv_of) + self.bias
-        values = np.empty(len(senders))
-        for start in range(0, len(senders), max_rows // 2):
+        if len(Zs) + len(Zr) <= max_rows:
+            return pair_values(Zs, Zr, send_of, recv_of)
+        values = np.empty(len(send_of))
+        for start in range(0, len(send_of), max_rows // 2):
             span = slice(start, start + max_rows // 2)
             s_ids, s_of = np.unique(send_of[span], return_inverse=True)
             r_ids, r_of = np.unique(recv_of[span], return_inverse=True)
-            values[span] = self._rbf_pair_values(Zs[s_ids], Zr[r_ids], s_of, r_of)
-        return values + self.bias
+            values[span] = pair_values(Zs[s_ids], Zr[r_ids], s_of, r_of)
+        return values
 
     def _rbf_pair_values(self, Zs, Zr, send_of, recv_of) -> np.ndarray:
         """sum_k coef_k k(Zs[send_of], sv_k[:d]) k(Zr[recv_of], sv_k[d:]), no bias."""
@@ -434,6 +548,132 @@ def _finite(key: str, value, ndim: int) -> np.ndarray:
     return values.astype(float)
 
 
+def _gamma(n: int) -> float:
+    return n * _U / (1.0 - n * _U)
+
+
+class _PairScorer:
+    """The fast form of an RBF model's pair decision values and their error
+    bound (SvmModel.predict_pairs states both), prepared once per model.
+
+    It holds copies of the kernel, SVs and coefs it was built from, so a
+    model whose coefs or SVs change gets a new one; the bias is read per
+    call.  The SV halves are stored contiguous and divided by the rounded
+    sigma^2, and the coefs as fl(fl(c_k e(a_k)) e(b_k)).  `usable` is False
+    when 2 sigma^2 is not a normal float, the SV halves alone give
+    |a|^2 / 2 sigma^2 + |b|^2 / 2 sigma^2 > _RANGE_LIMIT, sum|c_k| > 1e40 or
+    a nonzero coef folds below the normal range; nothing that could
+    overflow is computed first.
+
+    Derivation of B.  Each term t_k = c_k k(s, a_k) k(r, b_k) of the exact
+    f = sum_k t_k + b has |t_k| <= |c_k|.  Exponents: the fast form's
+    squared norms err by at most gamma_d relatively, sigma^2 and the
+    division by it round once each, and the GEMM's s.a / sigma^2 errs by at
+    most gamma_{d+2} |s||a| / sigma^2, so the six exps of a term (e(s),
+    e(r), e(a), e(b) and the two row entries) have arguments whose errors
+    sum to at most gamma_{d+2} P.  The reference path computes
+    |s|^2 + |a|^2 - 2 s.a within gamma_{d+2} (|s| + |a|)^2 and divides it
+    by 2 sigma**2, rounded twice (pow within 1 ulp) and once by the
+    division, which gives gamma_{d+5} (|s| + |a|)^2 / 2 sigma^2 per half; its
+    clamp at 0 only moves a value toward the exact one.  So D bounds both.
+    Roundings: a fast term goes through six products (two folding the coef,
+    S times it, the gathered product, and the scaling by e(s) and by e(r))
+    and six exps of 1 ulp, each within (1 + u)^2: (1 + theta_18).  The
+    reference path has fewer.  The K-term sum adds gamma_{K-1} in any order
+    and the bias one rounding, which gives
+    |f^ - f| <= ((1 + gamma_{K+18}) e^D - 1) sum|c_k| + u |b|.  Range:
+    with P <= 600 every exp result lies in [e^-600, e^600], normal, and g
+    stays below sum|c_k| e^600, finite.  Underflow: a product that falls
+    below the normal range errs by at most 2^-1075 absolutely; there are at
+    most 2K + 2 such products per pair, and the factors applied after any
+    of them stay below e^600, so underflow adds at most
+    (K + 1) 2^-1074 e^600, which B holds twice.  Underflow inside an
+    exponent's sum moves it by at most d 2^-1075, which the safety factor
+    covers.
+    """
+
+    def __init__(self, model: SvmModel):
+        self.kernel = model.kernel
+        self.support_vectors = model.support_vectors.copy()
+        self.coefs = model.coefs.copy()
+        sv, coefs = self.support_vectors, self.coefs
+        d = sv.shape[1] // 2
+        sig2 = self.kernel.sigma * self.kernel.sigma
+        self.two_sig2 = 2.0 * sig2
+        sq = [np.einsum("ij,ij->i", h, h) for h in (sv[:, :d], sv[:, d:])]
+        self.reach = [math.sqrt(float(q.max())) for q in sq]  # max |a|, max |b|
+        self.abs_sum = float(np.sum(np.abs(coefs)))
+        self.usable = (sig2 >= _TINY and self.abs_sum <= 1e40
+                       and (float(sq[0].max()) + float(sq[1].max())) / self.two_sig2
+                       <= _RANGE_LIMIT)
+        if not self.usable:
+            return
+        self.halves = [np.ascontiguousarray(sv[:, :d] / sig2),
+                       np.ascontiguousarray(sv[:, d:] / sig2)]
+        self.folded = coefs * np.exp(sq[0] / -self.two_sig2)
+        self.folded *= np.exp(sq[1] / -self.two_sig2)
+        self.usable = bool(np.all((np.abs(self.folded) >= _TINY) | (coefs == 0.0)))
+        K = len(coefs)
+        self.gamma_sum = _gamma(K + 18)
+        self.gamma_exp = _gamma(d + 5)
+        self.underflow = 2.0 * (K + 1) * 2.0**-1074 * math.exp(_RANGE_LIMIT)
+
+    def built_from(self, model: SvmModel) -> bool:
+        return (model.kernel == self.kernel
+                and np.array_equal(model.support_vectors, self.support_vectors)
+                and np.array_equal(model.coefs, self.coefs))
+
+    def bound(self, Zs, Zr, bias: float) -> float | None:
+        """B of a call over sender rows Zs and receiver rows Zr, or None when
+        the range guard fails."""
+        if not self.usable:
+            return None
+        P = 0.0
+        for Z, reach in zip((Zs, Zr), self.reach):
+            row = math.sqrt(float(np.max(np.einsum("ij,ij->i", Z, Z), initial=0.0)))
+            P += (row + reach) * (row + reach) / self.two_sig2
+        if not P <= _RANGE_LIMIT:  # NaN fails too
+            return None
+        D = self.gamma_exp * P
+        return _BOUND_SAFETY * ((self.gamma_sum * math.exp(D) + math.expm1(D)) * self.abs_sum
+                                + _U * abs(bias) + self.underflow)
+
+    def pair_values(self, Zs, Zr, send_of, recv_of) -> np.ndarray:
+        """f^ - b of each pair: e(s) e(r) g, with g the gathered dot product
+        of the folded-coef sender row and the receiver row."""
+        S = self._half(Zs, 0)
+        S *= self.folded
+        R = self._half(Zr, 1)
+        values = np.empty(len(send_of))
+        # PAIR_CHUNK_BYTES of gathered rows at a time, into two buffers made
+        # once: a fresh array per gather costs more than the dot products
+        step = max(1, PAIR_CHUNK_BYTES // (16 * S.shape[1]))
+        rows_s = np.empty((min(step, len(send_of)), S.shape[1]))
+        rows_r = np.empty_like(rows_s)
+        for start in range(0, len(send_of), step):
+            chunk = slice(start, start + step)
+            s, r = send_of[chunk], recv_of[chunk]
+            # the indices are in range, and "clip" skips the buffered copy "raise" makes
+            np.take(S, s, axis=0, out=rows_s[: len(s)], mode="clip")
+            np.take(R, r, axis=0, out=rows_r[: len(s)], mode="clip")
+            np.einsum("ij,ij->i", rows_s[: len(s)], rows_r[: len(s)], out=values[chunk])
+        del S, R, rows_s, rows_r  # before the scaling's two pair-length gathers
+        values *= np.exp(np.einsum("ij,ij->i", Zs, Zs) / -self.two_sig2)[send_of]
+        values *= np.exp(np.einsum("ij,ij->i", Zr, Zr) / -self.two_sig2)[recv_of]
+        return values
+
+    def _half(self, Z, half: int) -> np.ndarray:
+        """exp(Z[i] . sv_k[half] / sigma^2) for every row and SV: a GEMM and an
+        in-place exp per KERNEL_BLOCK rows, the reference path's GEMM sizes
+        (one GEMM over all rows raised peak RSS on er_svm_sweep's inputs)."""
+        out = np.empty((len(Z), len(self.folded)))
+        for start in range(0, len(Z), KERNEL_BLOCK):
+            block = out[start : start + KERNEL_BLOCK]
+            np.matmul(Z[start : start + KERNEL_BLOCK], self.halves[half].T, block)
+            np.exp(block, out=block)
+        return out
+
+
 class ConstantModel:
     """Stub predictor returning one fixed label; used for oracle testing."""
 
@@ -458,6 +698,16 @@ def _pair_arrays(senders, receivers) -> tuple[np.ndarray, np.ndarray]:
     if len(senders) != len(receivers):
         raise ClassifierError(f"{len(senders)} senders but {len(receivers)} receivers")
     return senders.astype(int, copy=False), receivers.astype(int, copy=False)
+
+
+def _unique_indices(ids: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(ids, return_inverse=True) for indices in [0, n), by a scatter
+    into n slots instead of a sort."""
+    rank = np.zeros(n, dtype=np.intp)
+    rank[ids] = 1
+    unique = np.flatnonzero(rank)
+    rank[unique] = np.arange(len(unique))
+    return unique, rank[ids]
 
 
 def _snap(value: float, limit: float) -> float:

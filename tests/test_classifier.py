@@ -216,6 +216,14 @@ class TestKernels:
             spec = KernelSpec("rbf", sigma)
             assert np.isfinite(kernel_matrix(spec, [[0.0], [1.0]], [[0.0]])).all()
 
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_sigma_gives_exact_zeros_without_an_overflow_warning(self):
+        # 2 sigma^2 is about 2e-320, so d^2 / 2 sigma^2 overflows to inf for
+        # any d^2 above about 4e-12, and exp(-inf) is the right 0; the third
+        # row's d^2 underflows to 0
+        K = kernel_matrix(KernelSpec("rbf", 1e-160), [[0.0], [1.0], [1e-170]], [[0.0]])
+        assert K.tolist() == [[1.0], [0.0], [1.0]]
+
 
 class TestTrainSvm:
     def test_symmetric_pair(self):
@@ -757,6 +765,283 @@ class TestFactoredPairScoring:
         assert np.max(np.abs(values - expected)) <= 1e-9
         labels = model.predict_pairs(table, senders, receivers)
         assert np.array_equal(labels, np.where(expected > 0.0, 1, -1))  # 0 label flips
+
+
+EXTENDED_LONG_DOUBLE = np.finfo(np.longdouble).nmant >= 63
+
+
+def random_pair_model(table: VertexTable, svs: int, sigma: float, scale: float,
+                      seed: int) -> SvmModel:
+    """An RBF model over pairs of `table` rows whose standardizer multiplies
+    every column by `scale`; half of its SV halves are standardized table
+    rows, so some kernel values are near 1 at any sigma, and the rest are
+    those rows plus noise."""
+    gen = np.random.default_rng(seed)
+    enc = table.encoded() * scale
+    d = enc.shape[1]
+    halves = [enc[gen.integers(0, len(enc), size=svs)] for _ in range(2)]
+    for half in halves:
+        half[svs // 2 :] += gen.normal(scale=scale, size=(svs - svs // 2, d))
+    return SvmModel(kernel=KernelSpec("rbf", sigma), support_vectors=np.hstack(halves),
+                    coefs=gen.normal(scale=3.0, size=svs), bias=float(gen.normal()),
+                    standardizer=Standardizer(means=np.zeros(2 * d),
+                                              stds=np.full(2 * d, 1.0 / scale)))
+
+
+def guard_reach(model: SvmModel, table: VertexTable, senders, receivers) -> float:
+    """P of predict_pairs' docstring times 2 sigma^2, recomputed from its definition."""
+    enc = model.standardizer.transform(np.hstack([table.encoded()[senders],
+                                                  table.encoded()[receivers]]))
+    d = enc.shape[1] // 2
+    reach = 0.0
+    for cols in (slice(0, d), slice(d, 2 * d)):
+        rows = np.sqrt(np.sum(enc[:, cols] ** 2, axis=1)).max()
+        svs = np.sqrt(np.sum(model.support_vectors[:, cols] ** 2, axis=1)).max()
+        reach += (rows + svs) ** 2
+    return reach
+
+
+def near_guard_model(table, senders, receivers) -> SvmModel:
+    """A large-norm random model whose sigma puts the call's P at 590."""
+    model = random_pair_model(table, 60, 1.0, 25.0, seed=4)
+    sigma = float(np.sqrt(guard_reach(model, table, senders, receivers) / (2 * 590.0)))
+    model.kernel = KernelSpec("rbf", sigma)
+    return model
+
+
+def c100_model(table, senders, receivers) -> SvmModel:
+    """A C = 100 fit to random labels, so many coefs sit at +-100."""
+    enc = pair_table().encoded()
+    X = np.hstack([enc[:45], enc[45:]])
+    y = np.where(np.random.default_rng(2).random(45) < 0.5, 1.0, -1.0)
+    return fit_pair_classifier(X, y, SvmParams(C=100.0, weight=1.0, kernel=KernelSpec("rbf", 8.0)),
+                               schema=TINY_SCHEMA)
+
+
+def tiny_coef_model(table, senders, receivers) -> SvmModel:
+    """Coefs near 1e-50 and no bias, where B's underflow term is not negligible."""
+    model = random_pair_model(table, 40, 2.0, 1.0, seed=5)
+    model.coefs *= 1e-50
+    model.bias = 0.0
+    return model
+
+
+# (id, build(table, senders, receivers)): unit norms, large norms, sigma near
+# the range guard, a trained C = 100 model and tiny coefs
+BOUND_MODELS = [
+    ("unit", lambda t, s, r: random_pair_model(t, 40, 2.0, 1.0, seed=1)),
+    ("large-norms", lambda t, s, r: random_pair_model(t, 300, 40.0, 30.0, seed=2)),
+    ("near-guard", near_guard_model),
+    ("C100", c100_model),
+    ("tiny-coefs", tiny_coef_model),
+]
+
+
+def bound_call(seed: int = 5):
+    table = pair_table(n=300, seed=seed)
+    gen = np.random.default_rng(seed)
+    senders = np.sort(gen.integers(0, 120, size=2500))
+    return table, senders, gen.integers(0, 300, size=2500)
+
+
+def fast_values(model: SvmModel, table, senders, receivers):
+    """(f^, B) of the certified fast path, which must take the call."""
+    fast = model._fast_values(*model._pair_rows(table, senders, receivers))
+    assert fast is not None
+    return fast
+
+
+def exact_values(model: SvmModel, table, senders, receivers) -> np.ndarray:
+    """The decision values in extended precision: sum_k c_k exp(-(|s - a_k|^2
+    + |r - b_k|^2) / 2 sigma^2) + b over the standardized float rows."""
+    enc = table.encoded()
+    X = model.standardizer.transform(np.hstack([enc[senders], enc[receivers]]))
+    X, sv = X.astype(np.longdouble), model.support_vectors.astype(np.longdouble)
+    two_sig2 = 2 * np.longdouble(model.kernel.sigma) ** 2
+    values = np.empty(len(X), dtype=np.longdouble)
+    for start in range(0, len(X), 256):
+        rows = X[start : start + 256]
+        sq = np.sum((rows[:, None, :] - sv[None, :, :]) ** 2, axis=2)
+        values[start : start + 256] = np.exp(-sq / two_sig2) @ model.coefs.astype(np.longdouble)
+    return values + np.longdouble(model.bias)
+
+
+class TestCertifiedPairScoring:
+    @pytest.mark.parametrize("build", [b for _, b in BOUND_MODELS], ids=[i for i, _ in BOUND_MODELS])
+    def test_fast_values_are_within_the_bound_of_the_reference(self, build):
+        table, senders, receivers = bound_call()
+        model = build(table, senders, receivers)
+        values, bound = fast_values(model, table, senders, receivers)
+        reference = model.pair_decision_values(table, senders, receivers)
+        assert np.max(np.abs(values - reference)) <= bound
+        # the labels are the reference's, by the fast path or the fallback
+        labels = model.predict_pairs(table, senders, receivers)
+        assert np.array_equal(labels, np.where(reference > 0.0, 1, -1))
+
+    @pytest.mark.skipif(not EXTENDED_LONG_DOUBLE, reason="needs an extended long double")
+    @pytest.mark.parametrize("build", [b for _, b in BOUND_MODELS], ids=[i for i, _ in BOUND_MODELS])
+    def test_both_paths_are_within_the_bound_of_the_exact_value(self, build):
+        table, senders, receivers = bound_call(seed=6)
+        model = build(table, senders, receivers)
+        values, bound = fast_values(model, table, senders, receivers)
+        exact = exact_values(model, table, senders, receivers)
+        reference = model.pair_decision_values(table, senders, receivers)
+        assert np.max(np.abs(values - exact)) <= bound
+        assert np.max(np.abs(reference - exact)) <= bound
+
+    @pytest.mark.parametrize("build", [b for _, b in BOUND_MODELS], ids=[i for i, _ in BOUND_MODELS])
+    def test_bound_is_the_documented_formula(self, build):
+        # B = 2 [((1 + gamma_{K+18}) e^D - 1) sum|c_k| + u |b| + 2 (K + 1) 2^-1074 e^600],
+        # D = gamma_{d+5} P, as predict_pairs states it
+        table, senders, receivers = bound_call()
+        model = build(table, senders, receivers)
+        _, bound = fast_values(model, table, senders, receivers)
+        u = 2.0**-53
+        K, d = model.support_vectors.shape[0], model.support_vectors.shape[1] // 2
+
+        def gamma(n):
+            return n * u / (1 - n * u)
+
+        D = gamma(d + 5) * guard_reach(model, table, senders, receivers) / (
+            2 * model.kernel.sigma**2)
+        # (1 + g) e^D - 1 written as g e^D + expm1(D), which does not cancel
+        expected = 2 * ((gamma(K + 18) * np.exp(D) + np.expm1(D)) * np.sum(np.abs(model.coefs))
+                        + u * abs(model.bias) + 2 * (K + 1) * 2.0**-1074 * np.exp(600.0))
+        assert bound == pytest.approx(expected, rel=1e-9, abs=0.0)
+
+    def test_near_guard_model_sits_just_inside_the_guard(self):
+        table, senders, receivers = bound_call()
+        model = near_guard_model(table, senders, receivers)
+        assert 580 < guard_reach(model, table, senders, receivers) / (
+            2 * model.kernel.sigma**2) <= 600
+        fast_values(model, table, senders, receivers)
+        model.kernel = KernelSpec("rbf", model.kernel.sigma * 0.99)  # P above 600
+        assert model._fast_values(*model._pair_rows(table, senders, receivers)) is None
+
+    def test_a_pair_within_2b_sends_the_call_to_the_reference_path(self):
+        table, senders, receivers = bound_call()
+        model = random_pair_model(table, 40, 2.0, 1.0, seed=1)
+        first = model.pair_decision_values(table, senders, receivers)
+        model.bias -= float(first[7])  # pair 7's decision value is now about 0
+        values, bound = fast_values(model, table, senders, receivers)
+        assert abs(values[7]) <= 2 * bound
+        labels = model.predict_pairs(table, senders, receivers)
+        reference = model.pair_decision_values(table, senders, receivers)
+        assert np.array_equal(labels, np.where(reference > 0.0, 1, -1))
+        assert (model.fast_calls, model.fallback_calls) == (0, 1)
+        assert model.min_margin_ratio == np.min(np.abs(values)) / (2 * bound) <= 1.0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sigma,coef_scale", [
+        (1e-160, 1.0), (1e-100, 1.0), (0.05, 1.0),  # a small sigma
+        (2.0, 1e-310),  # folded coefs below the normal range
+        (2.0, 1e45),  # sum|c_k| above 1e40
+    ])
+    def test_models_outside_the_range_guard_take_the_reference_path(self, sigma, coef_scale):
+        table, senders, receivers = bound_call()
+        model = random_pair_model(table, 40, sigma, 1.0, seed=3)
+        model.coefs *= coef_scale
+        assert model._fast_values(*model._pair_rows(table, senders, receivers)) is None
+        labels = model.predict_pairs(table, senders, receivers)
+        reference = model.pair_decision_values(table, senders, receivers)
+        assert np.array_equal(labels, np.where(reference > 0.0, 1, -1))
+        assert (model.fast_calls, model.fallback_calls) == (0, 1)
+        assert model.min_margin_ratio == np.inf
+
+    def test_linear_and_empty_models_take_the_reference_path(self):
+        table, senders, receivers = bound_call()
+        for model in (pair_model("linear", True),
+                      SvmModel(kernel=RBF1, support_vectors=np.zeros((0, 0)), coefs=np.zeros(0),
+                               bias=0.5)):
+            model.predict_pairs(table, senders, receivers)
+            assert (model.fast_calls, model.fallback_calls) == (0, 1)
+
+    @pytest.mark.parametrize("max_rows", [40, 2])
+    def test_spans_keep_the_row_budget_and_the_bound(self, monkeypatch, max_rows):
+        table, senders, receivers = bound_call()
+        model = random_pair_model(table, 40, 2.0, 1.0, seed=1)
+        monkeypatch.setattr(classifier, "KERNEL_ROWS_BYTES", max_rows * 8 * 40)
+        spans = []
+        real = classifier._PairScorer.pair_values
+
+        def recording(self, Zs, Zr, send_of, recv_of):
+            spans.append((len(Zs), len(Zr)))
+            return real(self, Zs, Zr, send_of, recv_of)
+
+        monkeypatch.setattr(classifier._PairScorer, "pair_values", recording)
+        values, bound = fast_values(model, table, senders, receivers)
+        assert len(spans) == -(-len(senders) // (max_rows // 2))
+        assert all((s + r) * 8 * 40 <= classifier.KERNEL_ROWS_BYTES for s, r in spans)
+        reference = model.pair_decision_values(table, senders, receivers)
+        assert np.max(np.abs(values - reference)) <= bound
+        labels = model.predict_pairs(table, senders, receivers)
+        assert np.array_equal(labels, np.where(reference > 0.0, 1, -1))
+        assert model.fast_calls == 1
+
+    def test_changed_bias_coefs_or_svs_are_not_scored_stale(self):
+        table, senders, receivers = bound_call()
+        model = random_pair_model(table, 40, 2.0, 1.0, seed=1)
+
+        def check():
+            labels = model.predict_pairs(table, senders, receivers)
+            reference = model.pair_decision_values(table, senders, receivers)
+            assert np.array_equal(labels, np.where(reference > 0.0, 1, -1))
+            return reference
+
+        first = check()
+        model.bias -= float(np.median(first)) + 1e-6  # about half the labels flip
+        assert np.count_nonzero((check() > 0) != (first > 0)) > len(first) // 4
+        model.coefs = -model.coefs  # a new array
+        check()
+        model.coefs[::2] *= 4.0  # the same array, changed in place
+        check()
+        model.support_vectors[:, :3] += 0.5
+        check()
+        model.kernel = KernelSpec("rbf", 3.0)
+        check()
+        assert (model.fast_calls, model.fallback_calls) == (6, 0)
+
+    def test_counters_match_a_wrapper_count(self, monkeypatch):
+        table, _, _ = bound_call()
+        model = random_pair_model(table, 40, 2.0, 1.0, seed=1)
+        gen = np.random.default_rng(8)
+        calls = [(gen.integers(0, 300, size=k), gen.integers(0, 300, size=k))
+                 for k in (0, 1, 50, 400, 3000)]
+        reference_calls = []
+        real = SvmModel._pair_values
+
+        def counting(self, *rows):
+            reference_calls.append(len(rows[2]))
+            return real(self, *rows)
+
+        monkeypatch.setattr(SvmModel, "_pair_values", counting)
+        ratios = []
+        for senders, receivers in calls:
+            values, bound = fast_values(model, table, senders, receivers)
+            ratios.extend(np.abs(values) / (2 * bound))
+            model.predict_pairs(table, senders, receivers)
+        assert (model.fast_calls, model.fallback_calls) == (len(calls), len(reference_calls))
+        assert model.min_margin_ratio == min(ratios)
+        # a bias that puts the last call's pair 0 at about 0 forces a fallback
+        senders, receivers = calls[-1]
+        model.bias -= float(model.pair_decision_values(table, senders, receivers)[0])
+        reference_calls.clear()
+        model.predict_pairs(table, senders, receivers)
+        assert (model.fast_calls, model.fallback_calls) == (len(calls), 1)
+        assert reference_calls == [len(senders)]
+        assert model.min_margin_ratio <= 1.0
+
+
+@pytest.mark.parametrize("n,size,seed", [(1, 0, 0), (1, 5, 1), (10, 3, 2), (300, 2500, 3),
+                                         (2500, 40, 4)])
+def test_unique_indices_are_np_unique(n, size, seed):
+    ids = np.random.default_rng(seed).integers(0, n, size=size)
+    for given in (ids, np.sort(ids)):
+        unique, inverse = classifier._unique_indices(given, n)
+        expected, expected_inverse = np.unique(given, return_inverse=True)
+        assert unique.tolist() == expected.tolist()
+        assert inverse.tolist() == expected_inverse.tolist()
+        assert inverse.dtype == expected_inverse.dtype
 
 
 class TestBalancedError:

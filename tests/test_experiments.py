@@ -28,6 +28,7 @@ from netspread.experiments import (
     synthetic_pairs,
     train_pipeline,
 )
+from netspread.classifier import SvmModel
 from netspread.cli import main
 from netspread.diffusion import DiffusionConfig, read_run
 from netspread.graph import GraphParams
@@ -858,3 +859,46 @@ def test_stub_sweep_output_bytes_are_pinned(tmp_path, model):
     written = {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
                for p in sorted(out.rglob("*")) if p.is_file()}
     assert written == dict(line.split()[::-1] for line in expected.strip().splitlines())
+
+
+@pytest.mark.parametrize("graph", [
+    {"model": "erdos_renyi", "n": 300, "edge_prob": [0.01, 0.03]},
+    {"model": "small_world", "n": 300, "neighbors": [4], "rewire_prob": [0.0, 0.1]},
+], ids=["erdos_renyi", "small_world"])
+def test_trained_sweep_writes_the_reference_paths_bytes(tmp_path, monkeypatch, graph):
+    """A trained sweep writes the same files with the certified fast pair
+    scorer as with every call on the reference path, and the model's
+    scoring counters match the calls a wrapper counts."""
+
+    def sweep(name) -> tuple:
+        calls, reference = [], []
+        real_predict, real_values = SvmModel.predict_pairs, SvmModel._pair_values
+
+        def predict(self, *args):
+            calls.append(self)
+            return real_predict(self, *args)
+
+        def values(self, *rows):
+            reference.append(self)
+            return real_values(self, *rows)
+
+        monkeypatch.setattr(SvmModel, "predict_pairs", predict)
+        monkeypatch.setattr(SvmModel, "_pair_values", values)
+        out = tmp_path / name
+        doc = base_config(tmp_path, graph=graph, initial_fraction=[0.1, 0.5],
+                          output_dir=str(out))
+        run_experiment(ExperimentConfig.from_dict(doc))
+        model = calls[0]
+        assert all(m is model for m in calls)
+        assert model.fast_calls + model.fallback_calls == len(calls)
+        assert model.fallback_calls == len(reference)
+        files = {p.relative_to(out).as_posix(): p.read_bytes()
+                 for p in sorted(out.rglob("*")) if p.is_file()}
+        return model, files
+
+    model, fast = sweep("fast")
+    assert model.fast_calls > 0
+    monkeypatch.setattr(SvmModel, "_fast_values", lambda self, *rows: None)
+    model, reference = sweep("reference")
+    assert (model.fast_calls, model.fallback_calls > 0) == (0, True)
+    assert len(fast) > 10 and fast == reference
