@@ -58,11 +58,11 @@ RBF = "rbf"
 
 KKT_TOL = 1e-3
 SUPPORT_EPS = 1e-8
-# Vertex rows per kernel_matrix call in predict_pairs.  It fixes the GEMM row
+# Vertex rows per half-row block in _pair_dots.  It fixes the GEMM row
 # blocking, so changing it changes the last bits of decision values.
 KERNEL_BLOCK = 1024
 # Gathered sender + receiver row bytes per row-wise dot product in
-# predict_pairs, sized to stay in L2.  Each pair is reduced on its own, so any
+# _pair_dots, sized to stay in L2.  Each pair is reduced on its own, so any
 # value gives the same bits.
 PAIR_CHUNK_BYTES = 1 << 19
 # Bytes of an RBF block's one temporary, the |a|^2 + |b|^2 of a row sub-block;
@@ -71,9 +71,9 @@ PAIR_CHUNK_BYTES = 1 << 19
 # temporary and the sub-block it updates in L2.
 _RBF_SUB_BYTES = 1 << 17
 # Kernel-row bytes held at once: the SMO row cache, and the sender plus
-# receiver half-kernel rows of one predict_pairs call or span, whose
-# kernel_matrix calls write into them and add only row norms and
-# _RBF_SUB_BYTES.
+# receiver half rows of one pair-scoring call or span (_pair_dots).  Both
+# paths write their half rows in place; the reference path's kernel_matrix
+# calls add only row norms and _RBF_SUB_BYTES.
 KERNEL_ROWS_BYTES = 256_000_000
 # Bytes of the whole n x n kernel matrix that a fit whose rows all fit the
 # row cache builds at once instead (train_svm).  2 MiB takes n <= 512.
@@ -339,9 +339,10 @@ class SvmModel:
         so does every call of a model whose 2 sigma^2 is not normal, whose
         SV halves alone reach P > 600, whose sum|c_k| exceeds 1e40 or whose
         folded coefs underflow, of a linear model and of one without SVs.
-        The fast path scores in the reference path's KERNEL_ROWS_BYTES
-        spans.  fast_calls or fallback_calls counts the call; a call that
-        computed f^ lowers min_margin_ratio to its min |f^| / 2B.
+        Both paths reduce their half rows by _pair_dots, in the same
+        KERNEL_BLOCK blocks and KERNEL_ROWS_BYTES spans.  fast_calls or
+        fallback_calls counts the call; a call that computed f^ lowers
+        min_margin_ratio to its min |f^| / 2B.
         """
         rows = self._pair_rows(table, senders, receivers)
         fast = self._fast_values(*rows)
@@ -414,11 +415,13 @@ class SvmModel:
         """The reference path: pair_decision_values of _pair_rows' rows."""
         if self.support_vectors.shape[0] == 0:
             return np.full(len(send_of), self.bias)
+        d = Zs.shape[1]
         if self.kernel.kind == LINEAR:
-            d = Zs.shape[1]
             w = self.coefs @ self.support_vectors
             return (Zs @ w[:d])[send_of] + (Zr @ w[d:])[recv_of] + self.bias
-        return self._in_spans(self._rbf_pair_values, Zs, Zr, send_of, recv_of) + self.bias
+        halves = [np.ascontiguousarray(h) for h in np.hsplit(self.support_vectors, 2)]
+        return _pair_dots(lambda Z, h, out: kernel_matrix(self.kernel, Z, halves[h], out=out),
+                          self.coefs, Zs, Zr, send_of, recv_of) + self.bias
 
     def _fast_values(self, Zs, Zr, send_of, recv_of) -> tuple[np.ndarray, float] | None:
         """(f^, B) of _pair_rows' rows by the fast form, or None when the
@@ -428,49 +431,17 @@ class SvmModel:
         scorer = self._scorer
         if scorer is None or not scorer.built_from(self):
             scorer = self._scorer = _PairScorer(self)
-        bound = scorer.bound(Zs, Zr, self.bias)
+        sq_s, sq_r = np.einsum("ij,ij->i", Zs, Zs), np.einsum("ij,ij->i", Zr, Zr)
+        bound = scorer.bound(sq_s, sq_r, self.bias)
         if bound is None:
             return None
-        values = self._in_spans(scorer.pair_values, Zs, Zr, send_of, recv_of)
+        halves = scorer.halves
+        values = _pair_dots(lambda Z, h, out: np.exp(np.matmul(Z, halves[h].T, out), out=out),
+                            scorer.folded, Zs, Zr, send_of, recv_of)
+        values *= np.exp(sq_s / -scorer.two_sig2)[send_of]
+        values *= np.exp(sq_r / -scorer.two_sig2)[recv_of]
         values += self.bias
         return values, bound
-
-    def _in_spans(self, pair_values, Zs, Zr, send_of, recv_of) -> np.ndarray:
-        """pair_values(Zs, Zr, send_of, recv_of), or, when its sender plus
-        receiver rows exceed KERNEL_ROWS_BYTES, the same over spans of
-        max_rows // 2 pairs in the order given (pair_decision_values)."""
-        max_rows = max(2, KERNEL_ROWS_BYTES // (8 * len(self.coefs)))
-        if len(Zs) + len(Zr) <= max_rows:
-            return pair_values(Zs, Zr, send_of, recv_of)
-        values = np.empty(len(send_of))
-        for start in range(0, len(send_of), max_rows // 2):
-            span = slice(start, start + max_rows // 2)
-            s_ids, s_of = np.unique(send_of[span], return_inverse=True)
-            r_ids, r_of = np.unique(recv_of[span], return_inverse=True)
-            values[span] = pair_values(Zs[s_ids], Zr[r_ids], s_of, r_of)
-        return values
-
-    def _rbf_pair_values(self, Zs, Zr, send_of, recv_of) -> np.ndarray:
-        """sum_k coef_k k(Zs[send_of], sv_k[:d]) k(Zr[recv_of], sv_k[d:]), no bias."""
-        d = Zs.shape[1]
-        S = self._half_kernel(Zs, slice(0, d))
-        S *= self.coefs
-        R = self._half_kernel(Zr, slice(d, 2 * d))
-        values = np.empty(len(send_of))
-        step = max(1, PAIR_CHUNK_BYTES // (16 * S.shape[1]))
-        for start in range(0, len(send_of), step):
-            chunk = slice(start, start + step)
-            values[chunk] = np.einsum("ij,ij->i", S[send_of[chunk]], R[recv_of[chunk]])
-        return values
-
-    def _half_kernel(self, Z: np.ndarray, cols: slice) -> np.ndarray:
-        """kernel(Z[i], sv[cols]) for every row, KERNEL_BLOCK rows at a time."""
-        sv = np.ascontiguousarray(self.support_vectors[:, cols])
-        out = np.empty((Z.shape[0], sv.shape[0]))
-        for start in range(0, Z.shape[0], KERNEL_BLOCK):
-            block = slice(start, start + KERNEL_BLOCK)
-            kernel_matrix(self.kernel, Z[block], sv, out=out[block])
-        return out
 
     def save(self, path) -> None:
         doc = {
@@ -623,55 +594,20 @@ class _PairScorer:
                 and np.array_equal(model.support_vectors, self.support_vectors)
                 and np.array_equal(model.coefs, self.coefs))
 
-    def bound(self, Zs, Zr, bias: float) -> float | None:
-        """B of a call over sender rows Zs and receiver rows Zr, or None when
-        the range guard fails."""
+    def bound(self, sq_s, sq_r, bias: float) -> float | None:
+        """B of a call whose sender and receiver rows have squared norms sq_s
+        and sq_r, or None when the range guard fails."""
         if not self.usable:
             return None
         P = 0.0
-        for Z, reach in zip((Zs, Zr), self.reach):
-            row = math.sqrt(float(np.max(np.einsum("ij,ij->i", Z, Z), initial=0.0)))
+        for sq, reach in zip((sq_s, sq_r), self.reach):
+            row = math.sqrt(float(np.max(sq, initial=0.0)))
             P += (row + reach) * (row + reach) / self.two_sig2
         if not P <= _RANGE_LIMIT:  # NaN fails too
             return None
         D = self.gamma_exp * P
         return _BOUND_SAFETY * ((self.gamma_sum * math.exp(D) + math.expm1(D)) * self.abs_sum
                                 + _U * abs(bias) + self.underflow)
-
-    def pair_values(self, Zs, Zr, send_of, recv_of) -> np.ndarray:
-        """f^ - b of each pair: e(s) e(r) g, with g the gathered dot product
-        of the folded-coef sender row and the receiver row."""
-        S = self._half(Zs, 0)
-        S *= self.folded
-        R = self._half(Zr, 1)
-        values = np.empty(len(send_of))
-        # PAIR_CHUNK_BYTES of gathered rows at a time, into two buffers made
-        # once: a fresh array per gather costs more than the dot products
-        step = max(1, PAIR_CHUNK_BYTES // (16 * S.shape[1]))
-        rows_s = np.empty((min(step, len(send_of)), S.shape[1]))
-        rows_r = np.empty_like(rows_s)
-        for start in range(0, len(send_of), step):
-            chunk = slice(start, start + step)
-            s, r = send_of[chunk], recv_of[chunk]
-            # the indices are in range, and "clip" skips the buffered copy "raise" makes
-            np.take(S, s, axis=0, out=rows_s[: len(s)], mode="clip")
-            np.take(R, r, axis=0, out=rows_r[: len(s)], mode="clip")
-            np.einsum("ij,ij->i", rows_s[: len(s)], rows_r[: len(s)], out=values[chunk])
-        del S, R, rows_s, rows_r  # before the scaling's two pair-length gathers
-        values *= np.exp(np.einsum("ij,ij->i", Zs, Zs) / -self.two_sig2)[send_of]
-        values *= np.exp(np.einsum("ij,ij->i", Zr, Zr) / -self.two_sig2)[recv_of]
-        return values
-
-    def _half(self, Z, half: int) -> np.ndarray:
-        """exp(Z[i] . sv_k[half] / sigma^2) for every row and SV: a GEMM and an
-        in-place exp per KERNEL_BLOCK rows, the reference path's GEMM sizes
-        (one GEMM over all rows raised peak RSS on er_svm_sweep's inputs)."""
-        out = np.empty((len(Z), len(self.folded)))
-        for start in range(0, len(Z), KERNEL_BLOCK):
-            block = out[start : start + KERNEL_BLOCK]
-            np.matmul(Z[start : start + KERNEL_BLOCK], self.halves[half].T, block)
-            np.exp(block, out=block)
-        return out
 
 
 class ConstantModel:
@@ -708,6 +644,55 @@ def _unique_indices(ids: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     unique = np.flatnonzero(rank)
     rank[unique] = np.arange(len(unique))
     return unique, rank[ids]
+
+
+def _pair_dots(half_rows, coefs, Zs, Zr, send_of, recv_of) -> np.ndarray:
+    """sum_k coefs_k S[send_of, k] R[recv_of, k] of each pair, where
+    half_rows(Z, h, out) writes the half rows S of the senders Zs (h = 0) and
+    R of the receivers Zr (h = 1) into out, KERNEL_BLOCK rows of Z a call.
+
+    Spans are as pair_decision_values states them.  Gathered rows are read
+    into two buffers made once, PAIR_CHUNK_BYTES of them at a time: a fresh
+    array per gather costs more than the dot products.  S is built and
+    multiplied by the coefs before R is allocated, and the values and
+    buffers after R: other orders made glibc's heap keep freed rows and
+    raised peak RSS by up to 8% on some inputs.
+    """
+    K, count = len(coefs), len(send_of)
+    if not count:
+        return np.empty(0)
+    max_rows = max(2, KERNEL_ROWS_BYTES // (8 * K))
+    span = max_rows // 2 if len(Zs) + len(Zr) > max_rows else count
+    step = max(1, PAIR_CHUNK_BYTES // (16 * K))
+
+    def rows(Z, h):
+        out = np.empty((len(Z), K))
+        for i in range(0, len(Z), KERNEL_BLOCK):
+            half_rows(Z[i : i + KERNEL_BLOCK], h, out[i : i + KERNEL_BLOCK])
+        return out
+
+    for start in range(0, count, span):
+        s_of, r_of = send_of[start : start + span], recv_of[start : start + span]
+        zs, zr = Zs, Zr
+        if span < count:  # the span's own unique senders and receivers
+            s_ids, s_of = _unique_indices(s_of, len(Zs))
+            r_ids, r_of = _unique_indices(r_of, len(Zr))
+            zs, zr = Zs[s_ids], Zr[r_ids]
+        S = rows(zs, 0)
+        S *= coefs
+        R = rows(zr, 1)
+        if not start:
+            values = np.empty(count)
+            rows_s = np.empty((min(step, count), K))
+            rows_r = np.empty_like(rows_s)
+        for first in range(0, len(s_of), step):
+            s, r = s_of[first : first + step], r_of[first : first + step]
+            # the indices are in range, and "clip" skips the buffered copy "raise" makes
+            np.take(S, s, axis=0, out=rows_s[: len(s)], mode="clip")
+            np.take(R, r, axis=0, out=rows_r[: len(s)], mode="clip")
+            at = start + first
+            np.einsum("ij,ij->i", rows_s[: len(s)], rows_r[: len(s)], out=values[at : at + len(s)])
+    return values
 
 
 def _snap(value: float, limit: float) -> float:

@@ -71,8 +71,8 @@ one check of a set value: a number is a finite JSON number only, never a
 boolean, a string, Infinity or NaN, and an integer (graph.n, neighbors
 too) takes no fraction; a file or directory name is a JSON string and
 per_replicate a JSON boolean.  report_fields, criteria and contact_fields
-are lists of strings, and survey mode's criteria and contact_fields are
-not empty.
+are lists of strings, report_fields names no field twice, and survey
+mode's criteria and contact_fields are not empty.
 Graph values are checked by GraphParams and initial fractions by
 DiffusionConfig while parsing; the field names in report_fields,
 criteria, contact_fields and the rule conditions are checked against the
@@ -437,6 +437,11 @@ class ExperimentConfig:
         for i, a in enumerate(fractions):
             with _at(f"initial_fraction[{i}]"):
                 DiffusionConfig(a, settings["iterations"])
+        report_fields = _list(doc.get("report_fields", []), "report_fields", str, empty_ok=True)
+        for i, fid in enumerate(report_fields):
+            if report_fields.index(fid) < i:
+                raise ConfigError(f"report_fields[{i}]", f"{fid!r} repeats "
+                                  f"report_fields[{report_fields.index(fid)}]")
         return cls(
             n=n,
             points=tuple(
@@ -445,7 +450,7 @@ class ExperimentConfig:
                 for a, a_tag in zip(fractions, a_tags)
             ),
             training=TrainingConfig.from_config(doc["training"]) if "training" in doc else None,
-            report_fields=_list(doc.get("report_fields", []), "report_fields", str, empty_ok=True),
+            report_fields=report_fields,
             **settings,
         )
 

@@ -168,7 +168,7 @@ class TestKernels:
         for spec in (LIN, KernelSpec("rbf", 4.0)):
             K = kernel_matrix(spec, A, B, b_sq=b_sq)
             assert K.tobytes() == textbook_kernel(spec, A, B).tobytes()
-            # out as _half_kernel passes it: a row slice of a larger array
+            # out as the reference path passes it: a row slice of a larger array
             whole = np.full((rows + 3, cols), np.nan)
             out = whole[1 : rows + 1]
             assert kernel_matrix(spec, A, B, b_sq=b_sq, out=out) is out
@@ -176,7 +176,7 @@ class TestKernels:
             assert np.isnan(whole[0]).all() and np.isnan(whole[rows + 1 :]).all()
 
     def test_rbf_block_into_out_allocates_no_block_sized_array(self):
-        # _half_kernel's call: one KERNEL_BLOCK x SVs block of the ER demo
+        # the reference path's call: one KERNEL_BLOCK x SVs block of the ER demo
         # model (2,518 SVs, 27 columns), 19.7 MiB, written into `out`
         gen = np.random.default_rng(8)
         A = gen.normal(size=(classifier.KERNEL_BLOCK, 27))
@@ -619,6 +619,41 @@ def row_values(model: SvmModel, table: VertexTable, senders, receivers) -> np.nd
     return model.decision_values(np.hstack([enc[senders], enc[receivers]]))
 
 
+# a call's values by either RBF scoring path: the reference path
+# (pair_decision_values) or the certified fast form, which must take the call
+SCORING_PATHS = {
+    "reference": lambda model, *call: model.pair_decision_values(*call),
+    "fast": lambda model, *call: fast_values(model, *call)[0],
+}
+
+
+def record_spans(monkeypatch) -> list:
+    """[sender rows, receiver rows] of each span of every classifier._pair_dots
+    call from now on, counted from the half rows it asks for; a request for
+    more than KERNEL_BLOCK rows fails the call."""
+    spans = []
+    real = classifier._pair_dots
+
+    def wrapped(half_rows, *args):
+        def recording(Z, h, out):
+            assert 0 < len(Z) <= classifier.KERNEL_BLOCK
+            if h == 0 and (not spans or spans[-1][1]):  # a span's first sender block
+                spans.append([0, 0])
+            spans[-1][h] += len(Z)
+            return half_rows(Z, h, out)
+
+        return real(recording, *args)
+
+    monkeypatch.setattr(classifier, "_pair_dots", wrapped)
+    return spans
+
+
+def unique_spans(senders, receivers, span: int) -> list:
+    """[unique senders, unique receivers] of each run of `span` pairs."""
+    return [[len(np.unique(senders[k : k + span])), len(np.unique(receivers[k : k + span]))]
+            for k in range(0, len(senders), span)]
+
+
 # index arrays of floats or booleans, which a cast to int would truncate
 NON_INTEGER_PAIRS = [
     pytest.param([0.7], [1], r"^senders must be integer indices, got dtype float64$",
@@ -737,11 +772,13 @@ class TestFactoredPairScoring:
 
     @pytest.mark.parametrize("max_rows", [40, 2])
     @pytest.mark.parametrize("ascending", [True, False])
-    def test_blocks_fit_the_row_budget(self, monkeypatch, ascending, max_rows):
+    @pytest.mark.parametrize("path", SCORING_PATHS)
+    def test_blocks_fit_the_row_budget(self, monkeypatch, path, ascending, max_rows):
         model = pair_model("rbf", True)
         table = pair_table(n=600, seed=4)
         svs = len(model.coefs)
         monkeypatch.setattr(classifier, "KERNEL_ROWS_BYTES", max_rows * 8 * svs)
+        monkeypatch.setattr(classifier, "KERNEL_BLOCK", 16)  # a span's rows in blocks
         gen = np.random.default_rng(12)
         senders = gen.integers(0, 200, size=3000)
         senders[:150] = 7  # one sender's pairs fill several spans
@@ -749,18 +786,11 @@ class TestFactoredPairScoring:
         if ascending:  # as diffusion_step passes them
             order = np.argsort(senders, kind="stable")
             senders, receivers = senders[order], receivers[order]
-        rows = []
-        real = SvmModel._half_kernel
-
-        def recording(self, Z, cols):
-            rows.append(Z.shape[0])
-            return real(self, Z, cols)
-
-        monkeypatch.setattr(SvmModel, "_half_kernel", recording)
-        values = model.pair_decision_values(table, senders, receivers)
-        blocks = list(zip(rows[::2], rows[1::2]))  # (S rows, R rows) per block
-        assert len(blocks) == -(-len(senders) // (max_rows // 2))  # spans of max_rows // 2
-        assert all((s + r) * 8 * svs <= classifier.KERNEL_ROWS_BYTES for s, r in blocks)
+        spans = record_spans(monkeypatch)
+        values = SCORING_PATHS[path](model, table, senders, receivers)
+        # spans of max_rows // 2 pairs, each with rows once per unique vertex
+        assert spans == unique_spans(senders, receivers, max_rows // 2)
+        assert all((s + r) * 8 * svs <= classifier.KERNEL_ROWS_BYTES for s, r in spans)
         expected = row_values(model, table, senders, receivers)
         assert np.max(np.abs(values - expected)) <= 1e-9
         labels = model.predict_pairs(table, senders, receivers)
@@ -957,21 +987,16 @@ class TestCertifiedPairScoring:
             assert (model.fast_calls, model.fallback_calls) == (0, 1)
 
     @pytest.mark.parametrize("max_rows", [40, 2])
-    def test_spans_keep_the_row_budget_and_the_bound(self, monkeypatch, max_rows):
+    @pytest.mark.parametrize("path", SCORING_PATHS)
+    def test_spans_keep_the_row_budget_and_the_bound(self, monkeypatch, path, max_rows):
         table, senders, receivers = bound_call()
         model = random_pair_model(table, 40, 2.0, 1.0, seed=1)
         monkeypatch.setattr(classifier, "KERNEL_ROWS_BYTES", max_rows * 8 * 40)
-        spans = []
-        real = classifier._PairScorer.pair_values
-
-        def recording(self, Zs, Zr, send_of, recv_of):
-            spans.append((len(Zs), len(Zr)))
-            return real(self, Zs, Zr, send_of, recv_of)
-
-        monkeypatch.setattr(classifier._PairScorer, "pair_values", recording)
-        values, bound = fast_values(model, table, senders, receivers)
-        assert len(spans) == -(-len(senders) // (max_rows // 2))
+        spans = record_spans(monkeypatch)
+        SCORING_PATHS[path](model, table, senders, receivers)
+        assert spans == unique_spans(senders, receivers, max_rows // 2)
         assert all((s + r) * 8 * 40 <= classifier.KERNEL_ROWS_BYTES for s, r in spans)
+        values, bound = fast_values(model, table, senders, receivers)
         reference = model.pair_decision_values(table, senders, receivers)
         assert np.max(np.abs(values - reference)) <= bound
         labels = model.predict_pairs(table, senders, receivers)
@@ -1030,6 +1055,88 @@ class TestCertifiedPairScoring:
         assert (model.fast_calls, model.fallback_calls) == (len(calls), 1)
         assert reference_calls == [len(senders)]
         assert model.min_margin_ratio <= 1.0
+
+
+def textbook_dots(half_rows, coefs, Zs, Zr, senders, receivers, span: int) -> np.ndarray:
+    """sum_k coefs_k S[s, k] R[r, k] of each pair (s, r), written out over the
+    standardized sender and receiver halves Zs and Zr of every table row: per
+    run of `span` pairs, S (times the coefs) and R hold the half rows of its
+    np.unique senders and receivers, half_rows(rows, h) per KERNEL_BLOCK
+    rows, and one einsum takes the run."""
+    values = []
+    for k in range(0, len(senders), span):
+        halves = []
+        for h, (Z, ids) in enumerate(((Zs, senders[k : k + span]), (Zr, receivers[k : k + span]))):
+            unique, inverse = np.unique(ids, return_inverse=True)
+            rows = Z[unique]
+            block = classifier.KERNEL_BLOCK
+            H = np.vstack([half_rows(rows[b : b + block], h) for b in range(0, len(rows), block)])
+            halves.append((H * coefs if h == 0 else H)[inverse])
+        values.append(np.einsum("ij,ij->i", *halves))
+    return np.concatenate(values)
+
+
+class TestPairScoringBits:
+    """Both RBF scoring paths against their textbook forms, bit for bit."""
+
+    @staticmethod
+    def call(count: int, max_rows, monkeypatch):
+        """A random model with 40 SVs, a call of `count` pairs, the standardized
+        sender and receiver halves of every table row and the pairs per span,
+        under a row budget of max_rows."""
+        table = pair_table(n=300, seed=9)
+        model = random_pair_model(table, 40, 2.0, 1.0, seed=7)
+        gen = np.random.default_rng(count)
+        senders, receivers = gen.integers(0, 300, size=(2, count))
+        if max_rows is None:
+            span = count
+            monkeypatch.setattr(classifier, "KERNEL_BLOCK", 64)  # rows in several blocks
+        else:
+            monkeypatch.setattr(classifier, "KERNEL_ROWS_BYTES", max_rows * 8 * 40)
+            span = max_rows // 2
+            assert len(np.unique(senders)) + len(np.unique(receivers)) > max_rows
+        std = model.standardizer
+        Z = (np.hstack([table.encoded()] * 2) - std.means) / std.stds
+        d = Z.shape[1] // 2
+        return model, table, senders, receivers, (Z[:, :d], Z[:, d:]), span
+
+    # (pairs, row budget): a chunk holds PAIR_CHUNK_BYTES // (16 * 40) = 819
+    # pairs; a budget of None takes the call in one span
+    CALLS = [(count, max_rows) for count in (1, 818, 819, 820, 2 * 819 + 5, 4000)
+             for max_rows in (None, 40, 2) if count > 1 or max_rows is None]
+
+    @pytest.mark.parametrize("count,max_rows", CALLS)
+    def test_reference_values(self, monkeypatch, count, max_rows):
+        model, table, senders, receivers, Z, span = self.call(count, max_rows, monkeypatch)
+        d = Z[0].shape[1]
+        sv = model.support_vectors
+        halves = [np.ascontiguousarray(sv[:, :d]), np.ascontiguousarray(sv[:, d:])]
+        expected = textbook_dots(lambda rows, h: kernel_matrix(model.kernel, rows, halves[h]),
+                                 model.coefs, *Z, senders, receivers, span)
+        expected += model.bias
+        values = model.pair_decision_values(table, senders, receivers)
+        assert values.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("count,max_rows", CALLS)
+    def test_fast_values(self, monkeypatch, count, max_rows):
+        # e(s) e(r) g + b with e(x) = exp(-|x|^2 / 2 sigma^2) and
+        # g = sum_k c_k e(a_k) e(b_k) exp(s.a_k / sigma^2) exp(r.b_k / sigma^2)
+        model, table, senders, receivers, Z, span = self.call(count, max_rows, monkeypatch)
+        d = Z[0].shape[1]
+        sigma2 = model.kernel.sigma * model.kernel.sigma
+        sv = model.support_vectors
+        halves = [np.ascontiguousarray(sv[:, :d] / sigma2),
+                  np.ascontiguousarray(sv[:, d:] / sigma2)]
+
+        def e(X):
+            return np.exp(np.einsum("ij,ij->i", X, X) / -(2.0 * sigma2))
+
+        folded = model.coefs * e(sv[:, :d]) * e(sv[:, d:])
+        g = textbook_dots(lambda rows, h: np.exp(rows @ halves[h].T), folded,
+                          *Z, senders, receivers, span)
+        expected = g * e(Z[0])[senders] * e(Z[1])[receivers] + model.bias
+        values, _ = fast_values(model, table, senders, receivers)
+        assert values.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("n,size,seed", [(1, 0, 0), (1, 5, 1), (10, 3, 2), (300, 2500, 3),

@@ -242,6 +242,21 @@ class TestExitCodes:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "train", "report"])
+    @pytest.mark.parametrize("fields,message", [
+        (["gender", "gender"], "report_fields[1]: 'gender' repeats report_fields[0]"),
+        (["gender", "age_band", "profession", "age_band"],
+         "report_fields[3]: 'age_band' repeats report_fields[1]"),
+    ], ids=["adjacent", "apart"])
+    def test_repeated_report_field_exits_2_before_writing(
+        self, tmp_path, capsys, command, fields, message
+    ):
+        # a repeated field would add each replicate's distribution twice
+        config = write_config(tmp_path, report_fields=fields)
+        assert main([command, "--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "train", "report"])
     def test_missing_training_exits_2_before_writing(self, tmp_path, capsys, command):
         config = write_config(tmp_path)
         doc = json.loads(config.read_text())

@@ -68,3 +68,31 @@ def test_public_names_count_the_imported_members():
                              and (inspect.isfunction(value) or isinstance(value, methods))
                              for attr, value in vars(obj).items())
     assert tally()["public_names"] == count
+
+
+def run_tally(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, str(TALLY), *args], capture_output=True, text=True,
+                          timeout=60)
+
+
+def test_help_prints_the_usage():
+    proc = run_tally("--help")
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: tally.py [-h] [src_dir]")
+
+
+def test_a_directory_argument_is_tallied():
+    proc = run_tally(str(Path(netspread.__file__).parent))
+    assert proc.returncode == 0
+    assert {name: int(value) for name, value in map(str.split, proc.stdout.splitlines())} == tally()
+
+
+def test_a_directory_without_the_sources_exits_2_naming_it(tmp_path):
+    (tmp_path / "cli.py").write_text("")
+    for directory, missing in ((tmp_path / "no_such_dir", "experiments.py and no cli.py"),
+                               (tmp_path, "experiments.py")):
+        proc = run_tally(str(directory))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("usage: tally.py")
+        assert proc.stderr.endswith(f"error: {directory} holds no {missing}\n")

@@ -22,8 +22,8 @@ Reads the source files with `ast` and imports nothing.  Prints:
 
 from __future__ import annotations
 
+import argparse
 import ast
-import sys
 from pathlib import Path
 
 DEFAULT_SRC = Path(__file__).resolve().parent.parent / "src" / "netspread"
@@ -109,4 +109,11 @@ def main(src: Path) -> None:
 
 
 if __name__ == "__main__":
-    main(Path(sys.argv[1]) if len(sys.argv) > 1 else DEFAULT_SRC)
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("src_dir", nargs="?", type=Path, default=DEFAULT_SRC,
+                        help="the package directory (default: src/netspread of this checkout)")
+    src = parser.parse_args().src_dir
+    missing = [name for name in ("experiments.py", "cli.py") if not (src / name).is_file()]
+    if missing:
+        parser.error(f"{src} holds no {' and no '.join(missing)}")
+    main(src)
