@@ -13,8 +13,10 @@ steps use it to find the frontier's edges into uninformed vertices.
 
 Generators build an edge list and hand it to the constructor.
 Erdős–Rényi graphs are drawn by geometric edge skipping in O(n + m);
-small-world graphs rewire the ring lattice's edge arrays against a set of
-edge keys.  The small-world generator needs a PCG64 generator: it reads
+small-world graphs write the ring lattice into the edge array the
+constructor takes and rewire its far ends in place, telling a lattice edge
+by arithmetic and keeping a set of keys of the rewired edges only.  The
+small-world generator needs a PCG64 generator: it reads
 the per-edge coin flips and replacement draws in bulk, bit-identical to
 drawing them one by one, and leaves the generator in the same state.
 """
@@ -36,7 +38,7 @@ SMALL_WORLD = "small_world"
 REWIRE_RETRIES = 100
 ER_BLOCK = 16384  # geometric gaps drawn per batch by gen_erdos_renyi
 SW_BLOCK = 16384  # raw words drawn per batch by gen_small_world
-PATH_BLOCK = 4096  # edges whose 2-paths clustering_coefficient checks per batch
+PATH_BUDGET = 8192  # 2-paths clustering_coefficient checks per batch (one edge may start more)
 GEODESIC_SOURCES = 64  # BFS sources per bit-parallel sweep of mean_geodesic
 
 
@@ -204,22 +206,34 @@ def clustering_coefficient(g: Graph) -> float:
     This is the probability that a path of length two closes into a
     triangle.  Raises GraphError when the graph has no path of length
     two, where the ratio is undefined.
+
+    Memory: three 2m-long int64 arrays (the edges' targets, their sorted
+    entries and the running path count), and per batch a few int64 arrays
+    of at most PATH_BUDGET paths, or of one vertex's degree when that is
+    larger.
     """
     degrees = g.degrees()
     triples = int(np.sum(degrees * (degrees - 1))) // 2
     if triples == 0:
         raise GraphError("graph has no connected triples")
-    rows, cols = g.out_edges(np.arange(g.n))
-    entries = rows * g.n + cols  # sorted, so membership is a binary search
+    entries, cols = g.out_edges(np.arange(g.n))
+    entries *= g.n
+    entries += cols  # row * n + column, sorted, so membership is a binary search
     # a path c - a - b with b adjacent to c closes the triangle {c, a, b};
-    # each triangle is found six times, once per ordered pair (c, b)
-    found = 0
-    for s in range(0, len(entries), PATH_BLOCK):
-        a = cols[s : s + PATH_BLOCK]
+    # each triangle is found six times, once per ordered pair (c, b).  Edge
+    # (c, a) starts deg(a) paths; blocks of edges hold at most PATH_BUDGET
+    # paths, or one edge when that edge alone starts more
+    reach = np.cumsum(degrees[cols])  # paths started by edges 0..i
+    found = s = 0
+    while s < len(entries):
+        before = int(reach[s - 1]) if s else 0
+        t = max(int(np.searchsorted(reach, before + PATH_BUDGET, side="right")), s + 1)
+        a = cols[s:t]
         _, b = g.out_edges(a)
-        paths = np.repeat(rows[s : s + PATH_BLOCK], degrees[a]) * g.n + b
+        paths = np.repeat(entries[s:t] - a, degrees[a]) + b  # c * n + b
         at = np.minimum(np.searchsorted(entries, paths), len(entries) - 1)
         found += int(np.count_nonzero(entries[at] == paths))
+        s = t
     return found // 2 / triples  # closed triples: three per triangle
 
 
@@ -273,8 +287,7 @@ class GraphParams:
     def __post_init__(self):
         if self.model not in (ERDOS_RENYI, SMALL_WORLD):
             raise GraphError(f"unknown graph model {self.model!r}")
-        if self.n < 0:
-            raise GraphError("n must be non-negative")
+        self.check_n(self.model, self.n)
         if self.model == ERDOS_RENYI:
             if not 0.0 <= self.edge_prob <= 1.0:
                 raise GraphError("edge_prob must lie in [0, 1]")
@@ -285,6 +298,15 @@ class GraphParams:
                 raise GraphError("ring lattice needs 2 * neighbors < n")
             if not 0.0 <= self.rewire_prob <= 1.0:
                 raise GraphError("rewire_prob must lie in [0, 1]")
+
+    @staticmethod
+    def check_n(model: str, n: int) -> None:
+        """Raise GraphError unless `model` takes n vertices: small-world
+        rewiring emulates numpy's 32-bit integer draws, so needs n < 2**32."""
+        if n < 0:
+            raise GraphError("n must be non-negative")
+        if model == SMALL_WORLD and n >= 2**32:
+            raise GraphError(f"small-world rewiring needs n < 2**32, got {n}")
 
 
 def gen_erdos_renyi(n: int, edge_prob: float, rng: np.random.Generator) -> Graph:
@@ -356,6 +378,18 @@ def gen_small_world(
     REWIRE_RETRIES times, after which the edge is kept as-is (logged).  The
     edge count is therefore exactly neighbors*n for any rewire_prob.
 
+    Memory: the lattice is written once into the (m, 2) int64 array handed
+    to Graph, edge e = u * k + d - 1 joining u to (u + d) % n, and a rewire
+    overwrites its far end.  A pair (lo, hi) is a lattice pair when it lies
+    at most k apart around the ring, d = hi - lo <= k (slot lo * k + d - 1)
+    or n - d <= k (slot hi * k + n - d - 1), and it is still an edge while
+    that slot holds its original far end.  A rewired slot never does: the
+    pair it held was an edge when the replacement was drawn, so it could
+    not be drawn back.  Any other edge was made by a rewire, and its key
+    lo * n + hi is kept in a set.  The edge being rewired is always still
+    its own lattice edge, so the write alone removes it.  The bookkeeping
+    thus grows with the accepted rewires, about rewire_prob * m keys.
+
     Stream contract: the graph and the generator's state afterwards are
     bit-identical to a loop that calls `rng.random()` per lattice edge and
     `rng.integers(n)` per replacement draw.  The coins are read in bulk
@@ -364,7 +398,8 @@ def gen_small_world(
     the generator's buffered half words (`has_uint32` / `uinteger`).  Then
     the start state is advanced past the words used.  This leans on the
     PCG64 bit generator and numpy's `Generator` internals, so any other bit
-    generator, and n >= 2**32 (a 64-bit draw), raise GraphError.
+    generator, and n >= 2**32 (a 64-bit draw; GraphParams.check_n), raise
+    GraphError.
     """
     GraphParams(SMALL_WORLD, n, neighbors=neighbors, rewire_prob=rewire_prob)
     bitgen = rng.bit_generator
@@ -372,18 +407,20 @@ def gen_small_world(
         raise GraphError(
             f"small-world rewiring needs a PCG64 generator, got {type(bitgen).__name__}"
         )
-    if n >= 2**32:
-        raise GraphError(f"small-world rewiring needs n < 2**32, got {n}")
     k = neighbors
     total = k * n
-    near = np.repeat(np.arange(n, dtype=np.int64), k)
-    far = (near + np.tile(np.arange(1, k + 1), n)) % n
-    present = set((np.minimum(near, far) * n + np.maximum(near, far)).tolist())
+    edges = np.empty((total, 2), dtype=np.int64)  # the lattice, rewired in place
+    lattice, ring = edges.reshape(n, k, 2), np.arange(n)[:, None]
+    lattice[:, :, 0] = ring
+    np.add(ring, np.arange(1, k + 1), out=lattice[:, :, 1])
+    np.remainder(lattice[:, :, 1], n, out=lattice[:, :, 1])
+    del lattice, ring
+    far_ends = memoryview(edges[:, 1])  # indexes to Python ints, as a list would
+    added = set()  # keys lo * n + hi of the edges rewiring made
     start = bitgen.state
     has, half = start["has_uint32"], start["uinteger"]
     cut = math.ceil(rewire_prob * 2**53)
     reject = 2**32 % n  # Lemire: a low product word below this is redrawn
-    far_ends = memoryview(far)  # rewired in place
     kept = 0
     i = pos = 0  # next edge whose coin is due; words used so far
     base = end = 0  # the current block holds words [base, end)
@@ -404,7 +441,6 @@ def gen_small_world(
         i += 1
         pos += 1
         u = e // k
-        v = (u + e % k + 1) % n  # edge e is still the lattice edge
         for _ in range(REWIRE_RETRIES):
             while True:  # one integers(n) draw
                 if has:
@@ -421,11 +457,18 @@ def gen_small_world(
                 if m & 0xFFFFFFFF >= reject:
                     break
             w = m >> 32
-            key = min(u, w) * n + max(u, w)
-            if w != u and key not in present:
-                present.remove(min(u, v) * n + max(u, v))
-                present.add(key)
-                far_ends[e] = w
+            if w == u:
+                continue
+            lo, hi = (u, w) if u < w else (w, u)
+            d = hi - lo  # a lattice pair lies at most k apart around the ring
+            if d <= k:
+                taken = far_ends[lo * k + d - 1] == hi
+            else:
+                taken = n - d <= k and far_ends[hi * k + n - d - 1] == lo
+            key = lo * n + hi
+            if not taken and key not in added:
+                added.add(key)
+                far_ends[e] = w  # edge e was its own lattice edge until now
                 break
         else:
             kept += 1
@@ -436,7 +479,7 @@ def gen_small_world(
     bitgen.state = state
     if kept:
         logger.debug("small-world rewiring kept %d edges after retry exhaustion", kept)
-    return Graph(n, np.column_stack([near, far]))
+    return Graph(n, edges)
 
 
 def generate_graph(params: GraphParams, rng: np.random.Generator) -> Graph:

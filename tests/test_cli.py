@@ -216,6 +216,20 @@ class TestExitCodes:
         assert err == f"config error: training.{key}: must name at least one field\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "train"])
+    def test_small_world_past_32_bit_vertices_exits_2_before_training(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        # rewiring emulates 32-bit integer draws; simulate used to fit the
+        # model and then fail at the first graph, and train to succeed
+        monkeypatch.setattr(experiments, "load_config_stats", lambda config: 1 / 0)
+        config = write_config(tmp_path, graph=dict(SW, n=2**32))
+        assert main([command, "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("config error: graph.n: "
+                       "small-world rewiring needs n < 2**32, got 4294967296\n")
+        assert not (tmp_path / "out").exists()
+
     def test_non_object_document_exits_2(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
         config.write_text('"graph"')

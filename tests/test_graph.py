@@ -151,6 +151,25 @@ class TestClusteringCoefficient:
                 continue
             assert clustering_coefficient(g) == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("budget", [1, 7, graph_module.PATH_BUDGET])
+    def test_any_path_budget_matches_exhaustive_oracle(self, monkeypatch, budget):
+        # hubs joined to most vertices start more paths per edge than a small
+        # budget, and their rows are cut across batches
+        monkeypatch.setattr(graph_module, "PATH_BUDGET", budget)
+        for seed in range(6):
+            gen = np.random.default_rng(seed)
+            n = int(gen.integers(12, 30))
+            edges = set(edge_set(random_graph(n, 0.15, seed)))
+            for hub in gen.choice(n, size=2, replace=False).tolist():
+                edges |= {(min(hub, v), max(hub, v)) for v in range(n)
+                          if v != hub and gen.random() < 0.8}
+            g = Graph(n, sorted(e for e in edges if e[0] < e[1]))
+            if budget < 8:  # a hub's edges are cut into several batches
+                assert g.degrees().max() > 2 * budget
+            assert clustering_coefficient(g) == transitivity_all_triples(g)
+        g = gen_small_world(60, 5, 0.2, np.random.default_rng(4))
+        assert clustering_coefficient(g) == transitivity_all_triples(g)
+
 
 class TestMeanGeodesic:
     def test_complete_graph(self):
@@ -448,7 +467,14 @@ class TestGraphMemory:
     peak is a small multiple of the CSR bytes the graph keeps, and
     out_edges holds at most two edge-long arrays at once.  The whole-array
     versions reached 6.7x in gen_erdos_renyi, 4.1x above its input in the
-    constructor and 1.5x the returned arrays in out_edges."""
+    constructor and 1.5x the returned arrays in out_edges.
+
+    gen_small_world writes the lattice into the (m, 2) array Graph takes
+    and keeps only the accepted rewires' keys, and clustering_coefficient
+    checks at most PATH_BUDGET 2-paths per batch.  The versions they
+    replaced held all n * k lattice keys in a set (7.1x the CSR bytes at
+    n = 4000, k = 15, p = 0.1, and 10.2x at n = 1000, p = 1.0) and 4,096
+    edges' 2-paths at once (4.2 MB on the 400-vertex graph below)."""
 
     N, EDGE_PROB = 15000, 20 / 14999
 
@@ -477,6 +503,24 @@ class TestGraphMemory:
         (sources, targets), peak = traced_peak(lambda: g.out_edges(vertices))
         assert len(targets) > 70000
         assert peak <= 1.25 * (sources.nbytes + targets.nbytes), peak / (2 * targets.nbytes)
+
+    @pytest.mark.parametrize("n,rewire_prob,ratio", [(4000, 0.1, 3.0), (1000, 1.0, 7.0)])
+    def test_small_world_peak(self, n, rewire_prob, ratio):
+        # at p = 1.0 every edge is rewired, so the set of added keys holds
+        # about all m of them; tracing each of their ints is slow, hence n = 1000
+        gen_small_world(50, 3, 0.1, np.random.default_rng(0))  # first-call imports
+        g, peak = traced_peak(
+            lambda: gen_small_world(n, 15, rewire_prob, np.random.default_rng(5)))
+        csr = self.csr_bytes(g)
+        assert g.edge_count == 15 * n
+        assert peak <= ratio * csr, peak / csr
+
+    def test_transitivity_peak(self):
+        g = gen_small_world(400, 10, 0.1, np.random.default_rng(1))
+        expected = clustering_coefficient(g)
+        value, peak = traced_peak(lambda: clustering_coefficient(g))
+        assert value == expected
+        assert peak <= 1_000_000, peak
 
 
 class TestSmallWorld:
@@ -577,6 +621,16 @@ class TestSmallWorldStream:
         for seed in range(5):
             self.assert_same_stream(n, 3, 1.0, seed, buffered=False, half=0)
 
+    @pytest.mark.parametrize("n,k", [(7, 3), (8, 3), (10, 4), (13, 6), (14, 6), (21, 10)])
+    @pytest.mark.parametrize("p", [0.3, 1.0])
+    def test_largest_lattices_match(self, monkeypatch, n, k, p):
+        # with 2k + 1 or 2k + 2 vertices every vertex is a lattice neighbour
+        # of nearly all others, many across the wrap from n - 1 to 0, so most
+        # draws hit a lattice slot, and at p = 1.0 retries run out
+        for seed in range(12):
+            monkeypatch.setattr(graph_module, "SW_BLOCK", (16384, 5)[seed % 2])
+            self.assert_same_stream(n, k, p, seed, buffered=seed // 2 % 2)
+
     def test_draws_past_a_full_block_match(self):
         # 72,000 lattice edges: the coins alone fill more than one default block
         self.assert_same_stream(4000, 18, 0.1, 3, buffered=True)
@@ -605,6 +659,11 @@ class TestGraphParams:
         assert g.edge_count == 60
 
     def test_validation(self):
+        too_many = r"^small-world rewiring needs n < 2\*\*32, got 4294967296$"
+        with pytest.raises(GraphError, match=too_many):
+            GraphParams("small_world", 2**32, neighbors=2, rewire_prob=0.1)
+        GraphParams("small_world", 2**32 - 1, neighbors=2, rewire_prob=0.1)
+        GraphParams("erdos_renyi", 2**32, edge_prob=0.1)
         with pytest.raises(ValueError):
             GraphParams("bogus", 10)
         with pytest.raises(ValueError):
