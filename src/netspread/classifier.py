@@ -58,9 +58,18 @@ RBF = "rbf"
 
 KKT_TOL = 1e-3
 SUPPORT_EPS = 1e-8
-# Vertex rows per half-row block in _pair_dots.  It fixes the GEMM row
-# blocking, so changing it changes the last bits of decision values.
+# Vertex rows per half-row block on the reference path (_pair_dots): the
+# senders' rows are built this many at a time, and the receivers' rows one
+# block at a time.  It fixes the GEMM row blocking, so changing it changes the
+# last bits of reference decision values.
 KERNEL_BLOCK = 1024
+# The same for the certified fast path.  Its bits reach no output, so it is
+# sized from a measured time and memory curve (2-vCPU VM, one BLAS thread):
+# on ER demo calls with 2,518 SVs, 256 rows held the largest call's traced
+# peak to 47 MB, against 203 MB for whole receiver rows, and scored 10%
+# faster; 512 and 1,024 rows were about 4% faster again but held 5 and 16 MB
+# more.
+FAST_BLOCK = 256
 # Gathered sender + receiver row bytes per row-wise dot product in
 # _pair_dots, sized to stay in L2.  Each pair is reduced on its own, so any
 # value gives the same bits.
@@ -70,10 +79,12 @@ PAIR_CHUNK_BYTES = 1 << 19
 # computed on its own, so any value gives the same bits; 128 KiB keeps the
 # temporary and the sub-block it updates in L2.
 _RBF_SUB_BYTES = 1 << 17
-# Kernel-row bytes held at once: the SMO row cache, and the sender plus
-# receiver half rows of one pair-scoring call or span (_pair_dots).  Both
-# paths write their half rows in place; the reference path's kernel_matrix
-# calls add only row norms and _RBF_SUB_BYTES.
+# Kernel-row bytes held at once: the SMO row cache, and the sender half rows
+# plus one receiver block of one pair-scoring call or span (_pair_dots).
+# Spans start where the sender plus receiver rows would pass it, so a span's
+# rows, and the reference path's bits, do not depend on the block size.
+# Both paths write their half rows in place; the reference path's
+# kernel_matrix calls add only row norms and _RBF_SUB_BYTES.
 KERNEL_ROWS_BYTES = 256_000_000
 # Bytes of the whole n x n kernel matrix that a fit whose rows all fit the
 # row cache builds at once instead (train_svm).  2 MiB takes n <= 512.
@@ -340,9 +351,13 @@ class SvmModel:
         SV halves alone reach P > 600, whose sum|c_k| exceeds 1e40 or whose
         folded coefs underflow, of a linear model and of one without SVs.
         Both paths reduce their half rows by _pair_dots, in the same
-        KERNEL_BLOCK blocks and KERNEL_ROWS_BYTES spans.  fast_calls or
-        fallback_calls counts the call; a call that computed f^ lowers
-        min_margin_ratio to its min |f^| / 2B.
+        KERNEL_ROWS_BYTES spans; the reference path builds rows in
+        KERNEL_BLOCK blocks, and the fast path in FAST_BLOCK blocks, which
+        the bound allows, since it holds for any blocking.  So a call holds
+        the sender rows and one FAST_BLOCK of receiver rows, and a fallback
+        call one KERNEL_BLOCK.  fast_calls or fallback_calls counts the
+        call; a call that computed f^ lowers min_margin_ratio to its
+        min |f^| / 2B.
         """
         rows = self._pair_rows(table, senders, receivers)
         fast = self._fast_values(*rows)
@@ -364,13 +379,15 @@ class SvmModel:
         record width d.  For RBF, K(x, sv) = k(s, sv[:d]) * k(r, sv[d:]):
         half-kernel rows S (times the coefs) and R are computed once per
         unique sender and receiver, and a pair's value is the dot product of
-        its two rows, taken PAIR_CHUNK_BYTES of gathered rows at a time.  A
-        linear model collapses to the primal weight vector, one scalar per
-        vertex half.  Memory is bounded: when the unique senders plus
-        receivers need more than KERNEL_ROWS_BYTES of rows, the pairs are
-        scored in the order given, in spans of max_rows // 2 pairs; a span
-        has at most that many senders and as many receivers, so its S + R
-        fit in it.  No pairs x SVs array is built.
+        its two rows, taken PAIR_CHUNK_BYTES of gathered rows at a time.  S
+        is held whole; R is built and used one KERNEL_BLOCK of receivers at
+        a time, with the pairs grouped by their receiver's block.  A linear
+        model collapses to the primal weight vector, one scalar per vertex
+        half.  Memory is bounded: when the unique senders plus receivers
+        need more than KERNEL_ROWS_BYTES of rows, the pairs are scored in
+        the order given, in spans of max_rows // 2 pairs; a span has at
+        most that many senders and as many receivers, so its S and one
+        block fit in it.  No pairs x SVs array is built.
 
         senders and receivers must be integer arrays of one length that
         index rows of table; else a ClassifierError names the fault, and
@@ -421,7 +438,7 @@ class SvmModel:
             return (Zs @ w[:d])[send_of] + (Zr @ w[d:])[recv_of] + self.bias
         halves = [np.ascontiguousarray(h) for h in np.hsplit(self.support_vectors, 2)]
         return _pair_dots(lambda Z, h, out: kernel_matrix(self.kernel, Z, halves[h], out=out),
-                          self.coefs, Zs, Zr, send_of, recv_of) + self.bias
+                          self.coefs, Zs, Zr, send_of, recv_of, KERNEL_BLOCK) + self.bias
 
     def _fast_values(self, Zs, Zr, send_of, recv_of) -> tuple[np.ndarray, float] | None:
         """(f^, B) of _pair_rows' rows by the fast form, or None when the
@@ -437,7 +454,7 @@ class SvmModel:
             return None
         halves = scorer.halves
         values = _pair_dots(lambda Z, h, out: np.exp(np.matmul(Z, halves[h].T, out), out=out),
-                            scorer.folded, Zs, Zr, send_of, recv_of)
+                            scorer.folded, Zs, Zr, send_of, recv_of, FAST_BLOCK)
         values *= np.exp(sq_s / -scorer.two_sig2)[send_of]
         values *= np.exp(sq_r / -scorer.two_sig2)[recv_of]
         values += self.bias
@@ -646,16 +663,24 @@ def _unique_indices(ids: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return unique, rank[ids]
 
 
-def _pair_dots(half_rows, coefs, Zs, Zr, send_of, recv_of) -> np.ndarray:
+def _pair_dots(half_rows, coefs, Zs, Zr, send_of, recv_of, block: int) -> np.ndarray:
     """sum_k coefs_k S[send_of, k] R[recv_of, k] of each pair, where
     half_rows(Z, h, out) writes the half rows S of the senders Zs (h = 0) and
-    R of the receivers Zr (h = 1) into out, KERNEL_BLOCK rows of Z a call.
+    R of the receivers Zr (h = 1) into out, `block` rows of Z a call.
 
-    Spans are as pair_decision_values states them.  Gathered rows are read
-    into two buffers made once, PAIR_CHUNK_BYTES of them at a time: a fresh
-    array per gather costs more than the dot products.  S is built and
-    multiplied by the coefs before R is allocated, and the values and
-    buffers after R: other orders made glibc's heap keep freed rows and
+    Spans are as pair_decision_values states them.  A span's S is built
+    whole and multiplied by the coefs.  Its R is built one block of `block`
+    receivers at a time into one buffer, and the pairs of that block are
+    reduced against S and it: a stable sort by receiver block keeps each
+    block's pairs in the order given (by sender, from diffusion, so S is
+    read in order), and each value is written to its pair's place.  So
+    every receiver row is built once per span, as when R is built whole,
+    and scoring holds S, one block and the chunk buffers.
+    Gathered rows are read into two buffers made once, PAIR_CHUNK_BYTES of
+    them at a time: a fresh array per gather costs more than the dot
+    products.  Each pair is reduced on its own, so its value's bits depend
+    only on the blocks half_rows is given.  S is built before the buffers
+    are allocated: other orders made glibc's heap keep freed rows and
     raised peak RSS by up to 8% on some inputs.
     """
     K, count = len(coefs), len(send_of)
@@ -664,13 +689,6 @@ def _pair_dots(half_rows, coefs, Zs, Zr, send_of, recv_of) -> np.ndarray:
     max_rows = max(2, KERNEL_ROWS_BYTES // (8 * K))
     span = max_rows // 2 if len(Zs) + len(Zr) > max_rows else count
     step = max(1, PAIR_CHUNK_BYTES // (16 * K))
-
-    def rows(Z, h):
-        out = np.empty((len(Z), K))
-        for i in range(0, len(Z), KERNEL_BLOCK):
-            half_rows(Z[i : i + KERNEL_BLOCK], h, out[i : i + KERNEL_BLOCK])
-        return out
-
     for start in range(0, count, span):
         s_of, r_of = send_of[start : start + span], recv_of[start : start + span]
         zs, zr = Zs, Zr
@@ -678,20 +696,35 @@ def _pair_dots(half_rows, coefs, Zs, Zr, send_of, recv_of) -> np.ndarray:
             s_ids, s_of = _unique_indices(s_of, len(Zs))
             r_ids, r_of = _unique_indices(r_of, len(Zr))
             zs, zr = Zs[s_ids], Zr[r_ids]
-        S = rows(zs, 0)
+        S = np.empty((len(zs), K))
+        for i in range(0, len(zs), block):
+            half_rows(zs[i : i + block], 0, S[i : i + block])
         S *= coefs
-        R = rows(zr, 1)
         if not start:
             values = np.empty(count)
+            R = np.empty((min(block, span, len(Zr)), K))
             rows_s = np.empty((min(step, count), K))
             rows_r = np.empty_like(rows_s)
-        for first in range(0, len(s_of), step):
-            s, r = s_of[first : first + step], r_of[first : first + step]
-            # the indices are in range, and "clip" skips the buffered copy "raise" makes
-            np.take(S, s, axis=0, out=rows_s[: len(s)], mode="clip")
-            np.take(R, r, axis=0, out=rows_r[: len(s)], mode="clip")
-            at = start + first
-            np.einsum("ij,ij->i", rows_s[: len(s)], rows_r[: len(s)], out=values[at : at + len(s)])
+        # every receiver block of the span has a pair: zr holds its receivers
+        # only.  Keys of 16 bits or fewer take numpy's radix sort.
+        blocks = (r_of // block).astype(np.min_scalar_type(len(zr) // block))
+        ends = np.cumsum(np.bincount(blocks)).tolist()
+        order = np.argsort(blocks, kind="stable")
+        span_values = values[start : start + span]
+        first = 0
+        for base, end in zip(range(0, len(zr), block), ends):
+            rows = zr[base : base + block]
+            half_rows(rows, 1, R[: len(rows)])
+            at = order[first:end]
+            s, r, dots = s_of[at], r_of[at] - base, np.empty(end - first)
+            for lo in range(0, len(at), step):
+                n = min(step, len(at) - lo)
+                # the indices are in range, and "clip" skips the buffered copy "raise" makes
+                np.take(S, s[lo : lo + n], axis=0, out=rows_s[:n], mode="clip")
+                np.take(R, r[lo : lo + n], axis=0, out=rows_r[:n], mode="clip")
+                np.einsum("ij,ij->i", rows_s[:n], rows_r[:n], out=dots[lo : lo + n])
+            span_values[at] = dots
+            first = end
     return values
 
 

@@ -1,5 +1,6 @@
 import itertools
 import logging
+import sys
 
 import numpy as np
 import pytest
@@ -627,16 +628,26 @@ SCORING_PATHS = {
 }
 
 
+# the block constant each scoring path passes to classifier._pair_dots, by the
+# SvmModel method that calls it
+PATH_BLOCKS = {"_pair_values": "KERNEL_BLOCK", "_fast_values": "FAST_BLOCK"}
+
+
 def record_spans(monkeypatch) -> list:
     """[sender rows, receiver rows] of each span of every classifier._pair_dots
-    call from now on, counted from the half rows it asks for; a request for
-    more than KERNEL_BLOCK rows fails the call."""
+    call from now on, counted from the half rows it asks for.  A call whose
+    block is not the one of the path that made it, or a request for more
+    rows than that block, fails the call."""
     spans = []
     real = classifier._pair_dots
 
     def wrapped(half_rows, *args):
+        caller = sys._getframe(1).f_code.co_name
+        block = args[-1]
+        assert block == getattr(classifier, PATH_BLOCKS[caller])
+
         def recording(Z, h, out):
-            assert 0 < len(Z) <= classifier.KERNEL_BLOCK
+            assert 0 < len(Z) <= block
             if h == 0 and (not spans or spans[-1][1]):  # a span's first sender block
                 spans.append([0, 0])
             spans[-1][h] += len(Z)
@@ -778,7 +789,8 @@ class TestFactoredPairScoring:
         table = pair_table(n=600, seed=4)
         svs = len(model.coefs)
         monkeypatch.setattr(classifier, "KERNEL_ROWS_BYTES", max_rows * 8 * svs)
-        monkeypatch.setattr(classifier, "KERNEL_BLOCK", 16)  # a span's rows in blocks
+        for name in PATH_BLOCKS.values():  # a span's rows in blocks
+            monkeypatch.setattr(classifier, name, 16)
         gen = np.random.default_rng(12)
         senders = gen.integers(0, 200, size=3000)
         senders[:150] = 7  # one sender's pairs fill several spans
@@ -1057,19 +1069,20 @@ class TestCertifiedPairScoring:
         assert model.min_margin_ratio <= 1.0
 
 
-def textbook_dots(half_rows, coefs, Zs, Zr, senders, receivers, span: int) -> np.ndarray:
+def textbook_dots(half_rows, coefs, Zs, Zr, senders, receivers, span: int,
+                  block: int | None = None) -> np.ndarray:
     """sum_k coefs_k S[s, k] R[r, k] of each pair (s, r), written out over the
     standardized sender and receiver halves Zs and Zr of every table row: per
     run of `span` pairs, S (times the coefs) and R hold the half rows of its
-    np.unique senders and receivers, half_rows(rows, h) per KERNEL_BLOCK
-    rows, and one einsum takes the run."""
+    np.unique senders and receivers, half_rows(rows, h) per `block` rows
+    (KERNEL_BLOCK when None), and one einsum takes the run."""
+    block = block or classifier.KERNEL_BLOCK
     values = []
     for k in range(0, len(senders), span):
         halves = []
         for h, (Z, ids) in enumerate(((Zs, senders[k : k + span]), (Zr, receivers[k : k + span]))):
             unique, inverse = np.unique(ids, return_inverse=True)
             rows = Z[unique]
-            block = classifier.KERNEL_BLOCK
             H = np.vstack([half_rows(rows[b : b + block], h) for b in range(0, len(rows), block)])
             halves.append((H * coefs if h == 0 else H)[inverse])
         values.append(np.einsum("ij,ij->i", *halves))
@@ -1080,17 +1093,24 @@ class TestPairScoringBits:
     """Both RBF scoring paths against their textbook forms, bit for bit."""
 
     @staticmethod
-    def call(count: int, max_rows, monkeypatch):
-        """A random model with 40 SVs, a call of `count` pairs, the standardized
-        sender and receiver halves of every table row and the pairs per span,
-        under a row budget of max_rows."""
+    def call(count: int, max_rows, monkeypatch, ascending: bool = False):
+        """A random model with 40 SVs, a call of `count` pairs (sorted by
+        sender if ascending), the standardized sender and receiver halves of
+        every table row and the pairs per span, under a row budget of
+        max_rows.  Without a budget, or with one above 40 rows, both paths
+        build rows in blocks of 64, so receivers fill several blocks."""
         table = pair_table(n=300, seed=9)
         model = random_pair_model(table, 40, 2.0, 1.0, seed=7)
         gen = np.random.default_rng(count)
         senders, receivers = gen.integers(0, 300, size=(2, count))
+        if ascending:  # as diffusion_step passes them
+            order = np.argsort(senders, kind="stable")
+            senders, receivers = senders[order], receivers[order]
+        if max_rows is None or max_rows > 40:
+            for name in PATH_BLOCKS.values():  # rows in several blocks
+                monkeypatch.setattr(classifier, name, 64)
         if max_rows is None:
             span = count
-            monkeypatch.setattr(classifier, "KERNEL_BLOCK", 64)  # rows in several blocks
         else:
             monkeypatch.setattr(classifier, "KERNEL_ROWS_BYTES", max_rows * 8 * 40)
             span = max_rows // 2
@@ -1117,11 +1137,11 @@ class TestPairScoringBits:
         values = model.pair_decision_values(table, senders, receivers)
         assert values.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("count,max_rows", CALLS)
-    def test_fast_values(self, monkeypatch, count, max_rows):
-        # e(s) e(r) g + b with e(x) = exp(-|x|^2 / 2 sigma^2) and
-        # g = sum_k c_k e(a_k) e(b_k) exp(s.a_k / sigma^2) exp(r.b_k / sigma^2)
-        model, table, senders, receivers, Z, span = self.call(count, max_rows, monkeypatch)
+    @staticmethod
+    def fast_textbook(model, Z, senders, receivers, span) -> np.ndarray:
+        """e(s) e(r) g + b with e(x) = exp(-|x|^2 / 2 sigma^2) and
+        g = sum_k c_k e(a_k) e(b_k) exp(s.a_k / sigma^2) exp(r.b_k / sigma^2),
+        its rows in blocks of FAST_BLOCK."""
         d = Z[0].shape[1]
         sigma2 = model.kernel.sigma * model.kernel.sigma
         sv = model.support_vectors
@@ -1133,10 +1153,60 @@ class TestPairScoringBits:
 
         folded = model.coefs * e(sv[:, :d]) * e(sv[:, d:])
         g = textbook_dots(lambda rows, h: np.exp(rows @ halves[h].T), folded,
-                          *Z, senders, receivers, span)
-        expected = g * e(Z[0])[senders] * e(Z[1])[receivers] + model.bias
+                          *Z, senders, receivers, span, classifier.FAST_BLOCK)
+        return g * e(Z[0])[senders] * e(Z[1])[receivers] + model.bias
+
+    @pytest.mark.parametrize("count,max_rows", CALLS)
+    def test_fast_values(self, monkeypatch, count, max_rows):
+        model, table, senders, receivers, Z, span = self.call(count, max_rows, monkeypatch)
+        expected = self.fast_textbook(model, Z, senders, receivers, span)
         values, _ = fast_values(model, table, senders, receivers)
         assert values.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("max_rows", [None, 400])
+    @pytest.mark.parametrize("ascending", [True, False])
+    @pytest.mark.parametrize("path", SCORING_PATHS)
+    def test_receivers_in_several_blocks(self, monkeypatch, path, ascending, max_rows):
+        # the receivers of the call, or of each span of 200 pairs, fill
+        # several 64-row blocks; each value keeps the bits of its textbook form
+        model, table, senders, receivers, Z, span = self.call(4000, max_rows, monkeypatch,
+                                                              ascending)
+        assert all(len(np.unique(receivers[k : k + span])) > 2 * 64
+                   for k in range(0, len(receivers), span))
+        if path == "reference":
+            halves = [np.ascontiguousarray(h) for h in np.hsplit(model.support_vectors, 2)]
+            expected = textbook_dots(lambda rows, h: kernel_matrix(model.kernel, rows, halves[h]),
+                                     model.coefs, *Z, senders, receivers, span) + model.bias
+        else:
+            expected = self.fast_textbook(model, Z, senders, receivers, span)
+        values = SCORING_PATHS[path](model, table, senders, receivers)
+        assert values.tobytes() == expected.tobytes()
+
+
+class TestPairScoringMemory:
+    @pytest.mark.parametrize("path", ["predict_pairs", "pair_decision_values"])
+    def test_scoring_holds_the_senders_and_one_receiver_block(self, path):
+        # 9,216 receivers fill nine reference blocks and 36 fast blocks; 256
+        # senders, in ascending order as diffusion_step passes them; 200 SVs
+        n, svs = 9 * 1024, 200
+        table = pair_table(n=n, seed=3)
+        model = random_pair_model(table, svs, 2.0, 1.0, seed=1)
+        gen = np.random.default_rng(4)
+        receivers = np.concatenate([gen.permutation(n), gen.permutation(n)])
+        senders = np.sort(gen.integers(0, 256, size=2 * n))
+        table.encoded()  # cached before the trace: a table is encoded once
+        _, peak = traced_peak(lambda: getattr(model, path)(table, senders, receivers))
+        row = 8 * svs
+        block = (classifier.KERNEL_BLOCK if path == "pair_decision_values"
+                 else classifier.FAST_BLOCK)
+        chunk = 2 * (classifier.PAIR_CHUNK_BYTES // (16 * svs))
+        held = (256 + block + chunk) * row + classifier._RBF_SUB_BYTES
+        # eight pair-length arrays of 8-byte indices, values and labels, and
+        # two copies of the receivers' records, as gathered and standardized
+        allowance = 8 * 8 * len(senders) + 2 * table.encoded().nbytes
+        assert held + allowance < n * row / 2  # far below every receiver row
+        assert peak <= held + allowance
+        assert model.fallback_calls == 0
 
 
 @pytest.mark.parametrize("n,size,seed", [(1, 0, 0), (1, 5, 1), (10, 3, 2), (300, 2500, 3),
