@@ -66,14 +66,14 @@ a JSON list.  A section takes only the keys shown above (graph those of
 its model, training those of every mode, each grid entry those of
 params), so a misspelt key is an error, not a silent default.  _SETTINGS
 holds the kind, default and range of every scalar setting of the top level
-and of training; graph.n defaults to 10000 and is >= 1 (and below 2**32
-for a small world, as GraphParams.check_n says).  _scalar is the
-one check of a set value: a number is a finite JSON number only, never a
-boolean, a string, Infinity or NaN, and an integer (graph.n, neighbors
-too) takes no fraction; a file or directory name is a JSON string and
-per_replicate a JSON boolean.  report_fields, criteria and contact_fields
-are lists of strings, report_fields names no field twice, and survey
-mode's criteria and contact_fields are not empty.
+and of training; graph.n defaults to 10000 and is >= 1 and below 2**31,
+as GraphParams.check_n says.  _scalar is the one check of a set value: a
+number is a finite JSON number only, never a boolean, a string, Infinity
+or NaN, and an integer (graph.n, neighbors too) takes no fraction; a file
+or directory name is a JSON string and per_replicate a JSON boolean.
+report_fields, criteria and contact_fields are lists of strings,
+report_fields names no field twice, and survey mode's criteria and
+contact_fields are not empty.
 Graph values are checked by GraphParams and initial fractions by
 DiffusionConfig while parsing; the field names in report_fields,
 criteria, contact_fields and the rule conditions are checked against the
@@ -409,7 +409,7 @@ class ExperimentConfig:
         _object(graph, "graph", model)
         n = _scalar(graph.get("n", 10000), "graph.n", int, 1)
         with _at("graph.n"):
-            GraphParams.check_n(model, n)
+            GraphParams.check_n(n)
         # (graph, columns, tag) per graph setting, in sweep.csv row order:
         # ER by edge_prob; small world by rewire_prob, then neighbors
         graphs = []

@@ -54,18 +54,21 @@ class Graph:
     the only place the simple-graph rules are checked; there is no
     mutator.
 
-    Memory: the build holds the input (as int64; an (m, 2) int64 array is
-    not copied) plus one 2m-long int64 key array, sorted in place and
-    reduced in place to `_indices`.  Its other temporaries are the n + 1
-    row offsets and boolean masks of at most 2m bytes.
+    Memory: the build holds the input (an (m, 2) int32 or int64 array is
+    not copied; other input becomes int64) plus one 2m-long key array
+    row * n + column, sorted in place and reduced in place to `_indices`,
+    the neighbour ids.  The keys, and so the ids, are int32 when
+    n * n < 2**31 (n <= 46,340), else int64; the n + 1 row offsets are
+    int64.  The other temporaries are the row offsets and boolean masks of
+    at most 2m bytes.
     """
 
     __slots__ = ("n", "_indptr", "_indices", "_ptr", "_idx")
 
     def __init__(self, n: int, edges=()):
-        if n < 0:
-            raise GraphError(f"vertex count must be non-negative, got {n}")
-        e = np.asarray(edges, dtype=np.int64)
+        GraphParams.check_n(n)
+        e = np.asarray(edges)
+        e = e if e.dtype == np.int32 else e.astype(np.int64, copy=False)
         if e.size == 0:
             e = e.reshape(0, 2)
         if e.ndim != 2 or e.shape[1] != 2:
@@ -79,20 +82,22 @@ class Graph:
             raise GraphError(f"self edge ({u}, {u}) not allowed")
         del bad, loops
         # both orientations as row * n + column, sorted: the CSR entries in order
-        keys = np.empty(2 * len(e), dtype=np.int64)
+        keys = np.empty(2 * len(e), dtype=np.int32 if n * n < 2**31 else np.int64)
         forward, backward = keys[: len(e)], keys[len(e) :]
-        np.multiply(e[:, 0], n, out=forward)
+        np.multiply(e[:, 0], n, out=forward, dtype=keys.dtype)
         forward += e[:, 1]
-        np.multiply(e[:, 1], n, out=backward)
+        np.multiply(e[:, 1], n, out=backward, dtype=keys.dtype)
         backward += e[:, 0]
+        del forward, backward
         keys.sort()
         if np.any(keys[1:] == keys[:-1]):  # name the first repeat, as given
             lo, hi = e.min(axis=1), e.max(axis=1)
-            _, first = np.unique(lo * n + hi, return_index=True)
+            _, first = np.unique(lo * np.int64(n) + hi, return_index=True)
             u, v = e[np.setdiff1d(np.arange(len(e)), first)[0]]
             raise GraphError(f"edge ({u}, {v}) already present")
-        # row r's entries are the keys in [r * n, (r + 1) * n)
-        self._indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+        # row r's entries are the keys in [r * n, (r + 1) * n); the needles
+        # share the keys' dtype, or searchsorted would copy the keys to match
+        self._indptr = np.searchsorted(keys, np.arange(n + 1, dtype=keys.dtype) * n)
         self._indices = np.remainder(keys, max(n, 1), out=keys)
         self._indptr.flags.writeable = self._indices.flags.writeable = False
         # Python-int views of the same buffers, for fast scalar lookups
@@ -129,7 +134,8 @@ class Graph:
         positions = np.repeat(starts - offsets, counts)
         positions += np.arange(len(positions))
         targets = self._indices[positions]
-        del positions  # before the sources exist: at most two edge-long arrays at once
+        del positions  # before the ids widen and the sources exist
+        targets = targets.astype(np.int64, copy=False)  # at most two edge-long int64 arrays at once
         return np.repeat(vs, counts), targets
 
     def edges_between(self, sources, targets) -> tuple[np.ndarray, np.ndarray]:
@@ -287,7 +293,7 @@ class GraphParams:
     def __post_init__(self):
         if self.model not in (ERDOS_RENYI, SMALL_WORLD):
             raise GraphError(f"unknown graph model {self.model!r}")
-        self.check_n(self.model, self.n)
+        self.check_n(self.n)
         if self.model == ERDOS_RENYI:
             if not 0.0 <= self.edge_prob <= 1.0:
                 raise GraphError("edge_prob must lie in [0, 1]")
@@ -300,13 +306,15 @@ class GraphParams:
                 raise GraphError("rewire_prob must lie in [0, 1]")
 
     @staticmethod
-    def check_n(model: str, n: int) -> None:
-        """Raise GraphError unless `model` takes n vertices: small-world
-        rewiring emulates numpy's 32-bit integer draws, so needs n < 2**32."""
+    def check_n(n: int) -> None:
+        """Raise GraphError unless a graph may have n vertices: the generators'
+        edge arrays (and the neighbour ids while n * n < 2**31) hold vertex
+        ids as int32, so n < 2**31, which also keeps small-world rewiring's
+        emulated 32-bit integer draws exact."""
         if n < 0:
-            raise GraphError("n must be non-negative")
-        if model == SMALL_WORLD and n >= 2**32:
-            raise GraphError(f"small-world rewiring needs n < 2**32, got {n}")
+            raise GraphError(f"vertex count must be non-negative, got {n}")
+        if n >= 2**31:
+            raise GraphError(f"vertex count must be below 2**31 (int32 vertex ids), got {n}")
 
 
 def gen_erdos_renyi(n: int, edge_prob: float, rng: np.random.Generator) -> Graph:
@@ -337,12 +345,11 @@ def gen_erdos_renyi(n: int, edge_prob: float, rng: np.random.Generator) -> Graph
         last = int(idx[-1])
         blocks.append(idx[: np.searchsorted(idx, pairs)])
     idx = np.concatenate(blocks)
-    # each m-long temporary goes before the next comes, so the peak is the
-    # constructor's: the (m, 2) edges plus its 2m keys
+    # each m-long temporary goes before the next comes
     del blocks, gaps
     rows = np.arange(n, dtype=np.int64)
     row_start = rows * (2 * n - rows - 1) // 2  # number of pair (u, u + 1)
-    edges = np.empty((len(idx), 2), dtype=np.int64)
+    edges = np.empty((len(idx), 2), dtype=np.int32)
     us, vs = edges[:, 0], edges[:, 1]
     us[:] = np.searchsorted(row_start, idx, side="right")
     us -= 1
@@ -378,7 +385,7 @@ def gen_small_world(
     REWIRE_RETRIES times, after which the edge is kept as-is (logged).  The
     edge count is therefore exactly neighbors*n for any rewire_prob.
 
-    Memory: the lattice is written once into the (m, 2) int64 array handed
+    Memory: the lattice is written once into the (m, 2) int32 array handed
     to Graph, edge e = u * k + d - 1 joining u to (u + d) % n, and a rewire
     overwrites its far end.  A pair (lo, hi) is a lattice pair when it lies
     at most k apart around the ring, d = hi - lo <= k (slot lo * k + d - 1)
@@ -398,8 +405,8 @@ def gen_small_world(
     the generator's buffered half words (`has_uint32` / `uinteger`).  Then
     the start state is advanced past the words used.  This leans on the
     PCG64 bit generator and numpy's `Generator` internals, so any other bit
-    generator, and n >= 2**32 (a 64-bit draw; GraphParams.check_n), raise
-    GraphError.
+    generator raises GraphError; n < 2**31 (GraphParams.check_n) rules out
+    the 64-bit draws of n >= 2**32.
     """
     GraphParams(SMALL_WORLD, n, neighbors=neighbors, rewire_prob=rewire_prob)
     bitgen = rng.bit_generator
@@ -409,10 +416,11 @@ def gen_small_world(
         )
     k = neighbors
     total = k * n
-    edges = np.empty((total, 2), dtype=np.int64)  # the lattice, rewired in place
-    lattice, ring = edges.reshape(n, k, 2), np.arange(n)[:, None]
+    edges = np.empty((total, 2), dtype=np.int32)  # the lattice, rewired in place
+    lattice, ring = edges.reshape(n, k, 2), np.arange(n, dtype=np.int32)[:, None]
     lattice[:, :, 0] = ring
-    np.add(ring, np.arange(1, k + 1), out=lattice[:, :, 1])
+    # (u + d) % n as (u + d - n) % n, whose operand fits in int32 for any n
+    np.subtract(ring, n - np.arange(1, k + 1, dtype=np.int32), out=lattice[:, :, 1])
     np.remainder(lattice[:, :, 1], n, out=lattice[:, :, 1])
     del lattice, ring
     far_ends = memoryview(edges[:, 1])  # indexes to Python ints, as a list would

@@ -1,7 +1,8 @@
 """Synthetic populations: feature schema, encoding, Gaussian statistics, sampling.
 
-People live in a VertexTable: one integer column per schema field, one row
-per person (`row(i)` gives a record dict, a mapping from field id to value).
+People live in a VertexTable: one integer column per schema field, each of
+the schema's dtype, and one row per person (`row(i)` gives a record dict, a
+mapping from field id to value).
 VertexTable.encoded is the one encoder: it passes ordinal and binary fields
 through unchanged and expands each categorical field into a one-hot
 indicator block.  _decode_into is the one decoder, from encoded-space rows
@@ -31,6 +32,7 @@ import json
 import logging
 from collections import Counter
 from dataclasses import dataclass
+from dataclasses import field as dataclass_field
 
 import numpy as np
 
@@ -100,12 +102,29 @@ class Field:
 
 @dataclass(frozen=True)
 class FeatureSchema:
+    """The fields of a person record, in column order.
+
+    `dtype` is the one integer type of every VertexTable column of the
+    schema: the smallest signed type that holds each categorical index
+    0..k-1, binary 0..1 and every ordinal range (int8 for the shipped
+    survey schema).  A range no int64 holds is a PopulationError.
+    """
+
     fields: tuple[Field, ...]
+    dtype: np.dtype = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ids = [f.id for f in self.fields]
         if len(set(ids)) != len(ids):
             raise PopulationError("field ids must be unique")
+        lo = min([0] + [f.value_range[0] for f in self.fields if f.kind == ORDINAL])
+        hi = max([1] + [f.width - 1 if f.kind == CATEGORICAL else f.value_range[1]
+                        for f in self.fields if f.kind != BINARY])
+        for dtype in (np.int8, np.int16, np.int32, np.int64):
+            if np.iinfo(dtype).min <= lo and hi <= np.iinfo(dtype).max:
+                object.__setattr__(self, "dtype", np.dtype(dtype))
+                return
+        raise PopulationError(f"field values span [{lo}, {hi}], wider than int64")
 
     @property
     def encoded_dim(self) -> int:
@@ -141,7 +160,14 @@ def round_half_up(x):
 
 
 class VertexTable:
-    """Column-oriented table of person records conforming to one schema."""
+    """Column-oriented table of person records conforming to one schema.
+
+    Every column has the schema's dtype, so a record cell takes 1 byte
+    under the shipped schema.  A column of that dtype is kept as given;
+    any other is read as int (so floats truncate) and narrowed, and a value
+    the dtype cannot hold is a PopulationError, never a wrapped value.
+    Whether each value is one its field takes is validate()'s check.
+    """
 
     def __init__(self, schema: FeatureSchema, columns: dict[str, np.ndarray]):
         if set(columns) != set(schema.field_ids):
@@ -150,7 +176,7 @@ class VertexTable:
         if len(lengths) > 1:
             raise PopulationError("columns have unequal lengths")
         self.schema = schema
-        self.columns = {fid: np.asarray(columns[fid], dtype=int) for fid in schema.field_ids}
+        self.columns = {fid: _narrow(fid, columns[fid], schema.dtype) for fid in schema.field_ids}
         self._encoded: np.ndarray | None = None
 
     @property
@@ -169,18 +195,18 @@ class VertexTable:
 
     @classmethod
     def from_records(cls, schema: FeatureSchema, records) -> "VertexTable":
+        """The table of `records`.  Each value is checked by its field before
+        the columns are narrowed, so a value outside its field's range is
+        named by that check, however wide it is."""
         records = list(records)
         columns = {
             f.id: np.array([r[f.id] for r in records], dtype=int) for f in schema.fields
         }
-        table = cls(schema, columns)
-        table.validate()
-        return table
+        _validate(schema, columns)
+        return cls(schema, columns)
 
     def validate(self) -> None:
-        for f in self.schema.fields:
-            for value in sorted(set(self.columns[f.id].tolist())):
-                f.validate(value)
+        _validate(self.schema, self.columns)
 
     def encoded(self) -> np.ndarray:
         """Row-encoded matrix (n, encoded_dim); cached, do not mutate."""
@@ -188,8 +214,8 @@ class VertexTable:
             out = np.zeros((self.n, self.schema.encoded_dim))
             for f, pos in self.schema.offsets():
                 col = self.columns[f.id]
-                if f.kind == CATEGORICAL:
-                    out[np.arange(self.n), pos + col] = 1.0
+                if f.kind == CATEGORICAL:  # indexed by block, as col + pos could wrap
+                    out[:, pos : pos + f.width][np.arange(self.n), col] = 1.0
                 else:
                     out[:, pos] = col
             self._encoded = out
@@ -225,6 +251,28 @@ class VertexTable:
                 [mode if row[j] is None else row[j] for row in rows], dtype=int
             )
         return cls(schema, columns)
+
+
+def _validate(schema: FeatureSchema, columns: dict) -> None:
+    """Each field's check of its column's values, smallest value first."""
+    for f in schema.fields:
+        for value in sorted(set(columns[f.id].tolist())):
+            f.validate(value)
+
+
+def _narrow(fid: str, values, dtype: np.dtype) -> np.ndarray:
+    """`values` as a `dtype` array: the array itself if it has that dtype."""
+    column = np.asarray(values)
+    if column.dtype == dtype:
+        return column
+    wide = np.asarray(column, dtype=int)
+    column = wide.astype(dtype)
+    if not np.array_equal(column, wide):
+        raise PopulationError(
+            f"field {fid!r}: value {wide[column != wide][0]} does not fit the "
+            f"schema's {dtype} records"
+        )
+    return column
 
 
 def read_int_csv(path, error, columns) -> tuple[list[str], list[list]]:
@@ -379,8 +427,8 @@ def optional_cell(parse):
 
 def _decode_into(samples: np.ndarray, schema: FeatureSchema, columns: dict) -> None:
     """The one decoder: write the nearest valid record of each row of the
-    encoded-space matrix `samples` into `columns`, one int array per field
-    id, as long as `samples`."""
+    encoded-space matrix `samples` into `columns`, one integer array per
+    field id, as long as `samples`."""
     for f, pos in schema.offsets():
         block = samples[:, pos : pos + f.width]
         column = columns[f.id]
@@ -541,7 +589,7 @@ def sample_population(
     """
     L = _factor(stats.covariance)
     schema = stats.schema
-    columns = {fid: np.empty(n, dtype=int) for fid in schema.field_ids}
+    columns = {fid: np.empty(n, dtype=schema.dtype) for fid in schema.field_ids}
     stops = list(range(SAMPLE_BLOCK, n, SAMPLE_BLOCK))
     if stops and n - stops[-1] == 1:
         stops.pop()

@@ -42,6 +42,7 @@ def check_simple(g) -> None:
     rows = np.repeat(np.arange(n), counts)
     if np.any(rows == idx):
         raise GraphError(f"self edge at {rows[np.argmax(rows == idx)]}")
+    idx = idx.astype(np.int64)  # int32 ids times n would wrap
     entries = rows * n + idx
     if np.any(entries[1:] <= entries[:-1]):
         raise GraphError("adjacency rows must strictly increase")
@@ -51,9 +52,10 @@ def check_simple(g) -> None:
 
 def reference_csr(n: int, edges=()) -> tuple[np.ndarray, np.ndarray]:
     """(indptr, indices) as Graph's constructor first built them: the sorted
-    concatenation of both orientations' keys, split by divmod, with the row
-    offsets from bincount and cumsum.  Raises the constructor's errors with
-    its messages, so the in-place build can be compared on bad input too.
+    concatenation of both orientations' int64 keys, split by divmod, with
+    the row offsets from bincount and cumsum; the ids are then stored as
+    int32 when n * n < 2**31, as the keys are.  Raises the constructor's errors with its messages, so the
+    in-place build can be compared on bad input too.
     """
     if n < 0:
         raise GraphError(f"vertex count must be non-negative, got {n}")
@@ -77,7 +79,7 @@ def reference_csr(n: int, edges=()) -> tuple[np.ndarray, np.ndarray]:
         raise GraphError(f"edge ({u}, {v}) already present")
     rows, indices = np.divmod(entries, max(n, 1))
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
-    return indptr, indices
+    return indptr, indices.astype(np.int32 if n * n < 2**31 else np.int64)
 
 
 def reference_gen_erdos_renyi(n: int, edge_prob: float, rng) -> tuple[np.ndarray, np.ndarray]:

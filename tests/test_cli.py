@@ -217,17 +217,19 @@ class TestExitCodes:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "train"])
-    def test_small_world_past_32_bit_vertices_exits_2_before_training(
-        self, tmp_path, capsys, monkeypatch, command
+    @pytest.mark.parametrize("graph,n", [(SW, 2**32), (SW, 2**31), (ER, 2**31)])
+    def test_graph_past_int32_vertex_ids_exits_2_before_training(
+        self, tmp_path, capsys, monkeypatch, command, graph, n
     ):
-        # rewiring emulates 32-bit integer draws; simulate used to fit the
-        # model and then fail at the first graph, and train to succeed
+        # vertex ids are int32 (and small-world rewiring emulates 32-bit
+        # integer draws); simulate used to fit the model and then fail at the
+        # first graph, and train to succeed
         monkeypatch.setattr(experiments, "load_config_stats", lambda config: 1 / 0)
-        config = write_config(tmp_path, graph=dict(SW, n=2**32))
+        config = write_config(tmp_path, graph=dict(graph, n=n))
         assert main([command, "--config", str(config)]) == 2
         err = capsys.readouterr().err
-        assert err == ("config error: graph.n: "
-                       "small-world rewiring needs n < 2**32, got 4294967296\n")
+        assert err == ("config error: graph.n: vertex count must be below 2**31 "
+                       f"(int32 vertex ids), got {n}\n")
         assert not (tmp_path / "out").exists()
 
     def test_non_object_document_exits_2(self, tmp_path, capsys):

@@ -129,6 +129,16 @@ class TestGraphBasics:
         with pytest.raises(ValueError):
             Graph(-1)
 
+    @pytest.mark.parametrize("build", [
+        lambda: Graph(2**31),
+        lambda: Graph(2**31, [(0, 1)]),
+        lambda: gen_erdos_renyi(2**31, 1e-9, np.random.default_rng(0)),
+    ])
+    def test_vertex_count_past_int32_ids_rejected_before_allocating(self, monkeypatch, build):
+        monkeypatch.setattr(graph_module, "np", _NumpyWithoutArrays())
+        with pytest.raises(GraphError, match=r"^vertex count must be below 2\*\*31 .*, got 2147483648$"):
+            build()
+
 
 class TestClusteringCoefficient:
     def test_triangle(self, triangle):
@@ -348,6 +358,19 @@ class TestErdosRenyiSkipping:
         assert g.edge_count == 0
 
 
+def random_pairs(n, m, gen):
+    """m distinct vertex pairs of an n-vertex graph as an (m, 2) int64
+    array, in random order and orientation."""
+    number = np.sort(gen.choice(n * (n - 1) // 2, size=m, replace=False))
+    rows = np.arange(n, dtype=np.int64)
+    row_start = rows * (2 * n - rows - 1) // 2
+    u = np.searchsorted(row_start, number, side="right") - 1
+    e = gen.permutation(np.column_stack([u, number - row_start[u] + u + 1]))
+    flip = gen.random(m) < 0.5
+    e[flip] = e[flip, ::-1]
+    return e
+
+
 def assert_same_csr(g, indptr, indices):
     for got, want in ((g._indptr, indptr), (g._indices, indices)):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
@@ -403,20 +426,16 @@ class TestInPlaceBuild:
         if edges:
             assert_same_build(n, np.array(edges))
 
-    @pytest.mark.parametrize("n,m", [(2000, 20000), (300, 44850), (100000, 5000)])
+    # 46,340 is the last n whose keys row * n + column fit in int32 and
+    # 46,341 the first whose keys, and so ids, are int64
+    @pytest.mark.parametrize("n,m", [
+        (2000, 20000), (300, 44850), (100000, 5000), (46340, 60000), (46341, 60000),
+    ])
     def test_large_random_graphs(self, n, m):
-        gen = np.random.default_rng(n + m)
-        pairs = n * (n - 1) // 2
-        number = np.sort(gen.choice(pairs, size=m, replace=False))
-        rows = np.arange(n, dtype=np.int64)
-        row_start = rows * (2 * n - rows - 1) // 2
-        u = np.searchsorted(row_start, number, side="right") - 1
-        e = np.column_stack([u, number - row_start[u] + u + 1])
-        e = gen.permutation(e)
-        flip = gen.random(m) < 0.5
-        e[flip] = e[flip, ::-1]
+        e = random_pairs(n, m, np.random.default_rng(n + m))
         assert_same_build(n, e)
         assert_same_build(n, e.T.copy().T)  # an (m, 2) view that is not C-ordered
+        assert_same_build(n, e.astype(np.int32))
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 10).flatmap(lambda n: st.tuples(
@@ -463,11 +482,18 @@ class TestInPlaceBuild:
 
 
 class TestGraphMemory:
-    """At er_stub_large's size (n = 15,000, mean degree 20) a build's traced
-    peak is a small multiple of the CSR bytes the graph keeps, and
-    out_edges holds at most two edge-long arrays at once.  The whole-array
-    versions reached 6.7x in gen_erdos_renyi, 4.1x above its input in the
-    constructor and 1.5x the returned arrays in out_edges.
+    """At er_stub_large's size (n = 15,000, mean degree 20) the graph keeps
+    4 bytes per neighbour id, builds stay within a fixed number of bytes,
+    and out_edges holds at most two edge-long int64 arrays at once.
+
+    The bounds are absolute bytes, each at most the one the int64 layout
+    was held to (a multiple of its 2.53 MB of CSR bytes, here or at the
+    graphs below), and tighter where the int32 ids lowered the peak: the
+    constructor (2.71 MB above its input with int64 keys and ids, bound
+    3.79 MB) and gen_small_world (2.76 and 1.52 MB, bounds 2.98 and
+    1.74 MB).  The whole-array versions reached 6.7x the CSR bytes in
+    gen_erdos_renyi, 4.1x above its input in the constructor and 1.5x the
+    returned arrays in out_edges.
 
     gen_small_world writes the lattice into the (m, 2) array Graph takes
     and keeps only the accepted rewires' keys, and clustering_coefficient
@@ -478,42 +504,48 @@ class TestGraphMemory:
 
     N, EDGE_PROB = 15000, 20 / 14999
 
-    @staticmethod
-    def csr_bytes(g):
-        return g._indptr.nbytes + g._indices.nbytes
+    def test_kept_bytes_are_4_per_id(self):
+        g = gen_erdos_renyi(self.N, self.EDGE_PROB, np.random.default_rng(5))
+        assert g._indices.dtype == np.int32
+        assert g._indices.nbytes == 4 * 2 * g.edge_count
+        assert g._indptr.nbytes == 8 * (g.n + 1)
 
     def test_erdos_renyi_peak(self):
         gen_erdos_renyi(50, 0.1, np.random.default_rng(0))  # first-call imports are not the build's
         g, peak = traced_peak(lambda: gen_erdos_renyi(self.N, self.EDGE_PROB, np.random.default_rng(5)))
         assert g.edge_count > 140000
-        assert peak <= 2.5 * self.csr_bytes(g), peak / self.csr_bytes(g)
+        assert peak <= 4_500_000, peak  # int64 ids: 6.31 MB (2.5x their CSR bytes)
 
-    def test_constructor_peak_above_its_input(self):
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    def test_constructor_peak_above_its_input(self, dtype):
         g = gen_erdos_renyi(self.N, self.EDGE_PROB, np.random.default_rng(5))
         rows, cols = g.out_edges(np.arange(g.n))
-        e = np.column_stack([rows[rows < cols], cols[rows < cols]])
-        assert e.dtype == np.int64 and e.flags.c_contiguous
+        e = np.column_stack([rows[rows < cols], cols[rows < cols]]).astype(dtype)
+        assert e.flags.c_contiguous
         built, peak = traced_peak(lambda: Graph(g.n, e))
         assert_same_csr(built, g._indptr, g._indices)
-        assert peak <= 1.5 * self.csr_bytes(g), peak / self.csr_bytes(g)
+        assert peak <= 1_800_000, peak  # int64 keys and ids: 3.79 MB
 
     def test_out_edges_peak(self):
         g = gen_erdos_renyi(self.N, self.EDGE_PROB, np.random.default_rng(5))
         vertices = np.arange(0, g.n, 2)
         (sources, targets), peak = traced_peak(lambda: g.out_edges(vertices))
         assert len(targets) > 70000
-        assert peak <= 1.25 * (sources.nbytes + targets.nbytes), peak / (2 * targets.nbytes)
+        assert sources.dtype == targets.dtype == np.int64
+        assert peak <= 2_998_000, peak  # 1.25x the 2.40 MB returned
 
-    @pytest.mark.parametrize("n,rewire_prob,ratio", [(4000, 0.1, 3.0), (1000, 1.0, 7.0)])
-    def test_small_world_peak(self, n, rewire_prob, ratio):
+    @pytest.mark.parametrize("n,rewire_prob,bound", [
+        (4000, 0.1, 2_100_000),  # int64 ids: 2.98 MB
+        (1000, 1.0, 1_450_000),  # int64 ids: 1.74 MB
+    ])
+    def test_small_world_peak(self, n, rewire_prob, bound):
         # at p = 1.0 every edge is rewired, so the set of added keys holds
         # about all m of them; tracing each of their ints is slow, hence n = 1000
         gen_small_world(50, 3, 0.1, np.random.default_rng(0))  # first-call imports
         g, peak = traced_peak(
             lambda: gen_small_world(n, 15, rewire_prob, np.random.default_rng(5)))
-        csr = self.csr_bytes(g)
         assert g.edge_count == 15 * n
-        assert peak <= ratio * csr, peak / csr
+        assert peak <= bound, peak
 
     def test_transitivity_peak(self):
         g = gen_small_world(400, 10, 0.1, np.random.default_rng(1))
@@ -638,13 +670,14 @@ class TestSmallWorldStream:
     @pytest.mark.parametrize("n,bitgen", [
         (100, np.random.MT19937),
         (100, np.random.Philox),
+        (2**31, np.random.PCG64),
         (2**32, np.random.PCG64),
     ])
     def test_unsupported_stream_rejected_before_allocating(self, monkeypatch, n, bitgen):
         rng = np.random.Generator(bitgen(0))
         with monkeypatch.context() as patched:
             patched.setattr(graph_module, "np", _NumpyWithoutArrays())
-            with pytest.raises(GraphError, match="PCG64|2\\*\\*32"):
+            with pytest.raises(GraphError, match="PCG64|2\\*\\*31"):
                 gen_small_world(n, 2, 0.1, rng)
         assert rng.random() == np.random.Generator(bitgen(0)).random()  # nothing drawn
 
@@ -659,11 +692,15 @@ class TestGraphParams:
         assert g.edge_count == 60
 
     def test_validation(self):
-        too_many = r"^small-world rewiring needs n < 2\*\*32, got 4294967296$"
+        too_many = r"^vertex count must be below 2\*\*31 \(int32 vertex ids\), got 2147483648$"
         with pytest.raises(GraphError, match=too_many):
+            GraphParams("small_world", 2**31, neighbors=2, rewire_prob=0.1)
+        with pytest.raises(GraphError, match=too_many):
+            GraphParams("erdos_renyi", 2**31, edge_prob=0.1)
+        with pytest.raises(GraphError, match=r"got 4294967296$"):
             GraphParams("small_world", 2**32, neighbors=2, rewire_prob=0.1)
-        GraphParams("small_world", 2**32 - 1, neighbors=2, rewire_prob=0.1)
-        GraphParams("erdos_renyi", 2**32, edge_prob=0.1)
+        GraphParams("small_world", 2**31 - 1, neighbors=2, rewire_prob=0.1)
+        GraphParams("erdos_renyi", 2**31 - 1, edge_prob=0.1)
         with pytest.raises(ValueError):
             GraphParams("bogus", 10)
         with pytest.raises(ValueError):

@@ -152,6 +152,115 @@ class TestVertexTable:
         assert table.columns["education"].tolist() == [3, 2, 2, 2]
 
 
+def as_int64(schema: FeatureSchema) -> FeatureSchema:
+    """`schema` with int64 columns, the layout before records were narrowed."""
+    wide = FeatureSchema(schema.fields)
+    object.__setattr__(wide, "dtype", np.dtype(np.int64))
+    return wide
+
+
+# an ordinal range of [0, 1000] and 200 categories each need int16
+INT16_SCHEMA = FeatureSchema((
+    Field("score", "ordinal", value_range=(0, 1000)),
+    Field("flag", "binary"),
+    Field("region", "categorical", categories=tuple(f"r{i}" for i in range(200))),
+    Field("band", "ordinal", value_range=(-3, 3)),
+))
+
+
+class TestRecordWidth:
+    """Columns take the schema's smallest integer type; no value wraps, and
+    every output is what int64 columns give."""
+
+    @pytest.mark.parametrize("fields,dtype", [
+        ((Field("b", "binary"),), np.int8),
+        ((Field("o", "ordinal", value_range=(-128, 127)),), np.int8),
+        ((Field("o", "ordinal", value_range=(0, 128)),), np.int16),
+        ((Field("o", "ordinal", value_range=(-129, 0)),), np.int16),
+        ((Field("c", "categorical", categories=tuple("x" * 128)),), np.int8),
+        ((Field("c", "categorical", categories=tuple("x" * 129)),), np.int16),
+        ((Field("o", "ordinal", value_range=(0, 1000)),), np.int16),
+        ((Field("o", "ordinal", value_range=(0, 2**31)),), np.int64),
+        ((), np.int8),
+    ])
+    def test_schema_dtype_is_the_smallest_that_holds_every_field(self, fields, dtype):
+        assert FeatureSchema(fields).dtype == dtype
+
+    def test_range_past_int64_rejected(self):
+        with pytest.raises(PopulationError, match=r"^field values span \[0, 9223372036854775808\]"):
+            FeatureSchema((Field("o", "ordinal", value_range=(0, 2**63)),))
+
+    def test_shipped_and_tiny_schemas_keep_1_byte_per_cell(self, tiny_schema, rng):
+        stats = load_stats("builtin")
+        assert stats.schema.dtype == tiny_schema.dtype == np.int8
+        table = sample_population(stats, 1000, rng)
+        assert all(col.dtype == np.int8 and col.nbytes == 1000 for col in table.columns.values())
+        assert all(col.dtype == np.int8 for col in table.take([3, 1, 3]).columns.values())
+        records = [random_record(tiny_schema, rng) for _ in range(5)]
+        table = VertexTable.from_records(tiny_schema, records)
+        assert all(col.dtype == np.int8 for col in table.columns.values())
+
+    @pytest.mark.parametrize("value", [300, -200, 2**40])
+    def test_value_outside_the_dtype_is_an_error_not_a_wrap(self, tiny_schema, value):
+        columns = {fid: np.ones(3, dtype=np.int64) for fid in tiny_schema.field_ids}
+        columns["contact_friends"] = np.array([2, value, 1], dtype=np.int64)
+        message = f"field 'contact_friends': value {value} does not fit the schema's int8 records"
+        with pytest.raises(PopulationError, match=f"^{re.escape(message)}$"):
+            VertexTable(tiny_schema, columns)
+
+    def test_from_records_names_a_value_outside_the_dtype_by_its_field(self, tiny_schema, rng):
+        record = dict(random_record(tiny_schema, rng), age_band=300)
+        with pytest.raises(PopulationError, match=re.escape("value 300 outside [1, 5]")):
+            VertexTable.from_records(tiny_schema, [record])
+
+    def test_one_hot_block_past_column_127_of_an_int8_schema(self):
+        # the block starts at encoded column 130, past what an int8 index holds
+        schema = FeatureSchema(tuple(Field(f"b{i}", "binary") for i in range(130))
+                               + (Field("c", "categorical", categories=("x", "y", "z")),))
+        assert schema.dtype == np.int8
+        records = [{**{f"b{i}": 0 for i in range(130)}, "c": c} for c in (2, 0, 1)]
+        table = VertexTable.from_records(schema, records)
+        assert table.encoded().tobytes() == np.array([encode(r, schema) for r in records]).tobytes()
+
+    def test_other_integer_input_is_narrowed_by_value(self, tiny_schema):
+        columns = {fid: np.array([1.9, 0.0, 1.0]) for fid in tiny_schema.field_ids}
+        table = VertexTable(tiny_schema, columns)  # floats truncate, as int() does
+        assert table.columns["gender"].dtype == np.int8
+        assert table.columns["gender"].tolist() == [1, 0, 1]
+        kept = np.array([1, 2, 3], dtype=np.int8)
+        table = VertexTable(tiny_schema, {fid: kept for fid in tiny_schema.field_ids})
+        assert table.columns["gender"] is kept
+
+    @pytest.mark.parametrize("which", ["int16", "builtin"])
+    def test_outputs_equal_int64_columns(self, which, tmp_path):
+        if which == "int16":
+            schema = INT16_SCHEMA
+            mean = np.r_[500.0, 0.5, np.full(200, 1 / 200), 0.0]
+            covariance = np.diag(np.r_[300.0**2, 0.25, np.full(200, 0.01), 4.0])
+            stats = PopulationStats(schema=schema, mean=mean, covariance=covariance)
+        else:
+            stats = load_stats("builtin")
+            schema = stats.schema
+        assert schema.dtype == (np.int16 if which == "int16" else np.int8)
+        wide = PopulationStats(schema=as_int64(schema), mean=stats.mean,
+                               covariance=stats.covariance)
+        narrow_table = sample_population(stats, 3000, np.random.default_rng(8))
+        wide_table = sample_population(wide, 3000, np.random.default_rng(8))
+        for fid in schema.field_ids:
+            assert wide_table.columns[fid].dtype == np.int64
+            assert narrow_table.columns[fid].dtype == schema.dtype
+            assert narrow_table.columns[fid].tolist() == wide_table.columns[fid].tolist()
+        if which == "int16":
+            assert narrow_table.columns["region"].max() > 127
+            assert narrow_table.columns["score"].max() > 127
+        assert narrow_table.encoded().tobytes() == wide_table.encoded().tobytes()
+        narrow_table.to_csv(tmp_path / "narrow.csv")
+        wide_table.to_csv(tmp_path / "wide.csv")
+        assert (tmp_path / "narrow.csv").read_bytes() == (tmp_path / "wide.csv").read_bytes()
+        again = VertexTable.from_csv(tmp_path / "narrow.csv", schema)
+        assert again.encoded().tobytes() == wide_table.encoded().tobytes()
+
+
 def write_people(path):
     gen = np.random.default_rng(4)
     records = [random_record(TINY_SCHEMA, gen) for _ in range(4)]
