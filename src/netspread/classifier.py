@@ -202,6 +202,13 @@ class SvmParams:
             raise ClassifierError("C must be positive")
         if self.weight <= 0:
             raise ClassifierError("positive-class weight must be positive")
+        # train_svm bounds the positive class by C * weight; a product
+        # overflows to inf or underflows to 0, not an error
+        if not 0.0 < self.C * self.weight < np.inf:
+            raise ClassifierError(
+                f"positive-class box C * weight must lie in (0, inf) as a float, "
+                f"got C {self.C!r} and weight {self.weight!r}"
+            )
 
 
 class _RowCache:

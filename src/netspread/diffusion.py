@@ -26,7 +26,9 @@ Both are zero when their denominator is zero.
 from __future__ import annotations
 
 import os
+from collections.abc import Set
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Protocol
 
 import numpy as np
@@ -103,38 +105,46 @@ def seed_information(graph: Graph, fraction: float, rng: np.random.Generator) ->
 def diffusion_step(
     graph: Graph,
     table: VertexTable,
-    informed: set[int],
+    informed: Set[int],
     model: TransmissionModel,
     iteration: int,
     frontier: set[int],
 ) -> tuple[set[int], list[LogEntry]]:
     """One synchronous step: predictions use `informed` frozen at entry.
 
-    Senders are the vertices of `frontier`, a subset of `informed`;
-    `run_diffusion` passes the vertices informed in the previous step, and
-    passing all of `informed` gives the full scan.  The model scores every
-    edge from a sender to a vertex outside `informed`, in arrays sorted by
-    sender, then receiver.  `Graph.edges_between` finds them in the rows of
-    the frontier or of the uninformed vertices, whichever hold fewer edges
-    (in a late step most of the frontier's edges lead to informed
-    vertices); the edges and their order are the same either way.
-    Senders are informed and receivers are not, so the two arrays share no
-    vertex and their unique senders plus unique receivers number at most
-    graph.n.
+    `informed` may be any set-like collection of vertex ids: a set, or the
+    keys view of `run_diffusion`'s wave dict.  Senders are the vertices of
+    `frontier`, a subset of `informed`; `run_diffusion` passes the vertices
+    informed in the previous step, and passing all of `informed` gives the
+    full scan.  The model scores every edge from a sender to a vertex
+    outside `informed`, in arrays sorted by sender, then receiver.
+    `Graph.edges_between` finds them in the rows of the frontier or of the
+    uninformed vertices, whichever hold fewer edges (in a late step most of
+    the frontier's edges lead to informed vertices); the edges and their
+    order are the same either way.  Senders are informed and receivers are
+    not, so the two arrays share no vertex and their unique senders plus
+    unique receivers number at most graph.n.
     Returns the set of vertices informed during this step and their log
-    entries (sorted by receiver id).  Edges with both endpoints informed
-    are skipped; vertices informed within the step do not transmit.
+    entries (sorted by receiver id), each attributed to the receiver's
+    smallest-id positive sender.  Edges with both endpoints informed are
+    skipped; vertices informed within the step do not transmit.
     """
-    known = np.zeros(graph.n, dtype=bool)
+    n = graph.n
+    known = np.zeros(n, dtype=bool)
     known[list(informed)] = True
     senders, receivers = graph.edges_between(sorted(frontier), np.flatnonzero(~known))
     if not len(senders):
         return set(), []
     positive = np.asarray(model.predict_pairs(table, senders, receivers)) > 0
-    # senders ascend, so a receiver's first positive pair has its smallest sender
-    informed_now, first = np.unique(receivers[positive], return_index=True)
-    informed_now, sources = informed_now.tolist(), senders[positive][first].tolist()
-    return set(informed_now), [(iteration, s, r) for s, r in zip(sources, informed_now)]
+    source = np.full(n, n, dtype=np.int64)  # n: no positive sender
+    np.minimum.at(source, receivers[positive], senders[positive])
+    # the step's arrays go before its Python results come
+    del known, senders, receivers, positive
+    informed_now = np.flatnonzero(source < n)
+    sources = source[informed_now]
+    del source
+    informed_now, sources = informed_now.tolist(), sources.tolist()
+    return set(informed_now), list(zip(repeat(iteration), sources, informed_now))
 
 
 def compute_metrics(log, seeds) -> tuple[float, float]:
@@ -162,21 +172,18 @@ def run_diffusion(
             f"vertex table has {len(table)} rows for a graph of {graph.n} vertices"
         )
     seeds = seed_information(graph, config.initial_fraction, rng)
-    informed = set(seeds)
-    wave = {v: 0 for v in seeds}
-    coverage = [len(informed) / graph.n]
+    wave = {v: 0 for v in seeds}  # its keys are the informed vertices
+    coverage = [len(wave) / graph.n]
     log: list[LogEntry] = []
     frontier = set(seeds)
     for iteration in range(1, config.iterations + 1):
-        new_informed, entries = diffusion_step(
-            graph, table, informed, model, iteration, frontier=frontier
+        frontier, entries = diffusion_step(
+            graph, table, wave.keys(), model, iteration, frontier=frontier
         )
-        informed |= new_informed
-        frontier = new_informed
-        for v in new_informed:
+        for v in frontier:
             wave[v] = iteration
         log.extend(entries)
-        coverage.append(len(informed) / graph.n)
+        coverage.append(len(wave) / graph.n)
     avg_hops, fanout = compute_metrics(log, seeds)
     return DiffusionResult(
         seeds=tuple(seeds),

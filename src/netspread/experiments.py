@@ -85,6 +85,7 @@ into exit code 2.
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import os
 import sys
@@ -638,8 +639,6 @@ def _inputs_digest(config: ExperimentConfig, stub_model: str | None) -> str:
     """sha256 of what the runs depend on: the parsed config without output_dir
     and report_fields (a dataclass repr, defaults included), the stub name or
     None, and the bytes of the stats file and of each training data file."""
-    import hashlib  # here, after the runs: it maps OpenSSL, about 3.5 MB of RSS
-
     blanked = replace(config, output_dir="", report_fields=())
     digest = hashlib.sha256(repr((blanked, stub_model)).encode())
     names = [getattr(config.training, key, None) for key in _DATA_FILES]

@@ -326,12 +326,16 @@ def gen_erdos_renyi(n: int, edge_prob: float, rng: np.random.Generator) -> Graph
     skipped pairs are never looked at.  O(n + m) time and O(m) draws.  Gaps
     are drawn ER_BLOCK at a time; the graph does not depend on ER_BLOCK,
     but the generator's state afterwards does, since the last block draws
-    past the final pair.
+    past the final pair.  Each block's pair numbers are decoded into int32
+    (u, v) rows as soon as it is drawn, so no m-long int64 array exists.
     """
     GraphParams(ERDOS_RENYI, n, edge_prob=edge_prob)
     pairs = n * (n - 1) // 2
     if pairs == 0 or edge_prob == 0.0:
         return Graph(n)
+    rows = np.arange(n, dtype=np.int64)
+    row_start = rows * (2 * n - rows - 1) // 2  # number of pair (u, u + 1)
+    del rows
     blocks = []
     last = -1
     while last < pairs:
@@ -343,20 +347,18 @@ def gen_erdos_renyi(n: int, edge_prob: float, rng: np.random.Generator) -> Graph
         idx = np.cumsum(gaps, out=gaps)
         idx += last
         last = int(idx[-1])
-        blocks.append(idx[: np.searchsorted(idx, pairs)])
-    idx = np.concatenate(blocks)
-    # each m-long temporary goes before the next comes
-    del blocks, gaps
-    rows = np.arange(n, dtype=np.int64)
-    row_start = rows * (2 * n - rows - 1) // 2  # number of pair (u, u + 1)
-    edges = np.empty((len(idx), 2), dtype=np.int32)
-    us, vs = edges[:, 0], edges[:, 1]
-    us[:] = np.searchsorted(row_start, idx, side="right")
-    us -= 1
-    np.subtract(idx, row_start[us], out=vs)  # how far pair (u, v) lies past (u, u + 1)
-    del idx, rows, row_start
-    vs += us
-    vs += 1
+        idx = idx[: np.searchsorted(idx, pairs)]
+        # decode the block's pair numbers into int32 (u, v) rows
+        block = np.empty((len(idx), 2), dtype=np.int32)
+        us, vs = block[:, 0], block[:, 1]
+        us[:] = np.searchsorted(row_start, idx, side="right")
+        us -= 1
+        np.subtract(idx, row_start[us], out=vs)  # how far pair (u, v) lies past (u, u + 1)
+        vs += us
+        vs += 1
+        blocks.append(block)
+    edges = np.concatenate(blocks)
+    del blocks  # the int32 blocks go before the constructor runs
     return Graph(n, edges)
 
 

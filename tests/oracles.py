@@ -5,11 +5,12 @@ invariants are re-checked from a Graph's stored arrays, adjacency and
 degrees come from an edge set built once from its edges(), the constructor's
 CSR build, Erdős–Rényi generation and small-world rewiring are kept as
 first written, with whole-array temporaries and per-edge draws, metrics are
-recomputed by exhaustive enumeration, diffusion by plain BFS layers and a
-step's pairs by the forward-only scan, population sampling by its
-one-expression draw, the SVM dual by projected gradient descent with
-Dykstra's alternating projection onto the feasible set, record encoding one
-record at a time, and training-set completion over lists of record dicts.
+recomputed by exhaustive enumeration, diffusion by plain BFS layers, a
+step's pairs by the forward-only scan and their attribution by a loop over
+them, population sampling by its one-expression draw, the SVM dual by
+projected gradient descent with Dykstra's alternating projection onto the
+feasible set, record encoding one record at a time, and training-set
+completion over lists of record dicts.
 """
 
 from __future__ import annotations
@@ -143,6 +144,20 @@ def reference_step_pairs(g, informed, frontier) -> tuple[np.ndarray, np.ndarray]
     known[list(informed)] = True
     fresh = ~known[receivers]
     return senders[fresh], receivers[fresh]
+
+
+def reference_diffusion_step(g, table, informed, model, iteration, frontier):
+    """diffusion_step by a plain loop over the forward-only scan's pairs:
+    each receiver keeps its smallest positive sender."""
+    senders, receivers = reference_step_pairs(g, informed, frontier)
+    if not len(senders):
+        return set(), []
+    labels = model.predict_pairs(table, senders, receivers)
+    source: dict[int, int] = {}
+    for s, r, label in zip(senders.tolist(), receivers.tolist(), np.asarray(labels).tolist()):
+        if label > 0 and (r not in source or s < source[r]):
+            source[r] = s
+    return set(source), [(iteration, source[r], r) for r in sorted(source)]
 
 
 def reference_sample_population(stats, n: int, rng):

@@ -294,6 +294,18 @@ class TestTrainSvm:
         with pytest.raises(ClassifierError, match=f"labels must be \\+1 or -1: {message}"):
             train_svm(X, np.array(y), SvmParams(C=1.0, weight=1.0, kernel=RBF1))
 
+    def test_params_reject_a_box_that_overflows_or_underflows(self):
+        # the positive class's box is C * weight: 1e309 overflows to inf and
+        # 1e-330 underflows to 0, though C and weight are each positive
+        for C, weight in ((1e308, 10.0), (1e-320, 1e-10)):
+            with pytest.raises(ClassifierError, match=r"C \* weight must lie in \(0, inf\)"):
+                SvmParams(C=C, weight=weight, kernel=LIN)
+        for C, weight in ((1e307, 10.0), (1e-300, 1e-10), (5e-324, 1.0)):  # finite and above 0
+            assert 0.0 < SvmParams(C=C, weight=weight, kernel=LIN).C * weight < np.inf
+        for C, weight in ((0.0, 1.0), (1.0, -1.0)):
+            with pytest.raises(ClassifierError, match=r"must be positive$"):
+                SvmParams(C=C, weight=weight, kernel=LIN)
+
     @pytest.mark.parametrize("bad", [[np.nan], [np.inf, -np.inf, np.nan]])
     def test_non_finite_vectors_rejected(self, monkeypatch, bad):
         monkeypatch.setattr(classifier, "kernel_matrix", None)  # no kernel work

@@ -232,6 +232,28 @@ class TestExitCodes:
                        f"(int32 vertex ids), got {n}\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "train"])
+    @pytest.mark.parametrize("C,weight", [(1e308, 10.0), (1e-320, 1e-10)])
+    @pytest.mark.parametrize("section", ["params", "grid"])
+    def test_box_outside_float_range_exits_2_before_training(
+        self, tmp_path, capsys, monkeypatch, command, C, weight, section
+    ):
+        # the positive class's box C * weight overflows to inf or underflows
+        # to 0: train used to exit 0 with a model of no support vectors
+        monkeypatch.setattr(experiments, "load_config_stats", lambda config: 1 / 0)
+        params = dict(TRAINING["params"], C=C, weight=weight)
+        if section == "params":
+            training, path = dict(TRAINING, params=params), "training.params"
+        else:
+            training = {"rule": RULE, "grid": [TRAINING["params"], params]}
+            path = "training.grid[1]"
+        config = write_config(tmp_path, graph=ER, training=training)
+        assert main([command, "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {path}: positive-class box C * weight must lie in (0, inf) "
+            f"as a float, got C {C!r} and weight {weight!r}\n")
+        assert not (tmp_path / "out").exists()
+
     def test_non_object_document_exits_2(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
         config.write_text('"graph"')

@@ -1,3 +1,4 @@
+import functools
 import json
 
 import numpy as np
@@ -25,7 +26,7 @@ from netspread.graph import Graph, gen_erdos_renyi, gen_small_world
 from netspread.population import VertexTable, sample_population
 
 from conftest import TINY_SCHEMA, make_graph, random_graph, random_record, traced_peak
-from oracles import bfs_layers, reference_step_pairs
+from oracles import bfs_layers, reference_diffusion_step, reference_step_pairs
 
 # hand-encoded transmission-tree fixtures: the first has one original
 # sender (0), two senders in total and three transmissions; the second a
@@ -47,6 +48,17 @@ class RuleModel:
     def predict_pairs(self, table, senders, receivers):
         gender = table.columns["gender"][np.asarray(receivers)]
         return np.where(gender == 1, 1, -1)
+
+
+class PositivePairs:
+    """Transmits along the listed (sender, receiver) pairs only."""
+
+    def __init__(self, pairs):
+        self.pairs = set(pairs)
+
+    def predict_pairs(self, table, senders, receivers):
+        return np.array([1 if (s, r) in self.pairs else -1
+                         for s, r in zip(senders.tolist(), receivers.tolist())])
 
 
 class HashModel:
@@ -224,6 +236,20 @@ def assert_forward_scan_pairs(g, informed, frontier) -> None:
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+@functools.cache
+def stub_large(seed: int = 7):
+    """er_stub_large's graph and table: ER n = 15,000 with mean degree 20
+    and the builtin population, both drawn from `seed`."""
+    g = gen_erdos_renyi(15000, 20 / 14999, np.random.default_rng(seed))
+    return g, sample_population(load_stats("builtin"), g.n, np.random.default_rng(seed))
+
+
+def stub_large_run(model, seed: int = 7):
+    """stub_large's seeded run of 1% seeds and 3 iterations: er_stub_large's."""
+    g, table = stub_large(seed)
+    return run_diffusion(g, table, model, DiffusionConfig(0.01, 3), np.random.default_rng(seed))
+
+
 def late_step(seed: int = 5):
     """ER n = 15,000 with mean degree 20, 300 vertices uninformed and a
     frontier of 12,700 of the informed ones: a late step of er_stub_large."""
@@ -300,10 +326,9 @@ class TestSmallerSideScan:
         assert_forward_scan_pairs(g, informed, frontier)
 
     def test_seeded_run_every_step(self):
-        g = gen_erdos_renyi(15000, 20 / 14999, np.random.default_rng(7))
-        table = sample_population(load_stats("builtin"), g.n, np.random.default_rng(7))
+        g, _ = stub_large()
         model = PairLog(ConstantModel(1))
-        result = run_diffusion(g, table, model, DiffusionConfig(0.01, 3), np.random.default_rng(7))
+        result = stub_large_run(model)
         # steps 1-2 read the frontier's rows and step 3 the uninformed vertices', so both scans run
         assert len(model.calls) == 3
         for step, got in enumerate(model.calls, start=1):
@@ -328,6 +353,30 @@ class TestDiffusionMemory:
         table, peak = traced_peak(lambda: sample_population(stats, n, np.random.default_rng(1)))
         assert len(table) == n
         assert peak <= 1.25 * n * d * 8, peak / (n * d * 8)
+
+    def test_seeded_step_2_peak(self):
+        # er_stub_large's largest step: 11,751 receivers from 44,210 pairs.
+        # Finding each receiver's sender with a stable sort, and holding the
+        # step's arrays while its Python results were built, peaked at 3.01 MiB.
+        g, table = stub_large()
+        model = ConstantModel(1)
+        result = stub_large_run(model)
+        informed = {v for v, w in result.wave.items() if w < 2}
+        frontier = {v for v, w in result.wave.items() if w == 1}
+        (new, _), peak = traced_peak(
+            lambda: diffusion_step(g, table, informed, model, 2, frontier)
+        )
+        assert len(new) == 11751
+        assert peak <= 2.35 * 2**20, peak / 2**20
+
+    def test_seeded_run_peak(self):
+        # the run keeps 2.34 MiB of log and wave; with the step 2 above and
+        # a second set of the informed vertices it peaked at 3.76 MiB
+        model = ConstantModel(1)
+        stub_large_run(model)  # first-call work is not the run's
+        result, peak = traced_peak(lambda: stub_large_run(model))
+        assert len(result.log) == 14850
+        assert peak <= 3.45 * 2**20, peak / 2**20
 
     def test_late_step_peak(self):
         g, informed, frontier = late_step()
@@ -406,6 +455,11 @@ class TestDiffusionStep:
         table = table_for(g)
         _, entries = diffusion_step(g, table, {0, 1, 2}, ConstantModel(1), 1, frontier={0, 1, 2})
         assert entries == [(1, 0, 3)]
+        # receiver 5 hears from senders 1, 2 and 3, and the pair (1, 5) is negative
+        g = make_graph(6, [(1, 5), (2, 5), (3, 5), (3, 4), (0, 2)])
+        model = PositivePairs({(2, 5), (3, 5), (3, 4)})
+        new, entries = diffusion_step(g, None, {0, 1, 2, 3}, model, 4, {0, 1, 2, 3})
+        assert new == {4, 5} and entries == [(4, 3, 4), (4, 2, 5)]
 
     def test_prediction_direction_is_sender_to_receiver(self):
         g = make_graph(2, [(0, 1)])
@@ -423,6 +477,79 @@ class TestDiffusionStep:
         # informed 1 -> receiver 0 has gender 0: not transmitted
         new, _ = diffusion_step(g, table, {1}, model, 1, frontier={1})
         assert new == set()
+
+
+class TestAttribution:
+    """diffusion_step credits each new receiver to its smallest positive
+    sender, as the plain loop of tests/oracles.py does, whether `informed`
+    is a set or a dict's keys view (run_diffusion passes its wave's)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        edge_prob=st.floats(0.0, 0.7),
+        graph_seed=st.integers(0, 2**31),
+        set_seed=st.integers(0, 2**31),
+        salt=st.integers(0, 2**31),
+        share=st.floats(0.0, 1.0),
+        informed_share=st.floats(0.0, 1.0),
+        frontier_share=st.floats(0.0, 1.0),
+    )
+    def test_random_steps_match_oracle(
+        self, n, edge_prob, graph_seed, set_seed, salt, share, informed_share, frontier_share
+    ):
+        g = random_graph(n, edge_prob, graph_seed)
+        gen = np.random.default_rng(set_seed)
+        informed = {v for v in range(n) if gen.random() < informed_share}
+        frontier = {v for v in sorted(informed) if gen.random() < frontier_share}
+        assert_step_matches_oracle(g, table_for(g, graph_seed), informed,
+                                   HashModel(salt, share), frontier)
+
+    def test_receivers_with_several_positive_senders(self):
+        several = smaller_negative = 0
+        for seed in range(6):
+            g = random_graph(40, 0.3, seed)
+            table = table_for(g, seed)
+            informed = set(range(0, 40, 3))
+            model = HashModel(seed, 0.5)
+            senders, receivers = reference_step_pairs(g, informed, informed)
+            labels = model.predict_pairs(table, senders, receivers)
+            for r in set(receivers.tolist()):
+                heard, positive = senders[receivers == r], senders[(receivers == r) & (labels > 0)]
+                several += len(positive) > 1
+                smaller_negative += len(positive) > 0 and heard.min() < positive.min()
+            assert_step_matches_oracle(g, table, informed, model, informed)
+        assert several > 20 and smaller_negative > 20
+
+    def test_step_with_no_positive_pair(self):
+        g = random_graph(30, 0.3, 3)
+        table = table_for(g, 3)
+        informed = set(range(0, 30, 4))
+        assert handed_pairs(g, informed, informed) is not None
+        for model in (ConstantModel(-1), HashModel(3, 0.0)):
+            assert diffusion_step(g, table, informed, model, 1, informed) == (set(), [])
+            assert_step_matches_oracle(g, table, informed, model, informed)
+
+    def test_seeded_steps_take_a_keys_view(self):
+        g, table = stub_large()
+        model = HashModel(7, 0.3)
+        result = stub_large_run(model)
+        for step in (1, 2, 3):
+            informed = {v for v, w in result.wave.items() if w < step}
+            frontier = {v for v, w in result.wave.items() if w == step - 1}
+            want = diffusion_step(g, table, informed, model, step, frontier)
+            keys = dict.fromkeys(sorted(informed)).keys()
+            assert diffusion_step(g, table, keys, model, step, frontier) == want
+            assert want[1] == [e for e in result.log if e[0] == step]
+
+
+def assert_step_matches_oracle(g, table, informed, model, frontier) -> None:
+    """diffusion_step's new set and log equal the oracle's, given `informed`
+    as a set and as a dict's keys view."""
+    want = reference_diffusion_step(g, table, informed, model, 2, frontier)
+    assert diffusion_step(g, table, informed, model, 2, frontier) == want
+    keys = dict.fromkeys(sorted(informed)).keys()
+    assert diffusion_step(g, table, keys, model, 2, frontier) == want
 
 
 class TestComputeMetrics:
